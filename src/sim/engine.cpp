@@ -28,6 +28,8 @@
 #include "sim/engine.h"
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/spin_barrier.h"
@@ -115,7 +117,10 @@ Engine::Engine() : lanes_(1) {}
 Engine::~Engine() = default;
 
 void Engine::configure_shards(int shards, int workers, TimeNs lookahead) {
-  assert(shards >= 1 && shards <= kMaxShards);
+  if (shards < 1 || shards > kMaxShards) {
+    throw std::invalid_argument("engine shards must be in [1, " + std::to_string(kMaxShards) +
+                                "], got " + std::to_string(shards));
+  }
   assert(empty() && total_events() == 0 && next_seq() == 0 &&
          "configure_shards must precede all scheduling");
   assert(shards == 1 || lookahead > 0);
@@ -135,9 +140,9 @@ void Engine::ensure_gang() {
 std::uint64_t Engine::run_lane_until(Lane& lane, TimeNs we) {
   std::uint64_t n = 0;
   while (!lane.heap.empty() && lane.heap.front().time < we) {
-    Event ev = pop_min(lane);
-    lane.now = ev.time;
-    ev.action();
+    lane.now = lane.heap.front().time;
+    Action action = pop_min(lane);
+    action();
     ++n;
   }
   lane.events += n;
@@ -167,10 +172,10 @@ std::uint64_t Engine::serial_phase(TimeNs t) {
     }
     if (best < 0) break;
     Lane& lane = lanes_[static_cast<std::size_t>(best)];
-    Event ev = pop_min(lane);
+    Action action = pop_min(lane);
     lane.now = t;
     cur_lane_ = best;
-    ev.action();
+    action();
     ++lane.events;
     ++n;
   }

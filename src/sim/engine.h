@@ -4,13 +4,13 @@
 // Serial mode (the default, shards == 1) is the original engine: one
 // binary heap of (time, key)-ordered events; ties in time are processed
 // in scheduling order, which makes every simulation fully deterministic
-// for a given seed. The heap is hand-rolled over a std::vector rather
-// than std::priority_queue because extraction must *move* the event's
-// action out (std::priority_queue only exposes a const top(), and
-// const_cast-ing it is undefined-behavior territory). Actions are stored
-// in a small-buffer-optimized callable, so the common case — a lambda
-// capturing `this` plus a couple of ids — costs no heap allocation per
-// event.
+// for a given seed. Each lane's queue is two parts: a slot arena holding
+// every pending event's descriptor and closure, and a hand-rolled binary
+// min-heap of 24-byte (time, key, slot) entries pointing into it. Sifting
+// moves only the plain entries; a closure is moved into its slot once when
+// scheduled and out once when popped. Actions are stored in a
+// small-buffer-optimized callable, so the common case — a lambda capturing
+// `this` plus a couple of ids — costs no heap allocation per event.
 //
 // Sharded mode (configure_shards with shards K > 1) splits the event
 // queue into K shard lanes plus one global lane (index K), each with its
@@ -181,6 +181,9 @@ class Engine {
   // be positive. `workers` threads drive the shard lanes inside windows
   // (clamped to [1, shards]; the thread gang is spawned lazily on the
   // first parallel run). Must be called before anything is scheduled.
+  // Throws std::invalid_argument unless 1 <= shards <= kMaxShards: lane ids
+  // live in the low kLaneBits of every event key, so a larger count would
+  // alias lanes and break the tie order.
   void configure_shards(int shards, int workers, TimeNs lookahead);
 
   int shards() const { return shards_; }
@@ -205,26 +208,15 @@ class Engine {
   TimeNs now() const { return lanes_[static_cast<std::size_t>(current_lane())].now; }
   TimeNs lane_now(int lane) const { return lanes_[static_cast<std::size_t>(lane)].now; }
 
-  void schedule_at(TimeNs t, Action action) { schedule_at(t, EventDesc{}, std::move(action)); }
+  void schedule_at(TimeNs t, Action action) { schedule_here(t, EventDesc{}, std::move(action)); }
   void schedule_at(TimeNs t, EventDesc desc, Action action) {
-    const int lane_idx = current_lane();
-    Lane& lane = lanes_[static_cast<std::size_t>(lane_idx)];
-    if (t < lane.now) {
-      // Never schedule into the past — but never do it silently either.
-      // Outside parallel windows a past-time deadline is legal (an RTO
-      // that expired while the flow was stalled, a barrier-deferred op
-      // re-arming a tick); the clamp is counted so the obs layer can
-      // surface it. Inside a window it is a causality violation: the
-      // event would be lost behind the lane's cursor.
-      ++lane.clamped;
-      assert(!in_window_ && "past-time schedule inside a parallel window");
-      t = lane.now;
-    }
-    push_event(lane, Event{t, alloc_key_from(lane_idx), desc, std::move(action)});
+    schedule_here(t, desc, std::move(action));
   }
-  void schedule_in(TimeNs dt, Action action) { schedule_at(now() + dt, std::move(action)); }
+  void schedule_in(TimeNs dt, Action action) {
+    schedule_here(now() + dt, EventDesc{}, std::move(action));
+  }
   void schedule_in(TimeNs dt, EventDesc desc, Action action) {
-    schedule_at(now() + dt, desc, std::move(action));
+    schedule_here(now() + dt, desc, std::move(action));
   }
 
   // Schedules onto an explicit lane, stamping the key from the *calling*
@@ -234,7 +226,7 @@ class Engine {
   void schedule_on(int lane_idx, TimeNs t, EventDesc desc, Action action) {
     assert(lane_idx >= 0 && lane_idx < num_lanes());
     assert(!in_window_ || lane_idx == current_lane());
-    schedule_keyed(lane_idx, t, alloc_key_from(current_lane()), desc, std::move(action));
+    enqueue(lane_idx, t, alloc_key_from(current_lane()), desc, std::move(action));
   }
 
   // Allocates an event key from the calling lane without scheduling —
@@ -244,13 +236,7 @@ class Engine {
   std::uint64_t alloc_key() { return alloc_key_from(current_lane()); }
 
   void schedule_keyed(int lane_idx, TimeNs t, std::uint64_t key, EventDesc desc, Action action) {
-    Lane& lane = lanes_[static_cast<std::size_t>(lane_idx)];
-    if (t < lane.now) {
-      ++lane.clamped;
-      assert(!in_window_ && "mailbox delivery landed behind the destination lane");
-      t = lane.now;
-    }
-    push_event(lane, Event{t, key, desc, std::move(action)});
+    enqueue(lane_idx, t, key, desc, std::move(action));
   }
 
   // Runs events until the queue drains or simulated time would exceed
@@ -263,9 +249,9 @@ class Engine {
       Lane& lane = lanes_[0];
       std::uint64_t processed = 0;
       while (!lane.heap.empty() && lane.heap.front().time <= until) {
-        Event ev = pop_min(lane);
-        lane.now = ev.time;
-        ev.action();
+        lane.now = lane.heap.front().time;
+        Action action = pop_min(lane);
+        action();
         ++processed;
       }
       lane.events += processed;
@@ -344,16 +330,17 @@ class Engine {
       w.u64(lane.next_key);
       w.u64(lane.events);
       w.u64(lane.heap.size());
-      for (const Event& e : lane.heap) {
-        if (e.desc.kind == 0) {
+      for (const Entry& e : lane.heap) {
+        const EventDesc& desc = lane.slots[e.slot].desc;
+        if (desc.kind == 0) {
           throw snapshot::SnapshotError(
               "pending event without a descriptor: this transport cannot be snapshotted");
         }
         w.i64(e.time);
         w.u64(e.key);
-        w.u32(e.desc.kind);
-        w.u64(e.desc.a);
-        w.u64(e.desc.b);
+        w.u32(desc.kind);
+        w.u64(desc.a);
+        w.u64(desc.b);
       }
     }
     w.end_section();
@@ -364,9 +351,10 @@ class Engine {
   // restored object graph; it must throw SnapshotError on descriptors it
   // does not recognize. Taken as a template (function_ref style) so the
   // caller's lambda is invoked directly — no std::function allocation per
-  // restore — and each lane's heap storage is reserved up front, so large
-  // queue restores cost one allocation per lane. Parse-then-commit: the
-  // lanes are only replaced once every event has been read and rebuilt.
+  // restore — and each lane's heap and arena are reserved up front, so large
+  // queue restores cost two allocations per lane. Event i of a lane lands
+  // in slot i with an empty free list. Parse-then-commit: the lanes are
+  // only replaced once every event has been read and rebuilt.
   template <typename Rebuild>
   void load(snapshot::ArchiveReader& r, Rebuild&& rebuild) {
     r.open_section("engine");
@@ -376,16 +364,23 @@ class Engine {
       lane.next_key = r.u64();
       lane.events = r.u64();
       const std::uint64_t count = r.u64();
+      // Checked before reserving: each archived event takes kArchivedEventBytes
+      // of the section, and slot ids are 32-bit.
+      if (count > r.remaining() / kArchivedEventBytes ||
+          count > std::numeric_limits<std::uint32_t>::max()) {
+        throw snapshot::SnapshotError("engine section holds fewer events than it declares");
+      }
       lane.heap.reserve(count);
+      lane.slots.reserve(count);
       for (std::uint64_t i = 0; i < count; ++i) {
-        Event e;
-        e.time = r.i64();
-        e.key = r.u64();
-        e.desc.kind = r.u32();
-        e.desc.a = r.u64();
-        e.desc.b = r.u64();
-        e.action = rebuild(static_cast<const EventDesc&>(e.desc));
-        lane.heap.push_back(std::move(e));
+        const TimeNs time = r.i64();
+        const std::uint64_t key = r.u64();
+        Slot& slot = lane.slots.emplace_back();
+        slot.desc.kind = r.u32();
+        slot.desc.a = r.u64();
+        slot.desc.b = r.u64();
+        slot.action = rebuild(static_cast<const EventDesc&>(slot.desc));
+        lane.heap.push_back(Entry{time, key, static_cast<std::uint32_t>(i)});
       }
     }
     r.close_section();
@@ -393,6 +388,8 @@ class Engine {
       Lane& dst = lanes_[i];
       Lane& src = lanes[i];
       dst.heap = std::move(src.heap);
+      dst.slots = std::move(src.slots);
+      dst.free_slots.clear();
       dst.now = src.now;
       dst.next_key = src.next_key;
       dst.events = src.events;
@@ -412,29 +409,46 @@ class Engine {
       d.mix(lane.next_key);
       d.mix(lane.events);
       d.mix(lane.heap.size());
-      for (const Event& e : lane.heap) {
+      for (const Entry& e : lane.heap) {
+        const EventDesc& desc = lane.slots[e.slot].desc;
         d.mix_i64(e.time);
         d.mix(e.key);
-        d.mix(e.desc.kind);
-        d.mix(e.desc.a);
-        d.mix(e.desc.b);
+        d.mix(desc.kind);
+        d.mix(desc.a);
+        d.mix(desc.b);
       }
     }
   }
 
  private:
-  struct Event {
-    TimeNs time;
-    std::uint64_t key;
+  // Heap entry: the sort key plus the index of the event's arena slot.
+  // Sifting moves only these 24 plain bytes, never a closure.
+  struct Entry {
+    TimeNs time = 0;
+    std::uint64_t key = 0;
+    std::uint32_t slot = 0;
+    bool before(const Entry& o) const { return time != o.time ? time < o.time : key < o.key; }
+  };
+  static_assert(sizeof(Entry) == 24);
+
+  // time, key, kind, a, b as save writes them.
+  static constexpr std::uint64_t kArchivedEventBytes = 8 + 8 + 4 + 8 + 8;
+
+  struct Slot {
     EventDesc desc;
     Action action;
-    bool before(const Event& o) const { return time != o.time ? time < o.time : key < o.key; }
   };
 
-  // Each lane is an independent heap + clock. Padded so neighboring
-  // lanes' hot cursors don't share a cache line under the worker gang.
+  // Each lane is an independent queue + clock. The heap stays binary and
+  // sifts with the comparisons above because its array order is what save
+  // writes and mix_digest hashes: another arity or sift scheme would change
+  // every archive and digest. Slots freed by pops are reused LIFO, so a
+  // warm lane schedules without allocating. Padded so neighboring lanes'
+  // hot cursors don't share a cache line under the worker gang.
   struct alignas(64) Lane {
-    std::vector<Event> heap;
+    std::vector<Entry> heap;                // binary min-heap over (time, key)
+    std::vector<Slot> slots;                // descriptor + closure per event
+    std::vector<std::uint32_t> free_slots;  // LIFO
     TimeNs now = 0;
     std::uint64_t next_key = 0;  // raw per-lane sequence; encoded on allocation
     std::uint64_t events = 0;
@@ -453,45 +467,90 @@ class Engine {
     return (seq << kLaneBits) | static_cast<std::uint64_t>(origin);
   }
 
-  static void push_event(Lane& lane, Event ev) {
-    lane.heap.push_back(std::move(ev));
+  // The public schedule_* overloads take the closure by value and hand it
+  // down by reference, so it is moved only once more: into its slot.
+  void schedule_here(TimeNs t, const EventDesc& desc, Action&& action) {
+    const int lane_idx = current_lane();
+    enqueue(lane_idx, t, alloc_key_from(lane_idx), desc, std::move(action));
+  }
+
+  // Parks the closure in a free slot of the target lane (growing the arena
+  // only when none is free) and sifts its entry into the lane's heap.
+  void enqueue(int lane_idx, TimeNs t, std::uint64_t key, const EventDesc& desc,
+               Action&& action) {
+    Lane& lane = lanes_[static_cast<std::size_t>(lane_idx)];
+    if (t < lane.now) {
+      // Never schedule into the past — but never do it silently either.
+      // Outside parallel windows a past-time deadline is legal (an RTO
+      // that expired while the flow was stalled, a barrier-deferred op
+      // re-arming a tick); the clamp is counted so the obs layer can
+      // surface it. Inside a window it is a causality violation (a local
+      // schedule or a mailbox delivery landing behind the lane's cursor):
+      // the event would be lost.
+      ++lane.clamped;
+      assert(!in_window_ && "past-time schedule inside a parallel window");
+      t = lane.now;
+    }
+    auto slot = static_cast<std::uint32_t>(lane.slots.size());
+    if (lane.free_slots.empty()) {
+      lane.slots.emplace_back();
+    } else {
+      slot = lane.free_slots.back();
+      lane.free_slots.pop_back();
+    }
+    Slot& s = lane.slots[slot];
+    s.desc = desc;
+    s.action = std::move(action);
+    lane.heap.push_back(Entry{t, key, slot});
     sift_up(lane.heap, lane.heap.size() - 1);
   }
 
-  static Event pop_min(Lane& lane) {
+  // Removes the earliest entry and moves its closure out of the arena.
+  // The caller runs it afterwards: running it may schedule events and grow
+  // the arena, which would relocate a closure still in its slot.
+  static Action pop_min(Lane& lane) {
     auto& heap = lane.heap;
-    Event out = std::move(heap.front());
-    if (heap.size() > 1) {
-      heap.front() = std::move(heap.back());
-      heap.pop_back();
-      sift_down(heap, 0);
-    } else {
-      heap.pop_back();
-    }
-    return out;
+    const std::uint32_t slot = heap.front().slot;
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) sift_down(heap, last);
+    lane.free_slots.push_back(slot);
+    return std::move(lane.slots[slot].action);
   }
 
-  static void sift_up(std::vector<Event>& heap, std::size_t i) {
+  // Hole-based sifts: the same comparisons, in the same order, as swapping
+  // the moving entry step by step, so the resulting array is identical.
+  static void sift_up(std::vector<Entry>& heap, std::size_t i) {
+    const Entry e = heap[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!heap[i].before(heap[parent])) break;
-      std::swap(heap[i], heap[parent]);
+      if (!e.before(heap[parent])) break;
+      heap[i] = heap[parent];
       i = parent;
     }
+    heap[i] = e;
   }
 
-  static void sift_down(std::vector<Event>& heap, std::size_t i) {
+  // Places `e` into the hole left at the root by a pop.
+  static void sift_down(std::vector<Entry>& heap, const Entry e) {
     const std::size_t n = heap.size();
+    std::size_t i = 0;
     for (;;) {
       const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
+      if (l >= n) break;
+      const std::size_t r = l + 1;
       std::size_t best = i;
-      if (l < n && heap[l].before(heap[best])) best = l;
-      if (r < n && heap[r].before(heap[best])) best = r;
+      const Entry* best_entry = &e;
+      if (heap[l].before(*best_entry)) {
+        best = l;
+        best_entry = &heap[l];
+      }
+      if (r < n && heap[r].before(*best_entry)) best = r;
       if (best == i) break;
-      std::swap(heap[i], heap[best]);
+      heap[i] = heap[best];
       i = best;
     }
+    heap[i] = e;
   }
 
   // Sharded driver (engine.cpp): alternates serial phases (global lane

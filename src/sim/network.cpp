@@ -29,7 +29,8 @@ Network::Network(Engine& engine, const Topology& topo, NetworkConfig config)
       config_(config),
       ports_(topo.num_links()),
       congestion_(topo.num_links(), 0.0),
-      degrade_(topo.num_links()) {
+      degrade_(topo.num_links()),
+      lane_bytes_(1) {
   parks_.resize(1);
   corruption_rngs_.emplace_back(config.corruption_seed);
 }
@@ -67,6 +68,7 @@ void Network::set_shard_plan(const ShardPlan& plan) {
   mail_.assign(static_cast<std::size_t>(shards_) * static_cast<std::size_t>(shards_), {});
   mail_posted_.assign(static_cast<std::size_t>(shards_), 0);
   mail_peak_.assign(static_cast<std::size_t>(shards_), 0);
+  lane_bytes_.assign(static_cast<std::size_t>(lanes), LaneBytes{});
 }
 
 void Network::set_link_up(LinkId link, bool up) {
@@ -173,11 +175,8 @@ void Network::try_transmit(LinkId link) {
 
   const Link& l = topo_.link(link);
   const TimeNs tx = transmission_time_ns(pkt.wire_bytes, l.bandwidth);
-  if (is_control(pkt)) {
-    control_bytes_.fetch_add(pkt.wire_bytes, std::memory_order_relaxed);
-  } else {
-    data_bytes_.fetch_add(pkt.wire_bytes, std::memory_order_relaxed);
-  }
+  LaneBytes& sent = lane_bytes_[exec_lane()];
+  (is_control(pkt) ? sent.control : sent.data) += pkt.wire_bytes;
 
   // The link frees after serialization; the packet arrives after
   // serialization + propagation (+ forwarding overhead at the next node).
@@ -295,7 +294,7 @@ std::uint64_t Network::park_in(int store_idx, SimPacket&& pkt) {
 }
 
 std::uint64_t Network::park(SimPacket&& pkt) {
-  return park_in(shards_ == 1 ? 0 : engine_.current_lane(), std::move(pkt));
+  return park_in(static_cast<int>(exec_lane()), std::move(pkt));
 }
 
 SimPacket Network::take_parked(std::uint64_t slot) {
@@ -429,8 +428,8 @@ void Network::save(snapshot::ArchiveWriter& w) const {
   for (const Rng& rng : corruption_rngs_) {
     for (std::uint64_t word : rng.state()) w.u64(word);
   }
-  w.u64(data_bytes_.load(std::memory_order_relaxed));
-  w.u64(control_bytes_.load(std::memory_order_relaxed));
+  w.u64(total_data_bytes_sent());
+  w.u64(total_control_bytes_sent());
   w.u64(drops_.load(std::memory_order_relaxed));
   w.u64(corrupted_data_.load(std::memory_order_relaxed));
   w.u64(corrupted_control_.load(std::memory_order_relaxed));
@@ -565,8 +564,9 @@ void Network::load(snapshot::ArchiveReader& r) {
   for (std::size_t i = 0; i < corruption_rngs_.size(); ++i) {
     corruption_rngs_[i].set_state(rng_states[i]);
   }
-  data_bytes_.store(data_bytes, std::memory_order_relaxed);
-  control_bytes_.store(control_bytes, std::memory_order_relaxed);
+  // Only the totals are archived; lane 0 carries them from here on.
+  lane_bytes_.assign(lane_bytes_.size(), LaneBytes{});
+  lane_bytes_[0] = LaneBytes{data_bytes, control_bytes};
   drops_.store(drops, std::memory_order_relaxed);
   corrupted_data_.store(corrupted_data, std::memory_order_relaxed);
   corrupted_control_.store(corrupted_control, std::memory_order_relaxed);
@@ -596,8 +596,8 @@ void Network::mix_digest(snapshot::Digest& d) const {
   for (const Rng& rng : corruption_rngs_) {
     for (std::uint64_t word : rng.state()) d.mix(word);
   }
-  d.mix(data_bytes_.load(std::memory_order_relaxed));
-  d.mix(control_bytes_.load(std::memory_order_relaxed));
+  d.mix(total_data_bytes_sent());
+  d.mix(total_control_bytes_sent());
   d.mix(drops_.load(std::memory_order_relaxed));
   d.mix(corrupted_data_.load(std::memory_order_relaxed));
   d.mix(corrupted_control_.load(std::memory_order_relaxed));

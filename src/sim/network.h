@@ -167,11 +167,17 @@ class Network {
   // --- Introspection for metrics ---
   std::uint64_t queue_bytes(LinkId link) const { return ports_[link].queued_bytes; }
   std::uint64_t max_queue_bytes(LinkId link) const { return ports_[link].max_queued_bytes; }
+  // Wire bytes sent, summed over the per-lane counters. Read outside
+  // parallel windows only.
   std::uint64_t total_data_bytes_sent() const {
-    return data_bytes_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const LaneBytes& b : lane_bytes_) n += b.data;
+    return n;
   }
   std::uint64_t total_control_bytes_sent() const {
-    return control_bytes_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const LaneBytes& b : lane_bytes_) n += b.control;
+    return n;
   }
   std::uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
   // Corruption accounting, split by class: control packets (broadcasts,
@@ -274,6 +280,14 @@ class Network {
     std::vector<std::uint64_t> free;  // LIFO free list
   };
 
+  // Wire bytes sent by one engine lane. Every packet is counted, so the
+  // counters are per lane (and a cache line each) rather than shared atomics
+  // that concurrent shard lanes would contend on.
+  struct alignas(64) LaneBytes {
+    std::uint64_t data = 0;
+    std::uint64_t control = 0;
+  };
+
   // A packet crossing a shard boundary inside a parallel window, queued
   // for insertion at the barrier. `key` is allocated from the origin
   // lane at post time, so (at, key) reproduces the serial tie order.
@@ -301,12 +315,13 @@ class Network {
   std::uint64_t park_in(int store, SimPacket&& pkt);
   void schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt);
   void try_transmit(LinkId link);
+  // Index of the executing lane's per-lane state (serial mode: 0).
+  std::size_t exec_lane() const {
+    return shards_ == 1 ? 0 : static_cast<std::size_t>(engine_.current_lane());
+  }
   // The bernoulli/jitter stream of the executing lane (serial mode: the
   // single stream) — concurrent lanes never contend on one RNG.
-  Rng& lane_rng() {
-    return corruption_rngs_[shards_ == 1 ? 0
-                                         : static_cast<std::size_t>(engine_.current_lane())];
-  }
+  Rng& lane_rng() { return corruption_rngs_[exec_lane()]; }
   static bool is_control(const SimPacket& pkt) {
     return pkt.type != PacketType::kData && pkt.type != PacketType::kAck;
   }
@@ -333,10 +348,9 @@ class Network {
   std::vector<std::vector<MailEntry>> mail_;  // [src * shards + dst]; cleared per window
   std::vector<std::uint64_t> mail_posted_;    // per src lane
   std::vector<std::uint64_t> mail_peak_;      // per dst lane, max drained per window
-  // Traffic counters commute, so relaxed atomic adds from concurrent
-  // shard lanes still read deterministically at every window barrier.
-  std::atomic<std::uint64_t> data_bytes_{0};
-  std::atomic<std::uint64_t> control_bytes_{0};
+  std::vector<LaneBytes> lane_bytes_;         // one (serial) or shards + 1
+  // Loss counters are rare; they commute, so relaxed atomic adds from
+  // concurrent shard lanes still read deterministically at every barrier.
   std::atomic<std::uint64_t> drops_{0};
   std::atomic<std::uint64_t> corrupted_data_{0};
   std::atomic<std::uint64_t> corrupted_control_{0};

@@ -84,6 +84,19 @@ TEST(ShardedSim, ShardedRequiresPeriodicRecompute) {
   EXPECT_THROW(sim::R2c2Sim(topo, router, cfg), std::logic_error);
 }
 
+TEST(ShardedSim, RejectsShardCountsBeyondTheLaneTag) {
+  // 128 nodes: make_shard_plan accepts 127 shards, but event keys and
+  // broadcast ids carry the lane in 7 bits, which holds kMaxShards + 1
+  // lanes (the shards plus the global lane).
+  const Topology topo = make_torus({8, 16}, 10 * kGbps, 100);
+  const Router router(topo);
+  sim::R2c2SimConfig cfg;
+  cfg.engine_shards = sim::Engine::kMaxShards + 1;
+  EXPECT_THROW(sim::R2c2Sim(topo, router, cfg), std::invalid_argument);
+  cfg.engine_shards = sim::Engine::kMaxShards;
+  EXPECT_NO_THROW(sim::R2c2Sim(topo, router, cfg));
+}
+
 TEST(ShardedSim, ShardCountEntersFingerprintWorkerCountDoesNot) {
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
   const Router router(topo);

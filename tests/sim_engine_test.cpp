@@ -3,6 +3,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.h"
@@ -93,6 +94,14 @@ TEST(Engine, BoundaryPacketTieOrderMatchesSerialAtEveryWorkerCount) {
   }
 }
 
+TEST(Engine, RejectsShardCountsBeyondTheLaneTag) {
+  Engine e;
+  EXPECT_THROW(e.configure_shards(Engine::kMaxShards + 1, 1, 10), std::invalid_argument);
+  EXPECT_THROW(e.configure_shards(0, 1, 10), std::invalid_argument);
+  e.configure_shards(Engine::kMaxShards, 1, 10);
+  EXPECT_EQ(e.num_lanes(), Engine::kMaxShards + 1);
+}
+
 TEST(Engine, EventsCanScheduleEvents) {
   Engine e;
   int count = 0;
@@ -133,6 +142,151 @@ TEST(Engine, CountsEvents) {
   for (int i = 0; i < 7; ++i) e.schedule_at(i, [] {});
   e.run();
   EXPECT_EQ(e.total_events(), 7u);
+}
+
+// --- Archive order ---
+//
+// Engine::save writes, and Engine::mix_digest hashes, each lane's pending
+// events in heap-array order, so that order is part of the snapshot format
+// and of every state digest the simulator reports. Other tests compare
+// digests within one build only; these hold-model runs pin the order to
+// constants, so a change to the heap's layout or comparisons fails here.
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Hold model: every event schedules one follow-up (two for 1 in 8 ids, none
+// for another 1 in 8) until its generation reaches kGenerations. Delays are
+// multiples of 5 ns in [0, 15], so equal-time ties are common. An event is
+// fully described by its EventDesc {kind, id, generation}, so a restored
+// engine rebuilds it exactly. On a sharded engine, shard-lane events stay
+// on their lane; global-lane events (serial phases) spread their follow-ups
+// across all lanes with schedule_on.
+class HoldModel {
+ public:
+  static constexpr std::uint64_t kGenerations = 40;
+
+  explicit HoldModel(Engine& e) : e_(e) {}
+
+  Action make(const EventDesc& d) {
+    return [this, d] { fire(d); };
+  }
+
+  void schedule(int lane, TimeNs t, std::uint64_t id, std::uint64_t gen) {
+    const EventDesc d{static_cast<std::uint32_t>(1 + id % 3), id, gen};
+    e_.schedule_on(lane, t, d, make(d));
+  }
+
+  int lane_for(std::uint64_t bits) const {
+    return static_cast<int>(bits % static_cast<std::uint64_t>(e_.num_lanes()));
+  }
+
+ private:
+  void fire(const EventDesc& d) {
+    if (d.b >= kGenerations) return;
+    const std::uint64_t h = splitmix(d.a);
+    const int children = (h & 7) == 0 ? 2 : ((h & 7) == 1 ? 0 : 1);
+    const int here = e_.current_lane();
+    for (int c = 0; c < children; ++c) {
+      const std::uint64_t id = splitmix(h + static_cast<std::uint64_t>(c));
+      const TimeNs dt = static_cast<TimeNs>((id >> 8) % 4) * 5;
+      const int lane = here == e_.global_lane() ? lane_for(id >> 16) : here;
+      schedule(lane, e_.now() + dt, id, d.b + 1);
+    }
+  }
+
+  Engine& e_;
+};
+
+// An engine plus the model whose closures point at it.
+struct HoldRig {
+  HoldRig(int shards, int workers) {
+    if (shards > 1) engine.configure_shards(shards, workers, /*lookahead=*/10);
+  }
+  Engine engine;
+  HoldModel model{engine};
+};
+
+constexpr TimeNs kHoldStep = 20;
+constexpr TimeNs kHoldEnd = 400;
+constexpr TimeNs kNoRestore = -1;
+
+// Runs the hold model to kHoldEnd in kHoldStep steps and folds the engine
+// digest at every step (pending events included) into one value. Between
+// steps, outside events are scheduled onto every lane at times tied with
+// pending ones. If `restore_at` is a step boundary, the engine is saved
+// there and the run continues on a freshly loaded copy, whose arena then
+// reuses the restored slots.
+std::uint64_t hold_digest(int shards, int workers, TimeNs restore_at) {
+  auto rig = std::make_unique<HoldRig>(shards, workers);
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    const std::uint64_t id = splitmix(1000 + i);
+    rig->model.schedule(rig->model.lane_for(i), static_cast<TimeNs>(id % 8) * 5, id, 0);
+  }
+  snapshot::Digest d;
+  for (TimeNs t = kHoldStep; t <= kHoldEnd; t += kHoldStep) {
+    if (t - kHoldStep == restore_at) {
+      snapshot::ArchiveWriter w;
+      rig->engine.save(w);
+      auto fresh = std::make_unique<HoldRig>(shards, workers);
+      snapshot::ArchiveReader r(w.finish());
+      HoldModel& model = fresh->model;
+      fresh->engine.load(r, [&model](const EventDesc& desc) { return model.make(desc); });
+      rig = std::move(fresh);
+    }
+    rig->engine.run(t);
+    rig->engine.mix_digest(d);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const std::uint64_t id = splitmix(static_cast<std::uint64_t>(t) * 8 + i);
+      rig->model.schedule(rig->model.lane_for(id), t + static_cast<TimeNs>(i) * 5, id,
+                          HoldModel::kGenerations - 4);
+    }
+  }
+  rig->engine.run();
+  rig->engine.mix_digest(d);
+  return d.value();
+}
+
+// Recorded from the engine whose heap order the snapshot format fixes. A
+// mismatch means archives and digests written by earlier builds no longer
+// match this one's.
+constexpr std::uint64_t kSerialHoldDigest = 0x7202b27500e27824ULL;
+constexpr std::uint64_t kShardedHoldDigest = 0x8dd84c07fdd0d379ULL;
+
+TEST(EngineArchiveOrder, SerialHoldModelDigestIsPinned) {
+  EXPECT_EQ(hold_digest(1, 1, kNoRestore), kSerialHoldDigest);
+}
+
+TEST(EngineArchiveOrder, ShardedHoldModelDigestIsPinnedAtEveryWorkerCount) {
+  EXPECT_EQ(hold_digest(4, 1, kNoRestore), kShardedHoldDigest);
+  EXPECT_EQ(hold_digest(4, 4, kNoRestore), kShardedHoldDigest);
+}
+
+TEST(Engine, LoadRejectsMoreEventsThanTheSectionHolds) {
+  snapshot::ArchiveWriter w;
+  w.begin_section("engine");
+  w.i64(0);                        // clock
+  w.u64(0);                        // key counter
+  w.u64(0);                        // events run
+  w.u64(std::uint64_t{1} << 40);   // pending events declared; none follow
+  w.end_section();
+  snapshot::ArchiveReader r(w.finish());
+  Engine e;
+  EXPECT_THROW(e.load(r, [](const EventDesc&) { return Action([] {}); }),
+               snapshot::SnapshotError);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineArchiveOrder, SaveLoadMidRunKeepsThePinnedDigest) {
+  for (const TimeNs at : {TimeNs{100}, TimeNs{240}}) {
+    EXPECT_EQ(hold_digest(1, 1, at), kSerialHoldDigest) << "serial, restored at " << at;
+    EXPECT_EQ(hold_digest(4, 1, at), kShardedHoldDigest) << "4 shards, restored at " << at;
+    EXPECT_EQ(hold_digest(4, 4, at), kShardedHoldDigest) << "4 shards x 4, restored at " << at;
+  }
 }
 
 // --- Action (small-buffer-optimized callable) ---

@@ -395,7 +395,17 @@ TEST(SimSnapshot, TruncationAndBitFlipSweepRejectedWithoutPartialMutation) {
 // be bit-identical — fault-injection and GA-selection scenarios, 1 and 4
 // threads.
 
-class ResumeBitIdentical : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+struct ResumeCase {
+  const char* name;
+  int threads;
+};
+
+// Print the case by value. GTest's default printer would show the name's
+// address, which ASLR changes on every run, so the listed test names (and
+// the CTest names discovered from them) would never be the same twice.
+void PrintTo(const ResumeCase& c, std::ostream* os) { *os << c.name << "_t" << c.threads; }
+
+class ResumeBitIdentical : public ::testing::TestWithParam<ResumeCase> {};
 
 TEST_P(ResumeBitIdentical, DigestsAndMetricsMatchStraightRun) {
   const auto& [name, threads] = GetParam();
@@ -446,13 +456,9 @@ TEST_P(ResumeBitIdentical, DigestsAndMetricsMatchStraightRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, ResumeBitIdentical,
-                         ::testing::Values(std::make_pair("fault", 1),
-                                           std::make_pair("fault", 4),
-                                           std::make_pair("ga", 1), std::make_pair("ga", 4)),
-                         [](const auto& info) {
-                           return std::string(info.param.first) + "_t" +
-                                  std::to_string(info.param.second);
-                         });
+                         ::testing::Values(ResumeCase{"fault", 1}, ResumeCase{"fault", 4},
+                                           ResumeCase{"ga", 1}, ResumeCase{"ga", 4}),
+                         [](const auto& info) { return ::testing::PrintToString(info.param); });
 
 // GA thread counts must not merely each be self-consistent: 1-thread and
 // 4-thread GA scenarios are the *same* run (Section 3.4's deterministic

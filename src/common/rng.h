@@ -77,6 +77,11 @@ class Rng {
   // exactly the output stream `other` would have produced.
   const std::array<std::uint64_t, 4>& state() const { return state_; }
   void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
+  // Snapshot field walk (src/snapshot/persist.h): the four state words.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    for (auto& word : s.state_) v.u64(word);
+  }
 
   // Exponential with the given mean (= 1/lambda). Used for Poisson
   // inter-arrival times.

@@ -81,11 +81,12 @@ class Ewma {
   bool initialized() const { return initialized_; }
   double value() const { return value_; }
 
-  // Restores a previously observed (value, initialized) pair, for
-  // snapshot/restore (src/snapshot/). Alpha is configuration, not state.
-  void set_state(double value, bool initialized) {
-    value_ = value;
-    initialized_ = initialized;
+  // Snapshot field walk (src/snapshot/persist.h). Alpha is configuration,
+  // not state.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.f64(s.value_);
+    v.flag(s.initialized_);
   }
 
  private:

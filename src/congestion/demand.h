@@ -37,9 +37,12 @@ class DemandEstimator {
   Bps demand() const { return ewma_.value(); }
   TimeNs period() const { return period_; }
 
-  // Snapshot/restore passthrough (src/snapshot/): the EWMA holds the only
+  // Snapshot field walk (src/snapshot/persist.h): the EWMA holds the only
   // mutable state; period and alpha are configuration.
-  void set_state(double value, bool initialized) { ewma_.set_state(value, initialized); }
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    Ewma::persist(s.ewma_, v);
+  }
 
  private:
   TimeNs period_;

@@ -52,6 +52,19 @@ struct FlowSpec {
   double weight = 1.0;
   std::uint8_t priority = 0;  // 0 = highest; strictly served first
   Bps demand = kUnlimitedDemand;
+
+  // Snapshot field walk (src/snapshot/persist.h), shared by every archive
+  // that holds a flow spec.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.u32(s.id);
+    v.u16(s.src);
+    v.u16(s.dst);
+    v.enum8(s.alg, RouteAlg::kEcmp);
+    v.f64(s.weight);
+    v.u8(s.priority);
+    v.f64(s.demand);
+  }
 };
 
 struct AllocationConfig {

@@ -152,82 +152,4 @@ void FlowTable::snapshot_into(std::vector<FlowSpec>& out) const {
             [](const FlowSpec& a, const FlowSpec& b) { return a.id < b.id; });
 }
 
-void FlowTable::save(snapshot::ArchiveWriter& w, const std::string& tag) const {
-  w.begin_section(tag);
-  std::vector<std::uint32_t> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [k, e] : entries_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (std::uint32_t k : keys) {
-    const Entry& e = entries_.at(k);
-    w.u32(k);
-    w.u32(e.spec.id);
-    w.u16(e.spec.src);
-    w.u16(e.spec.dst);
-    w.u8(static_cast<std::uint8_t>(e.spec.alg));
-    w.f64(e.spec.weight);
-    w.u8(e.spec.priority);
-    w.f64(e.spec.demand);
-    w.i64(e.lease);
-  }
-  w.u64(view_hash_);
-  w.u64(version_);
-  w.u64(ghosts_expired_);
-  w.end_section();
-}
-
-void FlowTable::load(snapshot::ArchiveReader& r, const std::string& tag) {
-  r.open_section(tag);
-  const std::uint64_t count = r.u64();
-  std::unordered_map<std::uint32_t, Entry> entries;
-  entries.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint32_t k = r.u32();
-    Entry e;
-    e.spec.id = r.u32();
-    e.spec.src = r.u16();
-    e.spec.dst = r.u16();
-    e.spec.alg = static_cast<RouteAlg>(r.u8());
-    e.spec.weight = r.f64();
-    e.spec.priority = r.u8();
-    e.spec.demand = r.f64();
-    e.lease = r.i64();
-    if (!entries.emplace(k, e).second) {
-      throw snapshot::SnapshotError("duplicate flow key in archived table");
-    }
-  }
-  const std::uint64_t view_hash = r.u64();
-  const std::uint64_t version = r.u64();
-  const std::uint64_t ghosts = r.u64();
-  r.close_section();
-  entries_ = std::move(entries);
-  view_hash_ = view_hash;
-  version_ = version;
-  ghosts_expired_ = ghosts;
-}
-
-void FlowTable::mix_digest(snapshot::Digest& d) const {
-  std::vector<std::uint32_t> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [k, e] : entries_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  d.mix(keys.size());
-  for (std::uint32_t k : keys) {
-    const Entry& e = entries_.at(k);
-    d.mix(k);
-    d.mix(e.spec.id);
-    d.mix(e.spec.src);
-    d.mix(e.spec.dst);
-    d.mix(static_cast<std::uint64_t>(e.spec.alg));
-    d.mix_f64(e.spec.weight);
-    d.mix(e.spec.priority);
-    d.mix_f64(e.spec.demand);
-    d.mix_i64(e.lease);
-  }
-  d.mix(view_hash_);
-  d.mix(version_);
-  d.mix(ghosts_expired_);
-}
-
 }  // namespace r2c2

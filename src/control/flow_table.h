@@ -24,15 +24,13 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "congestion/waterfill.h"
 #include "packet/packet.h"
-#include "snapshot/archive.h"
-#include "snapshot/digest.h"
 
 namespace r2c2 {
 
@@ -85,15 +83,24 @@ class FlowTable {
   // lease refresh that changes no spec field does not count).
   std::uint64_t version() const { return version_; }
 
-  // --- Snapshot support (src/snapshot/) ---
-  // Entries are archived sorted by key, so a table rebuilt from its own
-  // archive is byte-identical regardless of either table's hash-map
-  // insertion history. `save` takes a caller-chosen section tag because a
-  // simulation holds one table per node.
-  void save(snapshot::ArchiveWriter& w, const std::string& tag) const;
-  void load(snapshot::ArchiveReader& r, const std::string& tag);
-  // Mixes contents (sorted by key), view hash, version and GC counter.
-  void mix_digest(snapshot::Digest& d) const;
+  // Snapshot field walk (src/snapshot/persist.h): entries in key order, so
+  // a table rebuilt from its own archive is byte-identical regardless of
+  // either table's hash-map insertion history, then the view hash, version
+  // and GC counter. The caller picks the section tag: a rack holds one
+  // table per node.
+  template <class Self, class V>
+  static void persist(Self& s, V& v, std::string_view tag) {
+    v.section(tag, [&] {
+      v.map(s.entries_, [&v](auto& key, auto& e) {
+        v.u32(key);
+        FlowSpec::persist(e.spec, v);
+        v.i64(e.lease);
+      });
+      v.u64(s.view_hash_);
+      v.u64(s.version_);
+      v.u64(s.ghosts_expired_);
+    });
+  }
 
  private:
   struct Entry {

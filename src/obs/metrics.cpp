@@ -72,30 +72,6 @@ void Histogram::reset() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
-void Histogram::save(snapshot::ArchiveWriter& w) const {
-  for (std::uint64_t b : buckets_) w.u64(b);
-  w.u64(count_);
-  w.f64(sum_);
-  w.f64(min_);
-  w.f64(max_);
-}
-
-void Histogram::load(snapshot::ArchiveReader& r) {
-  for (std::uint64_t& b : buckets_) b = r.u64();
-  count_ = r.u64();
-  sum_ = r.f64();
-  min_ = r.f64();
-  max_ = r.f64();
-}
-
-void Histogram::mix_digest(snapshot::Digest& d) const {
-  for (std::uint64_t b : buckets_) d.mix(b);
-  d.mix(count_);
-  d.mix_f64(sum_);
-  d.mix_f64(min_);
-  d.mix_f64(max_);
-}
-
 void MetricsRegistry::check_unique(std::string_view name, const char* kind) const {
   const bool c = counters_.find(name) != counters_.end();
   const bool g = gauges_.find(name) != gauges_.end();

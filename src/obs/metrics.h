@@ -21,9 +21,6 @@
 #include <string>
 #include <string_view>
 
-#include "snapshot/archive.h"
-#include "snapshot/digest.h"
-
 namespace r2c2::obs {
 
 // Counters take relaxed atomic increments: shard-lane simulation code
@@ -36,6 +33,12 @@ class Counter {
   void add(std::uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+  // Snapshot field walk (src/snapshot/persist.h).
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.u64(s.value_);
+  }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -73,13 +76,19 @@ class Histogram {
 
   void reset();
 
-  // Snapshot seam (src/snapshot): buckets, count, sum and extremes archive
-  // verbatim, so a restored histogram reports identical quantiles. Used by
-  // state that must survive snapshot/resume (the service layer's per-tenant
-  // latency histograms); registry-owned histograms stay unarchived.
-  void save(snapshot::ArchiveWriter& w) const;
-  void load(snapshot::ArchiveReader& r);
-  void mix_digest(snapshot::Digest& d) const;
+  // Snapshot field walk (src/snapshot/persist.h): buckets, count, sum and
+  // extremes archive verbatim, so a restored histogram reports identical
+  // quantiles. Used by state that must survive snapshot/resume (the service
+  // layer's per-tenant latency histograms); registry-owned histograms stay
+  // unarchived.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    for (auto& b : s.buckets_) v.u64(b);
+    v.u64(s.count_);
+    v.f64(s.sum_);
+    v.f64(s.min_);
+    v.f64(s.max_);
+  }
 
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};

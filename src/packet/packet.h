@@ -68,6 +68,15 @@ class RouteCode {
 
   bool operator==(const RouteCode&) const = default;
 
+  // Snapshot field walk (src/snapshot/persist.h): the 16 route bytes, then
+  // the hop count.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.bytes(s.bits_);
+    v.u8(s.length_);
+    v.expect(s.length_ <= kMaxRouteHops, "archived route longer than 42 hops");
+  }
+
  private:
   std::array<std::uint8_t, 16> bits_{};
   int length_ = 0;
@@ -122,6 +131,20 @@ struct BroadcastMsg {
 
   void serialize(std::span<std::uint8_t> out) const;
   static std::optional<BroadcastMsg> parse(std::span<const std::uint8_t> in);
+
+  // Snapshot field walk (src/snapshot/persist.h), in declaration order.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.enum8(s.type, PacketType::kKeepalive);
+    v.u16(s.src);
+    v.u16(s.dst);
+    v.u8(s.fseq);
+    v.u8(s.weight);
+    v.u8(s.priority);
+    v.u32(s.demand_kbps);
+    v.u8(s.tree);
+    v.enum8(s.rp, RouteAlg::kEcmp);
+  }
 };
 
 // --- Route-update packet (variable size, Section 3.4) ---

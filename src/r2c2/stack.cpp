@@ -7,6 +7,7 @@
 
 #include "congestion/policy.h"
 #include "obs/scope.h"
+#include "snapshot/persist.h"
 
 namespace r2c2 {
 
@@ -334,126 +335,56 @@ int R2c2Stack::run_route_selection(const SelectionConfig& config) {
 
 // --- Snapshot support ---
 
-void R2c2Stack::save(snapshot::ArchiveWriter& w, const std::string& tag) const {
-  view_.save(w, tag + ".view");
-  w.begin_section(tag);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u16(next_fseq_);
-  w.u64(broadcasts_sent_);
-  w.i64(now_);
-  w.i64(last_refresh_);
-  w.i64(last_gc_);
-  w.u64(lease_refreshes_);
-  // Local flows sorted by id: canonical bytes regardless of the hash map's
-  // insertion history.
-  std::vector<FlowId> ids;
-  ids.reserve(local_.size());
-  for (const auto& [id, lf] : local_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(ids.size());
-  for (FlowId id : ids) {
-    const LocalFlow& lf = local_.at(id);
-    w.u32(id);
-    w.u32(lf.spec.id);
-    w.u16(lf.spec.src);
-    w.u16(lf.spec.dst);
-    w.u8(static_cast<std::uint8_t>(lf.spec.alg));
-    w.f64(lf.spec.weight);
-    w.u8(lf.spec.priority);
-    w.f64(lf.spec.demand);
-    w.u8(lf.fseq);
-    w.f64(lf.rate);
-    w.f64(lf.demand.demand());
-    w.u8(lf.demand.has_estimate() ? 1 : 0);
-    w.u8(lf.demand_limited ? 1 : 0);
+template <class Self, class V>
+void R2c2Stack::persist(Self& s, V& v, std::string_view tag) {
+  FlowTable::persist(s.view_, v, std::string(tag) + ".view");
+  v.section(tag, [&] {
+    Rng::persist(s.rng_, v);
+    v.u16(s.next_fseq_);
+    v.u64(s.broadcasts_sent_);
+    v.i64(s.now_);
+    v.i64(s.last_refresh_);
+    v.i64(s.last_gc_);
+    v.u64(s.lease_refreshes_);
+    v.map(
+        s.local_,
+        [&v](auto& id, auto& lf) {
+          v.u32(id);
+          FlowSpec::persist(lf.spec, v);
+          v.u8(lf.fseq);
+          v.f64(lf.rate);
+          DemandEstimator::persist(lf.demand, v);
+          v.flag(lf.demand_limited);
+        },
+        [&s] {
+          return LocalFlow{.spec = {},
+                           .fseq = 0,
+                           .rate = 0.0,
+                           .demand = DemandEstimator(s.ctx_.demand_period),
+                           .demand_limited = false};
+        });
+  });
+  if constexpr (V::kLoading) {
+    // The CSR problem/scratch cache the view at some version; force a
+    // rebuild on the next recompute().
+    v.on_commit([&s] { s.wf_built_version_ = ~0ULL; });
   }
-  w.end_section();
+}
+
+void R2c2Stack::save(snapshot::ArchiveWriter& w, const std::string& tag) const {
+  snapshot::SaveVisitor v(w);
+  persist(*this, v, tag);
 }
 
 void R2c2Stack::load(snapshot::ArchiveReader& r, const std::string& tag) {
-  FlowTable view;
-  view.load(r, tag + ".view");
-  r.open_section(tag);
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  const std::uint16_t next_fseq = r.u16();
-  const std::uint64_t broadcasts_sent = r.u64();
-  const TimeNs now = r.i64();
-  const TimeNs last_refresh = r.i64();
-  const TimeNs last_gc = r.i64();
-  const std::uint64_t lease_refreshes = r.u64();
-  const std::uint64_t count = r.u64();
-  std::unordered_map<FlowId, LocalFlow> local;
-  local.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const FlowId id = r.u32();
-    LocalFlow lf{.spec = {},
-                 .fseq = 0,
-                 .rate = 0.0,
-                 .demand = DemandEstimator(ctx_.demand_period),
-                 .demand_limited = false};
-    lf.spec.id = r.u32();
-    lf.spec.src = r.u16();
-    lf.spec.dst = r.u16();
-    lf.spec.alg = static_cast<RouteAlg>(r.u8());
-    lf.spec.weight = r.f64();
-    lf.spec.priority = r.u8();
-    lf.spec.demand = r.f64();
-    lf.fseq = r.u8();
-    lf.rate = r.f64();
-    const double demand_value = r.f64();
-    const bool demand_init = r.u8() != 0;
-    lf.demand.set_state(demand_value, demand_init);
-    lf.demand_limited = r.u8() != 0;
-    if (!local.emplace(id, std::move(lf)).second) {
-      throw snapshot::SnapshotError("duplicate local flow in archived stack");
-    }
-  }
-  r.close_section();
-  view_ = std::move(view);
-  rng_.set_state(rng_state);
-  next_fseq_ = next_fseq;
-  broadcasts_sent_ = broadcasts_sent;
-  now_ = now;
-  last_refresh_ = last_refresh;
-  last_gc_ = last_gc;
-  lease_refreshes_ = lease_refreshes;
-  local_ = std::move(local);
-  // The CSR problem/scratch cache the view at some version; force a rebuild
-  // on the next recompute().
-  wf_built_version_ = ~0ULL;
+  snapshot::LoadVisitor v(r);
+  persist(*this, v, tag);
+  v.commit();
 }
 
 void R2c2Stack::mix_digest(snapshot::Digest& d) const {
-  view_.mix_digest(d);
-  for (std::uint64_t word : rng_.state()) d.mix(word);
-  d.mix(next_fseq_);
-  d.mix(broadcasts_sent_);
-  d.mix_i64(now_);
-  d.mix_i64(last_refresh_);
-  d.mix_i64(last_gc_);
-  d.mix(lease_refreshes_);
-  std::vector<FlowId> ids;
-  ids.reserve(local_.size());
-  for (const auto& [id, lf] : local_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  d.mix(ids.size());
-  for (FlowId id : ids) {
-    const LocalFlow& lf = local_.at(id);
-    d.mix(id);
-    d.mix(lf.spec.id);
-    d.mix(lf.spec.src);
-    d.mix(lf.spec.dst);
-    d.mix(static_cast<std::uint64_t>(lf.spec.alg));
-    d.mix_f64(lf.spec.weight);
-    d.mix(lf.spec.priority);
-    d.mix_f64(lf.spec.demand);
-    d.mix(lf.fseq);
-    d.mix_f64(lf.rate);
-    d.mix_f64(lf.demand.demand());
-    d.mix(lf.demand.has_estimate() ? 1 : 0);
-    d.mix(lf.demand_limited ? 1 : 0);
-  }
+  snapshot::DigestVisitor v(d);
+  persist(*this, v, "");
 }
 
 }  // namespace r2c2

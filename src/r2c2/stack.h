@@ -29,6 +29,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,8 @@
 #include "obs/trace.h"
 #include "packet/packet.h"
 #include "routing/routing.h"
+#include "snapshot/archive.h"
+#include "snapshot/digest.h"
 #include "topology/topology.h"
 
 namespace r2c2 {
@@ -155,11 +158,13 @@ class R2c2Stack {
   TimeNs now() const { return now_; }
 
   // --- Snapshot support (src/snapshot/) ---
-  // Archives the RNG, the view table, local flows (sorted by id), the flow
-  // sequence counter, lease clocks and broadcast counters. Configuration
-  // (context, callbacks) is the host's to reconstruct; the waterfill
-  // scratch is a cache and is rebuilt on the first recompute() after load.
-  // `tag` distinguishes the per-node sections of a rack-wide archive.
+  // Archives the view table, the RNG, the flow sequence counter, lease
+  // clocks, broadcast counters and local flows (sorted by id).
+  // Configuration (context, callbacks) is the host's to reconstruct; the
+  // waterfill scratch is a cache and is rebuilt on the first recompute()
+  // after load. `tag` distinguishes the per-node sections of a rack-wide
+  // archive. load() is parse-then-commit: a failed load leaves the stack
+  // unchanged.
   void save(snapshot::ArchiveWriter& w, const std::string& tag) const;
   void load(snapshot::ArchiveReader& r, const std::string& tag);
   void mix_digest(snapshot::Digest& d) const;
@@ -172,6 +177,10 @@ class R2c2Stack {
     DemandEstimator demand;
     bool demand_limited = false;
   };
+
+  // The field walk behind save, load and mix_digest (src/snapshot/persist.h).
+  template <class Self, class V>
+  static void persist(Self& s, V& v, std::string_view tag);
 
   void broadcast_msg(BroadcastMsg msg);
   void fan_out(NodeId tree_src, std::uint8_t tree, std::span<const std::uint8_t> bytes);

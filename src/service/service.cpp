@@ -5,23 +5,11 @@
 #include <stdexcept>
 
 #include "sim/event_kind.h"
-#include "snapshot/archive.h"
 #include "snapshot/digest.h"
+#include "snapshot/persist.h"
 
 namespace r2c2::service {
 
-namespace {
-
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [k, v] : map) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-}  // namespace
 
 // --- Zipfian sampler -----------------------------------------------------
 
@@ -409,154 +397,54 @@ std::uint64_t ServiceLayer::service_fingerprint() const {
   return d.value();
 }
 
-void ServiceLayer::mix_digest(snapshot::Digest& d) const {
-  d.mix(next_req_id_);
-  for (const TenantState& t : state_) {
-    for (std::uint64_t word : t.rng.state()) d.mix(word);
-    d.mix(t.issued);
-    d.mix(t.completed);
-    d.mix(t.timed_out);
-    d.mix(t.aborted);
-    d.mix(t.slo_violations);
-    d.mix(t.bytes_delivered);
-    d.mix(t.outstanding);
-    d.mix(t.shifted ? 1 : 0);
-    t.latency_ns.mix_digest(d);
-  }
-  d.mix(requests_.size());
-  for (const std::uint64_t id : sorted_keys(requests_)) {
-    const Request& req = requests_.at(id);
-    d.mix(id);
-    d.mix(req.tenant);
-    d.mix(req.client);
-    d.mix(req.server);
-    d.mix_i64(req.issued);
-    d.mix(req.seq);
-    d.mix(req.response_bytes);
-    d.mix(req.total_bytes);
-    d.mix(req.remaining);
-  }
-  d.mix(flow_to_req_.size());
-  for (const FlowId id : sorted_keys(flow_to_req_)) {
-    const FlowRef& ref = flow_to_req_.at(id);
-    d.mix(id);
-    d.mix(ref.req);
-    d.mix(ref.role);
-    d.mix(ref.leaf);
+template <class Self, class V>
+void ServiceLayer::persist(Self& s, V& v) {
+  v.section("service.core", [&] {
+    v.u64(s.next_req_id_);
+    v.fixed(s.state_, [&v](auto& t) {
+      Rng::persist(t.rng, v);
+      v.u64(t.issued);
+      v.u64(t.completed);
+      v.u64(t.timed_out);
+      v.u64(t.aborted);
+      v.u64(t.slo_violations);
+      v.u64(t.bytes_delivered);
+      v.u32(t.outstanding);
+      v.flag(t.shifted);
+      obs::Histogram::persist(t.latency_ns, v);
+    });
+  });
+  v.section("service.requests", [&] {
+    v.map(s.requests_, [&](auto& id, auto& req) {
+      v.u64(id);
+      v.u32(req.tenant);
+      v.expect(req.tenant < s.config_.tenants.size(),
+               "archived request references an unknown tenant");
+      v.u16(req.client);
+      v.u16(req.server);
+      v.i64(req.issued);
+      v.u64(req.seq);
+      v.u64(req.response_bytes);
+      v.u64(req.total_bytes);
+      v.u32(req.remaining);
+    });
+    v.map(s.flow_to_req_, [&v](auto& id, auto& ref) {
+      v.u32(id);
+      v.u64(ref.req);
+      v.u8(ref.role);
+      v.u8(ref.leaf);
+    });
+  });
+  if constexpr (V::kLoading) {
+    // Zipf tables are derived from (config, shifted), never archived.
+    v.on_commit([&s] {
+      for (std::size_t i = 0; i < s.state_.size(); ++i) s.init_zipf(i);
+    });
   }
 }
 
-void ServiceLayer::save(snapshot::ArchiveWriter& w) const {
-  w.begin_section("service.core");
-  w.u64(next_req_id_);
-  w.u64(state_.size());
-  for (const TenantState& t : state_) {
-    for (std::uint64_t word : t.rng.state()) w.u64(word);
-    w.u64(t.issued);
-    w.u64(t.completed);
-    w.u64(t.timed_out);
-    w.u64(t.aborted);
-    w.u64(t.slo_violations);
-    w.u64(t.bytes_delivered);
-    w.u32(t.outstanding);
-    w.u8(t.shifted ? 1 : 0);
-    t.latency_ns.save(w);
-  }
-  w.end_section();
-
-  w.begin_section("service.requests");
-  w.u64(requests_.size());
-  for (const std::uint64_t id : sorted_keys(requests_)) {
-    const Request& req = requests_.at(id);
-    w.u64(id);
-    w.u32(req.tenant);
-    w.u16(req.client);
-    w.u16(req.server);
-    w.i64(req.issued);
-    w.u64(req.seq);
-    w.u64(req.response_bytes);
-    w.u64(req.total_bytes);
-    w.u32(req.remaining);
-  }
-  w.u64(flow_to_req_.size());
-  for (const FlowId id : sorted_keys(flow_to_req_)) {
-    const FlowRef& ref = flow_to_req_.at(id);
-    w.u32(id);
-    w.u64(ref.req);
-    w.u8(ref.role);
-    w.u8(ref.leaf);
-  }
-  w.end_section();
-}
-
-void ServiceLayer::load(snapshot::ArchiveReader& r) {
-  r.open_section("service.core");
-  const std::uint64_t next_req_id = r.u64();
-  const std::uint64_t n_tenants = r.u64();
-  if (n_tenants != state_.size()) {
-    throw snapshot::SnapshotError("archived tenant count does not match service config");
-  }
-  std::vector<TenantState> state(state_.size());
-  for (TenantState& t : state) {
-    std::array<std::uint64_t, 4> rng_state{};
-    for (std::uint64_t& word : rng_state) word = r.u64();
-    t.rng.set_state(rng_state);
-    t.issued = r.u64();
-    t.completed = r.u64();
-    t.timed_out = r.u64();
-    t.aborted = r.u64();
-    t.slo_violations = r.u64();
-    t.bytes_delivered = r.u64();
-    t.outstanding = r.u32();
-    t.shifted = r.u8() != 0;
-    t.latency_ns.load(r);
-  }
-  r.close_section();
-
-  r.open_section("service.requests");
-  const std::uint64_t n_requests = r.u64();
-  std::unordered_map<std::uint64_t, Request> requests;
-  requests.reserve(n_requests);
-  for (std::uint64_t i = 0; i < n_requests; ++i) {
-    const std::uint64_t id = r.u64();
-    Request req;
-    req.tenant = r.u32();
-    if (req.tenant >= config_.tenants.size()) {
-      throw snapshot::SnapshotError("archived request references an unknown tenant");
-    }
-    req.client = r.u16();
-    req.server = r.u16();
-    req.issued = r.i64();
-    req.seq = r.u64();
-    req.response_bytes = r.u64();
-    req.total_bytes = r.u64();
-    req.remaining = r.u32();
-    if (!requests.emplace(id, req).second) {
-      throw snapshot::SnapshotError("duplicate request in archive");
-    }
-  }
-  const std::uint64_t n_refs = r.u64();
-  std::unordered_map<FlowId, FlowRef> flow_to_req;
-  flow_to_req.reserve(n_refs);
-  for (std::uint64_t i = 0; i < n_refs; ++i) {
-    const FlowId id = r.u32();
-    FlowRef ref;
-    ref.req = r.u64();
-    ref.role = r.u8();
-    ref.leaf = r.u8();
-    if (!flow_to_req.emplace(id, ref).second) {
-      throw snapshot::SnapshotError("duplicate flow ref in archive");
-    }
-  }
-  r.close_section();
-
-  // Parse-then-commit, matching the sim's discipline.
-  next_req_id_ = next_req_id;
-  state_ = std::move(state);
-  requests_ = std::move(requests);
-  flow_to_req_ = std::move(flow_to_req);
-  // Zipf tables are derived from (config, shifted), never archived.
-  for (std::size_t i = 0; i < state_.size(); ++i) init_zipf(i);
-}
+void ServiceLayer::persist(snapshot::SaveVisitor& v) const { persist(*this, v); }
+void ServiceLayer::persist(snapshot::LoadVisitor& v) { persist(*this, v); }
+void ServiceLayer::persist(snapshot::DigestVisitor& v) const { persist(*this, v); }
 
 }  // namespace r2c2::service

@@ -170,9 +170,9 @@ class ServiceLayer : public sim::ServiceClient {
   void on_flow_abort(FlowId id, TimeNs at) override;
   sim::Engine::Action rebuild_service_event(const sim::EventDesc& desc) override;
   std::uint64_t service_fingerprint() const override;
-  void mix_digest(snapshot::Digest& d) const override;
-  void save(snapshot::ArchiveWriter& w) const override;
-  void load(snapshot::ArchiveReader& r) override;
+  void persist(snapshot::SaveVisitor& v) const override;
+  void persist(snapshot::LoadVisitor& v) override;
+  void persist(snapshot::DigestVisitor& v) const override;
 
  private:
   // kEvService opcodes (EventDesc.a); values are part of the snapshot
@@ -247,6 +247,10 @@ class ServiceLayer : public sim::ServiceClient {
   void issue_request(std::uint32_t tenant, TimeNs now);
   void complete_request(std::uint64_t req_id, TimeNs at, Outcome outcome);
   FlowId start_flow(const TenantConfig& cfg, NodeId src, NodeId dst, std::uint64_t bytes);
+  // The field walk behind the three persist overrides
+  // (src/snapshot/persist.h).
+  template <class Self, class V>
+  static void persist(Self& s, V& v);
   int effective_fanout(const TenantConfig& cfg) const;
   void init_zipf(std::size_t tenant);
 

@@ -44,8 +44,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snapshot/archive.h"
-#include "snapshot/digest.h"
+#include "snapshot/persist.h"
 
 namespace r2c2::sim {
 
@@ -316,108 +315,61 @@ class Engine {
   std::uint64_t serial_phases() const { return serial_phases_; }
 
   // --- Snapshot support (src/snapshot/) ---
-  // Serializes per lane the clock, the key counter and every pending
-  // event's (time, key, descriptor) triple, in heap-array order —
-  // restoring the identical array preserves both the heap invariant and
-  // the exact (time, key) tie-breaking, so a restored engine replays the
-  // same event interleaving bit for bit. With a single lane the layout is
-  // byte-identical to the historical serial format. Throws SnapshotError
-  // if any pending event lacks a descriptor (kind 0).
-  void save(snapshot::ArchiveWriter& w) const {
-    w.begin_section("engine");
-    for (const Lane& lane : lanes_) {
-      w.i64(lane.now);
-      w.u64(lane.next_key);
-      w.u64(lane.events);
-      w.u64(lane.heap.size());
-      for (const Entry& e : lane.heap) {
-        const EventDesc& desc = lane.slots[e.slot].desc;
-        if (desc.kind == 0) {
-          throw snapshot::SnapshotError(
-              "pending event without a descriptor: this transport cannot be snapshotted");
-        }
-        w.i64(e.time);
-        w.u64(e.key);
-        w.u32(desc.kind);
-        w.u64(desc.a);
-        w.u64(desc.b);
-      }
-    }
-    w.end_section();
+  // The queue's field walk (src/snapshot/persist.h): per lane the clock,
+  // the key counter, the events run and every pending event's (time, key,
+  // descriptor), in heap-array order. Restoring the identical array
+  // preserves both the heap invariant and the exact (time, key)
+  // tie-breaking, so a restored engine replays the same event interleaving
+  // bit for bit. With a single lane the layout is byte-identical to the
+  // historical serial format. An event without a descriptor (kind 0) makes
+  // the queue unsaveable. When loading, `rebuild` maps each descriptor back
+  // to an executable Action bound to the restored object graph and must
+  // throw SnapshotError on descriptors it does not recognize; event i of a
+  // lane lands in slot i with an empty free list. clamped/windows/stalls
+  // are observability only and restart from zero.
+  template <class Self, class V, class Rebuild>
+  static void persist(Self& e, V& v, Rebuild&& rebuild) {
+    constexpr std::size_t kArchivedEventBytes = 8 + 8 + 4 + 8 + 8;  // time, key, desc
+    v.section("engine", [&] {
+      v.each(e.lanes_, [&](auto& lane) {
+        v.i64(lane.now);
+        v.u64(lane.next_key);
+        v.u64(lane.events);
+        v.seq(lane.heap, [&](auto& entry) {
+          if constexpr (V::kLoading) {
+            entry.slot = static_cast<std::uint32_t>(lane.slots.size());
+            lane.slots.emplace_back();
+          }
+          auto& desc = lane.slots[entry.slot].desc;
+          v.i64(entry.time);
+          v.u64(entry.key);
+          v.u32(desc.kind);
+          v.u64(desc.a);
+          v.u64(desc.b);
+          v.expect(desc.kind != 0,
+                   "pending event without a descriptor: this transport cannot be snapshotted");
+          if constexpr (V::kLoading) lane.slots[entry.slot].action = rebuild(std::as_const(desc));
+        }, kArchivedEventBytes, [&lane](auto n) { lane.slots.reserve(n); });
+      });
+    });
   }
-
-  // Replaces the entire engine state with the archived one. `rebuild`
-  // maps each descriptor back to an executable Action bound to the
-  // restored object graph; it must throw SnapshotError on descriptors it
-  // does not recognize. Taken as a template (function_ref style) so the
-  // caller's lambda is invoked directly — no std::function allocation per
-  // restore — and each lane's heap and arena are reserved up front, so large
-  // queue restores cost two allocations per lane. Event i of a lane lands
-  // in slot i with an empty free list. Parse-then-commit: the lanes are
-  // only replaced once every event has been read and rebuilt.
+  void save(snapshot::ArchiveWriter& w) const {
+    snapshot::SaveVisitor v(w);
+    persist(*this, v, nullptr);
+  }
+  // Replaces the entire engine state with the archived one; parse-then-
+  // commit, so a failed load leaves the engine unchanged. Taken as a
+  // template (function_ref style) so the caller's lambda is invoked
+  // directly, with no std::function allocation per event.
   template <typename Rebuild>
   void load(snapshot::ArchiveReader& r, Rebuild&& rebuild) {
-    r.open_section("engine");
-    std::vector<Lane> lanes(lanes_.size());
-    for (Lane& lane : lanes) {
-      lane.now = r.i64();
-      lane.next_key = r.u64();
-      lane.events = r.u64();
-      const std::uint64_t count = r.u64();
-      // Checked before reserving: each archived event takes kArchivedEventBytes
-      // of the section, and slot ids are 32-bit.
-      if (count > r.remaining() / kArchivedEventBytes ||
-          count > std::numeric_limits<std::uint32_t>::max()) {
-        throw snapshot::SnapshotError("engine section holds fewer events than it declares");
-      }
-      lane.heap.reserve(count);
-      lane.slots.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const TimeNs time = r.i64();
-        const std::uint64_t key = r.u64();
-        Slot& slot = lane.slots.emplace_back();
-        slot.desc.kind = r.u32();
-        slot.desc.a = r.u64();
-        slot.desc.b = r.u64();
-        slot.action = rebuild(static_cast<const EventDesc&>(slot.desc));
-        lane.heap.push_back(Entry{time, key, static_cast<std::uint32_t>(i)});
-      }
-    }
-    r.close_section();
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      Lane& dst = lanes_[i];
-      Lane& src = lanes[i];
-      dst.heap = std::move(src.heap);
-      dst.slots = std::move(src.slots);
-      dst.free_slots.clear();
-      dst.now = src.now;
-      dst.next_key = src.next_key;
-      dst.events = src.events;
-      // clamped/windows/stalls are observability-only (not digested):
-      // they keep accumulating across a restore.
-    }
+    snapshot::LoadVisitor v(r);
+    persist(*this, v, rebuild);
+    v.commit();
   }
-
-  // Mixes per lane the clock, counters and every pending (time, key,
-  // descriptor) into a rolling state digest, in heap-array order
-  // (deterministic for a deterministic schedule history). Opaque events
-  // mix their kind 0. Single-lane digests match the historical serial
-  // digest exactly.
   void mix_digest(snapshot::Digest& d) const {
-    for (const Lane& lane : lanes_) {
-      d.mix_i64(lane.now);
-      d.mix(lane.next_key);
-      d.mix(lane.events);
-      d.mix(lane.heap.size());
-      for (const Entry& e : lane.heap) {
-        const EventDesc& desc = lane.slots[e.slot].desc;
-        d.mix_i64(e.time);
-        d.mix(e.key);
-        d.mix(desc.kind);
-        d.mix(desc.a);
-        d.mix(desc.b);
-      }
-    }
+    snapshot::DigestVisitor v(d);
+    persist(*this, v, nullptr);
   }
 
  private:
@@ -430,9 +382,6 @@ class Engine {
     bool before(const Entry& o) const { return time != o.time ? time < o.time : key < o.key; }
   };
   static_assert(sizeof(Entry) == 24);
-
-  // time, key, kind, a, b as save writes them.
-  static constexpr std::uint64_t kArchivedEventBytes = 8 + 8 + 4 + 8 + 8;
 
   struct Slot {
     EventDesc desc;

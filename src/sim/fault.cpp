@@ -260,45 +260,12 @@ void FaultInjector::arm() {
   }
 }
 
-void FaultInjector::save(snapshot::ArchiveWriter& w) const {
-  w.begin_section("fault_injector");
-  w.u8(armed_ ? 1 : 0);
-  w.u64(failures_injected_);
-  w.u64(restores_injected_);
-  w.u64(degrades_injected_);
-  w.u64(degrades_cleared_);
-  w.end_section();
-}
-
-void FaultInjector::load(snapshot::ArchiveReader& r) {
-  r.open_section("fault_injector");
-  const bool armed = r.u8() != 0;
-  const std::uint64_t failures = r.u64();
-  const std::uint64_t restores = r.u64();
-  const std::uint64_t degrades = r.u64();
-  const std::uint64_t cleared = r.u64();
-  r.close_section();
-  armed_ = armed;
-  failures_injected_ = failures;
-  restores_injected_ = restores;
-  degrades_injected_ = degrades;
-  degrades_cleared_ = cleared;
-}
-
 Engine::Action FaultInjector::rebuild_event(const EventDesc& desc) {
   if (desc.kind != kEvFaultApply || desc.a >= script_.events.size()) {
     throw snapshot::SnapshotError("fault-apply event references an invalid script index");
   }
   const FaultEvent ev = script_.events[desc.a];
   return [this, ev] { apply(ev); };
-}
-
-void FaultInjector::mix_digest(snapshot::Digest& d) const {
-  d.mix(armed_ ? 1 : 0);
-  d.mix(failures_injected_);
-  d.mix(restores_injected_);
-  d.mix(degrades_injected_);
-  d.mix(degrades_cleared_);
 }
 
 void FaultInjector::set_cable(LinkId link, bool up) {

@@ -8,8 +8,6 @@
 
 #include "common/stats.h"
 #include "common/types.h"
-#include "snapshot/archive.h"
-#include "snapshot/digest.h"
 
 namespace r2c2::sim {
 
@@ -147,31 +145,14 @@ class ReorderTracker {
 
   std::uint32_t max_depth() const { return max_depth_; }
 
-  // --- Snapshot support (src/snapshot/). The buffer is serialized verbatim
-  // (its internal order is a deterministic function of arrival history, and
-  // swap-removal makes it order-sensitive going forward).
-  void save(snapshot::ArchiveWriter& w) const {
-    w.u32(next_);
-    w.u32(max_depth_);
-    w.u64(buffered_.size());
-    for (std::uint32_t p : buffered_) w.u32(p);
-  }
-  void load(snapshot::ArchiveReader& r) {
-    const std::uint32_t next = r.u32();
-    const std::uint32_t max_depth = r.u32();
-    const std::uint64_t count = r.u64();
-    std::vector<std::uint32_t> buffered;
-    buffered.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) buffered.push_back(r.u32());
-    next_ = next;
-    max_depth_ = max_depth;
-    buffered_ = std::move(buffered);
-  }
-  void mix_digest(snapshot::Digest& d) const {
-    d.mix(next_);
-    d.mix(max_depth_);
-    d.mix(buffered_.size());
-    for (std::uint32_t p : buffered_) d.mix(p);
+  // Snapshot field walk (src/snapshot/persist.h). The buffer is archived
+  // verbatim: its internal order is a deterministic function of arrival
+  // history, and swap-removal makes it order-sensitive going forward.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.u32(s.next_);
+    v.u32(s.max_depth_);
+    v.seq(s.buffered_, [&v](auto& p) { v.u32(p); });
   }
 
  private:

@@ -306,7 +306,21 @@ SimPacket Network::take_parked(std::uint64_t slot) {
   return std::move(store.slots[idx]);
 }
 
-Engine::Action Network::rebuild_event(const EventDesc& desc) {
+void Network::claim_parked(std::uint64_t slot, const snapshot::LoadVisitor& load,
+                           ParkClaims& claims) const {
+  const std::vector<ParkStore>& parks = load.parsed(parks_);
+  const auto store = static_cast<std::size_t>(slot_store(slot));
+  const std::uint64_t idx = slot_index(slot);
+  if (store >= parks.size() || idx >= parks[store].used.size() || !parks[store].used[idx]) {
+    throw snapshot::SnapshotError("archived event references an empty packet slot");
+  }
+  if (!claims.insert(slot).second) {
+    throw snapshot::SnapshotError("two archived events claim one parked packet");
+  }
+}
+
+Engine::Action Network::rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
+                                      ParkClaims& claims) {
   switch (desc.kind) {
     case kEvLinkFree: {
       if (desc.a >= ports_.size()) throw snapshot::SnapshotError("link-free event out of range");
@@ -317,13 +331,10 @@ Engine::Action Network::rebuild_event(const EventDesc& desc) {
       };
     }
     case kEvDeliver: {
-      const int store_idx = slot_store(desc.a);
-      const std::uint64_t idx = slot_index(desc.a);
-      if (store_idx >= static_cast<int>(parks_.size()) ||
-          idx >= parks_[static_cast<std::size_t>(store_idx)].slots.size() ||
-          !parks_[static_cast<std::size_t>(store_idx)].used[idx]) {
-        throw snapshot::SnapshotError("deliver event references an empty packet slot");
+      if (desc.b >= topo_.num_nodes()) {
+        throw snapshot::SnapshotError("deliver event targets an unknown node");
       }
+      claim_parked(desc.a, load, claims);
       const std::uint64_t slot = desc.a;
       const NodeId to = static_cast<NodeId>(desc.b);
       return [this, to, slot] { deliver_(to, take_parked(slot)); };
@@ -331,294 +342,6 @@ Engine::Action Network::rebuild_event(const EventDesc& desc) {
     default:
       throw snapshot::SnapshotError("network cannot rebuild event kind " +
                                     std::to_string(desc.kind));
-  }
-}
-
-void Network::write_packet(snapshot::ArchiveWriter& w, const SimPacket& pkt) {
-  w.u8(static_cast<std::uint8_t>(pkt.type));
-  w.u32(pkt.flow);
-  w.u16(pkt.src);
-  w.u16(pkt.dst);
-  w.u32(pkt.seq);
-  w.u32(pkt.payload);
-  w.u32(pkt.wire_bytes);
-  w.bytes(std::span<const std::uint8_t>(pkt.route.bits()));
-  w.u8(static_cast<std::uint8_t>(pkt.route.length()));
-  w.u8(pkt.ridx);
-  w.u8(pkt.tree);
-  w.u16(pkt.bcast_src);
-  w.u64(pkt.bcast_id);
-  w.i64(pkt.sent_at);
-  w.u64(pkt.ack_cum);
-  for (std::uint64_t s : pkt.sack) w.u64(s);
-}
-
-SimPacket Network::read_packet(snapshot::ArchiveReader& r) {
-  SimPacket pkt;
-  pkt.type = static_cast<PacketType>(r.u8());
-  pkt.flow = r.u32();
-  pkt.src = r.u16();
-  pkt.dst = r.u16();
-  pkt.seq = r.u32();
-  pkt.payload = r.u32();
-  pkt.wire_bytes = r.u32();
-  std::array<std::uint8_t, 16> bits{};
-  r.bytes(std::span<std::uint8_t>(bits));
-  const int rlen = r.u8();
-  pkt.route = RouteCode::from_bits(bits, rlen);
-  pkt.ridx = r.u8();
-  pkt.tree = r.u8();
-  pkt.bcast_src = r.u16();
-  pkt.bcast_id = r.u64();
-  pkt.sent_at = r.i64();
-  pkt.ack_cum = r.u64();
-  for (std::uint64_t& s : pkt.sack) s = r.u64();
-  return pkt;
-}
-
-void Network::mix_packet(snapshot::Digest& d, const SimPacket& pkt) {
-  d.mix(static_cast<std::uint64_t>(pkt.type));
-  d.mix(pkt.flow);
-  d.mix(pkt.src);
-  d.mix(pkt.dst);
-  d.mix(pkt.seq);
-  d.mix(pkt.payload);
-  d.mix(pkt.wire_bytes);
-  for (std::uint8_t b : pkt.route.bits()) d.mix(b);
-  d.mix(static_cast<std::uint64_t>(pkt.route.length()));
-  d.mix(pkt.ridx);
-  d.mix(pkt.tree);
-  d.mix(pkt.bcast_src);
-  d.mix(pkt.bcast_id);
-  d.mix_i64(pkt.sent_at);
-  d.mix(pkt.ack_cum);
-  for (std::uint64_t s : pkt.sack) d.mix(s);
-}
-
-void Network::save(snapshot::ArchiveWriter& w) const {
-  w.begin_section("network");
-  w.u64(ports_.size());
-  for (const Port& p : ports_) {
-    w.u8(p.up ? 1 : 0);
-    w.u8(p.busy ? 1 : 0);
-    w.u64(p.queued_bytes);
-    w.u64(p.max_queued_bytes);
-    w.u64(p.epoch_max_queued);
-    w.u64(p.ctrl_q.size());
-    for (const SimPacket& pkt : p.ctrl_q) write_packet(w, pkt);
-    w.u64(p.data_q.size());
-    for (const SimPacket& pkt : p.data_q) write_packet(w, pkt);
-  }
-  // Per-lane park stores and RNG streams; with one shard this is one of
-  // each — byte-identical to the historical format. Saves only happen at
-  // run_until boundaries, where every window mailbox has been drained.
-  for (const auto& box : mail_) {
-    assert(box.empty() && "snapshot inside an undrained window");
-    (void)box;
-  }
-  for (const ParkStore& store : parks_) {
-    w.u64(store.slots.size());
-    for (std::size_t i = 0; i < store.slots.size(); ++i) {
-      w.u8(store.used[i]);
-      if (store.used[i]) write_packet(w, store.slots[i]);
-    }
-    w.u64(store.free.size());
-    for (std::uint64_t slot : store.free) w.u64(slot);
-  }
-  for (const Rng& rng : corruption_rngs_) {
-    for (std::uint64_t word : rng.state()) w.u64(word);
-  }
-  w.u64(total_data_bytes_sent());
-  w.u64(total_control_bytes_sent());
-  w.u64(drops_.load(std::memory_order_relaxed));
-  w.u64(corrupted_data_.load(std::memory_order_relaxed));
-  w.u64(corrupted_control_.load(std::memory_order_relaxed));
-  w.u64(failed_link_drops_.load(std::memory_order_relaxed));
-  w.u64(gray_drops_.load(std::memory_order_relaxed));
-  // Gray degradation table, sparse: only directed links with an active
-  // entry are archived.
-  std::uint64_t active = 0;
-  for (const LinkDegrade& g : degrade_) {
-    if (g.active()) ++active;
-  }
-  w.u64(active);
-  for (std::size_t i = 0; i < degrade_.size(); ++i) {
-    const LinkDegrade& g = degrade_[i];
-    if (!g.active()) continue;
-    w.u32(static_cast<std::uint32_t>(i));
-    w.f64(g.loss_prob);
-    w.f64(g.corrupt_prob);
-    w.i64(g.added_latency);
-    w.i64(g.jitter);
-    w.i64(g.flap_period);
-    w.i64(g.flap_down);
-    w.i64(g.flap_anchor);
-  }
-  // Congestion EWMA, sparse: only links with a nonzero mark (the floor
-  // snaps drained links back to exact 0, so a calm network archives none).
-  std::uint64_t marked = 0;
-  for (double c : congestion_) {
-    if (c != 0.0) ++marked;
-  }
-  w.u64(marked);
-  for (std::size_t i = 0; i < congestion_.size(); ++i) {
-    if (congestion_[i] == 0.0) continue;
-    w.u32(static_cast<std::uint32_t>(i));
-    w.f64(congestion_[i]);
-  }
-  w.end_section();
-}
-
-void Network::load(snapshot::ArchiveReader& r) {
-  r.open_section("network");
-  const std::uint64_t num_ports = r.u64();
-  if (num_ports != ports_.size()) {
-    throw snapshot::SnapshotError("snapshot topology mismatch: " + std::to_string(num_ports) +
-                                  " links archived, " + std::to_string(ports_.size()) +
-                                  " in this network");
-  }
-  // Parse-then-commit: build everything in locals, swap in only after the
-  // section has been fully consumed without error.
-  std::vector<Port> ports(num_ports);
-  for (Port& p : ports) {
-    p.up = r.u8() != 0;
-    p.busy = r.u8() != 0;
-    p.queued_bytes = r.u64();
-    p.max_queued_bytes = r.u64();
-    p.epoch_max_queued = r.u64();
-    const std::uint64_t nctrl = r.u64();
-    for (std::uint64_t i = 0; i < nctrl; ++i) p.ctrl_q.push_back(read_packet(r));
-    const std::uint64_t ndata = r.u64();
-    for (std::uint64_t i = 0; i < ndata; ++i) p.data_q.push_back(read_packet(r));
-  }
-  std::vector<ParkStore> parks(parks_.size());
-  for (ParkStore& store : parks) {
-    const std::uint64_t nslots = r.u64();
-    store.slots.resize(nslots);
-    store.used.assign(nslots, 0);
-    for (std::uint64_t i = 0; i < nslots; ++i) {
-      store.used[i] = r.u8();
-      if (store.used[i]) store.slots[i] = read_packet(r);
-    }
-    const std::uint64_t nfree = r.u64();
-    store.free.reserve(nfree);
-    for (std::uint64_t i = 0; i < nfree; ++i) {
-      const std::uint64_t slot = r.u64();
-      if (slot >= nslots || store.used[slot]) {
-        throw snapshot::SnapshotError("corrupt parked-packet free list");
-      }
-      store.free.push_back(slot);
-    }
-  }
-  std::vector<std::array<std::uint64_t, 4>> rng_states(corruption_rngs_.size());
-  for (auto& state : rng_states) {
-    for (std::uint64_t& word : state) word = r.u64();
-  }
-  const std::uint64_t data_bytes = r.u64();
-  const std::uint64_t control_bytes = r.u64();
-  const std::uint64_t drops = r.u64();
-  const std::uint64_t corrupted_data = r.u64();
-  const std::uint64_t corrupted_control = r.u64();
-  const std::uint64_t failed_link_drops = r.u64();
-  const std::uint64_t gray_drops = r.u64();
-  const std::uint64_t num_gray = r.u64();
-  std::vector<std::pair<std::uint32_t, LinkDegrade>> grays;
-  grays.reserve(num_gray);
-  for (std::uint64_t i = 0; i < num_gray; ++i) {
-    const std::uint32_t link = r.u32();
-    if (link >= num_ports) {
-      throw snapshot::SnapshotError("degrade table references link out of range");
-    }
-    LinkDegrade g;
-    g.loss_prob = r.f64();
-    g.corrupt_prob = r.f64();
-    g.added_latency = r.i64();
-    g.jitter = r.i64();
-    g.flap_period = r.i64();
-    g.flap_down = r.i64();
-    g.flap_anchor = r.i64();
-    grays.emplace_back(link, g);
-  }
-  const std::uint64_t marked = r.u64();
-  std::vector<std::pair<std::uint32_t, double>> marks;
-  marks.reserve(marked);
-  for (std::uint64_t i = 0; i < marked; ++i) {
-    const std::uint32_t link = r.u32();
-    if (link >= num_ports) {
-      throw snapshot::SnapshotError("congestion table references link out of range");
-    }
-    marks.emplace_back(link, r.f64());
-  }
-  r.close_section();
-
-  ports_ = std::move(ports);
-  parks_ = std::move(parks);
-  congestion_.assign(ports_.size(), 0.0);
-  for (const auto& [link, mark] : marks) congestion_[link] = mark;
-  degrade_.assign(ports_.size(), LinkDegrade{});
-  degraded_links_ = 0;
-  for (const auto& [link, g] : grays) {
-    degrade_[link] = g;
-    if (g.active()) ++degraded_links_;
-  }
-  for (std::size_t i = 0; i < corruption_rngs_.size(); ++i) {
-    corruption_rngs_[i].set_state(rng_states[i]);
-  }
-  // Only the totals are archived; lane 0 carries them from here on.
-  lane_bytes_.assign(lane_bytes_.size(), LaneBytes{});
-  lane_bytes_[0] = LaneBytes{data_bytes, control_bytes};
-  drops_.store(drops, std::memory_order_relaxed);
-  corrupted_data_.store(corrupted_data, std::memory_order_relaxed);
-  corrupted_control_.store(corrupted_control, std::memory_order_relaxed);
-  failed_link_drops_.store(failed_link_drops, std::memory_order_relaxed);
-  gray_drops_.store(gray_drops, std::memory_order_relaxed);
-}
-
-void Network::mix_digest(snapshot::Digest& d) const {
-  d.mix(ports_.size());
-  for (const Port& p : ports_) {
-    d.mix(p.up ? 1 : 0);
-    d.mix(p.busy ? 1 : 0);
-    d.mix(p.queued_bytes);
-    d.mix(p.epoch_max_queued);
-    d.mix(p.ctrl_q.size());
-    for (const SimPacket& pkt : p.ctrl_q) mix_packet(d, pkt);
-    d.mix(p.data_q.size());
-    for (const SimPacket& pkt : p.data_q) mix_packet(d, pkt);
-  }
-  for (const ParkStore& store : parks_) {
-    d.mix(store.slots.size());
-    for (std::size_t i = 0; i < store.slots.size(); ++i) {
-      d.mix(store.used[i]);
-      if (store.used[i]) mix_packet(d, store.slots[i]);
-    }
-  }
-  for (const Rng& rng : corruption_rngs_) {
-    for (std::uint64_t word : rng.state()) d.mix(word);
-  }
-  d.mix(total_data_bytes_sent());
-  d.mix(total_control_bytes_sent());
-  d.mix(drops_.load(std::memory_order_relaxed));
-  d.mix(corrupted_data_.load(std::memory_order_relaxed));
-  d.mix(corrupted_control_.load(std::memory_order_relaxed));
-  d.mix(failed_link_drops_.load(std::memory_order_relaxed));
-  d.mix(gray_drops_.load(std::memory_order_relaxed));
-  for (std::size_t i = 0; i < degrade_.size(); ++i) {
-    const LinkDegrade& g = degrade_[i];
-    if (!g.active()) continue;
-    d.mix(i);
-    d.mix_f64(g.loss_prob);
-    d.mix_f64(g.corrupt_prob);
-    d.mix_i64(g.added_latency);
-    d.mix_i64(g.jitter);
-    d.mix_i64(g.flap_period);
-    d.mix_i64(g.flap_down);
-    d.mix_i64(g.flap_anchor);
-  }
-  for (std::size_t i = 0; i < congestion_.size(); ++i) {
-    if (congestion_[i] == 0.0) continue;
-    d.mix(i);
-    d.mix_f64(congestion_[i]);
   }
 }
 

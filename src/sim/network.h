@@ -19,18 +19,21 @@
 // direct push, so the sharded run is bit-identical to the serial order.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
 #include "packet/packet.h"
 #include "sim/engine.h"
-#include "snapshot/digest.h"
+#include "snapshot/persist.h"
 #include "topology/partition.h"
 #include "topology/topology.h"
 
@@ -59,6 +62,27 @@ struct SimPacket {
   // plus up to two SACK ranges (begin/end pairs; 0/0 = unused).
   std::uint64_t ack_cum = 0;
   std::uint64_t sack[4] = {0, 0, 0, 0};
+
+  // Snapshot field walk (src/snapshot/persist.h), shared by the port
+  // queues and the parked-packet stores.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.enum8(s.type, PacketType::kKeepalive);
+    v.u32(s.flow);
+    v.u16(s.src);
+    v.u16(s.dst);
+    v.u32(s.seq);
+    v.u32(s.payload);
+    v.u32(s.wire_bytes);
+    RouteCode::persist(s.route, v);
+    v.u8(s.ridx);
+    v.u8(s.tree);
+    v.u16(s.bcast_src);
+    v.u64(s.bcast_id);
+    v.i64(s.sent_at);
+    v.u64(s.ack_cum);
+    for (auto& x : s.sack) v.u64(x);
+  }
 };
 
 // Gray (partial) degradation of one directed link. A degraded link stays
@@ -238,24 +262,91 @@ class Network {
   std::uint64_t park(SimPacket&& pkt);
   SimPacket take_parked(std::uint64_t slot);
 
-  // Rebuilds the closure for a kEvLinkFree / kEvDeliver descriptor; throws
-  // SnapshotError on any other kind.
-  Engine::Action rebuild_event(const EventDesc& desc);
+  // Parked-packet slots already claimed by the events of one load.
+  using ParkClaims = std::unordered_set<std::uint64_t>;
 
-  // Ports (queued packets of both classes), the parked-packet store(s),
-  // traffic/drop counters, the corruption RNG stream(s) and the gray
-  // degradation table (sparse: active entries only). The engine's event
-  // queue is saved separately by the owning transport.
-  void save(snapshot::ArchiveWriter& w) const;
-  void load(snapshot::ArchiveReader& r);
+  // Rebuilds the closure for a kEvLinkFree / kEvDeliver descriptor against
+  // the state `load` has parsed but not yet committed; throws SnapshotError
+  // on any other kind, or on a delivery from a packet slot claim_parked
+  // refuses.
+  Engine::Action rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
+                               ParkClaims& claims);
+  // Claims parked packet `slot` for one archived event. Throws
+  // SnapshotError unless the slot holds a packet in the park stores `load`
+  // has parsed and no event in `claims` took it already.
+  void claim_parked(std::uint64_t slot, const snapshot::LoadVisitor& load,
+                    ParkClaims& claims) const;
 
-  // Mixes all of the above into a rolling state digest, in a canonical
-  // order independent of container internals.
-  void mix_digest(snapshot::Digest& d) const;
-
-  static void write_packet(snapshot::ArchiveWriter& w, const SimPacket& pkt);
-  static SimPacket read_packet(snapshot::ArchiveReader& r);
-  static void mix_packet(snapshot::Digest& d, const SimPacket& pkt);
+  // Snapshot field walk (src/snapshot/persist.h): ports (queued packets of
+  // both classes), the parked-packet store(s), the corruption RNG
+  // stream(s), traffic and drop counters, and the gray-degradation and
+  // congestion tables (sparse: links at their default are not archived).
+  // The engine's event queue is archived separately by the owning
+  // transport. Saves only happen at run_until boundaries, where every
+  // window mailbox has drained.
+  template <class Self, class V>
+  static void persist(Self& n, V& v) {
+    assert(std::all_of(n.mail_.begin(), n.mail_.end(),
+                       [](const auto& box) { return box.empty(); }));
+    const auto active = [](const LinkDegrade& g) { return g.active(); };
+    v.section("network", [&] {
+      v.fixed(n.ports_, [&v](auto& p) {
+        v.flag(p.up);
+        v.flag(p.busy);
+        v.u64(p.queued_bytes);
+        v.u64(p.max_queued_bytes);
+        v.u64(p.epoch_max_queued);
+        v.seq(p.ctrl_q, [&v](auto& pkt) { SimPacket::persist(pkt, v); });
+        v.seq(p.data_q, [&v](auto& pkt) { SimPacket::persist(pkt, v); });
+      });
+      v.each(n.parks_, [&v](auto& store) {
+        // One (used flag, packet if used) pair per slot.
+        std::size_t i = 0;
+        v.seq(store.used, [&](auto& used) {
+          if constexpr (V::kLoading) store.slots.emplace_back();
+          v.flag(used);
+          if (used) SimPacket::persist(store.slots[i], v);
+          ++i;
+        });
+        // The free list holds every empty slot exactly once.
+        std::vector<bool> listed(store.used.size());
+        const auto& free_list = v.seq(store.free, [&](auto& idx) {
+          v.u64(idx);
+          const bool ok = idx < store.used.size() && !store.used[idx] && !listed[idx];
+          v.expect(ok, "corrupt parked-packet free list");
+          if (ok) listed[idx] = true;
+        });
+        v.expect(free_list.size() == static_cast<std::size_t>(std::count(
+                                         store.used.begin(), store.used.end(), 0)),
+                 "parked-packet free list misses an empty slot");
+      });
+      v.each(n.corruption_rngs_, [&v](auto& rng) { Rng::persist(rng, v); });
+      v.u64(n, &Network::total_data_bytes_sent, &Network::restore_data_bytes);
+      v.u64(n, &Network::total_control_bytes_sent, &Network::restore_control_bytes);
+      v.u64(n.drops_);
+      v.u64(n.corrupted_data_);
+      v.u64(n.corrupted_control_);
+      v.u64(n.failed_link_drops_);
+      v.u64(n.gray_drops_);
+      v.sparse(n.degrade_, active, [&v](auto& g) {
+        v.f64(g.loss_prob);
+        v.f64(g.corrupt_prob);
+        v.i64(g.added_latency);
+        v.i64(g.jitter);
+        v.i64(g.flap_period);
+        v.i64(g.flap_down);
+        v.i64(g.flap_anchor);
+      });
+      v.sparse(n.congestion_, [](double mark) { return mark != 0.0; },
+               [&v](auto& mark) { v.f64(mark); });
+    });
+    if constexpr (V::kLoading) {
+      v.on_commit([&n, active] {
+        n.degraded_links_ =
+            static_cast<int>(std::count_if(n.degrade_.begin(), n.degrade_.end(), active));
+      });
+    }
+  }
 
  private:
   struct Port {
@@ -310,6 +401,17 @@ class Network {
   }
   std::uint64_t slot_index(std::uint64_t slot) const {
     return shards_ == 1 ? slot : (slot & ((std::uint64_t{1} << kSlotLaneShift) - 1));
+  }
+
+  // Only the wire-byte totals are archived; a restored network carries
+  // them on lane 0.
+  void restore_data_bytes(std::uint64_t total) {
+    for (LaneBytes& b : lane_bytes_) b.data = 0;
+    lane_bytes_[0].data = total;
+  }
+  void restore_control_bytes(std::uint64_t total) {
+    for (LaneBytes& b : lane_bytes_) b.control = 0;
+    lane_bytes_[0].control = total;
   }
 
   std::uint64_t park_in(int store, SimPacket&& pkt);

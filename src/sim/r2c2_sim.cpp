@@ -1449,106 +1449,6 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
 
 // --- Snapshot, resume and divergence detection ---------------------------
 
-namespace {
-
-void write_msg(snapshot::ArchiveWriter& w, const BroadcastMsg& msg) {
-  w.u8(static_cast<std::uint8_t>(msg.type));
-  w.u16(msg.src);
-  w.u16(msg.dst);
-  w.u8(msg.fseq);
-  w.u8(msg.weight);
-  w.u8(msg.priority);
-  w.u32(msg.demand_kbps);
-  w.u8(msg.tree);
-  w.u8(static_cast<std::uint8_t>(msg.rp));
-}
-
-BroadcastMsg read_msg(snapshot::ArchiveReader& r) {
-  BroadcastMsg msg;
-  msg.type = static_cast<PacketType>(r.u8());
-  msg.src = r.u16();
-  msg.dst = r.u16();
-  msg.fseq = r.u8();
-  msg.weight = r.u8();
-  msg.priority = r.u8();
-  msg.demand_kbps = r.u32();
-  msg.tree = r.u8();
-  msg.rp = static_cast<RouteAlg>(r.u8());
-  return msg;
-}
-
-void mix_msg(snapshot::Digest& d, const BroadcastMsg& msg) {
-  d.mix(static_cast<std::uint64_t>(msg.type));
-  d.mix(msg.src);
-  d.mix(msg.dst);
-  d.mix(msg.fseq);
-  d.mix(msg.weight);
-  d.mix(msg.priority);
-  d.mix(msg.demand_kbps);
-  d.mix(msg.tree);
-  d.mix(static_cast<std::uint64_t>(msg.rp));
-}
-
-void write_route(snapshot::ArchiveWriter& w, const RouteCode& route) {
-  w.bytes(std::span<const std::uint8_t>(route.bits()));
-  w.u8(static_cast<std::uint8_t>(route.length()));
-}
-
-RouteCode read_route(snapshot::ArchiveReader& r) {
-  std::array<std::uint8_t, 16> bits{};
-  r.bytes(std::span<std::uint8_t>(bits));
-  const int length = r.u8();
-  return RouteCode::from_bits(bits, length);
-}
-
-void mix_route(snapshot::Digest& d, const RouteCode& route) {
-  for (std::uint8_t b : route.bits()) d.mix(b);
-  d.mix(static_cast<std::uint64_t>(route.length()));
-}
-
-void write_spec(snapshot::ArchiveWriter& w, const FlowSpec& spec) {
-  w.u32(spec.id);
-  w.u16(spec.src);
-  w.u16(spec.dst);
-  w.u8(static_cast<std::uint8_t>(spec.alg));
-  w.f64(spec.weight);
-  w.u8(spec.priority);
-  w.f64(spec.demand);
-}
-
-FlowSpec read_spec(snapshot::ArchiveReader& r) {
-  FlowSpec spec;
-  spec.id = r.u32();
-  spec.src = r.u16();
-  spec.dst = r.u16();
-  spec.alg = static_cast<RouteAlg>(r.u8());
-  spec.weight = r.f64();
-  spec.priority = r.u8();
-  spec.demand = r.f64();
-  return spec;
-}
-
-void mix_spec(snapshot::Digest& d, const FlowSpec& spec) {
-  d.mix(spec.id);
-  d.mix(spec.src);
-  d.mix(spec.dst);
-  d.mix(static_cast<std::uint64_t>(spec.alg));
-  d.mix_f64(spec.weight);
-  d.mix(spec.priority);
-  d.mix_f64(spec.demand);
-}
-
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [k, v] : map) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-}  // namespace
-
 std::uint64_t R2c2Sim::config_fingerprint() const {
   snapshot::Digest d;
   // Topology identity: a snapshot restores only onto the same wire
@@ -1638,295 +1538,166 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
   return d.value();
 }
 
+template <class Self, class V>
+void R2c2Sim::persist(Self& s, V& v) {
+  v.section("sim.core", [&] {
+    Rng::persist(s.rng_, v);
+    v.i64(s.router_epoch_);
+    v.u64(s.next_bcast_id_);
+    v.u64(s.unfinished_);
+    v.i64(s.fault_horizon_);
+    v.flag(s.tick_scheduled_);
+    v.flag(s.keepalive_tick_scheduled_);
+    v.flag(s.detection_tick_scheduled_);
+    v.flag(s.lease_tick_scheduled_);
+    v.flag(s.gc_tick_scheduled_);
+    v.flag(s.rebuild_scheduled_);
+    v.flag(s.congestion_tick_scheduled_);
+    v.u32(s.rebroadcast_outstanding_);
+    v.u64(s.cables_down_);
+    v.fixed(s.next_fseq_, [&v](auto& x) { v.u16(x); });
+    v.fixed(s.link_denom_, [&v](auto& x) { v.f64(x); });
+    v.fixed(s.last_heard_, [&v](auto& x) { v.i64(x); });
+    v.fixed(s.cable_down_, [&v](auto& x) { v.flag(x); });
+    v.seq(s.cur_down_, [&](auto& link) {
+      v.u32(link);
+      v.expect(link < s.topo_.num_links(), "archived down-link out of range");
+    });
+    v.u64(s.suspects_);
+    v.each(s.interarrival_ewma_, [&v](auto& x) { v.f64(x); });
+    v.each(s.deliv_ewma_, [&v](auto& x) { v.f64(x); });
+    v.each(s.link_suspect_, [&v](auto& x) { v.flag(x); });
+  });
+
+  v.section("sim.counters", [&] {
+    for (obs::Counter* c :
+         {&s.c_recomputations_, &s.c_retransmissions_, &s.c_failures_detected_,
+          &s.c_restores_detected_, &s.c_context_rebuilds_, &s.c_flows_rebroadcast_,
+          &s.c_lease_refreshes_, &s.c_flows_started_, &s.c_flows_finished_,
+          &s.c_broadcasts_sent_, &s.c_flow_aborts_, &s.c_links_demoted_, &s.c_links_cleared_}) {
+      obs::Counter::persist(*c, v);
+    }
+  });
+
+  v.section("sim.flows", [&] {
+    v.map(s.senders_, [&](auto& id, auto& f) {
+      v.u32(id);
+      FlowSpec::persist(f.spec, v);
+      v.u8(f.fseq);
+      v.u64(f.total_bytes);
+      v.u64(f.sent_bytes);
+      v.f64(f.rate_bps);
+      v.flag(f.emit_scheduled);
+      v.i64(f.next_send);
+      v.i64(f.rate_since);
+      v.f64(f.rate_integral);
+      v.i64(f.started_at);
+      v.ptr(
+          f.rel, [&] { return std::make_unique<ReliableSender>(f.total_bytes, s.rel_config(id)); },
+          [&v](auto& rel) { ReliableSender::persist(rel, v); });
+      v.flag(f.finish_announced);
+      RouteCode::persist(f.cached_route, v);
+      v.i64(f.route_epoch);
+    });
+    v.map(s.receivers_, [&v](auto& id, auto& f) {
+      v.u32(id);
+      v.u64(f.received_bytes);
+      ReorderTracker::persist(f.reorder, v);
+      v.ptr(
+          f.rel, [] { return std::make_unique<ReliableReceiver>(0); },
+          [&v](auto& rel) { ReliableReceiver::persist(rel, v); });
+      v.i64(f.pkts_since_ack);
+      RouteCode::persist(f.ack_route, v);
+      v.i64(f.ack_route_epoch);
+    });
+    v.map(s.active_by_key_, [&v](auto& key, auto& id) {
+      v.u32(key);
+      v.u32(id);
+    });
+    v.seq(s.records_, [&v](auto& rec) {
+      v.u32(rec.id);
+      v.u16(rec.src);
+      v.u16(rec.dst);
+      v.u64(rec.bytes);
+      v.i64(rec.arrival);
+      v.i64(rec.completed);
+      v.u32(rec.max_reorder_pkts);
+      v.f64(rec.avg_assigned_rate_bps);
+      v.flag(rec.aborted);
+      v.i64(rec.aborted_at);
+    });
+    const auto& recoveries = v.seq(s.recoveries_, [&v](auto& rec) {
+      v.u32(rec.link);
+      v.flag(rec.failure);
+      v.i64(rec.injected_at);
+      v.i64(rec.detected_at);
+      v.i64(rec.recovered_at);
+      v.i64(rec.reconverged_at);
+    });
+    v.seq(s.open_recoveries_, [&](auto& idx) {
+      v.u64(idx);
+      v.expect(idx < recoveries.size(), "open recovery index out of range");
+    });
+    for (auto* injected : {&s.injected_fail_at_, &s.injected_restore_at_}) {
+      v.map(*injected, [&v](auto& cable, auto& at) {
+        v.u32(cable);
+        v.i64(at);
+      });
+    }
+  });
+
+  v.section("sim.pending", [&] {
+    v.map(s.pending_, [&v](auto& id, auto& p) {
+      v.u64(id);
+      BroadcastMsg::persist(p.msg, v);
+      v.u32(p.remaining);
+      v.flag(p.recovery);
+    });
+  });
+
+  if (s.sharded_) {
+    v.section("sim.shards", [&] {
+      v.fixed(s.shard_rng_, [&v](auto& rng) { Rng::persist(rng, v); });
+      v.each(s.shard_bcast_ctr_, [&v](auto& ctr) { v.u64(ctr); });
+    });
+  }
+
+  if (s.service_ != nullptr) s.service_->persist(v);
+  FlowTable::persist(s.global_view_, v, "sim.view");
+  Network::persist(s.net_, v);
+  if (s.injector_) FaultInjector::persist(*s.injector_, v);
+  // The event queue last: a load rebuilds its closures against the
+  // network and service state parsed above, each parked packet claimed by
+  // one event at most.
+  Network::ParkClaims claims;
+  Engine::persist(s.engine_, v,
+                  [&](const auto& desc) { return s.rebuild_event(desc, v, claims); });
+}
+
 std::uint64_t R2c2Sim::state_digest() const {
   snapshot::Digest d;
-  engine_.mix_digest(d);
-  for (std::uint64_t word : rng_.state()) d.mix(word);
-  if (sharded_) {
-    for (const Rng& rng : shard_rng_) {
-      for (std::uint64_t word : rng.state()) d.mix(word);
-    }
-    for (std::uint64_t ctr : shard_bcast_ctr_) d.mix(ctr);
-  }
-  global_view_.mix_digest(d);
-  net_.mix_digest(d);
-  if (injector_) injector_->mix_digest(d);
-  d.mix_i64(router_epoch_);
-  d.mix(next_bcast_id_);
-  d.mix(unfinished_);
-  d.mix_i64(fault_horizon_);
-  d.mix((tick_scheduled_ ? 1 : 0) | (keepalive_tick_scheduled_ ? 2 : 0) |
-        (detection_tick_scheduled_ ? 4 : 0) | (lease_tick_scheduled_ ? 8 : 0) |
-        (gc_tick_scheduled_ ? 16 : 0) | (rebuild_scheduled_ ? 32 : 0) |
-        (congestion_tick_scheduled_ ? 64 : 0));
-  d.mix(rebroadcast_outstanding_);
-  d.mix(cables_down_);
-  for (std::uint16_t v : next_fseq_) d.mix(v);
-  for (double v : link_denom_) d.mix_f64(v);
-  for (TimeNs v : last_heard_) d.mix_i64(v);
-  for (char v : cable_down_) d.mix(static_cast<std::uint64_t>(v));
-  d.mix(cur_down_.size());
-  for (LinkId v : cur_down_) d.mix(v);
-  d.mix(suspects_);
-  for (double v : interarrival_ewma_) d.mix_f64(v);
-  for (double v : deliv_ewma_) d.mix_f64(v);
-  for (char v : link_suspect_) d.mix(static_cast<std::uint64_t>(v));
-
-  d.mix(senders_.size());
-  for (const FlowId id : sorted_keys(senders_)) {
-    const SenderFlow& f = senders_.at(id);
-    d.mix(id);
-    mix_spec(d, f.spec);
-    d.mix(f.fseq);
-    d.mix(f.total_bytes);
-    d.mix(f.sent_bytes);
-    d.mix_f64(f.rate_bps);
-    d.mix(f.emit_scheduled ? 1 : 0);
-    d.mix_i64(f.next_send);
-    d.mix_i64(f.rate_since);
-    d.mix_f64(f.rate_integral);
-    d.mix_i64(f.started_at);
-    d.mix(f.rel != nullptr ? 1 : 0);
-    if (f.rel) f.rel->mix_digest(d);
-    d.mix(f.finish_announced ? 1 : 0);
-    mix_route(d, f.cached_route);
-    d.mix_i64(f.route_epoch);
-  }
-  d.mix(receivers_.size());
-  for (const FlowId id : sorted_keys(receivers_)) {
-    const ReceiverFlow& f = receivers_.at(id);
-    d.mix(id);
-    d.mix(f.received_bytes);
-    f.reorder.mix_digest(d);
-    d.mix(f.rel != nullptr ? 1 : 0);
-    if (f.rel) f.rel->mix_digest(d);
-    d.mix_i64(f.pkts_since_ack);
-    mix_route(d, f.ack_route);
-    d.mix_i64(f.ack_route_epoch);
-  }
-  d.mix(pending_.size());
-  for (const std::uint64_t id : sorted_keys(pending_)) {
-    const PendingBroadcast& p = pending_.at(id);
-    d.mix(id);
-    mix_msg(d, p.msg);
-    d.mix(p.remaining);
-    d.mix(p.recovery ? 1 : 0);
-  }
-  d.mix(active_by_key_.size());
-  for (const std::uint32_t key : sorted_keys(active_by_key_)) {
-    d.mix(key);
-    d.mix(active_by_key_.at(key));
-  }
-  d.mix(records_.size());
-  for (const FlowRecord& rec : records_) {
-    d.mix(rec.id);
-    d.mix(rec.src);
-    d.mix(rec.dst);
-    d.mix(rec.bytes);
-    d.mix_i64(rec.arrival);
-    d.mix_i64(rec.completed);
-    d.mix(rec.max_reorder_pkts);
-    d.mix_f64(rec.avg_assigned_rate_bps);
-    d.mix(rec.aborted ? 1 : 0);
-    d.mix_i64(rec.aborted_at);
-  }
-  d.mix(recoveries_.size());
-  for (const RecoveryRecord& rec : recoveries_) {
-    d.mix(rec.link);
-    d.mix(rec.failure ? 1 : 0);
-    d.mix_i64(rec.injected_at);
-    d.mix_i64(rec.detected_at);
-    d.mix_i64(rec.recovered_at);
-    d.mix_i64(rec.reconverged_at);
-  }
-  d.mix(open_recoveries_.size());
-  for (std::size_t idx : open_recoveries_) d.mix(idx);
-  for (const auto* map : {&injected_fail_at_, &injected_restore_at_}) {
-    d.mix(map->size());
-    for (const LinkId cable : sorted_keys(*map)) {
-      d.mix(cable);
-      d.mix_i64(map->at(cable));
-    }
-  }
-  d.mix(c_recomputations_.value());
-  d.mix(c_retransmissions_.value());
-  d.mix(c_failures_detected_.value());
-  d.mix(c_restores_detected_.value());
-  d.mix(c_context_rebuilds_.value());
-  d.mix(c_flows_rebroadcast_.value());
-  d.mix(c_lease_refreshes_.value());
-  d.mix(c_flows_started_.value());
-  d.mix(c_flows_finished_.value());
-  d.mix(c_broadcasts_sent_.value());
-  d.mix(c_flow_aborts_.value());
-  d.mix(c_links_demoted_.value());
-  d.mix(c_links_cleared_.value());
-  if (service_ != nullptr) service_->mix_digest(d);
+  snapshot::DigestVisitor v(d);
+  persist(*this, v);
   return d.value();
 }
 
 void R2c2Sim::save(snapshot::ArchiveWriter& w) const {
+  // Quiescence invariant: save() runs between run_until calls, after the
+  // final barrier, so every deferred op has been applied.
+  assert(std::all_of(ops_.begin(), ops_.end(), [](const auto& log) { return log.empty(); }));
   w.begin_section("sim.meta");
   w.u64(config_fingerprint());
   w.end_section();
-
-  w.begin_section("sim.core");
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.i64(router_epoch_);
-  w.u64(next_bcast_id_);
-  w.u64(unfinished_);
-  w.i64(fault_horizon_);
-  w.u8(tick_scheduled_ ? 1 : 0);
-  w.u8(keepalive_tick_scheduled_ ? 1 : 0);
-  w.u8(detection_tick_scheduled_ ? 1 : 0);
-  w.u8(lease_tick_scheduled_ ? 1 : 0);
-  w.u8(gc_tick_scheduled_ ? 1 : 0);
-  w.u8(rebuild_scheduled_ ? 1 : 0);
-  w.u8(congestion_tick_scheduled_ ? 1 : 0);
-  w.u32(rebroadcast_outstanding_);
-  w.u64(cables_down_);
-  w.u64(next_fseq_.size());
-  for (std::uint16_t v : next_fseq_) w.u16(v);
-  w.u64(link_denom_.size());
-  for (double v : link_denom_) w.f64(v);
-  w.u64(last_heard_.size());
-  for (TimeNs v : last_heard_) w.i64(v);
-  w.u64(cable_down_.size());
-  for (char v : cable_down_) w.u8(static_cast<std::uint8_t>(v));
-  w.u64(cur_down_.size());
-  for (LinkId v : cur_down_) w.u32(v);
-  w.u64(suspects_);
-  for (double v : interarrival_ewma_) w.f64(v);
-  for (double v : deliv_ewma_) w.f64(v);
-  for (char v : link_suspect_) w.u8(static_cast<std::uint8_t>(v));
-  w.end_section();
-
-  w.begin_section("sim.counters");
-  w.u64(c_recomputations_.value());
-  w.u64(c_retransmissions_.value());
-  w.u64(c_failures_detected_.value());
-  w.u64(c_restores_detected_.value());
-  w.u64(c_context_rebuilds_.value());
-  w.u64(c_flows_rebroadcast_.value());
-  w.u64(c_lease_refreshes_.value());
-  w.u64(c_flows_started_.value());
-  w.u64(c_flows_finished_.value());
-  w.u64(c_broadcasts_sent_.value());
-  w.u64(c_flow_aborts_.value());
-  w.u64(c_links_demoted_.value());
-  w.u64(c_links_cleared_.value());
-  w.end_section();
-
-  w.begin_section("sim.flows");
-  w.u64(senders_.size());
-  for (const FlowId id : sorted_keys(senders_)) {
-    const SenderFlow& f = senders_.at(id);
-    w.u32(id);
-    write_spec(w, f.spec);
-    w.u8(f.fseq);
-    w.u64(f.total_bytes);
-    w.u64(f.sent_bytes);
-    w.f64(f.rate_bps);
-    w.u8(f.emit_scheduled ? 1 : 0);
-    w.i64(f.next_send);
-    w.i64(f.rate_since);
-    w.f64(f.rate_integral);
-    w.i64(f.started_at);
-    w.u8(f.rel != nullptr ? 1 : 0);
-    if (f.rel) f.rel->save(w);
-    w.u8(f.finish_announced ? 1 : 0);
-    write_route(w, f.cached_route);
-    w.i64(f.route_epoch);
-  }
-  w.u64(receivers_.size());
-  for (const FlowId id : sorted_keys(receivers_)) {
-    const ReceiverFlow& f = receivers_.at(id);
-    w.u32(id);
-    w.u64(f.received_bytes);
-    f.reorder.save(w);
-    w.u8(f.rel != nullptr ? 1 : 0);
-    if (f.rel) f.rel->save(w);
-    w.i64(f.pkts_since_ack);
-    write_route(w, f.ack_route);
-    w.i64(f.ack_route_epoch);
-  }
-  w.u64(active_by_key_.size());
-  for (const std::uint32_t key : sorted_keys(active_by_key_)) {
-    w.u32(key);
-    w.u32(active_by_key_.at(key));
-  }
-  w.u64(records_.size());
-  for (const FlowRecord& rec : records_) {
-    w.u32(rec.id);
-    w.u16(rec.src);
-    w.u16(rec.dst);
-    w.u64(rec.bytes);
-    w.i64(rec.arrival);
-    w.i64(rec.completed);
-    w.u32(rec.max_reorder_pkts);
-    w.f64(rec.avg_assigned_rate_bps);
-    w.u8(rec.aborted ? 1 : 0);
-    w.i64(rec.aborted_at);
-  }
-  w.u64(recoveries_.size());
-  for (const RecoveryRecord& rec : recoveries_) {
-    w.u32(rec.link);
-    w.u8(rec.failure ? 1 : 0);
-    w.i64(rec.injected_at);
-    w.i64(rec.detected_at);
-    w.i64(rec.recovered_at);
-    w.i64(rec.reconverged_at);
-  }
-  w.u64(open_recoveries_.size());
-  for (std::size_t idx : open_recoveries_) w.u64(idx);
-  for (const auto* map : {&injected_fail_at_, &injected_restore_at_}) {
-    w.u64(map->size());
-    for (const LinkId cable : sorted_keys(*map)) {
-      w.u32(cable);
-      w.i64(map->at(cable));
-    }
-  }
-  w.end_section();
-
-  w.begin_section("sim.pending");
-  w.u64(pending_.size());
-  for (const std::uint64_t id : sorted_keys(pending_)) {
-    const PendingBroadcast& p = pending_.at(id);
-    w.u64(id);
-    write_msg(w, p.msg);
-    w.u32(p.remaining);
-    w.u8(p.recovery ? 1 : 0);
-  }
-  w.end_section();
-
-  if (sharded_) {
-    // Quiescence invariant: save() runs between run_until calls, after the
-    // final barrier, so every deferred op has been applied.
-    for (const auto& log : ops_) {
-      (void)log;
-      assert(log.empty());
-    }
-    w.begin_section("sim.shards");
-    w.u64(shard_rng_.size());
-    for (const Rng& rng : shard_rng_) {
-      for (std::uint64_t word : rng.state()) w.u64(word);
-    }
-    for (std::uint64_t ctr : shard_bcast_ctr_) w.u64(ctr);
-    w.end_section();
-  }
-
-  if (service_ != nullptr) service_->save(w);
-  global_view_.save(w, "sim.view");
-  net_.save(w);
-  if (injector_) injector_->save(w);
-  engine_.save(w);
+  snapshot::SaveVisitor v(w);
+  persist(*this, v);
 }
 
-Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc) {
+Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
+                                      Network::ParkClaims& claims) {
   switch (desc.kind) {
     case kEvLinkFree:
     case kEvDeliver:
-      return net_.rebuild_event(desc);
+      return net_.rebuild_event(desc, load, claims);
     case kEvStartFlow: {
       if (desc.a >= arrivals_.size()) {
         throw snapshot::SnapshotError("start-flow event references an unknown arrival");
@@ -1967,6 +1738,7 @@ Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc) {
       if (desc.b >= topo_.num_links()) {
         throw snapshot::SnapshotError("control-retransmit event references an unknown link");
       }
+      net_.claim_parked(slot, load, claims);
       const LinkId link = static_cast<LinkId>(desc.b);
       return [this, slot, link] { net_.send_on_link(link, net_.take_parked(slot)); };
     }
@@ -1986,306 +1758,45 @@ void R2c2Sim::load(snapshot::ArchiveReader& r) {
     throw snapshot::SnapshotError(
         "snapshot was taken under a different topology/config/workload");
   }
-  // Section payloads are checksummed, but their *tags* are not: insist on
-  // every section up front, so a corrupted tag is rejected before any
-  // subsystem commits (the no-partial-mutation guarantee).
-  for (const char* tag :
-       {"sim.core", "sim.counters", "sim.flows", "sim.pending", "sim.view", "network", "engine"}) {
-    if (!r.has_section(tag)) {
-      throw snapshot::SnapshotError(std::string("archive is missing section ") + tag);
-    }
-  }
-  if (injector_ && !r.has_section("fault_injector")) {
-    throw snapshot::SnapshotError("fault script configured but archive has no fault state");
-  }
-  if (sharded_ && !r.has_section("sim.shards")) {
-    throw snapshot::SnapshotError("sharded sim configured but archive has no shard state");
-  }
-  if (service_ != nullptr && !r.has_section("service.core")) {
-    throw snapshot::SnapshotError("service layer attached but archive has no service state");
+  if (!injector_ && r.has_section("fault_injector")) {
+    throw snapshot::SnapshotError("archive carries fault state but no script is configured");
   }
   if (service_ == nullptr && r.has_section("service.core")) {
     throw snapshot::SnapshotError("archive carries service state but no service layer attached");
   }
 
-  r.open_section("sim.core");
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  const int router_epoch = static_cast<int>(r.i64());
-  const std::uint64_t next_bcast_id = r.u64();
-  const std::uint64_t unfinished = r.u64();
-  const TimeNs fault_horizon = r.i64();
-  const bool tick_scheduled = r.u8() != 0;
-  const bool keepalive_tick_scheduled = r.u8() != 0;
-  const bool detection_tick_scheduled = r.u8() != 0;
-  const bool lease_tick_scheduled = r.u8() != 0;
-  const bool gc_tick_scheduled = r.u8() != 0;
-  const bool rebuild_scheduled = r.u8() != 0;
-  const bool congestion_tick_scheduled = r.u8() != 0;
-  const std::uint32_t rebroadcast_outstanding = r.u32();
-  const std::uint64_t cables_down = r.u64();
-  auto read_u16s = [&r](std::size_t expect) {
-    const std::uint64_t n = r.u64();
-    if (n != expect) throw snapshot::SnapshotError("archived per-node state size mismatch");
-    std::vector<std::uint16_t> v(n);
-    for (auto& x : v) x = r.u16();
-    return v;
-  };
-  std::vector<std::uint16_t> next_fseq = read_u16s(next_fseq_.size());
-  const std::uint64_t n_denom = r.u64();
-  if (n_denom != link_denom_.size()) {
-    throw snapshot::SnapshotError("archived per-link state size mismatch");
-  }
-  std::vector<double> link_denom(n_denom);
-  for (auto& x : link_denom) x = r.f64();
-  const std::uint64_t n_heard = r.u64();
-  if (n_heard != last_heard_.size()) {
-    throw snapshot::SnapshotError("archived per-link state size mismatch");
-  }
-  std::vector<TimeNs> last_heard(n_heard);
-  for (auto& x : last_heard) x = r.i64();
-  const std::uint64_t n_down = r.u64();
-  if (n_down != cable_down_.size()) {
-    throw snapshot::SnapshotError("archived per-link state size mismatch");
-  }
-  std::vector<char> cable_down(n_down);
-  for (auto& x : cable_down) x = static_cast<char>(r.u8());
-  const std::uint64_t n_cur_down = r.u64();
-  std::vector<LinkId> cur_down(n_cur_down);
-  for (auto& x : cur_down) {
-    x = r.u32();
-    if (x >= topo_.num_links()) throw snapshot::SnapshotError("archived down-link out of range");
-  }
-  const std::uint64_t suspects = r.u64();
-  std::vector<double> interarrival_ewma(interarrival_ewma_.size());
-  for (auto& x : interarrival_ewma) x = r.f64();
-  std::vector<double> deliv_ewma(deliv_ewma_.size());
-  for (auto& x : deliv_ewma) x = r.f64();
-  std::vector<char> link_suspect(link_suspect_.size());
-  for (auto& x : link_suspect) x = static_cast<char>(r.u8());
-  r.close_section();
-
-  r.open_section("sim.counters");
-  std::uint64_t counters[13];
-  for (std::uint64_t& c : counters) c = r.u64();
-  r.close_section();
-
-  r.open_section("sim.flows");
-  const std::uint64_t n_senders = r.u64();
-  std::unordered_map<FlowId, SenderFlow> senders;
-  senders.reserve(n_senders);
-  for (std::uint64_t i = 0; i < n_senders; ++i) {
-    const FlowId id = r.u32();
-    SenderFlow f;
-    f.spec = read_spec(r);
-    f.fseq = r.u8();
-    f.total_bytes = r.u64();
-    f.sent_bytes = r.u64();
-    f.rate_bps = r.f64();
-    f.emit_scheduled = r.u8() != 0;
-    f.next_send = r.i64();
-    f.rate_since = r.i64();
-    f.rate_integral = r.f64();
-    f.started_at = r.i64();
-    if (r.u8() != 0) {
-      f.rel = std::make_unique<ReliableSender>(f.total_bytes, rel_config(id));
-      f.rel->load(r);
+  // Parse every section and rebuild the event queue's closures; nothing is
+  // committed until the decision plane has been rebuilt as well.
+  snapshot::LoadVisitor v(r);
+  persist(*this, v);
+  // The decision plane in force at save time, rebuilt from its archived
+  // down-set (construction is deterministic, so identical inputs yield the
+  // identical Router/BroadcastTrees).
+  std::unique_ptr<Topology> plane_topo;
+  std::unique_ptr<Router> plane_router;
+  std::unique_ptr<BroadcastTrees> plane_trees;
+  if (const std::vector<LinkId>& down = v.parsed(cur_down_); !down.empty()) {
+    try {
+      plane_topo = std::make_unique<Topology>(make_degraded(topo_, down));
+    } catch (const std::logic_error& e) {
+      throw snapshot::SnapshotError(
+          std::string("archived down-set is not a valid decision plane: ") + e.what());
     }
-    f.finish_announced = r.u8() != 0;
-    f.cached_route = read_route(r);
-    f.route_epoch = static_cast<int>(r.i64());
-    if (!senders.emplace(id, std::move(f)).second) {
-      throw snapshot::SnapshotError("duplicate sender flow in archive");
-    }
+    plane_router = std::make_unique<Router>(*plane_topo);
+    plane_trees = std::make_unique<BroadcastTrees>(*plane_topo, config_.broadcast_trees);
   }
-  const std::uint64_t n_receivers = r.u64();
-  std::unordered_map<FlowId, ReceiverFlow> receivers;
-  receivers.reserve(n_receivers);
-  for (std::uint64_t i = 0; i < n_receivers; ++i) {
-    const FlowId id = r.u32();
-    ReceiverFlow f;
-    f.received_bytes = r.u64();
-    f.reorder.load(r);
-    if (r.u8() != 0) {
-      f.rel = std::make_unique<ReliableReceiver>(0);
-      f.rel->load(r);
-    }
-    f.pkts_since_ack = static_cast<int>(r.i64());
-    f.ack_route = read_route(r);
-    f.ack_route_epoch = static_cast<int>(r.i64());
-    if (!receivers.emplace(id, std::move(f)).second) {
-      throw snapshot::SnapshotError("duplicate receiver flow in archive");
-    }
-  }
-  const std::uint64_t n_active = r.u64();
-  std::unordered_map<std::uint32_t, FlowId> active_by_key;
-  active_by_key.reserve(n_active);
-  for (std::uint64_t i = 0; i < n_active; ++i) {
-    const std::uint32_t key = r.u32();
-    active_by_key[key] = r.u32();
-  }
-  const std::uint64_t n_records = r.u64();
-  std::vector<FlowRecord> records;
-  records.reserve(n_records);
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    FlowRecord rec;
-    rec.id = r.u32();
-    rec.src = r.u16();
-    rec.dst = r.u16();
-    rec.bytes = r.u64();
-    rec.arrival = r.i64();
-    rec.completed = r.i64();
-    rec.max_reorder_pkts = r.u32();
-    rec.avg_assigned_rate_bps = r.f64();
-    rec.aborted = r.u8() != 0;
-    rec.aborted_at = r.i64();
-    records.push_back(rec);
-  }
-  const std::uint64_t n_recoveries = r.u64();
-  std::vector<RecoveryRecord> recoveries;
-  recoveries.reserve(n_recoveries);
-  for (std::uint64_t i = 0; i < n_recoveries; ++i) {
-    RecoveryRecord rec;
-    rec.link = r.u32();
-    rec.failure = r.u8() != 0;
-    rec.injected_at = r.i64();
-    rec.detected_at = r.i64();
-    rec.recovered_at = r.i64();
-    rec.reconverged_at = r.i64();
-    recoveries.push_back(rec);
-  }
-  const std::uint64_t n_open = r.u64();
-  std::vector<std::size_t> open_recoveries;
-  open_recoveries.reserve(n_open);
-  for (std::uint64_t i = 0; i < n_open; ++i) {
-    const std::uint64_t idx = r.u64();
-    if (idx >= n_recoveries) throw snapshot::SnapshotError("open recovery index out of range");
-    open_recoveries.push_back(idx);
-  }
-  std::unordered_map<LinkId, TimeNs> injected_fail_at;
-  std::unordered_map<LinkId, TimeNs> injected_restore_at;
-  for (auto* map : {&injected_fail_at, &injected_restore_at}) {
-    const std::uint64_t n = r.u64();
-    map->reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const LinkId cable = r.u32();
-      (*map)[cable] = r.i64();
-    }
-  }
-  r.close_section();
+  v.commit();
 
-  r.open_section("sim.pending");
-  const std::uint64_t n_pending = r.u64();
-  std::unordered_map<std::uint64_t, PendingBroadcast> pending;
-  pending.reserve(n_pending);
-  for (std::uint64_t i = 0; i < n_pending; ++i) {
-    const std::uint64_t id = r.u64();
-    PendingBroadcast p;
-    p.msg = read_msg(r);
-    p.remaining = r.u32();
-    p.recovery = r.u8() != 0;
-    pending.emplace(id, p);
-  }
-  r.close_section();
-
-  std::vector<std::array<std::uint64_t, 4>> shard_rng_states;
-  std::vector<std::uint64_t> shard_bcast_ctr;
-  if (sharded_) {
-    r.open_section("sim.shards");
-    const std::uint64_t n_shards = r.u64();
-    if (n_shards != shard_rng_.size()) {
-      throw snapshot::SnapshotError("archived shard count does not match engine_shards");
-    }
-    shard_rng_states.resize(n_shards);
-    for (auto& state : shard_rng_states) {
-      for (std::uint64_t& word : state) word = r.u64();
-    }
-    shard_bcast_ctr.resize(n_shards);
-    for (std::uint64_t& ctr : shard_bcast_ctr) ctr = r.u64();
-    r.close_section();
-  }
-
-  // All sim-local sections parsed; commit, then restore the subsystems
-  // (each is parse-then-commit internally) and rebuild derived state.
-  rng_.set_state(rng_state);
-  router_epoch_ = router_epoch;
-  next_bcast_id_ = next_bcast_id;
-  unfinished_ = unfinished;
-  fault_horizon_ = fault_horizon;
-  tick_scheduled_ = tick_scheduled;
-  keepalive_tick_scheduled_ = keepalive_tick_scheduled;
-  detection_tick_scheduled_ = detection_tick_scheduled;
-  lease_tick_scheduled_ = lease_tick_scheduled;
-  gc_tick_scheduled_ = gc_tick_scheduled;
-  rebuild_scheduled_ = rebuild_scheduled;
-  congestion_tick_scheduled_ = congestion_tick_scheduled;
-  rebroadcast_outstanding_ = rebroadcast_outstanding;
-  cables_down_ = cables_down;
-  next_fseq_ = std::move(next_fseq);
-  link_denom_ = std::move(link_denom);
-  last_heard_ = std::move(last_heard);
-  cable_down_ = std::move(cable_down);
-  cur_down_ = std::move(cur_down);
-  suspects_ = suspects;
-  interarrival_ewma_ = std::move(interarrival_ewma);
-  deliv_ewma_ = std::move(deliv_ewma);
-  link_suspect_ = std::move(link_suspect);
-  senders_ = std::move(senders);
-  receivers_ = std::move(receivers);
-  active_by_key_ = std::move(active_by_key);
-  records_ = std::move(records);
-  recoveries_ = std::move(recoveries);
-  open_recoveries_ = std::move(open_recoveries);
-  injected_fail_at_ = std::move(injected_fail_at);
-  injected_restore_at_ = std::move(injected_restore_at);
-  pending_ = std::move(pending);
-  if (sharded_) {
-    for (std::size_t i = 0; i < shard_rng_.size(); ++i) shard_rng_[i].set_state(shard_rng_states[i]);
-    shard_bcast_ctr_ = std::move(shard_bcast_ctr);
-  }
-
-  obs::Counter* cs[13] = {&c_recomputations_,    &c_retransmissions_,  &c_failures_detected_,
-                          &c_restores_detected_, &c_context_rebuilds_, &c_flows_rebroadcast_,
-                          &c_lease_refreshes_,   &c_flows_started_,    &c_flows_finished_,
-                          &c_broadcasts_sent_,   &c_flow_aborts_,      &c_links_demoted_,
-                          &c_links_cleared_};
-  for (int i = 0; i < 13; ++i) {
-    cs[i]->reset();
-    cs[i]->add(counters[i]);
-  }
-
+  // Dependents first: the old router and trees reference the old topology.
+  cur_trees_ = std::move(plane_trees);
+  cur_router_ = std::move(plane_router);
+  cur_topo_ = std::move(plane_topo);
   record_index_.clear();
   for (std::size_t i = 0; i < records_.size(); ++i) record_index_[records_[i].id] = i;
-
-  // Reconstruct the decision plane in force at save time from its defining
-  // down-set (identical inputs -> identical Router/BroadcastTrees, since
-  // their construction is deterministic).
-  cur_trees_.reset();
-  cur_router_.reset();
-  cur_topo_.reset();
-  if (!cur_down_.empty()) {
-    cur_topo_ = std::make_unique<Topology>(make_degraded(topo_, cur_down_));
-    cur_router_ = std::make_unique<Router>(*cur_topo_);
-    cur_trees_ = std::make_unique<BroadcastTrees>(*cur_topo_, config_.broadcast_trees);
-  }
   // active_penalty_ is derived from the restored suspect flags, not archived.
   refresh_active_penalty();
   // Caches: force a waterfill-problem rebuild on the next recomputation.
   wf_built_version_ = ~0ULL;
-
-  // Service state before the engine queue: rebuilt kEvService closures
-  // dispatch against the restored request tables.
-  if (service_ != nullptr) service_->load(r);
-  global_view_.load(r, "sim.view");
-  net_.load(r);
-  if (injector_) {
-    injector_->load(r);
-  } else if (r.has_section("fault_injector")) {
-    throw snapshot::SnapshotError("archive carries fault state but no script is configured");
-  }
-  // The event queue last: rebuilding delivery closures validates parked
-  // packet slots against the restored network.
-  engine_.load(r, [this](const EventDesc& desc) { return rebuild_event(desc); });
 }
 
 }  // namespace r2c2::sim

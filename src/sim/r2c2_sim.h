@@ -48,6 +48,7 @@
 #include "sim/fault.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
+#include "snapshot/persist.h"
 #include "topology/partition.h"
 #include "topology/topology.h"
 #include "transport/reliability.h"
@@ -196,11 +197,13 @@ class ServiceClient {
   // Also used on the live path — schedule_service builds its closure
   // through this, so live and restored timers are the same code.
   virtual Engine::Action rebuild_service_event(const EventDesc& desc) = 0;
-  // Mixed into the sim's config fingerprint / state digest / archive.
+  // Mixed into the sim's config fingerprint.
   virtual std::uint64_t service_fingerprint() const = 0;
-  virtual void mix_digest(snapshot::Digest& d) const = 0;
-  virtual void save(snapshot::ArchiveWriter& w) const = 0;
-  virtual void load(snapshot::ArchiveReader& r) = 0;
+  // The client's field walk, run inside the sim's own for save, load and
+  // state digest (src/snapshot/persist.h).
+  virtual void persist(snapshot::SaveVisitor& v) const = 0;
+  virtual void persist(snapshot::LoadVisitor& v) = 0;
+  virtual void persist(snapshot::DigestVisitor& v) const = 0;
 };
 
 class R2c2Sim {
@@ -244,9 +247,10 @@ class R2c2Sim {
   bool idle() const { return engine_.empty(); }
 
   // --- Snapshot, resume and divergence detection (src/snapshot/) ---
-  // Order-sensitive 64-bit digest over the complete simulation state, in a
-  // canonical (container-independent) order. Two runs whose digests agree
-  // at time t have bit-identical state trajectories up to t.
+  // Order-sensitive 64-bit digest over exactly the state the archive
+  // carries, field by field in archive order (the field walk below, run
+  // with snapshot::DigestVisitor). Two runs whose digests agree at time t
+  // have bit-identical state trajectories up to t.
   std::uint64_t state_digest() const;
   // Fingerprint of everything the archive does NOT carry: topology, config,
   // fault script and registered arrivals. A snapshot only restores into a
@@ -348,10 +352,20 @@ class R2c2Sim {
     BroadcastMsg msg{};           // kBcastInsert payload
   };
 
+  // The field walk behind save, load and state_digest: every archived
+  // section but sim.meta, the config fingerprint (a hash of inputs, not
+  // state).
+  template <class Self, class V>
+  static void persist(Self& s, V& v);
+
   FlowId start_flow(const FlowArrival& arrival);
   void notify_service_done(FlowId id, TimeNs at, bool aborted);
   void recompute_tick();
-  Engine::Action rebuild_event(const EventDesc& desc);
+  // Rebuilds an archived event's closure, validated against the state
+  // `load` has parsed but not yet committed; `claims` collects the parked
+  // packets the load's events have taken so far.
+  Engine::Action rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
+                               Network::ParkClaims& claims);
   void finish_sending(FlowId id);
   void abort_flow(FlowId id);
   ReliableSender::Config rel_config(FlowId id) const;

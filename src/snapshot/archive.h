@@ -19,9 +19,10 @@
 // the payload was fully consumed, so format drift between writer and
 // reader surfaces as a SnapshotError, never as silently misaligned state.
 //
-// Loaders follow a parse-then-commit discipline on top of this: read every
-// section into local temporaries first, mutate the target object last, so
-// a failed load leaves the target untouched.
+// Loads follow a parse-then-commit discipline on top of this: every section
+// is read into staged values first and the target object is mutated last,
+// so a failed load leaves the target untouched. The field walks in
+// snapshot/persist.h implement it once for every snapshotted class.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,8 @@
 namespace r2c2::snapshot {
 
 // Format version of the archive container *and* of the section contents
-// written by the save() routines in this tree. Bump on any layout change;
-// the reader rejects every other version with a clear error.
+// written by the field walks in this tree. Bump on any layout change; the
+// reader rejects every other version with a clear error.
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 inline constexpr char kMagic[8] = {'R', '2', 'C', '2', 'S', 'N', 'A', 'P'};
@@ -45,19 +46,6 @@ inline constexpr char kMagic[8] = {'R', '2', 'C', '2', 'S', 'N', 'A', 'P'};
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
-};
-
-// Interface for objects with full state capture and restore. load() must
-// either succeed completely or leave the object unchanged (parse into
-// temporaries, commit at the end).
-class ArchiveWriter;
-class ArchiveReader;
-
-class Snapshotable {
- public:
-  virtual ~Snapshotable() = default;
-  virtual void save(ArchiveWriter& w) const = 0;
-  virtual void load(ArchiveReader& r) = 0;
 };
 
 class ArchiveWriter {

@@ -21,8 +21,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "snapshot/archive.h"
-#include "snapshot/digest.h"
 
 namespace r2c2 {
 
@@ -53,39 +51,16 @@ class ReliableReceiver {
   // (for the ACK's SACK blocks), lowest first.
   std::vector<ByteRange> sack_ranges(std::size_t max_ranges) const;
 
-  // --- Snapshot support (src/snapshot/). Nested in a caller-tagged
-  // section; std::map iterates in key order, so the byte stream is
-  // canonical by construction.
-  void save(snapshot::ArchiveWriter& w) const {
-    w.u64(total_);
-    w.u64(cumulative_);
-    w.u64(ranges_.size());
-    for (const auto& [begin, end] : ranges_) {
-      w.u64(begin);
-      w.u64(end);
-    }
-  }
-  void load(snapshot::ArchiveReader& r) {
-    const std::uint64_t total = r.u64();
-    const std::uint64_t cumulative = r.u64();
-    const std::uint64_t count = r.u64();
-    std::map<std::uint64_t, std::uint64_t> ranges;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t begin = r.u64();
-      ranges[begin] = r.u64();
-    }
-    total_ = total;
-    cumulative_ = cumulative;
-    ranges_ = std::move(ranges);
-  }
-  void mix_digest(snapshot::Digest& d) const {
-    d.mix(total_);
-    d.mix(cumulative_);
-    d.mix(ranges_.size());
-    for (const auto& [begin, end] : ranges_) {
-      d.mix(begin);
-      d.mix(end);
-    }
+  // Snapshot field walk (src/snapshot/persist.h). std::map iterates in key
+  // order, so the archive is canonical by construction.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.u64(s.total_);
+    v.u64(s.cumulative_);
+    v.map(s.ranges_, [&v](auto& begin, auto& end) {
+      v.u64(begin);
+      v.u64(end);
+    });
   }
 
  private:
@@ -160,81 +135,27 @@ class ReliableSender {
   std::uint64_t total_bytes() const { return total_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
 
-  // --- Snapshot support (src/snapshot/). The Config is the host's to
-  // restore (it is part of the run configuration, not mutable state).
-  void save(snapshot::ArchiveWriter& w) const {
-    w.u64(total_);
-    w.u64(next_new_);
-    w.u64(acked_cumulative_);
-    w.u64(retransmissions_);
-    w.u64(in_flight_.size());
-    for (const auto& [offset, seg] : in_flight_) {
-      w.u64(offset);
-      w.u32(seg.length);
-      w.i64(seg.expires);
-      w.u32(static_cast<std::uint32_t>(seg.attempts));
-      w.i64(seg.sent_at);
-    }
-    w.u8(have_rtt_ ? 1 : 0);
-    w.i64(srtt_);
-    w.i64(rttvar_);
-    w.u64(rtt_samples_);
-    w.u8(gave_up_ ? 1 : 0);
-    w.i64(gave_up_at_);
-  }
-  void load(snapshot::ArchiveReader& r) {
-    const std::uint64_t total = r.u64();
-    const std::uint64_t next_new = r.u64();
-    const std::uint64_t acked = r.u64();
-    const std::uint64_t retx = r.u64();
-    const std::uint64_t count = r.u64();
-    std::map<std::uint64_t, InFlight> in_flight;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t offset = r.u64();
-      InFlight seg;
-      seg.length = r.u32();
-      seg.expires = r.i64();
-      seg.attempts = static_cast<int>(r.u32());
-      seg.sent_at = r.i64();
-      in_flight[offset] = seg;
-    }
-    const bool have_rtt = r.u8() != 0;
-    const TimeNs srtt = r.i64();
-    const TimeNs rttvar = r.i64();
-    const std::uint64_t rtt_samples = r.u64();
-    const bool gave_up = r.u8() != 0;
-    const TimeNs gave_up_at = r.i64();
-    total_ = total;
-    next_new_ = next_new;
-    acked_cumulative_ = acked;
-    retransmissions_ = retx;
-    in_flight_ = std::move(in_flight);
-    have_rtt_ = have_rtt;
-    srtt_ = srtt;
-    rttvar_ = rttvar;
-    rtt_samples_ = rtt_samples;
-    gave_up_ = gave_up;
-    gave_up_at_ = gave_up_at;
-  }
-  void mix_digest(snapshot::Digest& d) const {
-    d.mix(total_);
-    d.mix(next_new_);
-    d.mix(acked_cumulative_);
-    d.mix(retransmissions_);
-    d.mix(in_flight_.size());
-    for (const auto& [offset, seg] : in_flight_) {
-      d.mix(offset);
-      d.mix(seg.length);
-      d.mix_i64(seg.expires);
-      d.mix(static_cast<std::uint64_t>(seg.attempts));
-      d.mix_i64(seg.sent_at);
-    }
-    d.mix(have_rtt_ ? 1 : 0);
-    d.mix_i64(srtt_);
-    d.mix_i64(rttvar_);
-    d.mix(rtt_samples_);
-    d.mix(gave_up_ ? 1 : 0);
-    d.mix_i64(gave_up_at_);
+  // Snapshot field walk (src/snapshot/persist.h). The Config is the host's
+  // to restore (it is part of the run configuration, not mutable state).
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.u64(s.total_);
+    v.u64(s.next_new_);
+    v.u64(s.acked_cumulative_);
+    v.u64(s.retransmissions_);
+    v.map(s.in_flight_, [&v](auto& offset, auto& seg) {
+      v.u64(offset);
+      v.u32(seg.length);
+      v.i64(seg.expires);
+      v.u32(seg.attempts);
+      v.i64(seg.sent_at);
+    });
+    v.flag(s.have_rtt_);
+    v.i64(s.srtt_);
+    v.i64(s.rttvar_);
+    v.u64(s.rtt_samples_);
+    v.flag(s.gave_up_);
+    v.i64(s.gave_up_at_);
   }
 
  private:

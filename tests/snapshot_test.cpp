@@ -9,14 +9,18 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "broadcast/broadcast.h"
+#include "common/checksum.h"
 #include "r2c2/stack.h"
 #include "sim/engine.h"
+#include "sim/event_kind.h"
 #include "snapshot/archive.h"
 #include "snapshot/digest.h"
 #include "snapshot/replay.h"
@@ -325,16 +329,27 @@ TEST(SimSnapshot, LoadRejectsWrongConfigAndUsedSims) {
   }
 }
 
-TEST(SimSnapshot, SaveLoadSaveIsByteIdentical) {
-  const ReplayConfig cfg = scenario_config("fault", 1);
-  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+ReplayConfig sharded_config(const std::string& scenario, int shards) {
+  ReplayConfig cfg = scenario_config(scenario, 1);
+  cfg.engine_shards = shards;
+  return cfg;
+}
 
-  Scenario fresh(cfg);
-  ArchiveReader r(bytes);
-  fresh.simulator().load(r);
-  ArchiveWriter w;
-  fresh.simulator().save(w);
-  EXPECT_EQ(w.finish(), bytes);
+TEST(SimSnapshot, SaveLoadSaveIsByteIdentical) {
+  // The 4-shard tenant and adaptive inputs archive what the fault one never
+  // writes: sim.shards, service.core and service.requests, a gray
+  // degradation table and congestion marks.
+  for (const ReplayConfig& cfg : {sharded_config("fault", 1), sharded_config("tenant", 4),
+                                  sharded_config("adaptive", 4)}) {
+    const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+
+    Scenario fresh(cfg);
+    ArchiveReader r(bytes);
+    fresh.simulator().load(r);
+    ArchiveWriter w;
+    fresh.simulator().save(w);
+    EXPECT_EQ(w.finish(), bytes) << cfg.scenario;
+  }
 }
 
 // The corrupt-input sweep: every truncation and every probed bit flip of a
@@ -387,6 +402,268 @@ TEST(SimSnapshot, TruncationAndBitFlipSweepRejectedWithoutPartialMutation) {
   }
   EXPECT_EQ(caught_in_ctor + caught_in_load, flips);
   EXPECT_GT(caught_in_ctor, 0u);  // checksums did real work
+}
+
+// Where one section sits inside an archive's bytes (the layout documented in
+// src/snapshot/archive.h).
+struct SectionSpan {
+  std::string tag;
+  std::size_t checksum_at = 0;
+  std::size_t payload_at = 0;
+  std::size_t length = 0;
+};
+
+// Little-endian integers of `width` bytes, as archives store them.
+std::uint64_t get_le(const std::vector<std::uint8_t>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) v = (v << 8) | bytes.at(at + static_cast<std::size_t>(i));
+  return v;
+}
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i, v >>= 8) {
+    bytes.at(at + static_cast<std::size_t>(i)) = static_cast<std::uint8_t>(v & 0xff);
+  }
+}
+
+std::vector<SectionSpan> section_spans(const std::vector<std::uint8_t>& bytes) {
+  const auto get = [&bytes](std::size_t at, int width) {
+    return static_cast<std::size_t>(get_le(bytes, at, width));
+  };
+  std::vector<SectionSpan> spans;
+  std::size_t off = 16;
+  for (std::size_t i = 0, n = get(12, 4); i < n; ++i) {
+    SectionSpan s;
+    const std::size_t tag_len = get(off, 2);
+    s.tag.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off + 2),
+                 bytes.begin() + static_cast<std::ptrdiff_t>(off + 2 + tag_len));
+    off += 2 + tag_len;
+    s.length = get(off, 8);
+    s.checksum_at = off + 8;
+    s.payload_at = off + 10;
+    off = s.payload_at + s.length;
+    spans.push_back(s);
+  }
+  return spans;
+}
+
+// Flips one bit of a section's payload and re-seals that section's
+// checksum, so the corruption gets past the container and reaches load().
+std::vector<std::uint8_t> flip_resealed(std::vector<std::uint8_t> bytes, const SectionSpan& s,
+                                        std::size_t pos) {
+  bytes[s.payload_at + pos] ^= static_cast<std::uint8_t>(1u << (pos % 8));
+  put_le(bytes, s.checksum_at,
+         internet_checksum(std::span<const std::uint8_t>(bytes.data() + s.payload_at, s.length)),
+         2);
+  return bytes;
+}
+
+// The reader contract behind the sweep above: a flip that survives the
+// checksum must either be rejected with a SnapshotError (and nothing else)
+// leaving the simulator untouched, or load into a state whose digest
+// differs from the original's — no archived bit may vanish on load or
+// escape the digest. Every byte of the network section, a stride over the
+// rest.
+TEST(SimSnapshot, ResealedBitFlipsAreRejectedCleanlyOrChangeTheDigest) {
+  const ReplayConfig cfg = sharded_config("fault", 4);
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+  const std::uint64_t untouched = Scenario(cfg).simulator().state_digest();
+  std::uint64_t golden = 0;
+  {
+    Scenario s(cfg);
+    ArchiveReader r(bytes);
+    s.simulator().load(r);
+    golden = s.simulator().state_digest();
+  }
+
+  // A rejected load leaves the sim fresh, so it takes the next flip too.
+  auto fresh = std::make_unique<Scenario>(cfg);
+  std::size_t flips = 0, rejected = 0;
+  for (const SectionSpan& s : section_spans(bytes)) {
+    const std::size_t stride = s.tag == "network" ? 1 : 7;
+    for (std::size_t pos = 0; pos < s.length; pos += stride, ++flips) {
+      ArchiveReader r(flip_resealed(bytes, s, pos));
+      try {
+        fresh->simulator().load(r);
+      } catch (const SnapshotError&) {
+        ++rejected;
+        ASSERT_EQ(fresh->simulator().state_digest(), untouched)
+            << "partial mutation: " << s.tag << " byte " << pos;
+        continue;
+      }
+      ASSERT_NE(fresh->simulator().state_digest(), golden)
+          << "flip lost on load or missed by the digest: " << s.tag << " byte " << pos;
+      fresh = std::make_unique<Scenario>(cfg);
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, flips);
+}
+
+// The payload of section `tag`.
+std::vector<std::uint8_t> payload_of(const std::vector<std::uint8_t>& bytes,
+                                     const std::string& tag) {
+  ArchiveReader r(bytes);
+  r.open_section(tag);
+  std::vector<std::uint8_t> payload(r.remaining());
+  r.bytes(payload);
+  r.close_section();
+  return payload;
+}
+
+// The archive re-emitted through ArchiveWriter, every checksum sealed
+// afresh, with the payload of section `tag` passed through `edit`.
+std::vector<std::uint8_t> rewrite_section(
+    const std::vector<std::uint8_t>& bytes, const std::string& tag,
+    const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+  ArchiveWriter out;
+  for (const SectionSpan& s : section_spans(bytes)) {
+    std::vector<std::uint8_t> payload = payload_of(bytes, s.tag);
+    if (s.tag == tag) edit(payload);
+    out.begin_section(s.tag);
+    out.bytes(payload);
+    out.end_section();
+  }
+  return out.finish();
+}
+
+// Loads a corrupt archive into a fresh sim: it must throw SnapshotError and
+// leave the sim as constructed.
+void expect_rejected_cleanly(const ReplayConfig& cfg, std::vector<std::uint8_t> corrupt) {
+  Scenario fresh(cfg);
+  const std::uint64_t before = fresh.simulator().state_digest();
+  ArchiveReader r(std::move(corrupt));
+  EXPECT_THROW(fresh.simulator().load(r), SnapshotError);
+  EXPECT_EQ(fresh.simulator().state_digest(), before);
+}
+
+// An archived down-set that isolates a node names no valid decision plane.
+// The rebuild fails inside load(), which must surface it as a SnapshotError
+// before committing anything.
+TEST(SimSnapshot, DownSetIsolatingANodeIsRejectedWithoutPartialMutation) {
+  const ReplayConfig cfg = scenario_config("fault", 1);
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+  // Every cable of node 0 in the scenario's 4x4 torus.
+  const Topology torus = make_torus({4, 4}, 10 * kGbps, 100);
+  std::vector<LinkId> isolate;
+  for (LinkId id = 0; id < static_cast<LinkId>(torus.num_links()); ++id) {
+    if (torus.link(id).from == 0) isolate.push_back(id);
+  }
+
+  // sim.core: 83 bytes of scalars, then next_fseq, link_denom, last_heard
+  // and cable_down (each a u64 count plus elements of 2, 8, 8 and 1
+  // bytes), then the down-set (a u64 count plus u32 links).
+  expect_rejected_cleanly(cfg, rewrite_section(bytes, "sim.core", [&](auto& payload) {
+    std::size_t down_at = 83;
+    for (const std::size_t width : {2, 8, 8, 1}) {
+      down_at += 8 + width * get_le(payload, down_at, 8);
+    }
+    const std::size_t down_end = down_at + 8 + 4 * get_le(payload, down_at, 8);
+    std::vector<std::uint8_t> down(8 + 4 * isolate.size());
+    put_le(down, 0, isolate.size(), 8);
+    for (std::size_t i = 0; i < isolate.size(); ++i) put_le(down, 8 + 4 * i, isolate[i], 4);
+    payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(down_at),
+                  payload.begin() + static_cast<std::ptrdiff_t>(down_end));
+    payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(down_at), down.begin(),
+                   down.end());
+  }));
+}
+
+// Payload offsets of each parked-packet store's free list (its u64 count)
+// in a network section, by the layout of Network::persist: per port two
+// flags, three u64 counters and both packet queues (a u64 count plus
+// packets); then per store a u64 slot count, each slot's used flag followed
+// by its packet if used, and the free list (a u64 count plus u64 slots). A
+// SimPacket archives as 98 bytes.
+std::vector<std::size_t> free_list_offsets(const std::vector<std::uint8_t>& payload,
+                                           std::size_t stores) {
+  constexpr std::size_t kPacketBytes = 98;
+  std::size_t at = 8;
+  for (std::uint64_t p = 0, ports = get_le(payload, 0, 8); p < ports; ++p) {
+    at += 2 + 3 * 8;
+    for (int queue = 0; queue < 2; ++queue) at += 8 + kPacketBytes * get_le(payload, at, 8);
+  }
+  std::vector<std::size_t> offsets;
+  for (std::size_t store = 0; store < stores; ++store) {
+    const std::uint64_t slots = get_le(payload, at, 8);
+    at += 8;
+    for (std::uint64_t i = 0; i < slots; ++i) at += 1 + (payload.at(at) != 0 ? kPacketBytes : 0);
+    offsets.push_back(at);
+    at += 8 + 8 * get_le(payload, at, 8);
+  }
+  return offsets;
+}
+
+// A parked-packet free list must hold every empty slot exactly once. One
+// naming a slot twice (a single resealed flip can turn [5, 13, 12] into
+// [5, 13, 13]) would hand that slot to two packets; one missing a slot
+// leaks it. Reordering the list, by contrast, is a valid state of its own.
+TEST(SimSnapshot, FreeListNotHoldingEachEmptySlotOnceIsRejected) {
+  const ReplayConfig cfg = sharded_config("fault", 4);
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+  // The 4 shard lanes' stores and the global lane's.
+  const std::vector<std::uint8_t> net = payload_of(bytes, "network");
+  std::size_t list_at = 0;
+  for (const std::size_t at : free_list_offsets(net, 4 + 1)) {
+    if (get_le(net, at, 8) >= 2) list_at = at;
+  }
+  ASSERT_NE(list_at, 0u) << "no free list holds two slots";
+  const std::uint64_t first = get_le(net, list_at + 8, 8);
+  const std::uint64_t second = get_le(net, list_at + 16, 8);
+
+  {
+    Scenario swapped(cfg);
+    ArchiveReader r(rewrite_section(bytes, "network", [&](auto& payload) {
+      put_le(payload, list_at + 8, second, 8);
+      put_le(payload, list_at + 16, first, 8);
+    }));
+    swapped.simulator().load(r);
+    Scenario golden(cfg);
+    ArchiveReader g(bytes);
+    golden.simulator().load(g);
+    EXPECT_NE(swapped.simulator().state_digest(), golden.simulator().state_digest());
+  }
+  expect_rejected_cleanly(cfg, rewrite_section(bytes, "network", [&](auto& payload) {
+    put_le(payload, list_at + 16, first, 8);
+  }));
+  expect_rejected_cleanly(cfg, rewrite_section(bytes, "network", [&](auto& payload) {
+    const std::uint64_t n = get_le(payload, list_at, 8);
+    put_le(payload, list_at, n - 1, 8);
+    const auto last = payload.begin() + static_cast<std::ptrdiff_t>(list_at + 8 * n);
+    payload.erase(last, last + 8);
+  }));
+}
+
+// Payload offsets of every pending event in an engine section: per lane
+// the clock, key counter and events run, then a u64 count of 36-byte
+// (time, key, kind, a, b) events.
+std::vector<std::size_t> event_offsets(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = 0; at < payload.size();) {
+    const std::uint64_t n = get_le(payload, at + 24, 8);
+    at += 32;
+    for (std::uint64_t i = 0; i < n; ++i, at += 36) offsets.push_back(at);
+  }
+  return offsets;
+}
+
+// Each parked packet belongs to one pending event. Two delivery or
+// control-retransmit events naming the same slot would take one packet
+// twice; load() must reject the archive before committing anything. The
+// tenant mix keeps deliveries in flight at the snapshot.
+TEST(SimSnapshot, TwoEventsClaimingOneParkedPacketAreRejected) {
+  const ReplayConfig cfg = sharded_config("tenant", 4);
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+  const std::vector<std::uint8_t> engine = payload_of(bytes, "engine");
+  std::vector<std::size_t> takers;  // events that take a parked packet
+  for (const std::size_t at : event_offsets(engine)) {
+    const std::uint64_t kind = get_le(engine, at + 16, 4);
+    if (kind == sim::kEvDeliver || kind == sim::kEvCtrlRetransmit) takers.push_back(at);
+  }
+  ASSERT_GE(takers.size(), 2u);
+  // The second taker's slot (operand a) becomes the first one's.
+  expect_rejected_cleanly(cfg, rewrite_section(bytes, "engine", [&](auto& payload) {
+    put_le(payload, takers[1] + 20, get_le(payload, takers[0] + 20, 8), 8);
+  }));
 }
 
 // --- The headline acceptance test ------------------------------------------

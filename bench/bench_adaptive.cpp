@@ -1,6 +1,6 @@
 // Adaptive-routing benchmark: what congestion-aware spraying buys on the
 // Clos path (Section 6 discussion extended with live ECN-style marks), and
-// what the tiled VLB weight cache costs at rack scale.
+// what the Router's weight cache costs for kVlb at rack scale.
 //
 // Three sections, one JSON report:
 //
@@ -15,11 +15,12 @@
 //      A clean no-fault run of the same workload is the control;
 //      fct_x = mean FCT / clean mean FCT (lower is better).
 //
-//   2. Tiled kVlb weight cache at 4096 servers (64 leaves x 64
+//   2. The weight cache under kVlb at 4096 servers (64 leaves x 64
 //      servers/leaf): a scattered working set streams through a
-//      byte-budgeted Router and resident bytes must never exceed the
-//      budget (the LRU floor is one tile). Dense per-pair tables at this
-//      size would be multiple GB; the tile budget here is a few MiB.
+//      byte-budgeted Router and resident bytes, the kRps entries each
+//      kVlb entry averages included, must never exceed the budget (the
+//      LRU floor is one tile). Per-pair tables at this size would be
+//      multiple GB; the tile budget here is a few MiB.
 //
 //   3. Worker-count digest identity in adaptive mode: the same sharded
 //      trajectory run with 1 and 4 workers must produce bit-identical
@@ -167,8 +168,8 @@ struct TileResult {
 };
 
 TileResult tile_bound_check() {
-  // 64 leaves x 64 servers/leaf: the rack size the dense table could never
-  // afford. The budget is deliberately tiny relative to the full table so
+  // 64 leaves x 64 servers/leaf: the rack size a per-pair table could
+  // never afford. The budget is deliberately tiny relative to the full table so
   // the LRU actually works for a living.
   ClosSpec spec;
   spec.servers_per_leaf = 64;

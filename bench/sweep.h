@@ -3,8 +3,8 @@
 // order regardless of completion order.
 //
 // Jobs must be independent: each owns its sim/search state and only reads
-// shared immutable structures (Topology, a warmed Router — both are
-// lock-free for concurrent readers). The per-figure harnesses compute one
+// shared structures that are safe for concurrent readers (Topology, a
+// warmed Router). The per-figure harnesses compute one
 // result struct per point through run_sweep and print the table
 // afterwards, so the output is byte-identical to the serial run.
 //

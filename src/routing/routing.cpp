@@ -37,15 +37,16 @@ std::uint64_t ecmp_seed(NodeId src, NodeId dst, FlowId flow) {
   return (static_cast<std::uint64_t>(flow) << 32) | (static_cast<std::uint64_t>(src) << 16) | dst;
 }
 
-// True for the algorithms served by the tile cache instead of a dense table.
-bool is_tiled(RouteAlg alg) { return alg == RouteAlg::kVlb || alg == RouteAlg::kWlb; }
+std::uint64_t entry_bytes_of(const LinkWeights& w) {
+  return sizeof(LinkWeights) + w.capacity() * sizeof(LinkFraction);
+}
 
 }  // namespace
 
-// A fixed-shape block of the (src, dst) weight matrix for one tiled
-// algorithm. Slots are CAS-published exactly like the dense tables; the
-// tile's byte account (slot array + published entries) is maintained under
-// the Router's tile mutex so the global LRU budget stays exact.
+// A fixed-shape block of the (src, dst) weight matrix for one algorithm.
+// Each slot is CAS-published once; the tile's byte account (slot array +
+// published entries) is maintained under the Router's tile mutex so the
+// global LRU budget stays exact.
 struct Router::Tile {
   explicit Tile(std::size_t slots_) : slots(slots_) {}
   ~Tile() {
@@ -60,16 +61,6 @@ Router::Router(const Topology& topo) : Router(topo, TileConfig{}) {}
 
 Router::Router(const Topology& topo, TileConfig tiles) : topo_(topo), tile_config_(tiles) {
   if (tile_config_.tile_shape == 0) tile_config_.tile_shape = 1;
-  const std::size_t slots = topo.num_nodes() * topo.num_nodes();
-  for (auto& table : table_) {
-    table = std::vector<std::atomic<const LinkWeights*>>(slots);
-  }
-}
-
-Router::~Router() {
-  for (auto& table : table_) {
-    for (auto& slot : table) delete slot.load(std::memory_order_relaxed);
-  }
 }
 
 Path Router::pick_path(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, FlowId flow) const {
@@ -79,13 +70,13 @@ Path Router::pick_path(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, FlowId fl
 }
 
 void Router::pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path& out,
-                            FlowId flow) const {
+                            FlowId flow, const SprayBias& bias) const {
   out.clear();
   out.push_back(src);
   if (src == dst) return;
   switch (alg) {
     case RouteAlg::kRps:
-      rps_walk(out, dst, rng);
+      rps_walk(out, dst, rng, bias);
       return;
     case RouteAlg::kDor:
       dor_walk(out, dst);
@@ -96,65 +87,23 @@ void Router::pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path
       // (like RPS) so the load spreads over all of a node's ports rather
       // than concentrating on the first dimension as DOR phases would.
       const NodeId mid = static_cast<NodeId>(rng.uniform_int(topo_.num_nodes()));
-      if (mid != src) rps_walk(out, mid, rng);
-      if (mid != dst) rps_walk(out, dst, rng);
-      return;
-    }
-    case RouteAlg::kWlb:
-      wlb_walk(out, dst, rng);
-      return;
-    case RouteAlg::kEcmp: {
-      std::uint64_t seed = ecmp_seed(src, dst, flow);
-      Rng path_rng(splitmix64(seed));
-      rps_walk(out, dst, path_rng);
-      return;
-    }
-  }
-  throw std::invalid_argument("unknown routing algorithm");
-}
-
-void Router::pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path& out,
-                            std::span<const double> link_penalty, FlowId flow) const {
-  SprayBias bias;
-  bias.penalty = link_penalty;
-  pick_path_into(alg, src, dst, rng, out, bias, flow);
-}
-
-void Router::pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path& out,
-                            const SprayBias& bias, FlowId flow) const {
-  if (bias.empty()) {
-    pick_path_into(alg, src, dst, rng, out, flow);
-    return;
-  }
-  out.clear();
-  out.push_back(src);
-  if (src == dst) return;
-  switch (alg) {
-    case RouteAlg::kRps:
-      rps_walk_biased(out, dst, rng, bias);
-      return;
-    case RouteAlg::kDor:
-      dor_walk(out, dst);
-      return;
-    case RouteAlg::kVlb: {
-      const NodeId mid = static_cast<NodeId>(rng.uniform_int(topo_.num_nodes()));
-      if (mid != src) rps_walk_biased(out, mid, rng, bias);
-      if (mid != dst) rps_walk_biased(out, dst, rng, bias);
+      if (mid != src) rps_walk(out, mid, rng, bias);
+      if (mid != dst) rps_walk(out, dst, rng, bias);
       return;
     }
     case RouteAlg::kWlb:
       // WLB's per-dimension direction choice has no per-link alternative to
       // reweight (each combo is a fixed staircase); non-grid fallback sprays.
-      if (!topo_.grid()) {
-        rps_walk_biased(out, dst, rng, bias);
-      } else {
+      if (topo_.grid()) {
         wlb_walk(out, dst, rng);
+      } else {
+        rps_walk(out, dst, rng, bias);
       }
       return;
     case RouteAlg::kEcmp: {
       std::uint64_t seed = ecmp_seed(src, dst, flow);
       Rng path_rng(splitmix64(seed));
-      rps_walk(out, dst, path_rng);  // path is a pure flow hash; never biased
+      rps_walk(out, dst, path_rng, {});  // path is a pure flow hash; never biased
       return;
     }
   }
@@ -162,64 +111,49 @@ void Router::pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path
 }
 
 const LinkWeights& Router::link_weights(RouteAlg alg, NodeId src, NodeId dst, FlowId flow) const {
-  if (alg == RouteAlg::kEcmp) {
-    // kEcmp entries are keyed by flow as well, so they are derived per call
-    // into thread-local storage (a single deterministic path walk — cheap)
-    // instead of the per-pair tables. Valid until this thread's next kEcmp
-    // query; no lock, no steady-state allocation.
-    static thread_local LinkWeights weights;
-    static thread_local Path path;
-    weights.clear();
-    if (src == dst) return weights;
-    std::uint64_t seed = ecmp_seed(src, dst, flow);
-    Rng path_rng(splitmix64(seed));
-    path.clear();
-    path.push_back(src);
-    rps_walk(path, dst, path_rng);
-    weights.reserve(path.size() - 1);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const LinkId link = topo_.find_link(path[i], path[i + 1]);
-      assert(link != kInvalidLink);
-      weights.push_back({link, 1.0});
+  static thread_local LinkWeights weights;
+  switch (alg) {
+    case RouteAlg::kRps:
+    case RouteAlg::kVlb:
+    case RouteAlg::kWlb: {
+      // Tiles are evictable, so the entry is copied out while its tile is
+      // pinned.
+      const std::uint64_t key = tile_key(alg, src, dst);
+      const TilePtr tile = acquire_tile(key);
+      ReadCounts counts;
+      weights = read_slot(tile, key, alg, src, dst, counts);
+      count(counts);
+      return weights;
     }
-    return weights;
+    case RouteAlg::kDor:
+    case RouteAlg::kEcmp: {
+      // One path per flow: walk it (no rng draws) and give each hop the
+      // whole rate. No lock, no steady-state allocation.
+      static thread_local Path path;
+      Rng unused;
+      pick_path_into(alg, src, dst, unused, path, flow);
+      weights.clear();
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const LinkId link = topo_.find_link(path[i], path[i + 1]);
+        assert(link != kInvalidLink);
+        weights.push_back({link, 1.0});
+      }
+      return weights;
+    }
   }
-  const auto a = static_cast<std::size_t>(alg);
-  if (a >= kTabledAlgs) throw std::invalid_argument("unknown routing algorithm");
-  if (is_tiled(alg)) return tiled_weights(alg, src, dst);
-  std::atomic<const LinkWeights*>& slot =
-      table_[a][static_cast<std::size_t>(src) * topo_.num_nodes() + dst];
-  if (const LinkWeights* w = slot.load(std::memory_order_acquire)) return *w;
-  // First touch: derive outside any lock (derivations recurse — VLB
-  // averages RPS phases) and publish with a CAS. A racing thread computes
-  // the identical entry; exactly one wins, the loser's copy is dropped.
-  auto* fresh = new LinkWeights(compute_weights(alg, src, dst, flow));
-  const LinkWeights* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh, std::memory_order_release,
-                                   std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;
-  return *expected;
+  throw std::invalid_argument("unknown routing algorithm");
 }
 
-// --- Tiled kVlb/kWlb cache ---
-
-namespace {
+// --- Weight cache ---
 
 // Tile directory key: algorithm in the top bits, then the tile's row and
 // column in the (src, dst) grid (24 bits each bound n <= 16M nodes).
-std::uint64_t tile_key(RouteAlg alg, std::uint64_t row, std::uint64_t col) {
-  return (static_cast<std::uint64_t>(alg) << 48) | (row << 24) | col;
+std::uint64_t Router::tile_key(RouteAlg alg, NodeId src, NodeId dst) const {
+  const std::uint64_t shape = tile_config_.tile_shape;
+  return (static_cast<std::uint64_t>(alg) << 48) | (src / shape << 24) | dst / shape;
 }
 
-std::uint64_t entry_bytes_of(const LinkWeights& w) {
-  return sizeof(LinkWeights) + w.capacity() * sizeof(LinkFraction);
-}
-
-}  // namespace
-
-std::shared_ptr<Router::Tile> Router::acquire_tile(std::uint64_t key) const {
+Router::TilePtr Router::acquire_tile(std::uint64_t key) const {
   const std::size_t shape = tile_config_.tile_shape;
   std::lock_guard<std::mutex> lock(tile_mu_);
   auto it = tiles_.find(key);
@@ -233,19 +167,17 @@ std::shared_ptr<Router::Tile> Router::acquire_tile(std::uint64_t key) const {
   tile->lru_it = tile_lru_.begin();
   tiles_.emplace(key, tile);
   tile_bytes_ += tile->bytes;
-  evict_over_budget_locked(key);
+  evict_over_budget_locked();
   return tile;
 }
 
 // Drops least-recently-used tiles until the byte budget holds, never the
-// tile `keep_key` that triggered the call (the budget floor is one tile).
-// Readers that pinned a dropped tile finish safely on their shared
-// ownership; the tile's entries die with the last reference.
-void Router::evict_over_budget_locked(std::uint64_t keep_key) const {
+// most recently used one, which the caller has just touched (the budget
+// floor is one tile). Readers that pinned a dropped tile finish safely on
+// their shared ownership; the tile's entries die with the last reference.
+void Router::evict_over_budget_locked() const {
   while (tile_bytes_ > tile_config_.max_resident_bytes && tile_lru_.size() > 1) {
-    const std::uint64_t victim = tile_lru_.back();
-    if (victim == keep_key) break;  // only the protected tile is left
-    auto it = tiles_.find(victim);
+    auto it = tiles_.find(tile_lru_.back());
     assert(it != tiles_.end());
     tile_bytes_ -= it->second->bytes;
     tiles_.erase(it);
@@ -254,46 +186,44 @@ void Router::evict_over_budget_locked(std::uint64_t keep_key) const {
   }
 }
 
-const LinkWeights& Router::tiled_weights(RouteAlg alg, NodeId src, NodeId dst) const {
-  // Tiles are evictable, so references into them cannot outlive the read:
-  // hand back a thread-local copy (the kEcmp contract — valid until this
-  // thread's next tiled query).
-  static thread_local LinkWeights tl_tiled;
+const LinkWeights& Router::read_slot(const TilePtr& tile, std::uint64_t key, RouteAlg alg,
+                                     NodeId src, NodeId dst, ReadCounts& counts) const {
   const std::size_t shape = tile_config_.tile_shape;
-  const std::uint64_t row = static_cast<std::uint64_t>(src) / shape;
-  const std::uint64_t col = static_cast<std::uint64_t>(dst) / shape;
-  const std::uint64_t key = tile_key(alg, row, col);
-  std::shared_ptr<Tile> tile = acquire_tile(key);
   auto& slot = tile->slots[(static_cast<std::size_t>(src) % shape) * shape +
                            static_cast<std::size_t>(dst) % shape];
   if (const LinkWeights* w = slot.load(std::memory_order_acquire)) {
-    tile_hits_.fetch_add(1, std::memory_order_relaxed);
-    tl_tiled = *w;
-    return tl_tiled;
+    ++counts.hits;
+    return *w;
   }
-  tile_misses_.fetch_add(1, std::memory_order_relaxed);
-  // First touch: derive outside the lock (recurses into the dense RPS
-  // base) and CAS-publish into the pinned tile, same as the dense tables.
-  auto* fresh = new LinkWeights(compute_weights(alg, src, dst, 0));
+  ++counts.misses;
+  // First touch: derive outside the lock (kVlb recurses into kRps tiles)
+  // and CAS-publish. A racing thread derives the identical entry; exactly
+  // one wins, the loser's copy is dropped.
+  auto* fresh = new LinkWeights(compute_weights(alg, src, dst));
   const LinkWeights* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh, std::memory_order_release,
-                                   std::memory_order_acquire)) {
-    tl_tiled = *fresh;
-    std::lock_guard<std::mutex> lock(tile_mu_);
-    // Account the entry only while its tile is still resident — if the LRU
-    // dropped the tile during the derivation, the entry dies with our pin
-    // and must not leak into the global byte count.
-    auto it = tiles_.find(key);
-    if (it != tiles_.end() && it->second == tile) {
-      tile->bytes += entry_bytes_of(*fresh);
-      tile_bytes_ += entry_bytes_of(*fresh);
-      evict_over_budget_locked(key);
-    }
-  } else {
+  if (!slot.compare_exchange_strong(expected, fresh, std::memory_order_release,
+                                    std::memory_order_acquire)) {
     delete fresh;
-    tl_tiled = *expected;
+    return *expected;
   }
-  return tl_tiled;
+  std::lock_guard<std::mutex> lock(tile_mu_);
+  // Account the entry only while its tile is still resident: if the LRU
+  // dropped the tile during the derivation, the entry dies with the last
+  // pin and must not leak into the global byte count. A kVlb derivation
+  // touched other tiles meanwhile, so the tile moves to the front again.
+  auto it = tiles_.find(key);
+  if (it != tiles_.end() && it->second == tile) {
+    tile_lru_.splice(tile_lru_.begin(), tile_lru_, tile->lru_it);
+    tile->bytes += entry_bytes_of(*fresh);
+    tile_bytes_ += entry_bytes_of(*fresh);
+    evict_over_budget_locked();
+  }
+  return *fresh;
+}
+
+void Router::count(const ReadCounts& counts) const {
+  tile_hits_.fetch_add(counts.hits, std::memory_order_relaxed);
+  tile_misses_.fetch_add(counts.misses, std::memory_order_relaxed);
 }
 
 Router::TileStats Router::tile_stats() const {
@@ -309,11 +239,6 @@ Router::TileStats Router::tile_stats() const {
   return s;
 }
 
-void Router::warm_tiles(RouteAlg alg, std::span<const std::pair<NodeId, NodeId>> pairs) const {
-  if (!is_tiled(alg)) return;
-  for (const auto& [src, dst] : pairs) link_weights(alg, src, dst);
-}
-
 double Router::expected_hops(RouteAlg alg, NodeId src, NodeId dst, FlowId flow) const {
   double hops = 0.0;
   for (const LinkFraction& lf : link_weights(alg, src, dst, flow)) hops += lf.fraction;
@@ -321,113 +246,74 @@ double Router::expected_hops(RouteAlg alg, NodeId src, NodeId dst, FlowId flow) 
 }
 
 void Router::precompute(RouteAlg alg, ThreadPool* pool) const {
-  if (alg == RouteAlg::kEcmp) return;  // flow-keyed; always derived per call
+  if (alg == RouteAlg::kDor || alg == RouteAlg::kEcmp) return;  // walked per call
+  // Tile-major warm: fill each tile completely before touching the next,
+  // so a warm larger than the LRU budget streams through the cache instead
+  // of thrashing partially-filled tiles.
   const std::size_t n = topo_.num_nodes();
-  if (is_tiled(alg)) {
-    // Tile-major warm: fill each tile completely before touching the next,
-    // so a warm larger than the LRU budget streams through the cache
-    // instead of thrashing partially-filled tiles. The needed RPS base
-    // entries are derived on demand through the recursive first-touch CAS
-    // — no eager full-table RPS warm (racing derivations of the same base
-    // entry are pure; exactly one wins).
-    const std::size_t shape = tile_config_.tile_shape;
-    const std::size_t tiles_per_side = (n + shape - 1) / shape;
-    const auto fill_tile = [&](std::size_t tile_idx) {
-      const std::size_t row = (tile_idx / tiles_per_side) * shape;
-      const std::size_t col = (tile_idx % tiles_per_side) * shape;
-      for (std::size_t src = row; src < std::min(row + shape, n); ++src) {
-        for (std::size_t dst = col; dst < std::min(col + shape, n); ++dst) {
-          link_weights(alg, static_cast<NodeId>(src), static_cast<NodeId>(dst));
-        }
+  const std::size_t shape = tile_config_.tile_shape;
+  const std::size_t tiles_per_side = (n + shape - 1) / shape;
+  const auto fill_tile = [&](std::size_t tile_idx) {
+    const std::size_t row = (tile_idx / tiles_per_side) * shape;
+    const std::size_t col = (tile_idx % tiles_per_side) * shape;
+    for (std::size_t src = row; src < std::min(row + shape, n); ++src) {
+      for (std::size_t dst = col; dst < std::min(col + shape, n); ++dst) {
+        link_weights(alg, static_cast<NodeId>(src), static_cast<NodeId>(dst));
       }
-    };
-    const std::size_t total = tiles_per_side * tiles_per_side;
-    if (pool != nullptr && pool->workers() > 0) {
-      pool->parallel_for(total, [&](std::size_t t, int) { fill_tile(t); });
-    } else {
-      for (std::size_t t = 0; t < total; ++t) fill_tile(t);
-    }
-    return;
-  }
-  const auto fill_row = [&](std::size_t src) {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      link_weights(alg, static_cast<NodeId>(src), static_cast<NodeId>(dst));
     }
   };
+  const std::size_t total = tiles_per_side * tiles_per_side;
   if (pool != nullptr && pool->workers() > 0) {
-    pool->parallel_for(n, [&](std::size_t src, int) { fill_row(src); });
+    pool->parallel_for(total, [&](std::size_t t, int) { fill_tile(t); });
   } else {
-    for (std::size_t src = 0; src < n; ++src) fill_row(src);
+    for (std::size_t t = 0; t < total; ++t) fill_tile(t);
   }
 }
 
-LinkWeights Router::compute_weights(RouteAlg alg, NodeId src, NodeId dst, FlowId flow) const {
+LinkWeights Router::compute_weights(RouteAlg alg, NodeId src, NodeId dst) const {
   if (src == dst) return {};
-  switch (alg) {
-    case RouteAlg::kRps: return rps_weights(src, dst);
-    case RouteAlg::kDor: {
-      Path path{src};
-      dor_walk(path, dst);
-      return single_path_weights(path);
-    }
-    case RouteAlg::kVlb: return vlb_weights(src, dst);
-    case RouteAlg::kWlb: return wlb_weights(src, dst);
-    case RouteAlg::kEcmp: {
-      std::uint64_t seed = ecmp_seed(src, dst, flow);
-      Rng path_rng(splitmix64(seed));
-      Path path{src};
-      rps_walk(path, dst, path_rng);
-      return single_path_weights(path);
-    }
-  }
-  throw std::invalid_argument("unknown routing algorithm");
+  if (alg == RouteAlg::kRps) return rps_weights(src, dst);
+  if (alg == RouteAlg::kVlb) return vlb_weights(src, dst);
+  assert(alg == RouteAlg::kWlb);  // kDor and kEcmp are walked per call
+  return wlb_weights(src, dst);
 }
 
 // --- Paths ---
 
-void Router::rps_walk(Path& path, NodeId to, Rng& rng) const {
-  NodeId at = path.back();
-  while (at != to) {
-    topo_.min_next_hops(at, to, t_next);
-    assert(!t_next.empty());
-    at = t_next[rng.uniform_int(t_next.size())];
-    path.push_back(at);
-  }
-}
-
-void Router::rps_walk_biased(Path& path, NodeId to, Rng& rng, const SprayBias& bias) const {
+void Router::rps_walk(Path& path, NodeId to, Rng& rng, const SprayBias& bias) const {
   thread_local std::vector<double> t_weight;
   NodeId at = path.back();
   while (at != to) {
     topo_.min_next_hops(at, to, t_next);
     assert(!t_next.empty());
-    t_weight.resize(t_next.size());
     double total = 0.0;
     bool biased = false;
-    for (std::size_t i = 0; i < t_next.size(); ++i) {
-      const LinkId link = topo_.find_link(at, t_next[i]);
-      double b = 0.0;
-      if (link != kInvalidLink) {
-        if (static_cast<std::size_t>(link) < bias.penalty.size()) b += bias.penalty[link];
-        if (bias.congestion_gain > 0.0 && !bias.congestion.empty()) {
-          // Map the decision-plane id into the substrate congestion span.
-          const LinkId sub =
-              (static_cast<std::size_t>(link) < bias.plane_to_substrate.size())
-                  ? bias.plane_to_substrate[link]
-                  : link;
-          if (sub != kInvalidLink && static_cast<std::size_t>(sub) < bias.congestion.size()) {
-            b += bias.congestion_gain * bias.congestion[sub];
+    if (!bias.empty()) {
+      t_weight.resize(t_next.size());
+      for (std::size_t i = 0; i < t_next.size(); ++i) {
+        const LinkId link = topo_.find_link(at, t_next[i]);
+        double b = 0.0;
+        if (link != kInvalidLink) {
+          if (static_cast<std::size_t>(link) < bias.penalty.size()) b += bias.penalty[link];
+          if (bias.congestion_gain > 0.0 && !bias.congestion.empty()) {
+            // Map the decision-plane id into the substrate congestion span.
+            const LinkId sub =
+                (static_cast<std::size_t>(link) < bias.plane_to_substrate.size())
+                    ? bias.plane_to_substrate[link]
+                    : link;
+            if (sub != kInvalidLink && static_cast<std::size_t>(sub) < bias.congestion.size()) {
+              b += bias.congestion_gain * bias.congestion[sub];
+            }
           }
         }
+        biased = biased || b > 0.0;
+        t_weight[i] = 1.0 / (1.0 + b);
+        total += t_weight[i];
       }
-      biased = biased || b > 0.0;
-      t_weight[i] = 1.0 / (1.0 + b);
-      total += t_weight[i];
     }
     if (!biased) {
-      // Same draw as the unbiased walk: bias-free hops (and whole runs
-      // with no suspects and no congestion) stay bit-identical to the base
-      // data plane.
+      // The uniform draw: bias-free hops (and whole runs with no suspects
+      // and no congestion) stay bit-identical to the base data plane.
       at = t_next[rng.uniform_int(t_next.size())];
     } else {
       double u = rng.uniform() * total;
@@ -505,7 +391,7 @@ void Router::dor_walk(Path& path, NodeId to) const {
 void Router::wlb_walk(Path& path, NodeId to, Rng& rng) const {
   const NodeId from = path.back();
   if (!topo_.grid()) {  // WLB is grid-specific
-    rps_walk(path, to, rng);
+    rps_walk(path, to, rng, {});
     return;
   }
   const auto& grid = *topo_.grid();
@@ -532,17 +418,6 @@ void Router::wlb_walk(Path& path, NodeId to, Rng& rng) const {
 }
 
 // --- Flow-level link weights ---
-
-LinkWeights Router::single_path_weights(const Path& path) const {
-  LinkWeights weights;
-  weights.reserve(path.size() - 1);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const LinkId link = topo_.find_link(path[i], path[i + 1]);
-    assert(link != kInvalidLink);
-    weights.push_back({link, 1.0});
-  }
-  return weights;
-}
 
 LinkWeights Router::rps_weights(NodeId src, NodeId dst) const {
   // Probability mass propagation over the shortest-path DAG. At each node,
@@ -582,20 +457,32 @@ LinkWeights Router::rps_weights(NodeId src, NodeId dst) const {
 
 LinkWeights Router::vlb_weights(NodeId src, NodeId dst) const {
   // Uniform average over intermediate nodes of the two RPS-sprayed minimal
-  // phases (mirrors the VLB path walk exactly).
+  // phases (mirrors the VLB path walk exactly). The 2n kRps phases are read
+  // in place: per tile-wide block of waypoints, the two kRps tiles holding
+  // (src, mid) and (mid, dst) are pinned once.
   const std::size_t n = topo_.num_nodes();
+  const std::size_t shape = tile_config_.tile_shape;
   const double share = 1.0 / static_cast<double>(n);
   std::unordered_map<LinkId, double> edge_mass;
-  const auto add_phase = [&](NodeId a, NodeId b) {
+  ReadCounts counts;
+  const auto add_phase = [&](const TilePtr& tile, std::uint64_t key, NodeId a, NodeId b) {
     if (a == b) return;
-    for (const LinkFraction& lf : link_weights(RouteAlg::kRps, a, b)) {
+    for (const LinkFraction& lf : read_slot(tile, key, RouteAlg::kRps, a, b, counts)) {
       edge_mass[lf.link] += share * lf.fraction;
     }
   };
-  for (NodeId mid = 0; mid < n; ++mid) {
-    add_phase(src, mid);
-    add_phase(mid, dst);
+  for (std::size_t block = 0; block < n; block += shape) {
+    const auto first = static_cast<NodeId>(block);
+    const std::uint64_t out_key = tile_key(RouteAlg::kRps, src, first);
+    const std::uint64_t in_key = tile_key(RouteAlg::kRps, first, dst);
+    const TilePtr out = acquire_tile(out_key);
+    const TilePtr in = acquire_tile(in_key);
+    for (NodeId mid = first; mid < std::min(block + shape, n); ++mid) {
+      add_phase(out, out_key, src, mid);
+      add_phase(in, in_key, mid, dst);
+    }
   }
+  count(counts);
   LinkWeights weights;
   weights.reserve(edge_mass.size());
   for (const auto& [link, mass] : edge_mass) weights.push_back({link, mass});

@@ -21,33 +21,33 @@
 //  - kEcmp: single shortest path chosen by a hash of the flow id; used by
 //    the TCP baseline (Section 5.2).
 //
-// Threading model: a Router is an immutable shared read structure. kRps
-// and kDor weight entries live in dense per-algorithm slot tables indexed
-// by (src, dst); each entry is computed once, heap-allocated, and published
-// with a single compare-and-swap — after which it is never modified or
-// replaced, so the hot read path is one atomic load and a dereference: no
-// mutex, no allocation, safe from any number of threads (the GA's evaluator
-// lanes and concurrent experiment sweeps read one Router simultaneously).
-// Racing first-touch computations of the same pair are harmless: the
-// computation is pure, both sides derive identical weights, and the CAS
-// keeps exactly one. precompute() moves the entire first-touch cost of an
-// algorithm out of measured regions, optionally spread across a ThreadPool.
+// Threading model: a Router is an immutable shared read structure; any
+// number of threads may pick paths and read weights at once (the GA's
+// evaluator lanes, the simulator's engine lanes, concurrent sweeps).
 //
-// kVlb and kWlb are different: their entries touch O(n) links each, so a
-// dense n^2 table is ~10 GB at 512 nodes and unthinkable at 4k. Those two
-// algorithms use a factored/tiled representation instead (the ScaleStore
-// caching idiom): entries are derived on demand from the dense RPS base,
-// cached in fixed-shape (src, dst) tiles, and the tile working set is
-// bounded by an LRU byte budget (TileConfig). Within a tile each entry is
-// still CAS-published once; the tile directory and LRU list live behind a
-// mutex, and readers pin tiles with shared ownership so eviction never
-// invalidates an in-flight read. Because a tile can be evicted and later
-// re-derived, tiled references are returned as thread-local copies: like
-// kEcmp, a kVlb/kWlb reference is valid until the calling thread's next
-// tiled query (every in-repo caller consumes the weights immediately).
+// One cache: the flow-id-independent sprayed algorithms (kRps, kVlb, kWlb)
+// keep their weight entries in one tile cache (the ScaleStore caching
+// idiom). An entry is derived on first touch and CAS-published into a
+// fixed-shape (src, dst) tile; the tile directory and its LRU list live
+// behind a mutex, and the resident tiles are bounded by a byte budget
+// (TileConfig). Readers pin tiles with shared ownership, so eviction never
+// invalidates an in-flight read, and an evicted entry re-derives to the
+// identical value later (derivations are pure). kVlb entries average 2n
+// kRps phases, which they read in place from pinned kRps tiles. kDor and
+// kEcmp route a flow on a single path, so their weights are walked per
+// call and need no cache: the Router allocates nothing of size n^2.
+//
+// Reference contract: every link_weights reference is a thread-local
+// buffer, valid until the calling thread's next link_weights query (every
+// in-repo caller consumes the weights immediately).
+//
+// The default budget (512 MiB) holds the paper's 512-node rack's full
+// kRps table (about 350 MB) plus its kVlb working set: the GA over that
+// rack reads every kRps entry while warming its kVlb choices, and a
+// smaller budget would evict and re-derive kRps entries during set-up.
+// Larger racks stay bounded by the same budget.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -56,7 +56,6 @@
 #include <span>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -87,15 +86,17 @@ using Path = std::vector<NodeId>;
 struct LinkFraction {
   LinkId link = kInvalidLink;
   double fraction = 0.0;
+  // Fractions are positive and finite, so equal ones are bit-identical.
+  bool operator==(const LinkFraction&) const = default;
 };
 using LinkWeights = std::vector<LinkFraction>;
 
-// Combined per-candidate spray bias for the congestion-aware data plane.
-// Two additive components, owned by the caller (the Router never stores
-// the spans, which keeps it an immutable shared read structure):
+// Per-candidate spray bias for the randomized walks (kRps, both kVlb
+// phases, and kWlb's non-grid fallback). Two additive components, owned by
+// the caller (the Router never stores the spans, which keeps it an
+// immutable shared read structure):
 //  - penalty: the detection layer's gray-link demotion, indexed by the
-//    *router's own* (decision-plane) LinkId — exactly the span the
-//    penalty-only pick_path_into overload takes.
+//    *router's own* (decision-plane) LinkId.
 //  - congestion: the live ECN-style EWMA signal exported by the network
 //    substrate, indexed by *substrate* LinkId. When the router routes a
 //    degraded decision-plane topology whose link ids differ from the
@@ -103,14 +104,15 @@ using LinkWeights = std::vector<LinkFraction>;
 //    congestion span; empty means the ids already coincide.
 // A candidate next hop over link l is drawn with weight
 //   1 / (1 + penalty[l] + congestion_gain * congestion[sub(l)])
-// and, exactly like the penalty-only walk, any hop where every candidate's
-// combined bias is zero consumes the same single uniform RNG draw as the
-// unbiased walk — a run with no suspects and no congestion marks is
-// bit-identical to the base data plane.
+// instead of uniformly: a penalized or hot link still carries traffic (it
+// is demoted, not dead), just proportionally less. Any hop where every
+// candidate's combined bias is zero consumes the same single uniform RNG
+// draw as the unbiased walk, so a run with no suspects and no congestion
+// marks is bit-identical to the base data plane.
 struct SprayBias {
-  std::span<const double> penalty;             // by decision-plane LinkId
-  std::span<const double> congestion;          // by substrate LinkId
-  std::span<const LinkId> plane_to_substrate;  // empty = identity mapping
+  std::span<const double> penalty{};             // by decision-plane LinkId
+  std::span<const double> congestion{};          // by substrate LinkId
+  std::span<const LinkId> plane_to_substrate{};  // empty = identity mapping
   double congestion_gain = 0.0;
 
   bool empty() const {
@@ -120,26 +122,25 @@ struct SprayBias {
 
 class Router {
  public:
-  // Budget for the tiled kVlb/kWlb weight cache. tile_shape is the tile
-  // edge in nodes (a tile covers tile_shape x tile_shape (src, dst)
-  // pairs); max_resident_bytes bounds the resident entries + slot arrays
-  // across both tiled algorithms. The most recently touched tile is never
-  // evicted, so the effective floor is one tile.
+  // Budget for the weight cache. tile_shape is the tile edge in nodes (a
+  // tile covers tile_shape x tile_shape (src, dst) pairs of one algorithm);
+  // max_resident_bytes bounds the resident entries + slot arrays across
+  // kRps, kVlb and kWlb. The most recently touched tile is never evicted,
+  // so the effective floor is one tile.
   struct TileConfig {
     std::size_t tile_shape = 64;
-    std::uint64_t max_resident_bytes = std::uint64_t{64} << 20;  // 64 MiB
+    std::uint64_t max_resident_bytes = std::uint64_t{512} << 20;  // 512 MiB
   };
   struct TileStats {
     std::uint64_t resident_bytes = 0;  // slot arrays + published entries
     std::uint64_t resident_tiles = 0;
     std::uint64_t evictions = 0;  // tiles dropped by the LRU budget
-    std::uint64_t hits = 0;       // tiled reads served from a published slot
-    std::uint64_t misses = 0;     // tiled reads that derived the entry
+    std::uint64_t hits = 0;       // cache reads served from a published slot
+    std::uint64_t misses = 0;     // cache reads that derived the entry
   };
 
   explicit Router(const Topology& topo);
   Router(const Topology& topo, TileConfig tiles);
-  ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -150,77 +151,65 @@ class Router {
   // is a pure function of the flow id). Thread-safe given a per-caller rng.
   Path pick_path(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, FlowId flow = 0) const;
   // Allocation-free variant: writes the path into `out` (reusing its
-  // capacity); per-hop working state lives in thread-local scratch.
+  // capacity); per-hop working state lives in thread-local scratch. `bias`
+  // steers the randomized walks (see SprayBias); the deterministic
+  // algorithms (kDor, kEcmp) and kWlb's per-dimension direction choice on
+  // grids ignore it.
   void pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path& out,
-                      FlowId flow = 0) const;
-
-  // Penalty-aware variant: `link_penalty` (indexed by LinkId, values >= 0)
-  // biases the randomized walks away from suspected-gray links. A candidate
-  // next hop over link l is drawn with weight 1 / (1 + penalty[l]) instead
-  // of uniformly — a penalized link still carries traffic (it is demoted,
-  // not dead), just proportionally less. Hops where every candidate has
-  // zero penalty consume exactly the same RNG draw as the unpenalized walk,
-  // so runs with no demotions stay bit-identical to the base data plane.
-  // Deterministic algorithms (kDor, kEcmp) ignore the penalty; kVlb applies
-  // it to both spray phases. The Router never stores the span: the caller
-  // (the simulator's detection layer) owns and mutates the penalties, which
-  // keeps the Router an immutable shared read structure.
-  void pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path& out,
-                      std::span<const double> link_penalty, FlowId flow = 0) const;
-
-  // Congestion-aware variant: combines the fault penalty with the live
-  // congestion signal (see SprayBias). Superset of the penalty overload —
-  // a bias with empty congestion degrades to it exactly, and an empty()
-  // bias degrades to the unbiased walk, draw for draw.
-  void pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path& out,
-                      const SprayBias& bias, FlowId flow = 0) const;
+                      FlowId flow = 0, const SprayBias& bias = {}) const;
 
   // Expected fraction of the flow's rate on each directed link it uses.
-  // Lock-free for kRps/kDor: entries are immutable once published (see
-  // header comment) and the returned reference stays valid for the
-  // Router's lifetime. kVlb/kWlb entries live in the evictable tile cache
-  // and kEcmp entries are keyed by flow as well, so those are derived into
-  // a thread-local buffer instead: the reference is valid until the
-  // calling thread's next kVlb/kWlb/kEcmp query (every in-repo caller
-  // consumes the weights immediately).
+  // kRps/kVlb/kWlb entries come from the tile cache, kDor/kEcmp entries
+  // from a per-call walk of their single path (kEcmp's is keyed by flow).
+  // The reference is valid until the calling thread's next link_weights
+  // query (see the header comment).
   const LinkWeights& link_weights(RouteAlg alg, NodeId src, NodeId dst, FlowId flow = 0) const;
 
   // Expected path length in hops = sum of all link fractions.
   double expected_hops(RouteAlg alg, NodeId src, NodeId dst, FlowId flow = 0) const;
 
-  // Eagerly derives every (src, dst) weight entry for `alg` — across `pool`
-  // when given — so subsequent link_weights calls are pure table reads.
-  // No-op for kEcmp (entries are per-flow; they are always derived per
-  // call) and for already-computed entries. For the tiled algorithms the
-  // warm proceeds tile-major (each tile fills completely before the next
-  // is touched) and stays subject to the LRU budget: a full warm of a
-  // table larger than the budget leaves only the most recent tiles
-  // resident. Needed RPS base entries are derived on demand — precompute
-  // no longer eagerly warms the full n^2 RPS table first.
+  // Eagerly derives every (src, dst) weight entry of a cached algorithm —
+  // across `pool` when given — so subsequent link_weights calls are cache
+  // hits. No-op for kDor and kEcmp (walked per call) and for entries
+  // already resident. The warm proceeds tile-major (each tile fills
+  // completely before the next is touched) and stays subject to the LRU
+  // budget: a full warm of a table larger than the budget leaves only the
+  // most recent tiles resident.
   void precompute(RouteAlg alg, ThreadPool* pool = nullptr) const;
 
-  // Warms exactly the tiles covering the given (src, dst) pairs of a tiled
-  // algorithm (kVlb/kWlb) — the per-working-set alternative to a full
-  // precompute. No-op for dense algorithms (use precompute).
-  void warm_tiles(RouteAlg alg, std::span<const std::pair<NodeId, NodeId>> pairs) const;
-
-  // Live occupancy of the tiled kVlb/kWlb cache (thread-safe).
+  // Live occupancy of the weight cache (thread-safe).
   TileStats tile_stats() const;
 
  private:
-  LinkWeights compute_weights(RouteAlg alg, NodeId src, NodeId dst, FlowId flow) const;
+  // A fixed-shape block of one algorithm's (src, dst) weight matrix.
+  // Tiles are shared-owned: a reader holding a Tile pointer keeps it valid
+  // even if the LRU drops it from the directory mid-read.
+  struct Tile;
+  using TilePtr = std::shared_ptr<Tile>;
+  // Cache reads of one query, added to the shared counters once.
+  struct ReadCounts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
+  std::uint64_t tile_key(RouteAlg alg, NodeId src, NodeId dst) const;
+  TilePtr acquire_tile(std::uint64_t key) const;
+  // The (src, dst) entry of the pinned tile `key`, derived and published
+  // on first touch; valid while the caller holds `tile`.
+  const LinkWeights& read_slot(const TilePtr& tile, std::uint64_t key, RouteAlg alg, NodeId src,
+                               NodeId dst, ReadCounts& counts) const;
+  void count(const ReadCounts& counts) const;
+  void evict_over_budget_locked() const;
+
+  LinkWeights compute_weights(RouteAlg alg, NodeId src, NodeId dst) const;
   LinkWeights rps_weights(NodeId src, NodeId dst) const;
-  LinkWeights single_path_weights(const Path& path) const;
   LinkWeights vlb_weights(NodeId src, NodeId dst) const;
   LinkWeights wlb_weights(NodeId src, NodeId dst) const;
 
   // Path builders append the walk from the last node already in `path`.
-  void rps_walk(Path& path, NodeId to, Rng& rng) const;
-  // Biased spray: weight 1/(1 + penalty + gain*congestion) per candidate
-  // link; falls back to the uniform draw at hops where every candidate's
-  // combined bias is zero. The penalty-only walk is the congestion-free
-  // special case.
-  void rps_walk_biased(Path& path, NodeId to, Rng& rng, const SprayBias& bias) const;
+  // Spray: per hop, one of the shortest-path next hops, drawn uniformly or
+  // per `bias` (see SprayBias).
+  void rps_walk(Path& path, NodeId to, Rng& rng, const SprayBias& bias) const;
   void dor_walk(Path& path, NodeId to) const;
   void wlb_walk(Path& path, NodeId to, Rng& rng) const;
 
@@ -236,28 +225,10 @@ class Router {
   // For meshes the direction is forced.
   int minimal_direction(int a, int b, int k, bool wraps, NodeId src, NodeId dst, int dim) const;
 
-  // Tiled kVlb/kWlb cache internals. A tile owns a fixed-shape slot array
-  // (CAS-published entries, like the dense tables) plus its byte account.
-  // Tiles are shared-owned: a reader holding a Tile pointer keeps it valid
-  // even if the LRU drops it from the directory mid-read.
-  struct Tile;
-  std::shared_ptr<Tile> acquire_tile(std::uint64_t key) const;
-  const LinkWeights& tiled_weights(RouteAlg alg, NodeId src, NodeId dst) const;
-  void evict_over_budget_locked(std::uint64_t keep_key) const;
-
   const Topology& topo_;
-  // Dense slot tables for the flow-id-independent algorithms whose entries
-  // are small (kRps, kDor), indexed by src * num_nodes + dst. A null slot
-  // means "not derived yet"; a non-null slot points at an immutable heap
-  // entry owned by the Router. kVlb/kWlb (O(n)-sized entries) live in the
-  // tile cache below instead.
-  static constexpr int kTabledAlgs = 4;  // kRps, kDor dense; kVlb, kWlb tiled
-  static constexpr int kDenseAlgs = 2;   // kRps, kDor
-  mutable std::array<std::vector<std::atomic<const LinkWeights*>>, kDenseAlgs> table_;
-
   TileConfig tile_config_;
   mutable std::mutex tile_mu_;  // guards the directory, LRU list and byte accounts
-  mutable std::unordered_map<std::uint64_t, std::shared_ptr<Tile>> tiles_;
+  mutable std::unordered_map<std::uint64_t, TilePtr> tiles_;
   mutable std::list<std::uint64_t> tile_lru_;  // front = most recently used
   mutable std::uint64_t tile_bytes_ = 0;       // resident slot arrays + entries
   mutable std::uint64_t tile_evictions_ = 0;

@@ -322,15 +322,17 @@ class Engine {
   // tie-breaking, so a restored engine replays the same event interleaving
   // bit for bit. With a single lane the layout is byte-identical to the
   // historical serial format. An event without a descriptor (kind 0) makes
-  // the queue unsaveable. When loading, `rebuild` maps each descriptor back
-  // to an executable Action bound to the restored object graph and must
-  // throw SnapshotError on descriptors it does not recognize; event i of a
-  // lane lands in slot i with an empty free list. clamped/windows/stalls
-  // are observability only and restart from zero.
+  // the queue unsaveable. When loading, `rebuild(desc, lane)` maps each
+  // descriptor of lane `lane` back to an executable Action bound to the
+  // restored object graph and must throw SnapshotError on descriptors it
+  // does not recognize; event i of a lane lands in slot i with an empty
+  // free list. clamped/windows/stalls are observability only and restart
+  // from zero.
   template <class Self, class V, class Rebuild>
   static void persist(Self& e, V& v, Rebuild&& rebuild) {
     constexpr std::size_t kArchivedEventBytes = 8 + 8 + 4 + 8 + 8;  // time, key, desc
     v.section("engine", [&] {
+      int lane_idx = 0;
       v.each(e.lanes_, [&](auto& lane) {
         v.i64(lane.now);
         v.u64(lane.next_key);
@@ -348,8 +350,11 @@ class Engine {
           v.u64(desc.b);
           v.expect(desc.kind != 0,
                    "pending event without a descriptor: this transport cannot be snapshotted");
-          if constexpr (V::kLoading) lane.slots[entry.slot].action = rebuild(std::as_const(desc));
+          if constexpr (V::kLoading) {
+            lane.slots[entry.slot].action = rebuild(std::as_const(desc), lane_idx);
+          }
         }, kArchivedEventBytes, [&lane](auto n) { lane.slots.reserve(n); });
+        ++lane_idx;
       });
     });
   }

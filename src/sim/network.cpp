@@ -306,8 +306,11 @@ SimPacket Network::take_parked(std::uint64_t slot) {
   return std::move(store.slots[idx]);
 }
 
-void Network::claim_parked(std::uint64_t slot, const snapshot::LoadVisitor& load,
+void Network::claim_parked(std::uint64_t slot, int lane, const snapshot::LoadVisitor& load,
                            ParkClaims& claims) const {
+  if (slot_store(slot) != lane) {
+    throw snapshot::SnapshotError("archived event takes a packet parked in another lane's store");
+  }
   const std::vector<ParkStore>& parks = load.parsed(parks_);
   const auto store = static_cast<std::size_t>(slot_store(slot));
   const std::uint64_t idx = slot_index(slot);
@@ -319,8 +322,8 @@ void Network::claim_parked(std::uint64_t slot, const snapshot::LoadVisitor& load
   }
 }
 
-Engine::Action Network::rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
-                                      ParkClaims& claims) {
+Engine::Action Network::rebuild_event(const EventDesc& desc, int lane,
+                                      const snapshot::LoadVisitor& load, ParkClaims& claims) {
   switch (desc.kind) {
     case kEvLinkFree: {
       if (desc.a >= ports_.size()) throw snapshot::SnapshotError("link-free event out of range");
@@ -334,7 +337,7 @@ Engine::Action Network::rebuild_event(const EventDesc& desc, const snapshot::Loa
       if (desc.b >= topo_.num_nodes()) {
         throw snapshot::SnapshotError("deliver event targets an unknown node");
       }
-      claim_parked(desc.a, load, claims);
+      claim_parked(desc.a, lane, load, claims);
       const std::uint64_t slot = desc.a;
       const NodeId to = static_cast<NodeId>(desc.b);
       return [this, to, slot] { deliver_(to, take_parked(slot)); };

@@ -265,16 +265,18 @@ class Network {
   // Parked-packet slots already claimed by the events of one load.
   using ParkClaims = std::unordered_set<std::uint64_t>;
 
-  // Rebuilds the closure for a kEvLinkFree / kEvDeliver descriptor against
-  // the state `load` has parsed but not yet committed; throws SnapshotError
-  // on any other kind, or on a delivery from a packet slot claim_parked
-  // refuses.
-  Engine::Action rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
+  // Rebuilds the closure for a kEvLinkFree / kEvDeliver descriptor archived
+  // in engine lane `lane`, against the state `load` has parsed but not yet
+  // committed; throws SnapshotError on any other kind, or on a delivery
+  // from a packet slot claim_parked refuses.
+  Engine::Action rebuild_event(const EventDesc& desc, int lane, const snapshot::LoadVisitor& load,
                                ParkClaims& claims);
-  // Claims parked packet `slot` for one archived event. Throws
-  // SnapshotError unless the slot holds a packet in the park stores `load`
-  // has parsed and no event in `claims` took it already.
-  void claim_parked(std::uint64_t slot, const snapshot::LoadVisitor& load,
+  // Claims parked packet `slot` for one archived event of engine lane
+  // `lane`. Throws SnapshotError unless the slot is in that lane's park
+  // store (a lane takes packets only from its own store, which parallel
+  // windows rely on), holds a packet in the stores `load` has parsed, and
+  // no event in `claims` took it already.
+  void claim_parked(std::uint64_t slot, int lane, const snapshot::LoadVisitor& load,
                     ParkClaims& claims) const;
 
   // Snapshot field walk (src/snapshot/persist.h): ports (queued packets of

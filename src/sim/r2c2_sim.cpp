@@ -668,11 +668,11 @@ void R2c2Sim::emit_packet(FlowId id) {
     // adaptive mode, the live per-link congestion marks: suspect or hot
     // links carry proportionally less traffic without leaving the topology.
     // The bias is empty while no link is demoted and no mark is set, in
-    // which case the biased overload degenerates to the exact unbiased
-    // draws (bit-identical rng stream).
+    // which case the walk makes the exact unbiased draws (bit-identical
+    // rng stream).
     Path& scratch = ctx_scratch();
-    cur_router().pick_path_into(alg, flow.spec.src, flow.spec.dst, ctx_rng(), scratch,
-                                spray_bias(), id);
+    cur_router().pick_path_into(alg, flow.spec.src, flow.spec.dst, ctx_rng(), scratch, id,
+                                spray_bias());
     pkt.route = encode_path(topo_, scratch);
   }
   flow.sent_bytes = std::max(flow.sent_bytes, offset + payload);
@@ -871,7 +871,7 @@ void R2c2Sim::send_ack(FlowId id, ReceiverFlow& recv, NodeId from, NodeId to) {
   ack.sent_at = engine_.now();
   if (recv.ack_route_epoch != router_epoch_) {
     Path& scratch = ctx_scratch();
-    cur_router().pick_path_into(RouteAlg::kRps, from, to, ctx_rng(), scratch, spray_bias(), id);
+    cur_router().pick_path_into(RouteAlg::kRps, from, to, ctx_rng(), scratch, id, spray_bias());
     recv.ack_route = encode_path(topo_, scratch);
     recv.ack_route_epoch = router_epoch_;
   }
@@ -1670,8 +1670,9 @@ void R2c2Sim::persist(Self& s, V& v) {
   // network and service state parsed above, each parked packet claimed by
   // one event at most.
   Network::ParkClaims claims;
-  Engine::persist(s.engine_, v,
-                  [&](const auto& desc) { return s.rebuild_event(desc, v, claims); });
+  Engine::persist(s.engine_, v, [&](const auto& desc, int lane) {
+    return s.rebuild_event(desc, lane, v, claims);
+  });
 }
 
 std::uint64_t R2c2Sim::state_digest() const {
@@ -1692,12 +1693,13 @@ void R2c2Sim::save(snapshot::ArchiveWriter& w) const {
   persist(*this, v);
 }
 
-Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
+Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc, int lane,
+                                      const snapshot::LoadVisitor& load,
                                       Network::ParkClaims& claims) {
   switch (desc.kind) {
     case kEvLinkFree:
     case kEvDeliver:
-      return net_.rebuild_event(desc, load, claims);
+      return net_.rebuild_event(desc, lane, load, claims);
     case kEvStartFlow: {
       if (desc.a >= arrivals_.size()) {
         throw snapshot::SnapshotError("start-flow event references an unknown arrival");
@@ -1738,7 +1740,9 @@ Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc, const snapshot::Loa
       if (desc.b >= topo_.num_links()) {
         throw snapshot::SnapshotError("control-retransmit event references an unknown link");
       }
-      net_.claim_parked(slot, load, claims);
+      // Retransmit copies park in the store of the lane that schedules
+      // them, which is the lane the event runs in.
+      net_.claim_parked(slot, lane, load, claims);
       const LinkId link = static_cast<LinkId>(desc.b);
       return [this, slot, link] { net_.send_on_link(link, net_.take_parked(slot)); };
     }

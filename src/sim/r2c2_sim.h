@@ -361,10 +361,11 @@ class R2c2Sim {
   FlowId start_flow(const FlowArrival& arrival);
   void notify_service_done(FlowId id, TimeNs at, bool aborted);
   void recompute_tick();
-  // Rebuilds an archived event's closure, validated against the state
-  // `load` has parsed but not yet committed; `claims` collects the parked
-  // packets the load's events have taken so far.
-  Engine::Action rebuild_event(const EventDesc& desc, const snapshot::LoadVisitor& load,
+  // Rebuilds the closure of an event archived in engine lane `lane`,
+  // validated against the state `load` has parsed but not yet committed;
+  // `claims` collects the parked packets the load's events have taken so
+  // far.
+  Engine::Action rebuild_event(const EventDesc& desc, int lane, const snapshot::LoadVisitor& load,
                                Network::ParkClaims& claims);
   void finish_sending(FlowId id);
   void abort_flow(FlowId id);

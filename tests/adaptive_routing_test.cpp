@@ -1,20 +1,23 @@
-// Congestion-aware spraying and the tiled kVlb/kWlb weight cache.
+// Congestion-aware spraying and the Router's tiled weight cache.
 //
 // Covers the two router-level contracts the adaptive data plane rests on:
 //  - SprayBias semantics on the folded-Clos path: an empty (or all-zero)
 //    bias reproduces the unbiased rng stream draw for draw; a fault
 //    penalty or congestion mark on one uplink sheds spray from exactly
 //    that directed link, proportionally, without removing it.
-//  - The tiled VLB/WLB table: resident bytes stay within the configured
-//    budget under LRU eviction, evicted entries re-derive to identical
-//    weights, warming touches only the requested tiles, and steady-state
-//    reads on a warm working set perform zero heap allocations (counted
-//    by a global operator-new hook).
+//  - The tiled weight cache (kRps, kVlb, kWlb): resident bytes stay within
+//    the configured budget under LRU eviction, evicted entries re-derive to
+//    identical weights, a kVlb working set makes resident only its own
+//    tiles and the kRps tiles its phases read, steady-state reads on a warm
+//    working set perform zero heap allocations, and a 4096-node Router
+//    allocates no per-pair table and stays within its budget for every
+//    algorithm (counted by a global operator-new hook).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
 #include <utility>
@@ -25,12 +28,21 @@
 #include "topology/topology.h"
 
 // --- Counting allocator hook ------------------------------------------------
-// Counts every global allocation while g_counting is set. Deallocation is
-// never counted: the contract under test is "no steady-state allocation",
-// and frees of previously counted blocks are fine.
+// Counts every global allocation, and its bytes, while g_counting is set.
+// Deallocation is never counted: the contracts under test are "no
+// steady-state allocation" and "no large allocation", and frees of
+// previously counted blocks are fine.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<bool> g_counting{false};
+
+void count_allocation(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+}
 }  // namespace
 
 // GCC's new/delete pairing heuristic misfires on these hooks: every path
@@ -41,17 +53,13 @@ std::atomic<bool> g_counting{false};
 #endif
 
 void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  count_allocation(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  count_allocation(size);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                    (size + static_cast<std::size_t>(align) - 1) &
                                        ~(static_cast<std::size_t>(align) - 1))) {
@@ -95,7 +103,7 @@ double edge_share(const Router& router, RouteAlg alg, NodeId src, NodeId dst, No
   Path path;
   int through = 0;
   for (int i = 0; i < trials; ++i) {
-    router.pick_path_into(alg, src, dst, rng, path, bias);
+    router.pick_path_into(alg, src, dst, rng, path, 0, bias);
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       if (path[h] == from && path[h + 1] == to) {
         ++through;
@@ -127,8 +135,8 @@ TEST(ClosSprayBias, EmptyAndAllZeroBiasMatchBaseDrawForDraw) {
       const NodeId dst = static_cast<NodeId>((i * 5 + 2) % 8);
       if (src == dst) continue;
       router.pick_path_into(alg, src, dst, base_rng, base);
-      router.pick_path_into(alg, src, dst, empty_rng, via_empty, empty_bias);
-      router.pick_path_into(alg, src, dst, zero_rng, via_zero, zero_bias);
+      router.pick_path_into(alg, src, dst, empty_rng, via_empty, 0, empty_bias);
+      router.pick_path_into(alg, src, dst, zero_rng, via_zero, 0, zero_bias);
       // Bit-identical rng consumption: zero-suspect / zero-congestion runs
       // keep the exact trajectory of the unbiased data plane.
       EXPECT_EQ(base, via_empty) << to_string(alg) << " " << i;
@@ -237,11 +245,11 @@ TEST(ClosSprayBias, PlaneToSubstrateMapRedirectsCongestionLookup) {
   EXPECT_GT(hot, 0.0);
 }
 
-// --- Tiled kVlb/kWlb weight cache -------------------------------------------
+// --- Tiled weight cache ---------------------------------------------------
 
 TEST(TiledWeightTable, ResidentBytesStayWithinBudgetAndEvictedEntriesRederive) {
   const Topology topo = make_torus({8, 8}, kGbps, 100);
-  // A budget far below the dense table: with 8x8 tiles over 64 nodes the
+  // A budget far below the full table: with 8x8 tiles over 64 nodes the
   // full kVlb table spans 64 tiles; 96 KiB holds only a handful.
   const std::uint64_t kBudget = 96 * 1024;
   const Router tiny(topo, Router::TileConfig{.tile_shape = 8, .max_resident_bytes = kBudget});
@@ -269,21 +277,22 @@ TEST(TiledWeightTable, ResidentBytesStayWithinBudgetAndEvictedEntriesRederive) {
 }
 
 TEST(TiledWeightTable, WarmTilesTouchesOnlyRequestedTiles) {
-  // Regression: precompute(kVlb) used to eagerly warm the *entire* dense
-  // RPS table as a prerequisite. With tiling, warming a one-tile working
-  // set must leave exactly one resident tile.
+  // Regression: precompute(kVlb) used to eagerly warm the *entire* kRps
+  // table as a prerequisite. Reading a one-tile kVlb working set must make
+  // resident exactly that tile plus the kRps tiles its two phases read:
+  // the source's tile row and the destination's tile column.
   const Topology topo = make_torus({8, 8}, kGbps, 100);
   const Router router(topo, Router::TileConfig{.tile_shape = 8});
 
-  std::vector<std::pair<NodeId, NodeId>> working_set;
   for (NodeId src = 0; src < 8; ++src) {
-    for (NodeId dst = 8; dst < 16; ++dst) working_set.push_back({src, dst});
+    for (NodeId dst = 8; dst < 16; ++dst) router.link_weights(RouteAlg::kVlb, src, dst);
   }
-  router.warm_tiles(RouteAlg::kVlb, working_set);
 
+  // 64 nodes in 8x8 tiles: kRps row 0 and column 1 share tile (0, 1).
   const Router::TileStats st = router.tile_stats();
-  EXPECT_EQ(st.resident_tiles, 1u);
+  EXPECT_EQ(st.resident_tiles, 1u + 8u + 8u - 1u);
   EXPECT_GT(st.resident_bytes, 0u);
+  EXPECT_EQ(st.evictions, 0u);
 }
 
 TEST(TiledWeightTable, SteadyStateReadsOnWarmWorkingSetDoNotAllocate) {
@@ -296,9 +305,8 @@ TEST(TiledWeightTable, SteadyStateReadsOnWarmWorkingSetDoNotAllocate) {
       if (src != dst) working_set.push_back({src, dst});
     }
   }
-  router.warm_tiles(RouteAlg::kVlb, working_set);
-  // One read per pair settles the thread-local copy's capacity at the
-  // largest entry in the set.
+  // One read per pair warms the working set and settles the thread-local
+  // copy's capacity at the largest entry in the set.
   double sink = 0.0;
   for (const auto& [src, dst] : working_set) {
     for (const LinkFraction& lf : router.link_weights(RouteAlg::kVlb, src, dst)) {
@@ -330,15 +338,63 @@ TEST(TiledWeightTable, StatsCountHitsAndMisses) {
   const Router router(topo, Router::TileConfig{.tile_shape = 4});
   EXPECT_EQ(router.tile_stats().resident_tiles, 0u);
 
-  router.link_weights(RouteAlg::kVlb, 0, 5);
+  router.link_weights(RouteAlg::kRps, 0, 5);
   Router::TileStats st = router.tile_stats();
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.hits, 0u);
 
-  router.link_weights(RouteAlg::kVlb, 0, 5);
+  router.link_weights(RouteAlg::kRps, 0, 5);
   st = router.tile_stats();
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.hits, 1u);
+
+  // A kVlb miss also counts the kRps phases it reads: (0, mid) and
+  // (mid, 5) for the 15 waypoints other than the endpoint, 30 reads of 29
+  // distinct pairs, of which only (0, 5) is already resident.
+  router.link_weights(RouteAlg::kVlb, 0, 5);
+  st = router.tile_stats();
+  EXPECT_EQ(st.misses, 1u + 1u + 28u);
+  EXPECT_EQ(st.hits, 1u + 2u);
+}
+
+TEST(TiledWeightTable, RackScaleRouterStaysWithinBudgetForEveryAlgorithm) {
+  // The advertised size: a 16x16x16 torus. Building the Router allocates
+  // no per-pair table, and under an 8 MiB budget every algorithm's reads,
+  // including two kVlb entries that each average 2n = 8192 kRps phases,
+  // keep the cache within budget while matching the default-budget
+  // Router's entries bit for bit.
+  const Topology topo = make_torus({16, 16, 16}, 10 * kGbps, 500);
+  const std::uint64_t kBudget = std::uint64_t{8} << 20;
+  g_alloc_bytes.store(0);
+  g_counting.store(true);
+  auto small = std::make_unique<Router>(topo, Router::TileConfig{.max_resident_bytes = kBudget});
+  g_counting.store(false);
+  EXPECT_LT(g_alloc_bytes.load(), std::uint64_t{1} << 20);
+  const Router reference(topo);
+
+  const auto check = [&](RouteAlg alg, NodeId src, NodeId dst, FlowId flow) {
+    const LinkWeights got = small->link_weights(alg, src, dst, flow);
+    EXPECT_FALSE(got.empty()) << to_string(alg) << " " << src << "->" << dst;
+    EXPECT_EQ(got, reference.link_weights(alg, src, dst, flow))
+        << to_string(alg) << " " << src << "->" << dst;
+    EXPECT_LE(small->tile_stats().resident_bytes, kBudget)
+        << to_string(alg) << " " << src << "->" << dst;
+  };
+  Rng pick(23);
+  const auto n = static_cast<std::uint64_t>(topo.num_nodes());
+  for (const RouteAlg alg : {RouteAlg::kRps, RouteAlg::kWlb, RouteAlg::kDor, RouteAlg::kEcmp}) {
+    for (FlowId flow = 1; flow <= 64; ++flow) {
+      const auto src = static_cast<NodeId>(pick.uniform_int(n));
+      const auto dst = static_cast<NodeId>((src + 1 + pick.uniform_int(n - 1)) % n);
+      check(alg, src, dst, flow);
+    }
+    if (alg == RouteAlg::kRps) {
+      EXPECT_GT(small->tile_stats().resident_bytes, 0u);
+    }
+  }
+  check(RouteAlg::kVlb, 0, 4095, 0);
+  check(RouteAlg::kVlb, 1234, 77, 0);
+  EXPECT_GT(small->tile_stats().evictions, 0u);
 }
 
 }  // namespace

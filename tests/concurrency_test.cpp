@@ -1,7 +1,7 @@
-// Cross-cutting robustness: Router's lock-free weight tables under
-// concurrent access (the Maze emulator queries them from every node
-// thread; the GA and bench sweeps from every pool lane), simulator
-// determinism, and R2C2 running atop a small switched Clos (Section 6).
+// Cross-cutting robustness: Router's weight cache under concurrent access
+// (the Maze emulator queries it from every node thread; the GA and bench
+// sweeps from every pool lane), simulator determinism, and R2C2 running
+// atop a small switched Clos (Section 6).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -46,35 +46,41 @@ TEST(Concurrency, RouterCacheIsThreadSafe) {
 }
 
 TEST(Concurrency, ConcurrentReadersSeeSameCachedEntry) {
+  // Each thread reads through its own thread-local buffer, so the
+  // references differ; the entry behind them does not: the same links with
+  // bit-identical fractions on every thread.
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
   const Router router(topo);
-  std::vector<const LinkWeights*> seen(8, nullptr);
+  std::vector<LinkWeights> seen(8);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] { seen[static_cast<std::size_t>(t)] =
-                                      &router.link_weights(RouteAlg::kRps, 1, 14); });
+                                      router.link_weights(RouteAlg::kRps, 1, 14); });
   }
   for (auto& th : threads) th.join();
+  ASSERT_FALSE(seen[0].empty());
   for (int t = 1; t < 8; ++t) EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]);
 }
 
 TEST(Concurrency, WarmTablesServeStableReferences) {
-  // After precompute, link_weights is a pure table read: the reference a
-  // thread saw before the concurrent phase must still be the entry every
-  // thread sees during it (entries are published once, never replaced).
+  // After precompute, link_weights is a cache hit: the entry a thread saw
+  // before the concurrent phase is, bit for bit, the entry every thread
+  // sees during it (entries are published once, never replaced), while
+  // kDor weights are walked per call.
   const Topology topo = make_torus({4, 4, 4}, 10 * kGbps, 100);
   const Router router(topo);
   ThreadPool pool(3);
   router.precompute(RouteAlg::kRps, &pool);
-  router.precompute(RouteAlg::kDor, &pool);
+  router.precompute(RouteAlg::kDor, &pool);  // no-op: walked per call
 
-  const LinkWeights* before = &router.link_weights(RouteAlg::kRps, 3, 60);
+  const LinkWeights before = router.link_weights(RouteAlg::kRps, 3, 60);
+  const std::uint64_t misses = router.tile_stats().misses;
   std::atomic<bool> mismatch{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 4000; ++i) {
-        if (&router.link_weights(RouteAlg::kRps, 3, 60) != before) mismatch.store(true);
+        if (router.link_weights(RouteAlg::kRps, 3, 60) != before) mismatch.store(true);
         const auto alg = (i % 2 == 0) ? RouteAlg::kRps : RouteAlg::kDor;
         const NodeId s = static_cast<NodeId>(i % topo.num_nodes());
         const NodeId d = static_cast<NodeId>((i * 7 + 1) % topo.num_nodes());
@@ -85,6 +91,45 @@ TEST(Concurrency, WarmTablesServeStableReferences) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(mismatch.load());
+  EXPECT_EQ(router.tile_stats().misses, misses) << "a warm table derived an entry again";
+}
+
+TEST(Concurrency, ReadersMatchReferenceWhileTheBudgetEvictsMidRead) {
+  // 8 threads read kRps and kVlb through a cache far smaller than their
+  // working set, so tiles are evicted under concurrent readers, including
+  // the kRps tiles a kVlb derivation has pinned. Every entry must still
+  // equal a reference Router's.
+  const Topology topo = make_torus({4, 4, 4}, 10 * kGbps, 100);
+  const Router tiny(topo, Router::TileConfig{.tile_shape = 4, .max_resident_bytes = 16 * 1024});
+  const Router reference(topo);
+  const std::size_t n = topo.num_nodes();
+  std::vector<LinkWeights> want_rps(n * n), want_vlb(n * n);
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId d = 0; d < n; ++d) {
+      want_rps[s * n + d] = reference.link_weights(RouteAlg::kRps, s, d);
+      want_vlb[s * n + d] = reference.link_weights(RouteAlg::kVlb, s, d);
+    }
+  }
+
+  std::atomic<bool> mismatch{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0x5eed0u + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 200; ++i) {
+        const auto s = static_cast<NodeId>(rng.uniform_int(n));
+        const auto d = static_cast<NodeId>(rng.uniform_int(n));
+        const bool vlb = rng.uniform_int(2) == 1;
+        const LinkWeights& w = tiny.link_weights(vlb ? RouteAlg::kVlb : RouteAlg::kRps, s, d);
+        if (w != (vlb ? want_vlb : want_rps)[s * n + d]) mismatch.store(true);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(mismatch.load());
+  const Router::TileStats st = tiny.tile_stats();
+  EXPECT_GT(st.evictions, 0u);
+  EXPECT_LE(st.resident_bytes, 16u * 1024u);
 }
 
 TEST(Concurrency, ConcurrentPathWalksAreSelfConsistent) {

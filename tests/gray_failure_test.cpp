@@ -313,10 +313,10 @@ TEST(RouterPenalty, EmptyAndZeroPenaltyMatchBaseDrawForDraw) {
     const NodeId dst = static_cast<NodeId>((i * 7 + 3) % 16);
     if (src == dst) continue;
     router.pick_path_into(RouteAlg::kRps, src, dst, base_rng, base);
-    router.pick_path_into(RouteAlg::kRps, src, dst, empty_rng, via_empty,
-                          std::span<const double>{});
-    router.pick_path_into(RouteAlg::kRps, src, dst, zero_rng, via_zero,
-                          std::span<const double>(zeros));
+    router.pick_path_into(RouteAlg::kRps, src, dst, empty_rng, via_empty, 0,
+                          SprayBias{.penalty = {}});
+    router.pick_path_into(RouteAlg::kRps, src, dst, zero_rng, via_zero, 0,
+                          SprayBias{.penalty = zeros});
     // Same RNG draw sequence in all three: bit-identical paths, so turning
     // the penalty plumbing on with no suspects never changes a trajectory.
     EXPECT_EQ(base, via_empty);
@@ -337,8 +337,7 @@ TEST(RouterPenalty, PenalizedLinkIsAvoidedProportionally) {
   int through_bad = 0;
   const int kTrials = 2000;
   for (int i = 0; i < kTrials; ++i) {
-    router.pick_path_into(RouteAlg::kRps, 0, 5, rng, path,
-                          std::span<const double>(penalty));
+    router.pick_path_into(RouteAlg::kRps, 0, 5, rng, path, 0, SprayBias{.penalty = penalty});
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       if (path[h] == 0 && path[h + 1] == 1) ++through_bad;
     }

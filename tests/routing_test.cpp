@@ -259,13 +259,23 @@ TEST(Routing, VlbExpectedHopsApproxTwiceAverage) {
 }
 
 TEST(Routing, CachedWeightsAreStableReferences) {
+  // A reference lives until the thread's next query, but the entry behind
+  // it never changes: the same links with bit-identical fractions after
+  // many other entries were derived, and after its tile was evicted (a
+  // one-byte budget keeps only the most recently touched 2x2 tile).
   const Topology t = make_torus({4, 4}, kGbps, 100);
   const Router router(t);
-  const LinkWeights& a = router.link_weights(RouteAlg::kRps, 0, 5);
-  // Populate many more entries; the first reference must stay valid.
-  for (NodeId d = 1; d < t.num_nodes(); ++d) router.link_weights(RouteAlg::kRps, 0, d);
-  const LinkWeights& b = router.link_weights(RouteAlg::kRps, 0, 5);
-  EXPECT_EQ(&a, &b);
+  const Router evicting(t, Router::TileConfig{.tile_shape = 2, .max_resident_bytes = 1});
+  const LinkWeights a = router.link_weights(RouteAlg::kRps, 0, 5);
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(evicting.link_weights(RouteAlg::kRps, 0, 5), a);
+  for (NodeId d = 1; d < t.num_nodes(); ++d) {
+    router.link_weights(RouteAlg::kRps, 0, d);
+    evicting.link_weights(RouteAlg::kRps, 0, d);
+  }
+  EXPECT_EQ(router.link_weights(RouteAlg::kRps, 0, 5), a);
+  EXPECT_EQ(evicting.link_weights(RouteAlg::kRps, 0, 5), a);
+  EXPECT_GT(evicting.tile_stats().evictions, 0u);
 }
 
 TEST(Routing, GeneralGraphFallbacks) {

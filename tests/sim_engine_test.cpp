@@ -235,7 +235,7 @@ std::uint64_t hold_digest(int shards, int workers, TimeNs restore_at) {
       auto fresh = std::make_unique<HoldRig>(shards, workers);
       snapshot::ArchiveReader r(w.finish());
       HoldModel& model = fresh->model;
-      fresh->engine.load(r, [&model](const EventDesc& desc) { return model.make(desc); });
+      fresh->engine.load(r, [&model](const EventDesc& desc, int) { return model.make(desc); });
       rig = std::move(fresh);
     }
     rig->engine.run(t);
@@ -276,7 +276,7 @@ TEST(Engine, LoadRejectsMoreEventsThanTheSectionHolds) {
   w.end_section();
   snapshot::ArchiveReader r(w.finish());
   Engine e;
-  EXPECT_THROW(e.load(r, [](const EventDesc&) { return Action([] {}); }),
+  EXPECT_THROW(e.load(r, [](const EventDesc&, int) { return Action([] {}); }),
                snapshot::SnapshotError);
   EXPECT_TRUE(e.empty());
 }

@@ -179,7 +179,7 @@ TEST(EngineSnapshot, PendingQueueRoundTripsAndReplaysIdentically) {
   std::vector<std::uint64_t> restored_log = src_log;
   Engine restored;
   ArchiveReader r(w.finish());
-  restored.load(r, [&restored_log](const EventDesc& d) -> Engine::Action {
+  restored.load(r, [&restored_log](const EventDesc& d, int) -> Engine::Action {
     if (d.kind != kKind) throw SnapshotError("unknown kind");
     const std::uint64_t i = d.a;
     return [&restored_log, i] { restored_log.push_back(i); };
@@ -633,17 +633,23 @@ TEST(SimSnapshot, FreeListNotHoldingEachEmptySlotOnceIsRejected) {
   }));
 }
 
-// Payload offsets of every pending event in an engine section: per lane
-// the clock, key counter and events run, then a u64 count of 36-byte
-// (time, key, kind, a, b) events.
-std::vector<std::size_t> event_offsets(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::size_t> offsets;
-  for (std::size_t at = 0; at < payload.size();) {
+// A pending event in an engine section: its engine lane and the payload
+// offset of its 36-byte (time, key, kind, a, b) record.
+struct EventAt {
+  std::size_t lane = 0;
+  std::size_t at = 0;
+};
+
+// Every pending event in an engine section: per lane the clock, key
+// counter and events run, then a u64 count of event records.
+std::vector<EventAt> event_offsets(const std::vector<std::uint8_t>& payload) {
+  std::vector<EventAt> events;
+  for (std::size_t at = 0, lane = 0; at < payload.size(); ++lane) {
     const std::uint64_t n = get_le(payload, at + 24, 8);
     at += 32;
-    for (std::uint64_t i = 0; i < n; ++i, at += 36) offsets.push_back(at);
+    for (std::uint64_t i = 0; i < n; ++i, at += 36) events.push_back({lane, at});
   }
-  return offsets;
+  return events;
 }
 
 // Each parked packet belongs to one pending event. Two delivery or
@@ -655,7 +661,7 @@ TEST(SimSnapshot, TwoEventsClaimingOneParkedPacketAreRejected) {
   const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
   const std::vector<std::uint8_t> engine = payload_of(bytes, "engine");
   std::vector<std::size_t> takers;  // events that take a parked packet
-  for (const std::size_t at : event_offsets(engine)) {
+  for (const auto& [lane, at] : event_offsets(engine)) {
     const std::uint64_t kind = get_le(engine, at + 16, 4);
     if (kind == sim::kEvDeliver || kind == sim::kEvCtrlRetransmit) takers.push_back(at);
   }
@@ -663,6 +669,30 @@ TEST(SimSnapshot, TwoEventsClaimingOneParkedPacketAreRejected) {
   // The second taker's slot (operand a) becomes the first one's.
   expect_rejected_cleanly(cfg, rewrite_section(bytes, "engine", [&](auto& payload) {
     put_le(payload, takers[1] + 20, get_le(payload, takers[0] + 20, 8), 8);
+  }));
+}
+
+// A lane's delivery and control-retransmit events take their packet from
+// the lane's own park store, which parallel windows rely on. Swapping the
+// slots of two deliveries archived in different lanes keeps every slot
+// occupied and claimed once, yet hands each lane a packet parked in
+// another lane's store; load() must reject the archive before committing
+// anything.
+TEST(SimSnapshot, ParkedPacketInAnotherLanesStoreIsRejected) {
+  const ReplayConfig cfg = sharded_config("tenant", 4);
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+  const std::vector<std::uint8_t> engine = payload_of(bytes, "engine");
+  std::vector<EventAt> deliveries;  // the first delivery of each lane that has one
+  for (const EventAt& e : event_offsets(engine)) {
+    if (get_le(engine, e.at + 16, 4) != sim::kEvDeliver) continue;
+    if (deliveries.empty() || deliveries.back().lane != e.lane) deliveries.push_back(e);
+  }
+  ASSERT_GE(deliveries.size(), 2u) << "no two lanes hold a delivery";
+  const std::size_t first = deliveries[0].at + 20, second = deliveries[1].at + 20;
+  expect_rejected_cleanly(cfg, rewrite_section(bytes, "engine", [&](auto& payload) {
+    const std::uint64_t slot = get_le(payload, first, 8);
+    put_le(payload, first, get_le(payload, second, 8), 8);
+    put_le(payload, second, slot, 8);
   }));
 }
 

@@ -2,7 +2,8 @@
 // 3D torus (16x16x16, the rack-scale ceiling the paper targets) in three
 // engine modes:
 //
-//   serial     - classic single-heap event loop (engine_shards = 1)
+//   serial     - the 1-shard engine (engine_shards = 1): one lane, the global
+//                lane, run by the same driver as a run of serial phases
 //   sharded/1  - 8-way sharded engine, batched window dispatch, one worker
 //   sharded/W  - same partition run by W = 2, 4, 8 workers
 //
@@ -45,7 +46,7 @@ ModeResult run_mode(const char* label, const Topology& topo, const Router& route
                     const std::vector<FlowArrival>& arrivals, int shards, int workers) {
   sim::R2c2SimConfig cfg;
   cfg.route_alg = RouteAlg::kDor;
-  cfg.broadcast_trees = 1;  // 4096-node trees are ~165 MB each; one is plenty
+  cfg.broadcast_trees = 1;  // 4096-node trees are ~96 MiB each; one is plenty
   cfg.recompute_interval = 500 * kNsPerUs;
   cfg.engine_shards = shards;
   cfg.engine_workers = workers;

@@ -1,7 +1,6 @@
 #include "broadcast/broadcast.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace r2c2 {
@@ -13,49 +12,52 @@ BroadcastTrees::BroadcastTrees(const Topology& topo, int trees_per_source)
   const std::size_t n = topo.num_nodes();
   trees_.resize(n * static_cast<std::size_t>(trees_per_source));
 
+  // One BFS scratch serves every tree: depth (kUnreached until reached),
+  // parent, a flat FIFO queue (each node enters it at most once) and the
+  // CSR fill cursors.
+  constexpr std::uint16_t kUnreached = 0xffff;
+  std::vector<std::uint16_t> depth(n);
   std::vector<NodeId> parent(n);
-  std::deque<NodeId> queue;
+  std::vector<NodeId> queue(n);
+  std::vector<std::uint32_t> cursor(n);
   for (NodeId src = 0; src < n; ++src) {
     for (int t = 0; t < trees_per_source; ++t) {
       Tree& tree = trees_[static_cast<std::size_t>(src) * trees_per_source_ + t];
-      tree.depth.assign(n, 0xffff);
-      parent.assign(n, kInvalidNode);
+      std::fill(depth.begin(), depth.end(), kUnreached);
+      std::fill(parent.begin(), parent.end(), kInvalidNode);
       // BFS with neighbor order rotated by the tree id: different trees
       // attach nodes through different parents, spreading forwarding load.
-      queue.clear();
-      queue.push_back(src);
-      tree.depth[src] = 0;
-      while (!queue.empty()) {
-        const NodeId u = queue.front();
-        queue.pop_front();
+      queue[0] = src;
+      depth[src] = 0;
+      std::size_t tail = 1;
+      for (std::size_t head = 0; head < tail; ++head) {
+        const NodeId u = queue[head];
         const auto out = topo.out_links(u);
         const std::size_t deg = out.size();
         for (std::size_t i = 0; i < deg; ++i) {
           const std::size_t j = (i + static_cast<std::size_t>(t)) % deg;
           const NodeId v = topo.link(out[j]).to;
-          if (tree.depth[v] == 0xffff) {
-            tree.depth[v] = static_cast<std::uint16_t>(tree.depth[u] + 1);
+          if (depth[v] == kUnreached) {
+            depth[v] = static_cast<std::uint16_t>(depth[u] + 1);
             parent[v] = u;
-            queue.push_back(v);
+            queue[tail++] = v;
           }
         }
       }
+      // BFS reaches nodes in depth order, so the last one is the deepest.
+      // Unreachable nodes (possible when the topology carries failed,
+      // isolated nodes) never enter the queue and do not count.
+      tree.height = depth[queue[tail - 1]];
       // Build CSR children lists from the parent array.
       tree.child_offset.assign(n + 1, 0);
       for (NodeId v = 0; v < n; ++v) {
         if (parent[v] != kInvalidNode) ++tree.child_offset[parent[v] + 1];
       }
       for (std::size_t i = 0; i < n; ++i) tree.child_offset[i + 1] += tree.child_offset[i];
-      tree.child_nodes.assign(n - 1, kInvalidNode);
-      std::vector<std::uint32_t> cursor(tree.child_offset.begin(), tree.child_offset.end() - 1);
+      tree.child_nodes.assign(tree.child_offset[n], kInvalidNode);
+      std::copy(tree.child_offset.begin(), tree.child_offset.end() - 1, cursor.begin());
       for (NodeId v = 0; v < n; ++v) {
         if (parent[v] != kInvalidNode) tree.child_nodes[cursor[parent[v]]++] = v;
-      }
-      // Unreachable nodes (possible when the topology carries failed,
-      // isolated nodes) keep the 0xffff sentinel and do not count.
-      tree.height = 0;
-      for (const std::uint16_t d : tree.depth) {
-        if (d != 0xffff) tree.height = std::max(tree.height, static_cast<int>(d));
       }
     }
   }
@@ -64,10 +66,6 @@ BroadcastTrees::BroadcastTrees(const Topology& topo, int trees_per_source)
 std::span<const NodeId> BroadcastTrees::children(NodeId at, NodeId src, int t) const {
   const Tree& tr = tree(src, t);
   return {tr.child_nodes.data() + tr.child_offset[at], tr.child_offset[at + 1] - tr.child_offset[at]};
-}
-
-int BroadcastTrees::depth_of(NodeId src, int t, NodeId node) const {
-  return tree(src, t).depth[node];
 }
 
 int BroadcastTrees::height(NodeId src, int t) const { return tree(src, t).height; }

@@ -36,9 +36,8 @@ class BroadcastTrees {
   // packet arriving at `at` is forwarded to each returned node.
   std::span<const NodeId> children(NodeId at, NodeId src, int tree) const;
 
-  // Depth of `node` in tree <src, tree> (== BFS distance from src).
-  int depth_of(NodeId src, int tree, NodeId node) const;
-  // Tree height: the broadcast time in hops.
+  // Tree height: the broadcast time in hops. Every node sits at its BFS
+  // distance from the source (Topology::distance).
   int height(NodeId src, int tree) const;
 
   // Total traffic of one broadcast: (n - 1) tree edges, each carrying one
@@ -53,7 +52,6 @@ class BroadcastTrees {
     // CSR of children lists, indexed by node.
     std::vector<NodeId> child_nodes;
     std::vector<std::uint32_t> child_offset;
-    std::vector<std::uint16_t> depth;
     int height = 0;
   };
 

@@ -29,9 +29,10 @@
 // Determinism under sharding: every service decision runs in a serial
 // context. Requests issue from kEvService events on the engine's global
 // lane (the same context the arrival list's kEvStartFlow events use), and
-// completion callbacks arrive either inline (serial engine) or from the
-// deferred-op log applied at window barriers — in merged (time, lane,
-// position) order, a pure function of the trajectory. Callbacks never
+// completion callbacks arrive either at once on the global lane (every
+// completion of a 1-shard run) or from the deferred-op log applied at
+// window barriers — in merged (time, lane, position) order, a pure
+// function of the trajectory. Callbacks never
 // start flows directly; they schedule kEvService follow-ups, so the whole
 // issue sequence is bit-identical at any worker count.
 //

@@ -1,8 +1,10 @@
-// Sharded driver for the event engine: conservative windows, serial
-// phases, and the persistent worker gang.
+// The event engine's one driver, for every lane count: conservative
+// windows, serial phases, and the persistent worker gang.
 //
 // The schedule alternates between two regimes, chosen by comparing the
-// earliest pending event time Tmin against the global lane's top:
+// earliest pending event time Tmin against the global lane's top. A
+// 1-shard engine's only lane is the global lane, so it runs serial phases
+// alone, one per distinct event time:
 //
 //   * Serial phase (global lane owns Tmin): every event stamped exactly
 //     Tmin — across all lanes — executes single-threaded on the driving
@@ -208,7 +210,7 @@ void Engine::run_window(TimeNs we) {
   }
 }
 
-std::uint64_t Engine::run_sharded(TimeNs until) {
+std::uint64_t Engine::run(TimeNs until) {
   constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
   const int g = global_lane();
   std::uint64_t processed = 0;

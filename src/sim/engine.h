@@ -1,30 +1,35 @@
-// Discrete-event simulation engine: serial binary heap, optionally sharded
-// into per-lane heaps driven in parallel under conservative lookahead.
+// Discrete-event simulation engine: per-lane binary heaps under one
+// driver, sharded into lanes that run in parallel under conservative
+// lookahead; a serial run is the one-lane case.
 //
-// Serial mode (the default, shards == 1) is the original engine: one
-// binary heap of (time, key)-ordered events; ties in time are processed
-// in scheduling order, which makes every simulation fully deterministic
-// for a given seed. Each lane's queue is two parts: a slot arena holding
-// every pending event's descriptor and closure, and a hand-rolled binary
-// min-heap of 24-byte (time, key, slot) entries pointing into it. Sifting
-// moves only the plain entries; a closure is moved into its slot once when
-// scheduled and out once when popped. Actions are stored in a
-// small-buffer-optimized callable, so the common case — a lambda capturing
-// `this` plus a couple of ids — costs no heap allocation per event.
+// Each lane's queue is two parts: a slot arena holding every pending
+// event's descriptor and closure, and a hand-rolled binary min-heap of
+// 24-byte (time, key, slot) entries pointing into it. Sifting moves only
+// the plain entries; a closure is moved into its slot once when scheduled
+// and out once when popped. Actions are stored in a small-buffer-optimized
+// callable, so the common case — a lambda capturing `this` plus a couple of
+// ids — costs no heap allocation per event.
 //
-// Sharded mode (configure_shards with shards K > 1) splits the event
-// queue into K shard lanes plus one global lane (index K), each with its
-// own heap and clock. Simulation code runs each shard's events on a
-// worker thread inside conservative windows [T, T + lookahead): the
+// configure_shards(K, ...) splits the event queue into K shard lanes plus
+// one global lane (index K), each with its own heap and clock. A 1-shard
+// engine (the default) has exactly one lane, and it is the global lane.
+// One driver serves every lane count. Whenever the global lane owns the
+// earliest event, the engine runs a single-threaded serial phase, in which
+// global control logic may touch any lane. Otherwise the shard lanes run
+// a conservative window [T, T + lookahead) on worker threads: the
 // lookahead is the minimum propagation latency across shard-boundary
-// links, so nothing a shard does inside a window can affect another
-// shard within the same window — no rollback is ever needed. Whenever
-// the global lane owns the earliest event, the engine drops to a
-// single-threaded serial phase so global control logic may touch any
-// lane. Event keys are stamped (origin_seq << 7 | origin_lane), a
-// composite that totals-orders same-timestamp ties exactly like the
-// serial engine's single sequence counter — an N-worker run is
-// bit-identical to the 1-worker run with the same shard count.
+// links, so nothing a shard does inside a window can affect another shard
+// within the same window — no rollback is ever needed. With one lane every
+// event belongs to the global lane, so a 1-shard run is a sequence of
+// serial phases that process events in (time, key) order: ties in time run
+// in scheduling order, which makes every simulation fully deterministic
+// for a given seed.
+//
+// Event keys are stamped (origin_seq << 7 | origin_lane), a composite that
+// totally orders same-timestamp ties by origin and scheduling order — an
+// N-worker run is bit-identical to the 1-worker run with the same shard
+// count. A 1-shard engine stamps the raw sequence number: with one lane
+// the order is the same, and 1-shard archives keep their encoding.
 //
 // Worker count is pure parallelism: it never changes the trajectory.
 // Shard count K > 1 is part of the configuration (different event
@@ -174,10 +179,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Switches the engine into sharded mode: `shards` shard lanes plus one
-  // global lane. `lookahead` is the conservative window width (minimum
-  // shard-boundary propagation delay, see topology/partition.h) and must
-  // be positive. `workers` threads drive the shard lanes inside windows
+  // Splits the engine into `shards` shard lanes plus one global lane, or
+  // for shards == 1 into the one lane that is also the global lane.
+  // `lookahead` is the conservative window width (minimum shard-boundary
+  // propagation delay, see topology/partition.h) and must be positive when
+  // shards > 1. `workers` threads drive the shard lanes inside windows
   // (clamped to [1, shards]; the thread gang is spawned lazily on the
   // first parallel run). Must be called before anything is scheduled.
   // Throws std::invalid_argument unless 1 <= shards <= kMaxShards: lane ids
@@ -203,7 +209,8 @@ class Engine {
   // mailboxes and drain them at the window barrier.
   bool in_window() const { return in_window_; }
 
-  // Clock of the calling context's lane (the single clock in serial mode).
+  // Clock of the calling context's lane (the single clock of a 1-shard
+  // engine).
   TimeNs now() const { return lanes_[static_cast<std::size_t>(current_lane())].now; }
   TimeNs lane_now(int lane) const { return lanes_[static_cast<std::size_t>(lane)].now; }
 
@@ -239,26 +246,12 @@ class Engine {
   }
 
   // Runs events until the queue drains or simulated time would exceed
-  // `until`. Returns the number of events processed by this call. For a
-  // finite horizon every lane clock lands exactly on `until` (whether or
-  // not events remain) — callers stepping the engine in fixed intervals,
-  // like the snapshot/digest driver, stay on their grid.
-  std::uint64_t run(TimeNs until = std::numeric_limits<TimeNs>::max()) {
-    if (shards_ == 1) {
-      Lane& lane = lanes_[0];
-      std::uint64_t processed = 0;
-      while (!lane.heap.empty() && lane.heap.front().time <= until) {
-        lane.now = lane.heap.front().time;
-        Action action = pop_min(lane);
-        action();
-        ++processed;
-      }
-      lane.events += processed;
-      if (until != std::numeric_limits<TimeNs>::max() && lane.now < until) lane.now = until;
-      return processed;
-    }
-    return run_sharded(until);
-  }
+  // `until`, alternating serial phases with parallel windows (engine.cpp).
+  // Returns the number of events processed by this call. For a finite
+  // horizon every lane clock lands exactly on `until` (whether or not
+  // events remain) — callers stepping the engine in fixed intervals, like
+  // the snapshot/digest driver, stay on their grid.
+  std::uint64_t run(TimeNs until = std::numeric_limits<TimeNs>::max());
 
   bool empty() const {
     for (const Lane& lane : lanes_) {
@@ -282,12 +275,13 @@ class Engine {
     return n;
   }
 
-  // --- Window hooks (sharded mode) ---
+  // --- Window hooks ---
   // lane_drain(lane) runs at the window barrier, on the thread that owns
   // `lane`, after all lanes finished the window: the network drains the
-  // lane's incoming mailboxes here. barrier_apply() then runs on the
-  // driving thread with all workers parked: the simulator applies
-  // cross-shard state ops (flow-table and broadcast bookkeeping) here.
+  // lane's incoming mailboxes here. barrier_apply() runs on the driving
+  // thread with all workers parked, after every window and every serial
+  // phase: the simulator applies cross-shard state ops (flow-table and
+  // broadcast bookkeeping) here.
   void set_lane_drain(std::function<void(int)> fn) { lane_drain_ = std::move(fn); }
   void set_barrier_apply(std::function<void()> fn) { barrier_apply_ = std::move(fn); }
 
@@ -309,9 +303,10 @@ class Engine {
     for (const Lane& lane : lanes_) n += lane.clamped;
     return n;
   }
-  // Parallel windows executed (0 in serial mode).
+  // Parallel windows executed (0 on a 1-shard engine).
   std::uint64_t windows_run() const { return windows_; }
-  // Serial phases executed (sharded mode: global-lane turns).
+  // Serial phases executed (global-lane turns; one per distinct event time
+  // on a 1-shard engine).
   std::uint64_t serial_phases() const { return serial_phases_; }
 
   // --- Snapshot support (src/snapshot/) ---
@@ -417,7 +412,7 @@ class Engine {
   std::uint64_t alloc_key_from(int origin) {
     Lane& lane = lanes_[static_cast<std::size_t>(origin)];
     const std::uint64_t seq = lane.next_key++;
-    if (shards_ == 1) return seq;  // legacy single-counter keys
+    if (shards_ == 1) return seq;  // raw keys: the 1-shard archive encoding
     return (seq << kLaneBits) | static_cast<std::uint64_t>(origin);
   }
 
@@ -507,9 +502,7 @@ class Engine {
     heap[i] = e;
   }
 
-  // Sharded driver (engine.cpp): alternates serial phases (global lane
-  // owns the earliest event) with conservative parallel windows.
-  std::uint64_t run_sharded(TimeNs until);
+  // Driver steps (engine.cpp).
   std::uint64_t serial_phase(TimeNs t);
   std::uint64_t run_lane_until(Lane& lane, TimeNs we);
   void run_window(TimeNs we);

@@ -1,5 +1,6 @@
 #include "sim/network.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <span>
@@ -12,7 +13,7 @@ namespace r2c2::sim {
 
 namespace {
 // Deterministic per-lane seed derivation (splitmix-style odd multiplier);
-// lane streams must differ from each other and from the serial stream.
+// lane streams must differ from each other and from the 1-shard stream.
 std::uint64_t lane_seed(std::uint64_t base, int lane) {
   return base ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(lane + 1));
 }
@@ -29,10 +30,8 @@ Network::Network(Engine& engine, const Topology& topo, NetworkConfig config)
       config_(config),
       ports_(topo.num_links()),
       congestion_(topo.num_links(), 0.0),
-      degrade_(topo.num_links()),
-      lane_bytes_(1) {
-  parks_.resize(1);
-  corruption_rngs_.emplace_back(config.corruption_seed);
+      degrade_(topo.num_links()) {
+  set_shard_plan(ShardPlan{.shards = 1, .lane_of = std::vector<std::int32_t>(topo.num_nodes())});
 }
 
 void Network::set_link_degrade(LinkId link, const LinkDegrade& degrade) {
@@ -50,20 +49,23 @@ void Network::clear_link_degrade(LinkId link) {
 }
 
 void Network::set_shard_plan(const ShardPlan& plan) {
-  assert(parks_.size() == 1 && parks_[0].slots.empty() &&
+  assert(std::all_of(parks_.begin(), parks_.end(),
+                     [](const ParkStore& store) { return store.slots.empty(); }) &&
          "set_shard_plan must precede all traffic");
+  assert(plan.shards == engine_.shards() && "the network follows the engine's shard plan");
   shards_ = plan.shards;
-  if (shards_ <= 1) return;
-  const int lanes = shards_ + 1;  // + global lane
+  const int lanes = engine_.num_lanes();
   node_lane_ = plan.lane_of;
   link_lane_.resize(topo_.num_links());
   for (std::size_t l = 0; l < topo_.num_links(); ++l) {
     link_lane_[l] = node_lane_[topo_.link(static_cast<LinkId>(l)).from];
   }
   parks_.assign(static_cast<std::size_t>(lanes), ParkStore{});
+  // A single lane keeps the base seed: the 1-shard archive encoding.
   corruption_rngs_.clear();
   for (int i = 0; i < lanes; ++i) {
-    corruption_rngs_.emplace_back(lane_seed(config_.corruption_seed, i));
+    corruption_rngs_.emplace_back(lanes == 1 ? config_.corruption_seed
+                                             : lane_seed(config_.corruption_seed, i));
   }
   mail_.assign(static_cast<std::size_t>(shards_) * static_cast<std::size_t>(shards_), {});
   mail_posted_.assign(static_cast<std::size_t>(shards_), 0);
@@ -110,18 +112,12 @@ void Network::send_on_link(LinkId link, SimPacket&& pkt) {
   if (!port.busy) try_transmit(link);
 }
 
-// Schedules the arrival of `pkt` at `to`. Same-lane (and serial-mode)
-// arrivals push straight onto the destination lane; cross-lane arrivals
-// inside a parallel window go through the mailbox and are inserted at the
-// barrier with the key allocated here — identical (time, key) order
-// either way.
+// Schedules the arrival of `pkt` at `to`. Same-lane arrivals, and any
+// arrival outside a parallel window, push straight onto the destination
+// lane; cross-lane arrivals inside a window go through the mailbox and are
+// inserted at the barrier with the key allocated here — identical
+// (time, key) order either way.
 void Network::schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt) {
-  if (shards_ == 1) {
-    const std::uint64_t slot = park_in(0, std::move(pkt));
-    engine_.schedule_at(at, EventDesc{kEvDeliver, slot, to},
-                        [this, to, slot] { deliver_(to, take_parked(slot)); });
-    return;
-  }
   const int dst_lane = node_lane_[to];
   const int cur = engine_.current_lane();
   if (engine_.in_window() && dst_lane != cur) {
@@ -186,12 +182,8 @@ void Network::try_transmit(LinkId link) {
     ports_[link].busy = false;
     try_transmit(link);
   };
-  if (shards_ == 1) {
-    engine_.schedule_in(tx, EventDesc{kEvLinkFree, link, 0}, link_free);
-  } else {
-    engine_.schedule_on(link_lane_[link], engine_.now() + tx, EventDesc{kEvLinkFree, link, 0},
-                        link_free);
-  }
+  engine_.schedule_on(link_lane_[link], engine_.now() + tx, EventDesc{kEvLinkFree, link, 0},
+                      link_free);
   // Gray degradation: a flap oscillator's dark window or a loss draw loses
   // the packet on the wire — silently, like a dead cable, so the transport
   // has to *infer* it; degrade corruption folds into the checksum path

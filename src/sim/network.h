@@ -8,15 +8,16 @@
 // broadcast FIB instead (handled by the transport's deliver callback
 // re-injecting copies).
 //
-// Under a sharded engine (set_shard_plan with > 1 shard) every port is
-// owned by the lane of its source node: all queue and busy-flag mutation
-// for a link happens on that lane (link-free completions are scheduled
-// onto it explicitly). Deliveries that stay inside a lane schedule
-// directly; deliveries that cross lanes inside a parallel window are
-// posted to a per-(src,dst) mailbox stamped (arrival time, origin event
-// key) and inserted into the destination lane's queue at the window
+// Per-lane state follows the engine's shard plan (set_shard_plan; a
+// 1-shard plan, whose one lane is the global lane, by default). Every port
+// is owned by the lane of its source node: all queue and busy-flag
+// mutation for a link happens on that lane (link-free completions are
+// scheduled onto it explicitly). Deliveries that stay inside a lane
+// schedule directly; deliveries that cross lanes inside a parallel window
+// are posted to a per-(src,dst) mailbox stamped (arrival time, origin
+// event key) and inserted into the destination lane's queue at the window
 // barrier by the destination's owner — same (time, key) tie order as a
-// direct push, so the sharded run is bit-identical to the serial order.
+// direct push, so a run is bit-identical at any worker count.
 #pragma once
 
 #include <algorithm>
@@ -143,10 +144,11 @@ class Network {
   // observational — used by the transports' flight recorders.
   void set_corrupt(DropFn fn) { corrupted_fn_ = std::move(fn); }
 
-  // Adopts the engine's shard partition. Must be called before any
-  // traffic: the parked-packet stores, corruption RNG streams and
-  // mailboxes become per-lane (shards + 1 of each, the extra one for the
-  // global lane). No-op for a 1-shard plan.
+  // Adopts the engine's shard partition (the constructor adopts a 1-shard
+  // plan). Must be called before any traffic, with the plan the engine was
+  // configured with: the parked-packet stores, corruption RNG streams and
+  // byte counters are one per engine lane, the mailboxes one per pair of
+  // shard lanes.
   void set_shard_plan(const ShardPlan& plan);
 
   const Topology& topology() const { return topo_; }
@@ -239,9 +241,8 @@ class Network {
   // sample_congestion observes a peak above threshold.
   std::span<const double> congestion() const { return congestion_; }
 
-  // Mailbox traffic stats (sharded mode; obs gauges). Counters exist only
-  // for shard lanes; any other lane (the global lane in particular) posts
-  // no mailbox traffic and reads 0.
+  // Mailbox traffic stats (obs gauges). Only shard lanes of a sharded
+  // engine post mailbox traffic; every other lane reads 0.
   std::uint64_t mailbox_posted(int src_lane) const {
     const auto i = static_cast<std::size_t>(src_lane);
     return i < mail_posted_.size() ? mail_posted_[i] : 0;
@@ -256,9 +257,9 @@ class Network {
   // than inside the closures, so the events serialize as (kind, slot, ...)
   // descriptors. Slot ids are stable across save/load: the free list is
   // serialized verbatim, so a restored network hands out the same slot for
-  // the same future park() call and descriptors keep matching. Sharded
-  // engines keep one store per lane; slot ids then carry the store index
-  // in their top bits.
+  // the same future park() call and descriptors keep matching. There is
+  // one store per engine lane; slot ids carry the store index in their top
+  // bits (zero on a 1-shard engine, whose ids are the bare indices).
   std::uint64_t park(SimPacket&& pkt);
   SimPacket take_parked(std::uint64_t slot);
 
@@ -391,18 +392,15 @@ class Network {
     SimPacket pkt;
   };
 
-  // Slot ids carry the store index above bit 48 in sharded mode (store
-  // sizes stay far below 2^48 packets).
+  // Slot ids carry the store index above bit 48 (store sizes stay far
+  // below 2^48 packets).
   static constexpr int kSlotLaneShift = 48;
-  std::uint64_t encode_slot(int store, std::uint64_t idx) const {
-    return shards_ == 1 ? idx
-                        : (static_cast<std::uint64_t>(store) << kSlotLaneShift) | idx;
+  static std::uint64_t encode_slot(int store, std::uint64_t idx) {
+    return (static_cast<std::uint64_t>(store) << kSlotLaneShift) | idx;
   }
-  int slot_store(std::uint64_t slot) const {
-    return shards_ == 1 ? 0 : static_cast<int>(slot >> kSlotLaneShift);
-  }
-  std::uint64_t slot_index(std::uint64_t slot) const {
-    return shards_ == 1 ? slot : (slot & ((std::uint64_t{1} << kSlotLaneShift) - 1));
+  static int slot_store(std::uint64_t slot) { return static_cast<int>(slot >> kSlotLaneShift); }
+  static std::uint64_t slot_index(std::uint64_t slot) {
+    return slot & ((std::uint64_t{1} << kSlotLaneShift) - 1);
   }
 
   // Only the wire-byte totals are archived; a restored network carries
@@ -419,12 +417,10 @@ class Network {
   std::uint64_t park_in(int store, SimPacket&& pkt);
   void schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt);
   void try_transmit(LinkId link);
-  // Index of the executing lane's per-lane state (serial mode: 0).
-  std::size_t exec_lane() const {
-    return shards_ == 1 ? 0 : static_cast<std::size_t>(engine_.current_lane());
-  }
-  // The bernoulli/jitter stream of the executing lane (serial mode: the
-  // single stream) — concurrent lanes never contend on one RNG.
+  // Index of the executing lane's per-lane state.
+  std::size_t exec_lane() const { return static_cast<std::size_t>(engine_.current_lane()); }
+  // The bernoulli/jitter stream of the executing lane — concurrent lanes
+  // never contend on one RNG.
   Rng& lane_rng() { return corruption_rngs_[exec_lane()]; }
   static bool is_control(const SimPacket& pkt) {
     return pkt.type != PacketType::kData && pkt.type != PacketType::kAck;
@@ -445,14 +441,14 @@ class Network {
   DropFn dropped_;
   DropFn corrupted_fn_;
   int shards_ = 1;
-  std::vector<std::int32_t> node_lane_;  // per node (sharded mode only)
-  std::vector<std::int32_t> link_lane_;  // lane of link.from (sharded mode only)
-  std::vector<ParkStore> parks_;         // one (serial) or shards + 1
-  std::vector<Rng> corruption_rngs_;     // one (serial) or shards + 1
+  std::vector<std::int32_t> node_lane_;  // per node
+  std::vector<std::int32_t> link_lane_;  // lane of link.from
+  std::vector<ParkStore> parks_;         // per engine lane
+  std::vector<Rng> corruption_rngs_;     // per engine lane
   std::vector<std::vector<MailEntry>> mail_;  // [src * shards + dst]; cleared per window
-  std::vector<std::uint64_t> mail_posted_;    // per src lane
-  std::vector<std::uint64_t> mail_peak_;      // per dst lane, max drained per window
-  std::vector<LaneBytes> lane_bytes_;         // one (serial) or shards + 1
+  std::vector<std::uint64_t> mail_posted_;    // per src shard lane
+  std::vector<std::uint64_t> mail_peak_;      // per dst shard lane, max drained per window
+  std::vector<LaneBytes> lane_bytes_;         // per engine lane
   // Loss counters are rare; they commute, so relaxed atomic adds from
   // concurrent shard lanes still read deterministically at every barrier.
   std::atomic<std::uint64_t> drops_{0};

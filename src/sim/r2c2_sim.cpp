@@ -20,7 +20,6 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
       config_(config),
       net_(engine_, topo, config.net),
       trees_(topo, config.broadcast_trees),
-      rng_(config.seed),
       metrics_(config.metrics != nullptr ? *config.metrics : own_metrics_),
       trace_(config.trace),
       c_recomputations_(metrics_.counter("r2c2.recomputations")),
@@ -47,33 +46,35 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
       link_suspect_(topo.num_links(), 0) {
   if (config_.failure_timeout == 0) config_.failure_timeout = 4 * config_.keepalive_interval;
   if (config_.lease_ttl == 0) config_.lease_ttl = 4 * config_.lease_interval;
-  sharded_ = config_.engine_shards > 1;
-  if (sharded_) {
-    if (config_.recompute_interval == 0) {
-      throw std::logic_error(
-          "engine_shards > 1 requires recompute_interval > 0: per-event "
-          "recomputation is inherently global");
-    }
-    plan_ = make_shard_plan(topo_, config_.engine_shards);
-    engine_.configure_shards(plan_.shards, config_.engine_workers, plan_.min_cross_latency);
-    net_.set_shard_plan(plan_);
-    engine_.set_lane_drain([this](int lane) { net_.drain_mailbox(lane); });
-    engine_.set_barrier_apply([this] { apply_pending_ops(); });
-    const std::size_t k = static_cast<std::size_t>(plan_.shards);
-    shard_rng_.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      shard_rng_.emplace_back(config_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    }
-    shard_scratch_.resize(k);
-    shard_bcast_ctr_.assign(k, 1);
-    ops_.resize(k + 1);
-    // The flight recorder is not thread-safe, so sharded runs give every
-    // engine lane (shards + global) a private ring of the same capacity;
-    // merge_lane_traces folds them (ts, lane, position)-ordered into the
-    // user's recorder at metrics collection. Workers > 1 keeps full traces.
-    if (trace_ != nullptr) {
-      lane_traces_.reserve(k + 1);
-      for (std::size_t i = 0; i < k + 1; ++i) lane_traces_.emplace_back(trace_->capacity());
+  if (config_.engine_shards > 1 && config_.recompute_interval == 0) {
+    throw std::logic_error(
+        "engine_shards > 1 requires recompute_interval > 0: per-event "
+        "recomputation is inherently global");
+  }
+  plan_ = make_shard_plan(topo_, config_.engine_shards);
+  engine_.configure_shards(plan_.shards, config_.engine_workers, plan_.min_cross_latency);
+  net_.set_shard_plan(plan_);
+  engine_.set_lane_drain([this](int lane) { net_.drain_mailbox(lane); });
+  engine_.set_barrier_apply([this] { apply_pending_ops(); });
+  const auto lanes = static_cast<std::size_t>(engine_.num_lanes());
+  const auto global = static_cast<std::size_t>(engine_.global_lane());
+  lane_rng_.reserve(lanes);
+  for (std::size_t i = 0; i < lanes; ++i) {
+    lane_rng_.emplace_back(i == global ? config_.seed
+                                       : config_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+  }
+  lane_scratch_.resize(lanes);
+  bcast_ctr_.assign(lanes, 1);
+  ops_.resize(global);  // the shard lanes come first
+  // The flight recorder is not thread-safe, so several lanes each get a
+  // private ring of the same capacity; merge_lane_traces folds them
+  // (ts, lane, position)-ordered into the user's recorder at metrics
+  // collection. Workers > 1 keeps full traces.
+  lane_trace_.assign(lanes, trace_);
+  if (trace_ != nullptr && lanes > 1) {
+    lane_rings_.reserve(lanes);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      lane_trace_[i] = &lane_rings_.emplace_back(trace_->capacity());
     }
   }
   net_.set_deliver([this](NodeId at, SimPacket&& pkt) { deliver(at, std::move(pkt)); });
@@ -155,7 +156,7 @@ RunMetrics R2c2Sim::run(TimeNs until) {
 }
 
 void R2c2Sim::merge_lane_traces() {
-  if (trace_ == nullptr || lane_traces_.empty()) return;
+  if (lane_rings_.empty()) return;
   // Fold every lane's private ring into the user-facing recorder, ordered
   // by (timestamp, lane, position-in-lane). Each lane's ring is a pure
   // function of that lane's event trajectory — never of worker
@@ -169,13 +170,13 @@ void R2c2Sim::merge_lane_traces() {
   };
   std::vector<Tagged> all;
   std::size_t total = 0;
-  for (const obs::FlightRecorder& rec : lane_traces_) total += rec.size();
+  for (const obs::FlightRecorder& rec : lane_rings_) total += rec.size();
   all.reserve(total);
-  for (std::size_t lane = 0; lane < lane_traces_.size(); ++lane) {
+  for (std::size_t lane = 0; lane < lane_rings_.size(); ++lane) {
     std::size_t pos = 0;
-    lane_traces_[lane].for_each(
+    lane_rings_[lane].for_each(
         [&all, lane, &pos](const obs::TraceEvent& ev) { all.push_back({ev, lane, pos++}); });
-    lane_traces_[lane].clear();
+    lane_rings_[lane].clear();
   }
   std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
     if (a.ev.ts != b.ev.ts) return a.ev.ts < b.ev.ts;
@@ -229,22 +230,17 @@ RunMetrics R2c2Sim::collect_metrics() {
   metrics_.gauge("detect.suspects").set(static_cast<double>(suspects_));
   metrics_.gauge("sim.events").set(static_cast<double>(m.events));
   metrics_.gauge("sim.end_ns").set(static_cast<double>(m.sim_end));
-  if (sharded_) {
-    std::vector<obs::EngineLaneSample> lanes(static_cast<std::size_t>(engine_.num_lanes()));
-    for (int i = 0; i < engine_.num_lanes(); ++i) {
-      const Engine::LaneStats s = engine_.lane_stats(i);
-      auto& lane = lanes[static_cast<std::size_t>(i)];
-      lane.events = s.events;
-      lane.window_stalls = s.stalls;
-      lane.mailbox_posted = net_.mailbox_posted(i);
-      lane.mailbox_peak = net_.mailbox_peak_depth(i);
-    }
-    obs::publish_engine_lanes(metrics_, lanes, engine_.windows_run(), engine_.serial_phases(),
-                              engine_.clamped_schedules());
-  } else {
-    metrics_.gauge("engine.clamped_schedules")
-        .set(static_cast<double>(engine_.clamped_schedules()));
+  std::vector<obs::EngineLaneSample> lanes(static_cast<std::size_t>(engine_.num_lanes()));
+  for (int i = 0; i < engine_.num_lanes(); ++i) {
+    const Engine::LaneStats s = engine_.lane_stats(i);
+    auto& lane = lanes[static_cast<std::size_t>(i)];
+    lane.events = s.events;
+    lane.window_stalls = s.stalls;
+    lane.mailbox_posted = net_.mailbox_posted(i);
+    lane.mailbox_peak = net_.mailbox_peak_depth(i);
   }
+  obs::publish_engine_lanes(metrics_, lanes, engine_.windows_run(), engine_.serial_phases(),
+                            engine_.clamped_schedules());
   return m;
 }
 
@@ -349,16 +345,7 @@ FlowId R2c2Sim::start_flow(const FlowArrival& arrival) {
            engine_.now());
 
   // Announce the flow to the rack.
-  BroadcastMsg msg;
-  msg.type = PacketType::kFlowStart;
-  msg.src = spec.src;
-  msg.dst = spec.dst;
-  msg.fseq = fseq;
-  msg.weight = static_cast<std::uint8_t>(std::clamp(spec.weight, 1.0, 255.0));
-  msg.priority = spec.priority;
-  msg.demand_kbps = 0;  // network-limited
-  msg.rp = spec.alg;
-  broadcast(msg, spec.src);
+  broadcast(flow_msg(it->second, PacketType::kFlowStart), spec.src);
 
   schedule_emit(id);
   schedule_recompute_tick();
@@ -369,8 +356,8 @@ FlowId R2c2Sim::start_flow(const FlowArrival& arrival) {
 FlowId R2c2Sim::start_service_flow(NodeId src, NodeId dst, std::uint64_t bytes, double weight,
                                    int priority, std::int8_t alg) {
   // Service flows issue from kEvService handlers, which run on the global
-  // lane — the same context the kEvStartFlow arrivals execute in — so the
-  // serial code paths (rng_, pending_, direct map mutation) apply.
+  // lane — the same context the kEvStartFlow arrivals execute in — so every
+  // rack-global mutation applies at once.
   assert(!shard_ctx() && "service flows must issue from a serial context");
   FlowArrival a;
   a.start = engine_.now();
@@ -403,16 +390,13 @@ void R2c2Sim::notify_service_done(FlowId id, TimeNs at, bool aborted) {
 }
 
 std::uint64_t R2c2Sim::alloc_bcast_id() {
-  if (!sharded_) return next_bcast_id_++;
-  // Context tag in the low bits (global = 0, shard i = i + 1) keeps the
-  // id spaces disjoint without cross-shard coordination; kLaneBits leaves
-  // 57 bits of counter, far beyond any run length.
-  if (shard_ctx()) {
-    const auto lane = static_cast<std::size_t>(engine_.current_lane());
-    return (shard_bcast_ctr_[lane]++ << Engine::kLaneBits) |
-           static_cast<std::uint64_t>(lane + 1);
-  }
-  return next_bcast_id_++ << Engine::kLaneBits;
+  const std::uint64_t n = bcast_ctr_[ctx_lane()]++;
+  if (engine_.shards() == 1) return n;
+  // Lane tag in the low bits (global = 0, shard i = i + 1) keeps the id
+  // spaces disjoint without cross-shard coordination; kLaneBits leaves 57
+  // bits of counter, far beyond any run length.
+  const std::uint64_t tag = shard_ctx() ? ctx_lane() + 1 : 0;
+  return (n << Engine::kLaneBits) | tag;
 }
 
 void R2c2Sim::broadcast(const BroadcastMsg& base, NodeId origin, bool recovery) {
@@ -428,24 +412,16 @@ void R2c2Sim::broadcast(const BroadcastMsg& base, NodeId origin, bool recovery) 
   c_broadcasts_sent_.add(1);
   R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), origin, obs::EventType::kBroadcastSend, bcast_id,
                      static_cast<std::uint64_t>(msg.type));
-  if (shard_ctx()) {
-    // A shard-launched broadcast (a finish announcement) registers its
-    // pending entry through the op log; copies already in flight cannot
-    // complete it before the barrier, since the rack has > 1 node and any
-    // copy needs at least one link traversal (>= one lookahead window).
-    DeferredOp op;
-    op.at = engine_.now();
-    op.kind = OpKind::kBcastInsert;
-    op.a = bcast_id;
-    op.msg = msg;
-    op.remaining = static_cast<std::uint32_t>(topo_.num_nodes() - 1);
-    op.flag = recovery;
-    push_op(std::move(op));
-  } else {
-    pending_[bcast_id] =
-        PendingBroadcast{msg, static_cast<std::uint32_t>(topo_.num_nodes() - 1), recovery};
-    if (recovery) ++rebroadcast_outstanding_;
-  }
+  // A shard-launched broadcast (a finish announcement) registers its
+  // pending entry at the barrier; copies already in flight cannot complete
+  // it before then, since the rack has > 1 node and any copy needs at least
+  // one link traversal (>= one lookahead window).
+  commit(DeferredOp{.at = engine_.now(),
+                    .kind = OpKind::kBcastInsert,
+                    .a = bcast_id,
+                    .flag = recovery,
+                    .remaining = static_cast<std::uint32_t>(topo_.num_nodes() - 1),
+                    .msg = msg});
   // Send one copy toward each child of the origin; copies fan out further
   // at every hop via the broadcast FIB.
   for (const NodeId child : trees.children(origin, origin, msg.tree)) {
@@ -477,35 +453,38 @@ void R2c2Sim::on_broadcast_copy(NodeId at, SimPacket&& pkt) {
     assert(link != kInvalidLink);
     net_.send_on_link(link, std::move(copy));
   }
-  if (shard_ctx()) {
-    // pending_ is rack-global: record the arrival in the op log. Dedup
-    // against already-completed broadcasts happens when the op applies.
-    DeferredOp op;
-    op.at = engine_.now();
-    op.kind = OpKind::kBcastArrived;
-    op.a = pkt.bcast_id;
-    op.node = at;
-    push_op(std::move(op));
-    return;
+  // Dedup against already-completed broadcasts happens when the op applies.
+  commit(DeferredOp{
+      .at = engine_.now(), .kind = OpKind::kBcastArrived, .a = pkt.bcast_id, .node = at});
+}
+
+BroadcastMsg R2c2Sim::flow_msg(const SenderFlow& flow, PacketType type) {
+  BroadcastMsg msg;
+  msg.type = type;
+  msg.src = flow.spec.src;
+  msg.dst = flow.spec.dst;
+  msg.fseq = flow.fseq;
+  msg.rp = flow.spec.alg;
+  if (type != PacketType::kFlowFinish) {
+    msg.weight = static_cast<std::uint8_t>(std::clamp(flow.spec.weight, 1.0, 255.0));
+    msg.priority = flow.spec.priority;
   }
-  auto it = pending_.find(pkt.bcast_id);
-  if (it == pending_.end()) return;
-  if (--it->second.remaining == 0) {
-    const BroadcastMsg msg = it->second.msg;
-    const bool recovery = it->second.recovery;
-    pending_.erase(it);
-    R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), at, obs::EventType::kBroadcastDeliver, pkt.bcast_id,
-                       static_cast<std::uint64_t>(msg.type));
-    apply_global(msg);
-    if (recovery && rebroadcast_outstanding_ > 0 && --rebroadcast_outstanding_ == 0) {
-      // Every post-failure re-announcement has fully propagated: the rack
-      // agrees on the traffic matrix again.
-      const TimeNs now = engine_.now();
-      for (const std::size_t idx : open_recoveries_) recoveries_[idx].reconverged_at = now;
-      open_recoveries_.clear();
-      R2C2_TRACE_INSTANT(ctx_trace(), now, at, obs::EventType::kFaultReconverge, 0, 0);
-    }
+  return msg;  // demand_kbps stays 0: network-limited
+}
+
+std::size_t R2c2Sim::announce_live_flows(PacketType type, bool recovery) {
+  // Sorted by flow id: broadcast() draws the tree from the RNG, so the
+  // iteration order must be a function of state, not of the hash map's
+  // insertion history (which a snapshot restore does not reproduce).
+  std::vector<FlowId> live;
+  live.reserve(senders_.size());
+  for (const auto& [id, flow] : senders_) live.push_back(id);
+  std::sort(live.begin(), live.end());
+  for (const FlowId id : live) {
+    const SenderFlow& flow = senders_.at(id);
+    broadcast(flow_msg(flow, type), flow.spec.src, recovery);
   }
+  return live.size();
 }
 
 void R2c2Sim::apply_global(const BroadcastMsg& msg) {
@@ -591,14 +570,10 @@ void R2c2Sim::schedule_emit(FlowId id) {
   if (flow.emit_scheduled || flow.rate_bps <= 0.0) return;
   flow.emit_scheduled = true;
   const TimeNs at = std::max(engine_.now(), flow.next_send);
-  if (sharded_) {
-    // Emission always runs on the sender's home lane, whichever context
-    // (flow start, rate recompute, the lane itself) armed it.
-    engine_.schedule_on(plan_.lane(flow.spec.src), at, EventDesc{kEvEmitPacket, id, 0},
-                        [this, id] { emit_packet(id); });
-    return;
-  }
-  engine_.schedule_at(at, EventDesc{kEvEmitPacket, id, 0}, [this, id] { emit_packet(id); });
+  // Emission always runs on the sender's home lane, whichever context
+  // (flow start, rate recompute, the lane itself) armed it.
+  engine_.schedule_on(plan_.lane(flow.spec.src), at, EventDesc{kEvEmitPacket, id, 0},
+                      [this, id] { emit_packet(id); });
 }
 
 void R2c2Sim::emit_packet(FlowId id) {
@@ -695,38 +670,22 @@ void R2c2Sim::finish_sending(FlowId id) {
   auto it = senders_.find(id);
   assert(it != senders_.end());
   SenderFlow& flow = it->second;
-  // Sharded: the erase is deferred to the barrier, so a second trigger in
-  // the same window (e.g. two final ACKs) must find the flow already
-  // announced. Serial: the immediate erase makes re-entry impossible.
+  // On a shard lane the erase waits for the barrier, so a second trigger
+  // in the same window (e.g. two final ACKs) must find the flow already
+  // announced.
   if (flow.finish_announced) return;
   flow.finish_announced = true;
   // Close the rate integral.
   set_rate(flow, 0.0, engine_.now());
-
-  BroadcastMsg msg;
-  msg.type = PacketType::kFlowFinish;
-  msg.src = flow.spec.src;
-  msg.dst = flow.spec.dst;
-  msg.fseq = flow.fseq;
-  msg.rp = flow.spec.alg;
+  const BroadcastMsg msg = flow_msg(flow, PacketType::kFlowFinish);
   records_[record_index_[id]].avg_assigned_rate_bps =
       flow.rate_integral /
       std::max(1e-9, static_cast<double>(engine_.now() - flow.started_at) / 1e9);
-  if (shard_ctx()) {
-    broadcast(msg, msg.src);
-    DeferredOp op;
-    op.at = engine_.now();
-    op.kind = OpKind::kFlowDone;
-    op.a = id;
-    op.flag = flow.rel != nullptr;
-    push_op(std::move(op));
-    return;
-  }
   // Reliable mode finishes only when fully acked, so the lingering
   // receiver state can be reaped here. (Unreliable mode finishes when the
   // last byte is *sent*; the receiver is still draining the pipe.)
-  if (flow.rel) receivers_.erase(id);
-  senders_.erase(it);
+  commit(DeferredOp{
+      .at = engine_.now(), .kind = OpKind::kFlowDone, .a = id, .flag = flow.rel != nullptr});
   broadcast(msg, msg.src);
 }
 
@@ -746,35 +705,10 @@ void R2c2Sim::abort_flow(FlowId id) {
   // Announce the teardown like a finish so remote views retire the flow and
   // its rate share returns to the pool (the abort is local bookkeeping; on
   // the wire it is indistinguishable from a finish).
-  BroadcastMsg msg;
-  msg.type = PacketType::kFlowFinish;
-  msg.src = flow.spec.src;
-  msg.dst = flow.spec.dst;
-  msg.fseq = flow.fseq;
-  msg.rp = flow.spec.alg;
-  if (shard_ctx()) {
-    // The record verdict and unfinished_ are rack-global (the receiver's
-    // lane may be completing the same flow this window); defer them.
-    broadcast(msg, msg.src);
-    DeferredOp op;
-    op.at = engine_.now();
-    op.kind = OpKind::kFlowAbort;
-    op.a = id;
-    push_op(std::move(op));
-    return;
-  }
-  FlowRecord& rec = records_[record_index_[id]];
-  if (!rec.finished()) {
-    // Only a flow whose receiver never completed is a true abort; a sender
-    // giving up after the data arrived (lost final ACKs) just tears down.
-    rec.aborted = true;
-    rec.aborted_at = engine_.now();
-    c_flow_aborts_.add(1);
-    --unfinished_;
-    notify_service_done(id, engine_.now(), /*aborted=*/true);
-  }
-  receivers_.erase(id);
-  senders_.erase(it);
+  const BroadcastMsg msg = flow_msg(flow, PacketType::kFlowFinish);
+  // The record verdict and unfinished_ are rack-global: on a shard lane the
+  // receiver's lane may be completing the same flow this window.
+  commit(DeferredOp{.at = engine_.now(), .kind = OpKind::kFlowAbort, .a = id});
   broadcast(msg, msg.src);
 }
 
@@ -831,26 +765,15 @@ void R2c2Sim::on_data_at_receiver(SimPacket&& pkt) {
     c_flows_finished_.add(1);
     R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), pkt.dst, obs::EventType::kFlowFinish,
                        static_cast<std::uint64_t>(pkt.flow), static_cast<std::uint64_t>(rec.fct()));
-    if (shard_ctx()) {
-      // unfinished_ and receiver-map membership are rack-global; defer.
-      // The receiver entry lingers until the barrier either way — trailing
-      // same-window packets just update state that is about to be reaped.
-      DeferredOp op;
-      op.at = engine_.now();
-      op.kind = recv.rel ? OpKind::kUnfinishedDec : OpKind::kReceiverDone;
-      op.a = pkt.flow;
-      push_op(std::move(op));
-    } else if (recv.rel) {
-      // Linger (TIME_WAIT-style): keep re-acking stale retransmissions in
-      // case the final ACK is lost; finish_sending reaps the state once
-      // the sender is fully acked.
-      --unfinished_;
-      notify_service_done(pkt.flow, engine_.now(), /*aborted=*/false);
-    } else {
-      receivers_.erase(rit);
-      --unfinished_;
-      notify_service_done(pkt.flow, engine_.now(), /*aborted=*/false);
-    }
+    // unfinished_ and receiver-map membership are rack-global. A reliable
+    // receiver lingers (TIME_WAIT-style), re-acking stale retransmissions
+    // in case the final ACK is lost; finish_sending reaps it once the
+    // sender is fully acked. On a shard lane any receiver lingers until
+    // the barrier — trailing same-window packets just update state that is
+    // about to be reaped.
+    commit(DeferredOp{.at = engine_.now(),
+                      .kind = recv.rel ? OpKind::kUnfinishedDec : OpKind::kReceiverDone,
+                      .a = pkt.flow});
   }
 }
 
@@ -1023,19 +946,10 @@ void R2c2Sim::on_keepalive(SimPacket&& pkt) {
   }
   last_heard_[link] = engine_.now();
   if (cable_down_[link]) {
-    if (shard_ctx()) {
-      // The restore verdict touches rack-global detection state; defer it.
-      // cable_down_ only changes at barriers, so duplicate ops from probes
-      // on both directions dedup when they apply.
-      DeferredOp op;
-      op.at = engine_.now();
-      op.kind = OpKind::kDetect;
-      op.a = link;
-      op.flag = false;
-      push_op(std::move(op));
-      return;
-    }
-    note_detection(link, false, engine_.now());
+    // The restore verdict touches rack-global detection state. cable_down_
+    // only changes in serial contexts, so duplicate ops from probes on both
+    // directions dedup when they apply.
+    commit(DeferredOp{.at = engine_.now(), .kind = OpKind::kDetect, .a = link, .flag = false});
   }
 }
 
@@ -1239,27 +1153,7 @@ void R2c2Sim::rebuild_context() {
   // Section 3.2: "upon detecting a failure, nodes broadcast information
   // about all their ongoing flows" — re-announce every live flow over the
   // new trees so views heal even where the original copies were lost.
-  // Sorted by flow id: broadcast() draws the tree from the RNG, so the
-  // iteration order must be a function of state, not of the hash map's
-  // insertion history (which a snapshot restore does not reproduce).
-  std::vector<FlowId> live;
-  live.reserve(senders_.size());
-  for (const auto& [id, flow] : senders_) live.push_back(id);
-  std::sort(live.begin(), live.end());
-  for (const FlowId id : live) {
-    const SenderFlow& flow = senders_.at(id);
-    BroadcastMsg msg;
-    msg.type = PacketType::kFlowStart;
-    msg.src = flow.spec.src;
-    msg.dst = flow.spec.dst;
-    msg.fseq = flow.fseq;
-    msg.weight = static_cast<std::uint8_t>(std::clamp(flow.spec.weight, 1.0, 255.0));
-    msg.priority = flow.spec.priority;
-    msg.demand_kbps = 0;
-    msg.rp = flow.spec.alg;
-    broadcast(msg, flow.spec.src, /*recovery=*/true);
-    c_flows_rebroadcast_.add(1);
-  }
+  c_flows_rebroadcast_.add(announce_live_flows(PacketType::kFlowStart, /*recovery=*/true));
   if (rebroadcast_outstanding_ == 0) {
     // Nothing to re-announce: reconvergence is immediate.
     for (const std::size_t idx : open_recoveries_) recoveries_[idx].reconverged_at = now;
@@ -1278,26 +1172,8 @@ void R2c2Sim::lease_tick() {
   lease_tick_scheduled_ = false;
   if (!fault_ticks_needed()) return;
   // Re-advertise every live flow; the demand-update broadcast doubles as a
-  // lease refresh (and resurrects entries lost to failures). Sorted by id:
-  // each broadcast draws a tree from the RNG (see rebuild_context).
-  std::vector<FlowId> live;
-  live.reserve(senders_.size());
-  for (const auto& [id, flow] : senders_) live.push_back(id);
-  std::sort(live.begin(), live.end());
-  for (const FlowId id : live) {
-    const SenderFlow& flow = senders_.at(id);
-    BroadcastMsg msg;
-    msg.type = PacketType::kDemandUpdate;
-    msg.src = flow.spec.src;
-    msg.dst = flow.spec.dst;
-    msg.fseq = flow.fseq;
-    msg.weight = static_cast<std::uint8_t>(std::clamp(flow.spec.weight, 1.0, 255.0));
-    msg.priority = flow.spec.priority;
-    msg.demand_kbps = 0;
-    msg.rp = flow.spec.alg;
-    broadcast(msg, flow.spec.src);
-    c_lease_refreshes_.add(1);
-  }
+  // lease refresh (and resurrects entries lost to failures).
+  c_lease_refreshes_.add(announce_live_flows(PacketType::kDemandUpdate, /*recovery=*/false));
   if (!senders_.empty()) {
     R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), 0, obs::EventType::kLeaseRefresh, senders_.size(),
                        0);
@@ -1342,7 +1218,7 @@ void R2c2Sim::gc_tick() {
   }
 }
 
-// --- Deferred cross-shard state ops --------------------------------------
+// --- Rack-global state ops ------------------------------------------------
 
 // Runs at the window barrier (engine barrier_apply hook) with every worker
 // parked. Lane logs are merged by (time, lane, position): each lane's log
@@ -1395,6 +1271,8 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
                            static_cast<std::uint64_t>(msg.type));
         apply_global(msg);
         if (recovery && rebroadcast_outstanding_ > 0 && --rebroadcast_outstanding_ == 0) {
+          // Every post-failure re-announcement has fully propagated: the
+          // rack agrees on the traffic matrix again.
           for (const std::size_t idx : open_recoveries_) {
             recoveries_[idx].reconverged_at = op.at;
           }
@@ -1415,9 +1293,10 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
     case OpKind::kReceiverDone:
       receivers_.erase(static_cast<FlowId>(op.a));
       --unfinished_;
-      // Barrier context: all workers parked, the global lane clock is
-      // pinned at or before op.at, so a completion-triggered
-      // schedule_service lands deterministically in merged-op order.
+      // A serial context (op.at is now) or a barrier (all workers parked,
+      // the global lane clock pinned at or before op.at): either way a
+      // completion-triggered schedule_service lands deterministically in
+      // op order.
       notify_service_done(static_cast<FlowId>(op.a), op.at, /*aborted=*/false);
       break;
     case OpKind::kUnfinishedDec:
@@ -1432,9 +1311,11 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
       if (senders_.erase(id) == 0) break;  // stale duplicate
       receivers_.erase(id);
       FlowRecord& rec = records_[record_index_[id]];
-      // finished() is stable here (all workers parked): if the receiver
-      // completed in this same window, its kUnfinishedDec op carries the
-      // decrement and this teardown is not an abort.
+      // Only a flow whose receiver never completed is a true abort; a
+      // sender giving up after the data arrived (lost final ACKs) just
+      // tears down. finished() is stable here (no window runs): if the
+      // receiver completed in this same window, its kUnfinishedDec op
+      // carries the decrement.
       if (!rec.finished()) {
         rec.aborted = true;
         rec.aborted_at = op.at;
@@ -1540,10 +1421,13 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
 
 template <class Self, class V>
 void R2c2Sim::persist(Self& s, V& v) {
+  // The global lane's RNG stream and broadcast-id counter archive in
+  // sim.core; a sharded run's other lanes follow in sim.shards.
+  const auto global = static_cast<std::size_t>(s.engine_.global_lane());
   v.section("sim.core", [&] {
-    Rng::persist(s.rng_, v);
+    Rng::persist(s.lane_rng_[global], v);
     v.i64(s.router_epoch_);
-    v.u64(s.next_bcast_id_);
+    v.u64(s.bcast_ctr_[global]);
     v.u64(s.unfinished_);
     v.i64(s.fault_horizon_);
     v.flag(s.tick_scheduled_);
@@ -1655,10 +1539,10 @@ void R2c2Sim::persist(Self& s, V& v) {
     });
   });
 
-  if (s.sharded_) {
+  if (global > 0) {  // the global lane comes after the shard lanes
     v.section("sim.shards", [&] {
-      v.fixed(s.shard_rng_, [&v](auto& rng) { Rng::persist(rng, v); });
-      v.each(s.shard_bcast_ctr_, [&v](auto& ctr) { v.u64(ctr); });
+      v.fixed(std::span(s.lane_rng_).first(global), [&v](auto& rng) { Rng::persist(rng, v); });
+      for (auto& ctr : std::span(s.bcast_ctr_).first(global)) v.u64(ctr);
     });
   }
 

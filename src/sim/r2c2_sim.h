@@ -22,6 +22,12 @@
 //    leases with periodic refresh broadcasts plus stale-entry GC keep the
 //    global view correct when broadcasts themselves are lost.
 //
+// Execution: events run on the lanes of the engine's shard plan (one lane,
+// the global lane, by default). Each rack-global mutation an event handler
+// makes is one DeferredOp passed to commit(): a handler on a shard lane
+// logs it for the next window barrier, any other context applies it at
+// once, and apply_op is the one implementation of each.
+//
 // Simplification (documented in DESIGN.md): rather than giving each of the
 // n nodes its own divergent flow table, the simulator applies a flow event
 // to the shared view when the *last* broadcast copy is delivered — i.e.
@@ -156,9 +162,10 @@ struct R2c2SimConfig {
   // --- Sharded parallel engine (src/sim/engine.h) ---
   // Partition the topology into this many shards, each with its own event
   // lane; cross-shard packets ride mailboxes under conservative-lookahead
-  // windows. 1 = the classic serial engine, byte-identical to earlier
-  // versions. Shard count is part of the trajectory (it enters the config
-  // fingerprint): runs with different shard counts are different
+  // windows. 1 = a single lane, which is the global lane: the serial run,
+  // whose archives keep the 1-shard encoding (DESIGN.md, "Serial is the
+  // one-lane case"). Shard count is part of the trajectory (it enters the
+  // config fingerprint): runs with different shard counts are different
   // experiments. Requires recompute_interval > 0 when > 1 (per-event
   // recomputation is inherently global).
   int engine_shards = 1;
@@ -181,11 +188,12 @@ struct R2c2SimConfig {
 // Seam for a closed-loop service layer (src/service) driving the sim with
 // dynamically issued flows. The sim owns the event loop and the flow
 // lifecycle; the client owns request semantics. Completion callbacks fire
-// in deterministic order regardless of worker count: serial runs notify
-// inline, sharded runs notify from the deferred-op log applied at window
-// barriers — both sides of the seam observe the identical (time, op)
-// sequence. Callbacks always run in a serial context (global lane or
-// barrier), so the client may immediately issue follow-up flows/timers.
+// in deterministic order regardless of worker count: a completion on the
+// global lane notifies at once, one on a shard lane from the deferred-op
+// log applied at the window barrier — both sides of the seam observe the
+// identical (time, op) sequence. Callbacks always run in a serial context
+// (global lane or barrier), so the client may immediately issue follow-up
+// flows/timers.
 class ServiceClient {
  public:
   virtual ~ServiceClient() = default;
@@ -326,13 +334,13 @@ class R2c2Sim {
     bool recovery = false;        // post-failure re-announcement
   };
 
-  // Deferred cross-shard state operation. Shard-lane event handlers may not
-  // touch rack-global structures (pending_, senders_ membership,
-  // unfinished_, detection verdicts); they append one of these to their
-  // lane's log instead. Logs are merged by (time, lane, position) and
-  // applied with all workers parked at the window barrier — a
-  // deterministic serialization of what the serial engine would have done
-  // inline, delayed by at most one lookahead window.
+  // One mutation of rack-global structures (pending_, senders_ membership,
+  // unfinished_, detection verdicts), made through commit(). Shard-lane
+  // event handlers may not touch those structures, so commit() appends the
+  // op to the lane's log instead; logs are merged by (time, lane, position)
+  // and applied with all workers parked at the window barrier — a
+  // deterministic serialization of what a serial context applies at once,
+  // delayed by at most one lookahead window.
   enum class OpKind : std::uint8_t {
     kBcastInsert,    // register a broadcast launched from a shard
     kBcastArrived,   // one broadcast copy consumed at a node
@@ -377,6 +385,12 @@ class R2c2Sim {
   void on_broadcast_copy(NodeId at, SimPacket&& pkt);
   void apply_global(const BroadcastMsg& msg);
   void broadcast(const BroadcastMsg& msg, NodeId origin, bool recovery = false);
+  // The broadcast that announces `flow` as `type`. A finish names the flow
+  // only; its weight and priority keep their wire defaults.
+  static BroadcastMsg flow_msg(const SenderFlow& flow, PacketType type);
+  // Broadcasts `type` for every live sender flow in flow-id order; returns
+  // the number of flows announced.
+  std::size_t announce_live_flows(PacketType type, bool recovery);
   void schedule_emit(FlowId id);
   void emit_packet(FlowId id);
   void set_rate(SenderFlow& flow, double rate_bps, TimeNs now);
@@ -433,36 +447,32 @@ class R2c2Sim {
     return unfinished_ > 0 || !senders_.empty() || engine_.now() <= fault_horizon_;
   }
 
-  // --- Sharded-execution helpers ---
-  // True when the current event is running on a shard lane (as opposed to
-  // the global lane or the legacy serial engine): rack-global mutations
-  // must then go through the deferred-op log.
-  bool shard_ctx() const { return sharded_ && engine_.current_lane() < plan_.shards; }
-  // Per-context RNG / path scratch: the global lane keeps the legacy rng_
-  // and path_scratch_ (byte-identical archives when engine_shards == 1);
-  // each shard lane draws from its own deterministic stream.
-  Rng& ctx_rng() { return shard_ctx() ? shard_rng_[static_cast<std::size_t>(
-                                            engine_.current_lane())]
-                                      : rng_; }
-  Path& ctx_scratch() {
-    return shard_ctx() ? shard_scratch_[static_cast<std::size_t>(engine_.current_lane())]
-                       : path_scratch_;
-  }
-  // Broadcast ids must be unique across contexts without coordination:
-  // sharded runs tag the id with the allocating context (global = 0,
-  // shard i = i + 1) in the low bits.
+  // --- Per-lane execution context ---
+  // True when the current event runs on a shard lane, i.e. not on the
+  // global lane (a 1-shard engine has no other lane).
+  bool shard_ctx() const { return engine_.current_lane() != engine_.global_lane(); }
+  std::size_t ctx_lane() const { return static_cast<std::size_t>(engine_.current_lane()); }
+  // The executing lane's RNG stream and path scratch, so concurrent lanes
+  // never contend on one.
+  Rng& ctx_rng() { return lane_rng_[ctx_lane()]; }
+  Path& ctx_scratch() { return lane_scratch_[ctx_lane()]; }
+  // Broadcast ids must be unique across lanes without coordination: a
+  // sharded run tags each lane's count with the lane (global = 0, shard
+  // i = i + 1) in the low bits; a 1-shard run's ids stay untagged.
   std::uint64_t alloc_bcast_id();
-  // The executing context's trace ring: the user's recorder in serial
-  // mode, the current lane's private ring when sharded (merged into the
-  // user's recorder by merge_lane_traces). Null when untraced.
+  // The executing lane's trace ring (null when untraced).
   obs::FlightRecorder* ctx_trace() {
-    if (trace_ == nullptr) return nullptr;
-    if (!sharded_) return trace_;
-    return &lane_traces_[static_cast<std::size_t>(engine_.current_lane())];
+    return trace_ == nullptr ? nullptr : lane_trace_[ctx_lane()];
   }
   void merge_lane_traces();
-  void push_op(DeferredOp&& op) {
-    ops_[static_cast<std::size_t>(engine_.current_lane())].push_back(std::move(op));
+  // Makes one rack-global mutation: logged for the window barrier on a
+  // shard lane, applied at once in any other context.
+  void commit(DeferredOp&& op) {
+    if (shard_ctx()) {
+      ops_[ctx_lane()].push_back(std::move(op));
+    } else {
+      apply_op(op);
+    }
   }
   void apply_pending_ops();  // barrier_apply hook: merge + apply all lane logs
   void apply_op(const DeferredOp& op);
@@ -474,7 +484,6 @@ class R2c2Sim {
   Engine engine_;
   Network net_;
   BroadcastTrees trees_;    // pristine broadcast trees
-  Rng rng_;
 
   // Observability: all sim counters live in a registry (external via
   // config.metrics, else own_metrics_); RunMetrics reads them back out.
@@ -482,11 +491,13 @@ class R2c2Sim {
   obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry& metrics_;
   obs::FlightRecorder* trace_ = nullptr;
-  // Sharded runs keep one ring per engine lane so window-parallel events
-  // never contend on the user's recorder; the rings are merged
-  // (ts, lane, ring-position)-ordered into trace_ at metrics collection.
-  // Empty when serial or untraced.
-  std::vector<obs::FlightRecorder> lane_traces_;
+  // Trace ring per engine lane. A sharded run gives every lane a private
+  // ring so window-parallel events never contend on the user's recorder;
+  // the rings are merged (ts, lane, ring-position)-ordered into trace_ at
+  // metrics collection. A single lane records into trace_ itself, and
+  // lane_rings_ stays empty.
+  std::vector<obs::FlightRecorder*> lane_trace_;
+  std::vector<obs::FlightRecorder> lane_rings_;
   obs::Counter& c_recomputations_;
   obs::Counter& c_retransmissions_;
   obs::Counter& c_failures_detected_;
@@ -516,24 +527,21 @@ class R2c2Sim {
   // Bumped on every decision-plane swap; per-flow route caches compare
   // their epoch against it instead of registering for invalidation.
   int router_epoch_ = 0;
-  // Scratch for pick_path_into on the per-packet path (no allocation once
-  // warm). Used by the global context only; shard lanes each have their
-  // own buffer in shard_scratch_.
-  Path path_scratch_;
 
-  // --- Sharded engine state (inert when engine_shards == 1) ---
-  bool sharded_ = false;
+  // --- Per-lane state, indexed by engine lane (the global lane last) ---
   ShardPlan plan_;
-  // Per-shard RNG streams and path scratch: shard-lane events (route
-  // draws, broadcast tree picks) must not contend on rng_/path_scratch_.
-  // Streams are seeded from config.seed and the lane index, so the
-  // trajectory is a function of (seed, shards) alone.
-  std::vector<Rng> shard_rng_;
-  std::vector<Path> shard_scratch_;
-  // Per-shard broadcast-id counters (see alloc_bcast_id).
-  std::vector<std::uint64_t> shard_bcast_ctr_;
-  // Per-lane deferred-op logs, appended in lane execution order (times are
-  // nondecreasing within one lane) and merged at the window barrier.
+  // RNG streams (route draws, broadcast tree picks): the global lane's is
+  // seeded from config.seed, each shard lane's from config.seed and the
+  // lane index, so the trajectory is a function of (seed, shards) alone.
+  std::vector<Rng> lane_rng_;
+  // Scratch for pick_path_into on the per-packet path (no allocation once
+  // warm).
+  std::vector<Path> lane_scratch_;
+  // Broadcast-id counters (see alloc_bcast_id).
+  std::vector<std::uint64_t> bcast_ctr_;
+  // Deferred-op logs, one per shard lane (see commit), appended in lane
+  // execution order (times are nondecreasing within one lane) and merged
+  // at the window barrier.
   std::vector<std::vector<DeferredOp>> ops_;
   std::vector<std::size_t> ops_pos_;  // merge cursors (scratch)
 
@@ -555,7 +563,6 @@ class R2c2Sim {
   std::vector<FlowArrival> arrivals_;  // registered workload, in add order
   std::vector<FlowRecord> records_;
   std::unordered_map<FlowId, std::size_t> record_index_;
-  std::uint64_t next_bcast_id_ = 1;
   std::size_t unfinished_ = 0;
   TimeNs fault_horizon_ = -1;  // last scripted fault event + margin
   bool tick_scheduled_ = false;

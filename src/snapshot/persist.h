@@ -21,11 +21,11 @@
 // archived through a pair of member accessors. Containers: seq() is a
 // counted sequence (optionally told the fewest bytes an element archives
 // as, and a hook that reserves storage filled alongside it), fixed() a
-// counted one whose length must equal the live one, each() an uncounted
-// one of the live length, map() a counted map in ascending key order,
-// sparse() the counted (u32 index, value) entries of a vector whose other
-// elements stay at their default, and ptr() a presence flag plus the
-// pointee.
+// counted one whose length must equal the live one (a container, or a span
+// of live elements), each() an uncounted one of the live length, map() a
+// counted map in ascending key order, sparse() the counted (u32 index,
+// value) entries of a vector whose other elements stay at their default,
+// and ptr() a presence flag plus the pointee.
 //
 // The LoadVisitor is the one place that checks outside input, and it throws
 // only SnapshotError: a count is checked against the bytes left in its
@@ -246,10 +246,14 @@ class LoadVisitor {
     return set(c, std::move(staged));
   }
   template <class C, class F> const C& fixed(C& c, F&& elem) {
-    if (count() != c.size()) {
-      throw SnapshotError("archived length does not match this configuration");
-    }
+    check_length(c.size());
     return each(c, elem);
+  }
+  // A fixed() run of elements inside live storage: read in place, each of
+  // their fields staged like a top-level one.
+  template <class T, class F> void fixed(std::span<T> c, F&& elem) {
+    check_length(c.size());
+    for (T& e : c) elem(e);
   }
   template <class C, class F> const C& each(C& c, F&& elem) {
     C fresh(c.size());
@@ -372,6 +376,9 @@ class LoadVisitor {
                           std::to_string(r_.remaining()) + " bytes left in the section");
     }
     return static_cast<std::size_t>(n);
+  }
+  void check_length(std::size_t live) {
+    if (count() != live) throw SnapshotError("archived length does not match this configuration");
   }
   template <class T, class W> static T fit(W v) {
     static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "broadcast/broadcast.h"
@@ -9,21 +10,19 @@
 namespace r2c2 {
 namespace {
 
-// Walks tree <src, t> from the root and returns (visited set, max depth).
-std::pair<std::set<NodeId>, int> walk_tree(const BroadcastTrees& trees, NodeId src, int t) {
-  std::set<NodeId> visited{src};
-  int max_depth = 0;
-  std::vector<std::pair<NodeId, int>> stack{{src, 0}};
+// Walks tree <src, t> from the root and returns each reached node's depth.
+std::map<NodeId, int> walk_tree(const BroadcastTrees& trees, NodeId src, int t) {
+  std::map<NodeId, int> depth{{src, 0}};
+  std::vector<NodeId> stack{src};
   while (!stack.empty()) {
-    const auto [at, depth] = stack.back();
+    const NodeId at = stack.back();
     stack.pop_back();
-    max_depth = std::max(max_depth, depth);
     for (const NodeId child : trees.children(at, src, t)) {
-      EXPECT_TRUE(visited.insert(child).second) << "node visited twice: not a tree";
-      stack.push_back({child, depth + 1});
+      EXPECT_TRUE(depth.emplace(child, depth[at] + 1).second) << "node visited twice: not a tree";
+      stack.push_back(child);
     }
   }
-  return {visited, max_depth};
+  return depth;
 }
 
 class BroadcastOnTopo : public ::testing::TestWithParam<std::vector<int>> {
@@ -36,9 +35,8 @@ class BroadcastOnTopo : public ::testing::TestWithParam<std::vector<int>> {
 TEST_P(BroadcastOnTopo, TreesSpanAllNodes) {
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
     for (int t = 0; t < trees_.trees_per_source(); ++t) {
-      const auto [visited, depth] = walk_tree(trees_, src, t);
-      EXPECT_EQ(visited.size(), topo_.num_nodes()) << "src " << src << " tree " << t;
-      (void)depth;
+      EXPECT_EQ(walk_tree(trees_, src, t).size(), topo_.num_nodes())
+          << "src " << src << " tree " << t;
     }
   }
 }
@@ -48,13 +46,12 @@ TEST_P(BroadcastOnTopo, TreesAreShortestPath) {
   // time (tree height) is minimal (Section 3.2's optimization goal).
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
     for (int t = 0; t < trees_.trees_per_source(); ++t) {
-      for (NodeId v = 0; v < topo_.num_nodes(); ++v) {
-        EXPECT_EQ(trees_.depth_of(src, t, v), topo_.distance(src, v));
+      int height = 0;
+      for (const auto& [node, depth] : walk_tree(trees_, src, t)) {
+        EXPECT_EQ(depth, topo_.distance(src, node)) << "src " << src << " tree " << t;
+        height = std::max(height, depth);
       }
-      EXPECT_EQ(trees_.height(src, t), topo_.distances_from(src).back() >= 0
-                                           ? *std::max_element(topo_.distances_from(src).begin(),
-                                                               topo_.distances_from(src).end())
-                                           : 0);
+      EXPECT_EQ(trees_.height(src, t), height);
     }
   }
 }

@@ -178,6 +178,27 @@ TEST(R2c2Sim, RhoZeroRecomputesPerEvent) {
   EXPECT_GE(sim.recomputations(), 40u);
 }
 
+TEST(R2c2Sim, SingleShardRunPublishesEngineGauges) {
+  // A 1-shard run is the one-lane case of the sharded engine: its only
+  // lane is the global lane, every event runs there in serial phases, and
+  // it reports the same engine gauges a sharded run does.
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  R2c2Sim sim(topo, router, {});
+  sim.add_flows(single_flow(0, 5, 64 * 1024));
+  const RunMetrics m = sim.run();
+  ASSERT_TRUE(m.flows[0].finished());
+  const obs::Gauge* lane0 = sim.metrics().find_gauge("engine.lane0.events");
+  ASSERT_NE(lane0, nullptr);
+  EXPECT_GT(m.events, 0u);
+  EXPECT_EQ(lane0->value(), static_cast<double>(m.events));
+  EXPECT_EQ(sim.metrics().find_gauge("engine.lane1.events"), nullptr);
+  const obs::Gauge* phases = sim.metrics().find_gauge("engine.serial_phases");
+  ASSERT_NE(phases, nullptr);
+  EXPECT_GT(phases->value(), 0.0);
+  EXPECT_LE(phases->value(), static_cast<double>(m.events));
+}
+
 TEST(R2c2Sim, SmallerRhoTracksIdealRatesCloser) {
   // The Fig. 15 mechanism: average assigned rates approach the rho = 0
   // ideal as the recomputation interval shrinks.

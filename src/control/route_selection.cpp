@@ -31,6 +31,29 @@ std::size_t bounded_hamming(const Genotype& a, const Genotype& b, std::size_t bo
   return d;
 }
 
+// The utility of one rate allocation (see UtilityKind); `blend_min_weight`
+// is only read for kBlended.
+double utility_of(const std::vector<Bps>& rates, UtilityKind kind, double blend_min_weight) {
+  switch (kind) {
+    case UtilityKind::kAggregateThroughput: {
+      double sum = 0.0;
+      for (double r : rates) sum += r;
+      return sum;
+    }
+    case UtilityKind::kMinThroughput:
+      return rates.empty() ? 0.0 : *std::min_element(rates.begin(), rates.end());
+    case UtilityKind::kBlended: {
+      if (rates.empty()) return 0.0;
+      double sum = 0.0;
+      for (double r : rates) sum += r;
+      const double mn = *std::min_element(rates.begin(), rates.end());
+      return (1.0 - blend_min_weight) * sum +
+             blend_min_weight * static_cast<double>(rates.size()) * mn;
+    }
+  }
+  throw std::invalid_argument("unknown utility kind");
+}
+
 struct Evaluator {
   // One lane = everything one executing task needs to score genotypes with
   // zero shared mutable state: its own problem copy (row selections are
@@ -77,34 +100,13 @@ struct Evaluator {
   std::uint64_t spec_children = 0;
   std::uint64_t spec_aborts = 0;
 
-  double utility_of(const std::vector<Bps>& rates) const {
-    switch (config.utility) {
-      case UtilityKind::kAggregateThroughput: {
-        double sum = 0.0;
-        for (double r : rates) sum += r;
-        return sum;
-      }
-      case UtilityKind::kMinThroughput:
-        return rates.empty() ? 0.0 : *std::min_element(rates.begin(), rates.end());
-      case UtilityKind::kBlended: {
-        if (rates.empty()) return 0.0;
-        double sum = 0.0;
-        for (double r : rates) sum += r;
-        const double mn = *std::min_element(rates.begin(), rates.end());
-        const double w = config.blend_min_weight;
-        return (1.0 - w) * sum + w * static_cast<double>(rates.size()) * mn;
-      }
-    }
-    throw std::invalid_argument("unknown utility kind");
-  }
-
   double lane_fitness(Lane& lane, const Genotype& g) {
     const std::size_t changed = lane.problem.apply_choice_delta(lane.current, g);
     lane.current.assign(g.begin(), g.end());
     delta_genes.fetch_add(changed, std::memory_order_relaxed);
     solves.fetch_add(1, std::memory_order_relaxed);
     waterfill(lane.problem, lane.scratch, lane.alloc);
-    return utility_of(lane.alloc.rate);
+    return utility_of(lane.alloc.rate, config.utility, config.blend_min_weight);
   }
 
   double fitness(const Genotype& g) {
@@ -546,25 +548,7 @@ double route_assignment_utility(const Router& router, std::span<const FlowSpec> 
   if (assignment.size() != flows.size()) throw std::invalid_argument("assignment size mismatch");
   std::vector<FlowSpec> adjusted(flows.begin(), flows.end());
   for (std::size_t i = 0; i < flows.size(); ++i) adjusted[i].alg = assignment[i];
-  const auto rates = waterfill(router, adjusted, alloc).rate;
-  switch (kind) {
-    case UtilityKind::kAggregateThroughput: {
-      double sum = 0.0;
-      for (double r : rates) sum += r;
-      return sum;
-    }
-    case UtilityKind::kMinThroughput:
-      return rates.empty() ? 0.0 : *std::min_element(rates.begin(), rates.end());
-    case UtilityKind::kBlended: {
-      if (rates.empty()) return 0.0;
-      double sum = 0.0;
-      for (double r : rates) sum += r;
-      const double mn = *std::min_element(rates.begin(), rates.end());
-      return (1.0 - blend_min_weight) * sum +
-             blend_min_weight * static_cast<double>(rates.size()) * mn;
-    }
-  }
-  throw std::invalid_argument("unknown utility kind");
+  return utility_of(waterfill(router, adjusted, alloc).rate, kind, blend_min_weight);
 }
 
 SelectionResult select_routes_ga(const Router& router, std::span<const FlowSpec> flows,

@@ -156,6 +156,7 @@ std::uint64_t Engine::run_lane_until(Lane& lane, TimeNs we) {
 std::uint64_t Engine::serial_phase(TimeNs t) {
   ++serial_phases_;
   std::uint64_t n = 0;
+  bool shard_ran = false;
   const int saved = cur_lane_;
   // Keep draining events stamped exactly t across all lanes in global
   // (time, key) order; events executed here may schedule more work at t
@@ -180,8 +181,12 @@ std::uint64_t Engine::serial_phase(TimeNs t) {
     action();
     ++lane.events;
     ++n;
+    shard_ran |= best != global_lane();
   }
   cur_lane_ = saved;
+  // Only shard lanes defer state ops, so a phase that ran none of their
+  // events (every phase of a 1-shard engine) has nothing to apply.
+  if (shard_ran && barrier_apply_) barrier_apply_();
   return n;
 }
 
@@ -224,14 +229,14 @@ std::uint64_t Engine::run(TimeNs until) {
     const TimeNs gtop = global.heap.empty() ? kMax : global.heap.front().time;
     if (gtop == tmin) {
       processed += serial_phase(tmin);
-    } else {
-      TimeNs we = lookahead_ >= kMax - tmin ? kMax : tmin + lookahead_;
-      if (gtop < we) we = gtop;
-      if (until != kMax && we > until + 1) we = until + 1;
-      const std::uint64_t before = total_events();
-      run_window(we);
-      processed += total_events() - before;
+      continue;
     }
+    TimeNs we = lookahead_ >= kMax - tmin ? kMax : tmin + lookahead_;
+    if (gtop < we) we = gtop;
+    if (until != kMax && we > until + 1) we = until + 1;
+    const std::uint64_t before = total_events();
+    run_window(we);
+    processed += total_events() - before;
     // The global clock trails the shards by at most one window; pinning
     // it to the window base keeps barrier-context scheduling (rebuild
     // delays, deferred ops) anchored deterministically.

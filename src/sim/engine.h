@@ -3,12 +3,12 @@
 // lookahead; a serial run is the one-lane case.
 //
 // Each lane's queue is two parts: a slot arena holding every pending
-// event's descriptor and closure, and a hand-rolled binary min-heap of
-// 24-byte (time, key, slot) entries pointing into it. Sifting moves only
-// the plain entries; a closure is moved into its slot once when scheduled
-// and out once when popped. Actions are stored in a small-buffer-optimized
-// callable, so the common case — a lambda capturing `this` plus a couple of
-// ids — costs no heap allocation per event.
+// event's descriptor and closure, and a binary min-heap (std::push_heap /
+// std::pop_heap) of 24-byte (time, key, slot) entries pointing into it.
+// Sifting moves only the plain entries; a closure is moved into its slot
+// once when scheduled and out once when popped. Actions are stored in a
+// small-buffer-optimized callable, so the common case — a lambda capturing
+// `this` plus a couple of ids — costs no heap allocation per event.
 //
 // configure_shards(K, ...) splits the event queue into K shard lanes plus
 // one global lane (index K), each with its own heap and clock. A 1-shard
@@ -28,8 +28,7 @@
 // Event keys are stamped (origin_seq << 7 | origin_lane), a composite that
 // totally orders same-timestamp ties by origin and scheduling order — an
 // N-worker run is bit-identical to the 1-worker run with the same shard
-// count. A 1-shard engine stamps the raw sequence number: with one lane
-// the order is the same, and 1-shard archives keep their encoding.
+// count.
 //
 // Worker count is pure parallelism: it never changes the trajectory.
 // Shard count K > 1 is part of the configuration (different event
@@ -37,6 +36,7 @@
 // the simulator.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -44,6 +44,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -279,9 +280,10 @@ class Engine {
   // lane_drain(lane) runs at the window barrier, on the thread that owns
   // `lane`, after all lanes finished the window: the network drains the
   // lane's incoming mailboxes here. barrier_apply() runs on the driving
-  // thread with all workers parked, after every window and every serial
-  // phase: the simulator applies cross-shard state ops (flow-table and
-  // broadcast bookkeeping) here.
+  // thread with all workers parked, after every window and after every
+  // serial phase that ran a shard lane's event: the simulator applies the
+  // cross-shard state ops (flow-table and broadcast bookkeeping) that
+  // shard lanes defer.
   void set_lane_drain(std::function<void(int)> fn) { lane_drain_ = std::move(fn); }
   void set_barrier_apply(std::function<void()> fn) { barrier_apply_ = std::move(fn); }
 
@@ -311,65 +313,86 @@ class Engine {
 
   // --- Snapshot support (src/snapshot/) ---
   // The queue's field walk (src/snapshot/persist.h): per lane the clock,
-  // the key counter, the events run and every pending event's (time, key,
-  // descriptor), in heap-array order. Restoring the identical array
-  // preserves both the heap invariant and the exact (time, key)
-  // tie-breaking, so a restored engine replays the same event interleaving
-  // bit for bit. With a single lane the layout is byte-identical to the
-  // historical serial format. An event without a descriptor (kind 0) makes
-  // the queue unsaveable. When loading, `rebuild(desc, lane)` maps each
-  // descriptor of lane `lane` back to an executable Action bound to the
-  // restored object graph and must throw SnapshotError on descriptors it
-  // does not recognize; event i of a lane lands in slot i with an empty
-  // free list. clamped/windows/stalls are observability only and restart
-  // from zero.
-  template <class Self, class V, class Rebuild>
-  static void persist(Self& e, V& v, Rebuild&& rebuild) {
-    constexpr std::size_t kArchivedEventBytes = 8 + 8 + 4 + 8 + 8;  // time, key, desc
+  // the key counter, the events run and every pending event in ascending
+  // (time, key) order — the queue's state, not its heap layout, so equal
+  // queues archive and digest alike however they were built. Each event
+  // archives its time, key and descriptor kind, then `event(desc, action,
+  // lane)` walks the rest of it: the operands, or what the transport
+  // archives in their place, and on load the closure rebuilt against the
+  // restored object graph (throwing SnapshotError on a descriptor it does
+  // not recognize). The reader requires the order strictly and every key's
+  // lane tag to name a lane of this engine. A sorted array is a valid
+  // heap, so a load adopts it as is: event i of a lane lands in slot i
+  // with an empty free list. An event without a descriptor (kind 0) makes
+  // the queue unsaveable. clamped/windows/stalls are observability only
+  // and restart from zero.
+  template <class Self, class V, class EventWalk>
+  static void persist(Self& e, V& v, EventWalk&& event) {
+    // time, key and kind, plus the two operands' worth every event walk
+    // archives at least.
+    constexpr std::size_t kArchivedEventBytes = 8 + 8 + 4 + 8 + 8;
+    constexpr std::uint64_t kLaneMask = (std::uint64_t{1} << kLaneBits) - 1;
     v.section("engine", [&] {
       int lane_idx = 0;
       v.each(e.lanes_, [&](auto& lane) {
         v.i64(lane.now);
         v.u64(lane.next_key);
         v.u64(lane.events);
-        v.seq(lane.heap, [&](auto& entry) {
+        std::vector<Entry> sorted;  // saving: the heap in (time, key) order
+        if constexpr (!V::kLoading) {
+          sorted = lane.heap;
+          std::sort(sorted.begin(), sorted.end());
+        }
+        std::optional<Entry> prev;
+        v.seq(V::kLoading ? lane.heap : sorted, [&](auto& entry) {
+          v.i64(entry.time);
+          v.u64(entry.key);
+          v.expect((entry.key & kLaneMask) < e.lanes_.size(),
+                   "archived event key names no lane of this engine");
+          v.expect(!prev || *prev < entry, "archived events not in (time, key) order");
+          prev = entry;
           if constexpr (V::kLoading) {
             entry.slot = static_cast<std::uint32_t>(lane.slots.size());
             lane.slots.emplace_back();
           }
-          auto& desc = lane.slots[entry.slot].desc;
-          v.i64(entry.time);
-          v.u64(entry.key);
-          v.u32(desc.kind);
-          v.u64(desc.a);
-          v.u64(desc.b);
-          v.expect(desc.kind != 0,
+          auto& slot = lane.slots[entry.slot];
+          v.u32(slot.desc.kind);
+          v.expect(slot.desc.kind != 0,
                    "pending event without a descriptor: this transport cannot be snapshotted");
-          if constexpr (V::kLoading) {
-            lane.slots[entry.slot].action = rebuild(std::as_const(desc), lane_idx);
-          }
+          event(slot.desc, slot.action, lane_idx);
         }, kArchivedEventBytes, [&lane](auto n) { lane.slots.reserve(n); });
         ++lane_idx;
       });
     });
   }
+  // The event walk of an engine whose descriptors are the whole event: the
+  // two operands, and on load the closure `rebuild(desc, lane)` makes.
+  template <class V, class Rebuild>
+  static auto operands(V& v, Rebuild&& rebuild) {
+    return [&v, &rebuild](auto& desc, auto& action, int lane) {
+      v.u64(desc.a);
+      v.u64(desc.b);
+      if constexpr (V::kLoading) action = rebuild(std::as_const(desc), lane);
+    };
+  }
   void save(snapshot::ArchiveWriter& w) const {
     snapshot::SaveVisitor v(w);
-    persist(*this, v, nullptr);
+    persist(*this, v, operands(v, nullptr));
   }
-  // Replaces the entire engine state with the archived one; parse-then-
-  // commit, so a failed load leaves the engine unchanged. Taken as a
-  // template (function_ref style) so the caller's lambda is invoked
-  // directly, with no std::function allocation per event.
+  // Replaces the entire engine state with the archived one, `rebuild(desc,
+  // lane)` making each event's closure; parse-then-commit, so a failed load
+  // leaves the engine unchanged. Taken as a template (function_ref style)
+  // so the caller's lambda is invoked directly, with no std::function
+  // allocation per event.
   template <typename Rebuild>
   void load(snapshot::ArchiveReader& r, Rebuild&& rebuild) {
     snapshot::LoadVisitor v(r);
-    persist(*this, v, rebuild);
+    persist(*this, v, operands(v, rebuild));
     v.commit();
   }
   void mix_digest(snapshot::Digest& d) const {
     snapshot::DigestVisitor v(d);
-    persist(*this, v, nullptr);
+    persist(*this, v, operands(v, nullptr));
   }
 
  private:
@@ -379,21 +402,23 @@ class Engine {
     TimeNs time = 0;
     std::uint64_t key = 0;
     std::uint32_t slot = 0;
-    bool before(const Entry& o) const { return time != o.time ? time < o.time : key < o.key; }
+    bool operator<(const Entry& o) const { return time != o.time ? time < o.time : key < o.key; }
   };
   static_assert(sizeof(Entry) == 24);
+  // The std heap algorithms keep the greatest entry at the front; ordered
+  // by `later`, that is the earliest (time, key).
+  static constexpr auto later = [](const Entry& a, const Entry& b) { return b < a; };
 
   struct Slot {
     EventDesc desc;
     Action action;
   };
 
-  // Each lane is an independent queue + clock. The heap stays binary and
-  // sifts with the comparisons above because its array order is what save
-  // writes and mix_digest hashes: another arity or sift scheme would change
-  // every archive and digest. Slots freed by pops are reused LIFO, so a
-  // warm lane schedules without allocating. Padded so neighboring lanes'
-  // hot cursors don't share a cache line under the worker gang.
+  // Each lane is an independent queue + clock. Slots freed by pops are
+  // reused LIFO, so a warm lane schedules without allocating. Neither the
+  // heap's array order nor the slot numbering is archived. Padded so
+  // neighboring lanes' hot cursors don't share a cache line under the
+  // worker gang.
   struct alignas(64) Lane {
     std::vector<Entry> heap;                // binary min-heap over (time, key)
     std::vector<Slot> slots;                // descriptor + closure per event
@@ -410,9 +435,7 @@ class Engine {
   friend class Gang;
 
   std::uint64_t alloc_key_from(int origin) {
-    Lane& lane = lanes_[static_cast<std::size_t>(origin)];
-    const std::uint64_t seq = lane.next_key++;
-    if (shards_ == 1) return seq;  // raw keys: the 1-shard archive encoding
+    const std::uint64_t seq = lanes_[static_cast<std::size_t>(origin)].next_key++;
     return (seq << kLaneBits) | static_cast<std::uint64_t>(origin);
   }
 
@@ -451,56 +474,20 @@ class Engine {
     s.desc = desc;
     s.action = std::move(action);
     lane.heap.push_back(Entry{t, key, slot});
-    sift_up(lane.heap, lane.heap.size() - 1);
+    std::push_heap(lane.heap.begin(), lane.heap.end(), later);
   }
 
   // Removes the earliest entry and moves its closure out of the arena.
   // The caller runs it afterwards: running it may schedule events and grow
   // the arena, which would relocate a closure still in its slot.
   static Action pop_min(Lane& lane) {
-    auto& heap = lane.heap;
-    const std::uint32_t slot = heap.front().slot;
-    const Entry last = heap.back();
-    heap.pop_back();
-    if (!heap.empty()) sift_down(heap, last);
+    std::pop_heap(lane.heap.begin(), lane.heap.end(), later);
+    const std::uint32_t slot = lane.heap.back().slot;
+    lane.heap.pop_back();
     lane.free_slots.push_back(slot);
     return std::move(lane.slots[slot].action);
   }
 
-  // Hole-based sifts: the same comparisons, in the same order, as swapping
-  // the moving entry step by step, so the resulting array is identical.
-  static void sift_up(std::vector<Entry>& heap, std::size_t i) {
-    const Entry e = heap[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!e.before(heap[parent])) break;
-      heap[i] = heap[parent];
-      i = parent;
-    }
-    heap[i] = e;
-  }
-
-  // Places `e` into the hole left at the root by a pop.
-  static void sift_down(std::vector<Entry>& heap, const Entry e) {
-    const std::size_t n = heap.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      if (l >= n) break;
-      const std::size_t r = l + 1;
-      std::size_t best = i;
-      const Entry* best_entry = &e;
-      if (heap[l].before(*best_entry)) {
-        best = l;
-        best_entry = &heap[l];
-      }
-      if (r < n && heap[r].before(*best_entry)) best = r;
-      if (best == i) break;
-      heap[i] = heap[best];
-      i = best;
-    }
-    heap[i] = e;
-  }
 
   // Driver steps (engine.cpp).
   std::uint64_t serial_phase(TimeNs t);

@@ -1,7 +1,8 @@
 // Descriptor kinds for every engine event the R2C2 simulation plane
 // schedules (see EventDesc in sim/engine.h). Snapshot/restore serializes
-// pending events as (time, seq, kind, a, b) and rebuilds the closures from
-// these kinds, so every schedule site in Network, FaultInjector and
+// pending events as (time, key, kind, a, b), with the parked packet in
+// place of `a` for the two kinds that own one, and rebuilds the closures
+// from these kinds, so every schedule site in Network, FaultInjector and
 // R2c2Sim must tag its events with one of them. The operand meaning per
 // kind is documented inline; values are part of the snapshot format — add
 // new kinds at the end, never renumber.

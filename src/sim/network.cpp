@@ -61,7 +61,8 @@ void Network::set_shard_plan(const ShardPlan& plan) {
     link_lane_[l] = node_lane_[topo_.link(static_cast<LinkId>(l)).from];
   }
   parks_.assign(static_cast<std::size_t>(lanes), ParkStore{});
-  // A single lane keeps the base seed: the 1-shard archive encoding.
+  // A single lane keeps the base seed, so 1-shard trajectories stay as they
+  // were before per-lane streams existed.
   corruption_rngs_.clear();
   for (int i = 0; i < lanes; ++i) {
     corruption_rngs_.emplace_back(lanes == 1 ? config_.corruption_seed
@@ -129,9 +130,8 @@ void Network::schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt) {
   }
   // Park in the destination lane's store: the deliver event executes
   // there, and only a lane's owner touches its store inside windows.
-  const std::uint64_t slot = park_in(dst_lane, std::move(pkt));
-  engine_.schedule_on(dst_lane, at, EventDesc{kEvDeliver, slot, to},
-                      [this, to, slot] { deliver_(to, take_parked(slot)); });
+  const std::uint64_t slot = park_in(parks_, dst_lane, std::move(pkt));
+  engine_.schedule_on(dst_lane, at, EventDesc{kEvDeliver, slot, to}, deliver_parked(to, slot));
 }
 
 void Network::drain_mailbox(int dst) {
@@ -142,9 +142,9 @@ void Network::drain_mailbox(int dst) {
     depth += box.size();
     for (MailEntry& e : box) {
       const NodeId to = e.to;
-      const std::uint64_t slot = park_in(dst, std::move(e.pkt));
+      const std::uint64_t slot = park_in(parks_, dst, std::move(e.pkt));
       engine_.schedule_keyed(dst, e.at, e.key, EventDesc{kEvDeliver, slot, to},
-                             [this, to, slot] { deliver_(to, take_parked(slot)); });
+                             deliver_parked(to, slot));
     }
     box.clear();  // keeps capacity: steady-state windows do not allocate
   }
@@ -178,12 +178,8 @@ void Network::try_transmit(LinkId link) {
   // serialization + propagation (+ forwarding overhead at the next node).
   // The completion always runs on the lane that owns the port; inside a
   // window that is the current lane, from global context it hops lanes.
-  const auto link_free = [this, link] {
-    ports_[link].busy = false;
-    try_transmit(link);
-  };
   engine_.schedule_on(link_lane_[link], engine_.now() + tx, EventDesc{kEvLinkFree, link, 0},
-                      link_free);
+                      link_free(link));
   // Gray degradation: a flap oscillator's dark window or a loss draw loses
   // the packet on the wire — silently, like a dead cable, so the transport
   // has to *infer* it; degrade corruption folds into the checksum path
@@ -271,69 +267,40 @@ std::vector<std::uint64_t> Network::max_queue_snapshot() const {
 
 // --- Snapshot support ---
 
-std::uint64_t Network::park_in(int store_idx, SimPacket&& pkt) {
-  ParkStore& store = parks_[static_cast<std::size_t>(store_idx)];
+std::uint64_t Network::park_in(std::vector<ParkStore>& stores, int store_idx, SimPacket&& pkt) {
+  ParkStore& store = stores[static_cast<std::size_t>(store_idx)];
   if (!store.free.empty()) {
     const std::uint64_t idx = store.free.back();
     store.free.pop_back();
     store.slots[idx] = std::move(pkt);
-    store.used[idx] = 1;
     return encode_slot(store_idx, idx);
   }
   store.slots.push_back(std::move(pkt));
-  store.used.push_back(1);
   return encode_slot(store_idx, store.slots.size() - 1);
 }
 
 std::uint64_t Network::park(SimPacket&& pkt) {
-  return park_in(static_cast<int>(exec_lane()), std::move(pkt));
+  return park_in(parks_, static_cast<int>(exec_lane()), std::move(pkt));
 }
 
 SimPacket Network::take_parked(std::uint64_t slot) {
   ParkStore& store = parks_[static_cast<std::size_t>(slot_store(slot))];
   const std::uint64_t idx = slot_index(slot);
-  assert(idx < store.slots.size() && store.used[idx]);
-  store.used[idx] = 0;
+  assert(idx < store.slots.size());
   store.free.push_back(idx);
   return std::move(store.slots[idx]);
 }
 
-void Network::claim_parked(std::uint64_t slot, int lane, const snapshot::LoadVisitor& load,
-                           ParkClaims& claims) const {
-  if (slot_store(slot) != lane) {
-    throw snapshot::SnapshotError("archived event takes a packet parked in another lane's store");
-  }
-  const std::vector<ParkStore>& parks = load.parsed(parks_);
-  const auto store = static_cast<std::size_t>(slot_store(slot));
-  const std::uint64_t idx = slot_index(slot);
-  if (store >= parks.size() || idx >= parks[store].used.size() || !parks[store].used[idx]) {
-    throw snapshot::SnapshotError("archived event references an empty packet slot");
-  }
-  if (!claims.insert(slot).second) {
-    throw snapshot::SnapshotError("two archived events claim one parked packet");
-  }
-}
-
-Engine::Action Network::rebuild_event(const EventDesc& desc, int lane,
-                                      const snapshot::LoadVisitor& load, ParkClaims& claims) {
+Engine::Action Network::rebuild_event(const EventDesc& desc) {
   switch (desc.kind) {
-    case kEvLinkFree: {
+    case kEvLinkFree:
       if (desc.a >= ports_.size()) throw snapshot::SnapshotError("link-free event out of range");
-      const LinkId link = static_cast<LinkId>(desc.a);
-      return [this, link] {
-        ports_[link].busy = false;
-        try_transmit(link);
-      };
-    }
-    case kEvDeliver: {
+      return link_free(static_cast<LinkId>(desc.a));
+    case kEvDeliver:
       if (desc.b >= topo_.num_nodes()) {
         throw snapshot::SnapshotError("deliver event targets an unknown node");
       }
-      claim_parked(desc.a, lane, load, claims);
-      const std::uint64_t slot = desc.a;
-      const NodeId to = static_cast<NodeId>(desc.b);
-      return [this, to, slot] { deliver_(to, take_parked(slot)); };
-    }
+      return deliver_parked(static_cast<NodeId>(desc.b), desc.a);
     default:
       throw snapshot::SnapshotError("network cannot rebuild event kind " +
                                     std::to_string(desc.kind));

@@ -27,7 +27,6 @@
 #include <deque>
 #include <functional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -65,7 +64,7 @@ struct SimPacket {
   std::uint64_t sack[4] = {0, 0, 0, 0};
 
   // Snapshot field walk (src/snapshot/persist.h), shared by the port
-  // queues and the parked-packet stores.
+  // queues and the events that own a parked packet.
   template <class Self, class V>
   static void persist(Self& s, V& v) {
     v.enum8(s.type, PacketType::kKeepalive);
@@ -253,40 +252,52 @@ class Network {
   }
 
   // --- Snapshot support (src/snapshot/) ---
-  // Packets referenced by pending engine events live in a slot store rather
-  // than inside the closures, so the events serialize as (kind, slot, ...)
-  // descriptors. Slot ids are stable across save/load: the free list is
-  // serialized verbatim, so a restored network hands out the same slot for
-  // the same future park() call and descriptors keep matching. There is
-  // one store per engine lane; slot ids carry the store index in their top
-  // bits (zero on a 1-shard engine, whose ids are the bare indices).
+  // Packets owned by pending engine events live in a slot store rather
+  // than inside the closures, so the events keep (kind, slot, ...)
+  // descriptors. There is one store per engine lane, and a lane takes
+  // packets only from its own store; slot ids carry the store index in
+  // their top bits. Slot ids are memory layout, not state: each event
+  // archives its packet in place of its slot (parked_walk).
   std::uint64_t park(SimPacket&& pkt);
   SimPacket take_parked(std::uint64_t slot);
+  // Packets parked, in all stores.
+  std::size_t parked_packets() const {
+    std::size_t n = 0;
+    for (const ParkStore& store : parks_) n += store.slots.size() - store.free.size();
+    return n;
+  }
 
-  // Parked-packet slots already claimed by the events of one load.
-  using ParkClaims = std::unordered_set<std::uint64_t>;
+  // The walk of a parked packet, called with the slot of each pending
+  // event that owns one and the event's engine lane: the packet itself is
+  // archived. A load parks it in a fresh store of that lane, staged to
+  // commit with everything else, and points the slot at it.
+  template <class Self, class V>
+  static auto parked_walk(Self& n, V& v) {
+    if constexpr (V::kLoading) {
+      auto& stores = v.stage(n.parks_, std::vector<ParkStore>(n.parks_.size()));
+      return [&v, &stores](std::uint64_t& slot, int lane) {
+        SimPacket pkt;
+        SimPacket::persist(pkt, v);
+        slot = park_in(stores, lane, std::move(pkt));
+      };
+    } else {
+      return [&v, &n](std::uint64_t slot, int) {
+        SimPacket::persist(n.parks_[slot_store(slot)].slots[slot_index(slot)], v);
+      };
+    }
+  }
 
-  // Rebuilds the closure for a kEvLinkFree / kEvDeliver descriptor archived
-  // in engine lane `lane`, against the state `load` has parsed but not yet
-  // committed; throws SnapshotError on any other kind, or on a delivery
-  // from a packet slot claim_parked refuses.
-  Engine::Action rebuild_event(const EventDesc& desc, int lane, const snapshot::LoadVisitor& load,
-                               ParkClaims& claims);
-  // Claims parked packet `slot` for one archived event of engine lane
-  // `lane`. Throws SnapshotError unless the slot is in that lane's park
-  // store (a lane takes packets only from its own store, which parallel
-  // windows rely on), holds a packet in the stores `load` has parsed, and
-  // no event in `claims` took it already.
-  void claim_parked(std::uint64_t slot, int lane, const snapshot::LoadVisitor& load,
-                    ParkClaims& claims) const;
+  // Rebuilds the closure of a kEvLinkFree / kEvDeliver descriptor; throws
+  // SnapshotError on any other kind or an operand out of range.
+  Engine::Action rebuild_event(const EventDesc& desc);
 
   // Snapshot field walk (src/snapshot/persist.h): ports (queued packets of
-  // both classes), the parked-packet store(s), the corruption RNG
-  // stream(s), traffic and drop counters, and the gray-degradation and
-  // congestion tables (sparse: links at their default are not archived).
-  // The engine's event queue is archived separately by the owning
-  // transport. Saves only happen at run_until boundaries, where every
-  // window mailbox has drained.
+  // both classes), the corruption RNG stream(s), traffic and drop
+  // counters, and the gray-degradation and congestion tables (sparse: links
+  // at their default are not archived). The engine's event queue, and with
+  // it every parked packet, is archived separately by the owning transport.
+  // Saves only happen at run_until boundaries, where every window mailbox
+  // has drained.
   template <class Self, class V>
   static void persist(Self& n, V& v) {
     assert(std::all_of(n.mail_.begin(), n.mail_.end(),
@@ -301,27 +312,6 @@ class Network {
         v.u64(p.epoch_max_queued);
         v.seq(p.ctrl_q, [&v](auto& pkt) { SimPacket::persist(pkt, v); });
         v.seq(p.data_q, [&v](auto& pkt) { SimPacket::persist(pkt, v); });
-      });
-      v.each(n.parks_, [&v](auto& store) {
-        // One (used flag, packet if used) pair per slot.
-        std::size_t i = 0;
-        v.seq(store.used, [&](auto& used) {
-          if constexpr (V::kLoading) store.slots.emplace_back();
-          v.flag(used);
-          if (used) SimPacket::persist(store.slots[i], v);
-          ++i;
-        });
-        // The free list holds every empty slot exactly once.
-        std::vector<bool> listed(store.used.size());
-        const auto& free_list = v.seq(store.free, [&](auto& idx) {
-          v.u64(idx);
-          const bool ok = idx < store.used.size() && !store.used[idx] && !listed[idx];
-          v.expect(ok, "corrupt parked-packet free list");
-          if (ok) listed[idx] = true;
-        });
-        v.expect(free_list.size() == static_cast<std::size_t>(std::count(
-                                         store.used.begin(), store.used.end(), 0)),
-                 "parked-packet free list misses an empty slot");
       });
       v.each(n.corruption_rngs_, [&v](auto& rng) { Rng::persist(rng, v); });
       v.u64(n, &Network::total_data_bytes_sent, &Network::restore_data_bytes);
@@ -370,7 +360,6 @@ class Network {
   // a packet is the lane of the event that will take it back.
   struct ParkStore {
     std::vector<SimPacket> slots;
-    std::vector<std::uint8_t> used;
     std::vector<std::uint64_t> free;  // LIFO free list
   };
 
@@ -414,7 +403,17 @@ class Network {
     lane_bytes_[0].control = total;
   }
 
-  std::uint64_t park_in(int store, SimPacket&& pkt);
+  static std::uint64_t park_in(std::vector<ParkStore>& stores, int store, SimPacket&& pkt);
+  // The closures of kEvLinkFree and kEvDeliver events, live and restored.
+  Engine::Action link_free(LinkId link) {
+    return [this, link] {
+      ports_[link].busy = false;
+      try_transmit(link);
+    };
+  }
+  Engine::Action deliver_parked(NodeId to, std::uint64_t slot) {
+    return [this, to, slot] { deliver_(to, take_parked(slot)); };
+  }
   void schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt);
   void try_transmit(LinkId link);
   // Index of the executing lane's per-lane state.

@@ -58,13 +58,12 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
   engine_.set_barrier_apply([this] { apply_pending_ops(); });
   const auto lanes = static_cast<std::size_t>(engine_.num_lanes());
   const auto global = static_cast<std::size_t>(engine_.global_lane());
-  lane_rng_.reserve(lanes);
+  lane_ids_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    lane_rng_.emplace_back(i == global ? config_.seed
-                                       : config_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+    lane_ids_.push_back(
+        {Rng(i == global ? config_.seed : config_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)))});
   }
   lane_scratch_.resize(lanes);
-  bcast_ctr_.assign(lanes, 1);
   ops_.resize(global);  // the shard lanes come first
   // The flight recorder is not thread-safe, so several lanes each get a
   // private ring of the same capacity; merge_lane_traces folds them
@@ -95,10 +94,9 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
     const LinkId link = topo_.find_link(at, pkt.dst);
     if (link == kInvalidLink) return;
     // The retransmit copy is parked (not captured) so the pending event
-    // serializes as a (slot, link) descriptor.
-    const std::uint64_t slot = net_.park(SimPacket(pkt));
-    engine_.schedule_in(5 * kNsPerUs, EventDesc{kEvCtrlRetransmit, slot, link},
-                        [this, slot, link] { net_.send_on_link(link, net_.take_parked(slot)); });
+    // keeps a (slot, link) descriptor; its archive holds the packet itself.
+    const EventDesc desc{kEvCtrlRetransmit, net_.park(SimPacket(pkt)), link};
+    engine_.schedule_in(5 * kNsPerUs, desc, rebuild_event(desc));
   });
 #if R2C2_TRACING_ENABLED
   if (trace_ != nullptr) {
@@ -390,13 +388,11 @@ void R2c2Sim::notify_service_done(FlowId id, TimeNs at, bool aborted) {
 }
 
 std::uint64_t R2c2Sim::alloc_bcast_id() {
-  const std::uint64_t n = bcast_ctr_[ctx_lane()]++;
-  if (engine_.shards() == 1) return n;
   // Lane tag in the low bits (global = 0, shard i = i + 1) keeps the id
   // spaces disjoint without cross-shard coordination; kLaneBits leaves 57
   // bits of counter, far beyond any run length.
   const std::uint64_t tag = shard_ctx() ? ctx_lane() + 1 : 0;
-  return (n << Engine::kLaneBits) | tag;
+  return (lane_ids_[ctx_lane()].bcast_ctr++ << Engine::kLaneBits) | tag;
 }
 
 void R2c2Sim::broadcast(const BroadcastMsg& base, NodeId origin, bool recovery) {
@@ -1421,13 +1417,12 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
 
 template <class Self, class V>
 void R2c2Sim::persist(Self& s, V& v) {
-  // The global lane's RNG stream and broadcast-id counter archive in
-  // sim.core; a sharded run's other lanes follow in sim.shards.
-  const auto global = static_cast<std::size_t>(s.engine_.global_lane());
   v.section("sim.core", [&] {
-    Rng::persist(s.lane_rng_[global], v);
+    v.fixed(s.lane_ids_, [&v](auto& lane) {
+      Rng::persist(lane.rng, v);
+      v.u64(lane.bcast_ctr);
+    });
     v.i64(s.router_epoch_);
-    v.u64(s.bcast_ctr_[global]);
     v.u64(s.unfinished_);
     v.i64(s.fault_horizon_);
     v.flag(s.tick_scheduled_);
@@ -1539,24 +1534,29 @@ void R2c2Sim::persist(Self& s, V& v) {
     });
   });
 
-  if (global > 0) {  // the global lane comes after the shard lanes
-    v.section("sim.shards", [&] {
-      v.fixed(std::span(s.lane_rng_).first(global), [&v](auto& rng) { Rng::persist(rng, v); });
-      for (auto& ctr : std::span(s.bcast_ctr_).first(global)) v.u64(ctr);
-    });
-  }
-
   if (s.service_ != nullptr) s.service_->persist(v);
   FlowTable::persist(s.global_view_, v, "sim.view");
   Network::persist(s.net_, v);
   if (s.injector_) FaultInjector::persist(*s.injector_, v);
   // The event queue last: a load rebuilds its closures against the
-  // network and service state parsed above, each parked packet claimed by
-  // one event at most.
-  Network::ParkClaims claims;
-  Engine::persist(s.engine_, v, [&](const auto& desc, int lane) {
-    return s.rebuild_event(desc, lane, v, claims);
+  // network and service state parsed above. An event that owns a parked
+  // packet archives the packet in place of its slot, so every parked
+  // packet is archived once, with its one event.
+  auto parked = Network::parked_walk(s.net_, v);
+  std::size_t packets = 0;
+  Engine::persist(s.engine_, v, [&](auto& desc, auto& action, int lane) {
+    if (desc.kind == kEvDeliver || desc.kind == kEvCtrlRetransmit) {
+      parked(desc.a, lane);
+      ++packets;
+    } else {
+      v.u64(desc.a);
+    }
+    v.u64(desc.b);
+    if constexpr (V::kLoading) action = s.rebuild_event(desc);
   });
+  if constexpr (!V::kLoading) {
+    v.expect(packets == s.net_.parked_packets(), "a parked packet belongs to no pending event");
+  }
 }
 
 std::uint64_t R2c2Sim::state_digest() const {
@@ -1577,13 +1577,11 @@ void R2c2Sim::save(snapshot::ArchiveWriter& w) const {
   persist(*this, v);
 }
 
-Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc, int lane,
-                                      const snapshot::LoadVisitor& load,
-                                      Network::ParkClaims& claims) {
+Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc) {
   switch (desc.kind) {
     case kEvLinkFree:
     case kEvDeliver:
-      return net_.rebuild_event(desc, lane, load, claims);
+      return net_.rebuild_event(desc);
     case kEvStartFlow: {
       if (desc.a >= arrivals_.size()) {
         throw snapshot::SnapshotError("start-flow event references an unknown arrival");
@@ -1624,9 +1622,6 @@ Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc, int lane,
       if (desc.b >= topo_.num_links()) {
         throw snapshot::SnapshotError("control-retransmit event references an unknown link");
       }
-      // Retransmit copies park in the store of the lane that schedules
-      // them, which is the lane the event runs in.
-      net_.claim_parked(slot, lane, load, claims);
       const LinkId link = static_cast<LinkId>(desc.b);
       return [this, slot, link] { net_.send_on_link(link, net_.take_parked(slot)); };
     }

@@ -162,12 +162,11 @@ struct R2c2SimConfig {
   // --- Sharded parallel engine (src/sim/engine.h) ---
   // Partition the topology into this many shards, each with its own event
   // lane; cross-shard packets ride mailboxes under conservative-lookahead
-  // windows. 1 = a single lane, which is the global lane: the serial run,
-  // whose archives keep the 1-shard encoding (DESIGN.md, "Serial is the
-  // one-lane case"). Shard count is part of the trajectory (it enters the
-  // config fingerprint): runs with different shard counts are different
-  // experiments. Requires recompute_interval > 0 when > 1 (per-event
-  // recomputation is inherently global).
+  // windows. 1 = a single lane, which is the global lane: the serial run
+  // (DESIGN.md, "Serial is the one-lane case"). Shard count is part of the
+  // trajectory (it enters the config fingerprint): runs with different
+  // shard counts are different experiments. Requires recompute_interval > 0
+  // when > 1 (per-event recomputation is inherently global).
   int engine_shards = 1;
   // Worker threads driving the shard lanes. Pure parallelism: any worker
   // count yields bit-identical digests, metrics and snapshots for a fixed
@@ -369,12 +368,11 @@ class R2c2Sim {
   FlowId start_flow(const FlowArrival& arrival);
   void notify_service_done(FlowId id, TimeNs at, bool aborted);
   void recompute_tick();
-  // Rebuilds the closure of an event archived in engine lane `lane`,
-  // validated against the state `load` has parsed but not yet committed;
-  // `claims` collects the parked packets the load's events have taken so
-  // far.
-  Engine::Action rebuild_event(const EventDesc& desc, int lane, const snapshot::LoadVisitor& load,
-                               Network::ParkClaims& claims);
+  // The closure of an event from its descriptor: an archived event's, once
+  // the event walk in persist has read it, and a live control
+  // retransmit's. Throws SnapshotError on an unknown kind or an operand out
+  // of range.
+  Engine::Action rebuild_event(const EventDesc& desc);
   void finish_sending(FlowId id);
   void abort_flow(FlowId id);
   ReliableSender::Config rel_config(FlowId id) const;
@@ -454,11 +452,11 @@ class R2c2Sim {
   std::size_t ctx_lane() const { return static_cast<std::size_t>(engine_.current_lane()); }
   // The executing lane's RNG stream and path scratch, so concurrent lanes
   // never contend on one.
-  Rng& ctx_rng() { return lane_rng_[ctx_lane()]; }
+  Rng& ctx_rng() { return lane_ids_[ctx_lane()].rng; }
   Path& ctx_scratch() { return lane_scratch_[ctx_lane()]; }
-  // Broadcast ids must be unique across lanes without coordination: a
-  // sharded run tags each lane's count with the lane (global = 0, shard
-  // i = i + 1) in the low bits; a 1-shard run's ids stay untagged.
+  // Broadcast ids must be unique across lanes without coordination: each
+  // lane's count carries the lane (global = 0, shard i = i + 1) in the low
+  // bits.
   std::uint64_t alloc_bcast_id();
   // The executing lane's trace ring (null when untraced).
   obs::FlightRecorder* ctx_trace() {
@@ -530,15 +528,18 @@ class R2c2Sim {
 
   // --- Per-lane state, indexed by engine lane (the global lane last) ---
   ShardPlan plan_;
-  // RNG streams (route draws, broadcast tree picks): the global lane's is
+  // The RNG stream (route draws, broadcast tree picks) and broadcast-id
+  // counter (see alloc_bcast_id) of each lane. The global lane's stream is
   // seeded from config.seed, each shard lane's from config.seed and the
   // lane index, so the trajectory is a function of (seed, shards) alone.
-  std::vector<Rng> lane_rng_;
+  struct LaneIds {
+    Rng rng;
+    std::uint64_t bcast_ctr = 1;
+  };
+  std::vector<LaneIds> lane_ids_;
   // Scratch for pick_path_into on the per-packet path (no allocation once
   // warm).
   std::vector<Path> lane_scratch_;
-  // Broadcast-id counters (see alloc_bcast_id).
-  std::vector<std::uint64_t> bcast_ctr_;
   // Deferred-op logs, one per shard lane (see commit), appended in lane
   // execution order (times are nondecreasing within one lane) and merged
   // at the window barrier.

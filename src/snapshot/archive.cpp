@@ -89,8 +89,7 @@ std::vector<std::uint8_t> ArchiveWriter::finish() {
   if (in_section_) throw SnapshotError("finish with section '" + sections_.back().tag + "' open");
   if (finished_) throw SnapshotError("archive already finished");
   finished_ = true;
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   put_u32(out, kFormatVersion);
   put_u32(out, static_cast<std::uint32_t>(sections_.size()));
   for (Section& s : sections_) {

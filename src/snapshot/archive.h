@@ -37,7 +37,7 @@ namespace r2c2::snapshot {
 // Format version of the archive container *and* of the section contents
 // written by the field walks in this tree. Bump on any layout change; the
 // reader rejects every other version with a clear error.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 inline constexpr char kMagic[8] = {'R', '2', 'C', '2', 'S', 'N', 'A', 'P'};
 

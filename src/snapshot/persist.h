@@ -21,11 +21,11 @@
 // archived through a pair of member accessors. Containers: seq() is a
 // counted sequence (optionally told the fewest bytes an element archives
 // as, and a hook that reserves storage filled alongside it), fixed() a
-// counted one whose length must equal the live one (a container, or a span
-// of live elements), each() an uncounted one of the live length, map() a
-// counted map in ascending key order, sparse() the counted (u32 index,
-// value) entries of a vector whose other elements stay at their default,
-// and ptr() a presence flag plus the pointee.
+// counted one whose length must equal the live one, each() an uncounted
+// one of the live length, map() a counted map in ascending key order,
+// sparse() the counted (u32 index, value) entries of a vector whose other
+// elements stay at their default, and ptr() a presence flag plus the
+// pointee.
 //
 // The LoadVisitor is the one place that checks outside input, and it throws
 // only SnapshotError: a count is checked against the bytes left in its
@@ -41,10 +41,11 @@
 // containers are built fresh and filled directly, then staged with their
 // container. A walk may therefore branch on, or expect() about, fields of
 // an element it is reading, but not on top-level fields; parsed() returns
-// a staged top-level value. on_commit() queues derived-state rebuilds that
-// run, in walk order, after every staged value has landed; a top-level
-// value archived through an atomic or a pair of accessors is applied from
-// the same queue.
+// a staged top-level value, and stage() stages one that the walk fills
+// from elements it reads later. on_commit() queues derived-state rebuilds
+// that run, in walk order, after every staged value has landed; a
+// top-level value archived through an atomic or a pair of accessors is
+// applied from the same queue.
 #pragma once
 
 #include <algorithm>
@@ -249,12 +250,6 @@ class LoadVisitor {
     check_length(c.size());
     return each(c, elem);
   }
-  // A fixed() run of elements inside live storage: read in place, each of
-  // their fields staged like a top-level one.
-  template <class T, class F> void fixed(std::span<T> c, F&& elem) {
-    check_length(c.size());
-    for (T& e : c) elem(e);
-  }
   template <class C, class F> const C& each(C& c, F&& elem) {
     C fresh(c.size());
     {
@@ -318,6 +313,10 @@ class LoadVisitor {
   void expect(bool ok, const char* what) {
     if (!ok) throw SnapshotError(what);
   }
+  // Stages `value` for top-level field `x` and returns the staged copy, for
+  // a field the walk fills from elements it reads later; it commits with
+  // everything else.
+  template <class T> T& stage(T& x, T value) { return set(x, std::move(value)); }
 
   // The value staged for top-level field `x`, or `x` itself if the walk did
   // not stage it. Searches newest first: callers look up what they staged

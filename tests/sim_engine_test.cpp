@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -147,10 +148,10 @@ TEST(Engine, CountsEvents) {
 // --- Archive order ---
 //
 // Engine::save writes, and Engine::mix_digest hashes, each lane's pending
-// events in heap-array order, so that order is part of the snapshot format
-// and of every state digest the simulator reports. Other tests compare
-// digests within one build only; these hold-model runs pin the order to
-// constants, so a change to the heap's layout or comparisons fails here.
+// events in ascending (time, key) order, whatever the heap's array layout.
+// Other tests compare digests within one build only; these hold-model runs
+// pin the engine's encoding to constants, so a change to what its archive
+// holds, or to how it encodes it, fails here.
 
 std::uint64_t splitmix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -251,11 +252,10 @@ std::uint64_t hold_digest(int shards, int workers, TimeNs restore_at) {
   return d.value();
 }
 
-// Recorded from the engine whose heap order the snapshot format fixes. A
-// mismatch means archives and digests written by earlier builds no longer
-// match this one's.
-constexpr std::uint64_t kSerialHoldDigest = 0x7202b27500e27824ULL;
-constexpr std::uint64_t kShardedHoldDigest = 0x8dd84c07fdd0d379ULL;
+// Recorded with archive format version 2. A mismatch means archives and
+// digests written by earlier builds no longer match this one's.
+constexpr std::uint64_t kSerialHoldDigest = 0xdd77724f8aedb008ULL;
+constexpr std::uint64_t kShardedHoldDigest = 0x00016909bc78c098ULL;
 
 TEST(EngineArchiveOrder, SerialHoldModelDigestIsPinned) {
   EXPECT_EQ(hold_digest(1, 1, kNoRestore), kSerialHoldDigest);
@@ -279,6 +279,96 @@ TEST(Engine, LoadRejectsMoreEventsThanTheSectionHolds) {
   EXPECT_THROW(e.load(r, [](const EventDesc&, int) { return Action([] {}); }),
                snapshot::SnapshotError);
   EXPECT_TRUE(e.empty());
+}
+
+// Two engines holding the same pending events, pushed in opposite orders
+// so that their heap arrays differ, archive and digest alike: an archive
+// holds the queue, not its layout.
+TEST(EngineArchiveOrder, SamePendingEventsArchiveAlikeWhateverTheHeapLayout) {
+  for (const int shards : {1, 4}) {
+    const auto archive = [shards](bool reversed, std::uint64_t& digest) {
+      Engine e;
+      if (shards > 1) e.configure_shards(shards, 1, /*lookahead=*/10);
+      const auto lanes = static_cast<std::uint64_t>(e.num_lanes());
+      constexpr std::uint64_t kEvents = 40;
+      for (std::uint64_t n = 0; n < kEvents; ++n) {
+        const std::uint64_t i = reversed ? kEvents - 1 - n : n;
+        const auto time = static_cast<TimeNs>((i * 7) % 5) * 10;
+        const std::uint64_t key = (i << Engine::kLaneBits) | ((i * 3) % lanes);
+        e.schedule_keyed(static_cast<int>(i % lanes), time, key, EventDesc{1, i, 0}, [] {});
+      }
+      snapshot::Digest d;
+      e.mix_digest(d);
+      digest = d.value();
+      snapshot::ArchiveWriter w;
+      e.save(w);
+      return w.finish();
+    };
+    std::uint64_t forward = 0, backward = 0;
+    EXPECT_EQ(archive(false, forward), archive(true, backward)) << shards << " shards";
+    EXPECT_EQ(forward, backward) << shards << " shards";
+  }
+}
+
+using TimedKeys = std::vector<std::pair<TimeNs, std::uint64_t>>;
+
+// An engine section for `lanes` lanes, the first holding `events` as
+// (time, key) pairs with descriptor {1, 0, 0} and the others none.
+std::vector<std::uint8_t> engine_archive(int lanes, const TimedKeys& events) {
+  snapshot::ArchiveWriter w;
+  w.begin_section("engine");
+  for (int lane = 0; lane < lanes; ++lane) {
+    w.i64(0);  // clock
+    w.u64(4);  // key counter
+    w.u64(0);  // events run
+    if (lane > 0) {
+      w.u64(0);
+      continue;
+    }
+    w.u64(events.size());
+    for (const auto& [time, key] : events) {
+      w.i64(time);
+      w.u64(key);
+      w.u32(1);
+      w.u64(0);
+      w.u64(0);
+    }
+  }
+  w.end_section();
+  return w.finish();
+}
+
+// A lane's events must be archived in strictly ascending (time, key) order,
+// and each key's lane tag must name a lane of the loading engine; anything
+// else is a SnapshotError that leaves the engine empty.
+TEST(Engine, LoadRejectsEventsOutOfOrderRepeatedOrOfNoLane) {
+  constexpr std::uint64_t k0 = std::uint64_t{0} << Engine::kLaneBits;
+  constexpr std::uint64_t k1 = std::uint64_t{1} << Engine::kLaneBits;
+  const auto rebuild = [](const EventDesc&, int) { return Action([] {}); };
+  for (const int shards : {1, 4}) {
+    const int lanes = shards == 1 ? 1 : shards + 1;
+    const auto configured = [shards] {
+      auto e = std::make_unique<Engine>();
+      if (shards > 1) e->configure_shards(shards, 1, /*lookahead=*/10);
+      return e;
+    };
+    {
+      auto e = configured();
+      snapshot::ArchiveReader r(engine_archive(lanes, {{5, k0}, {5, k1}, {10, k0}}));
+      e->load(r, rebuild);
+      EXPECT_EQ(e->pending(), 3u) << shards << " shards";
+    }
+    const auto lane_tag_past_the_last = k0 | static_cast<std::uint64_t>(lanes);
+    for (const TimedKeys& events : {TimedKeys{{10, k0}, {5, k1}}, TimedKeys{{5, k1}, {5, k0}},
+                                    TimedKeys{{5, k1}, {5, k1}},
+                                    TimedKeys{{5, lane_tag_past_the_last}}}) {
+      auto e = configured();
+      snapshot::ArchiveReader r(engine_archive(lanes, events));
+      EXPECT_THROW(e->load(r, rebuild), snapshot::SnapshotError) << shards << " shards";
+      EXPECT_TRUE(e->empty());
+      EXPECT_EQ(e->next_seq(), 0u);
+    }
+  }
 }
 
 TEST(EngineArchiveOrder, SaveLoadMidRunKeepsThePinnedDigest) {

@@ -82,6 +82,18 @@ struct BlendResult {
   int evaluations = 0;
 };
 
+// `values` scaled by `scale`, as a JSON array.
+std::string json_array(const std::vector<std::uint64_t>& values, double scale) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    char cell[32];
+    std::snprintf(cell, sizeof cell, "%s%.6g", i == 0 ? "" : ", ",
+                  static_cast<double>(values[i]) * scale);
+    out += cell;
+  }
+  return out + "]";
+}
+
 template <typename F>
 SearcherResult timed(const char* name, F&& search) {
   SearcherResult r;
@@ -151,17 +163,25 @@ int run() {
   // Timing gates, applied only where the host can actually run the lanes
   // in parallel. cpu_per_eval charges the whole wall time to every lane
   // (an upper bound on per-lane busy time), so the 2x bound also caps the
-  // scheduling + speculation overhead of the parallel path.
+  // scheduling overhead of the parallel path.
   bool gates_ok = true;
   const double serial_per_eval = serial.wall_ms / std::max(1, serial.result.evaluations);
-  std::printf("%8s %10s %9s %12s %12s %10s %8s\n", "threads", "wall_ms", "speedup",
-              "utility_gbps", "evaluations", "aborts", "note");
+  std::printf("%8s %10s %9s %12s %12s %8s  %s\n", "threads", "wall_ms", "speedup",
+              "utility_gbps", "evaluations", "note", "per-lane solves/busy_ms");
   for (const ThreadResult& r : results) {
     const double speedup = serial.wall_ms / r.wall_ms;
     const char* note = r.oversubscribed ? "oversub" : "";
-    std::printf("%8d %10.1f %8.2fx %12.2f %12d %10llu %8s\n", r.threads, r.wall_ms, speedup,
-                r.result.utility / 1e9, r.result.evaluations,
-                static_cast<unsigned long long>(r.result.stats.spec_aborts), note);
+    std::string split;
+    const SelectionResult::Stats& st = r.result.stats;
+    for (std::size_t l = 0; l < st.lane_solves.size(); ++l) {
+      char cell[64];
+      std::snprintf(cell, sizeof cell, "%s%llu/%.0f", l == 0 ? "" : " ",
+                    static_cast<unsigned long long>(st.lane_solves[l]),
+                    static_cast<double>(st.lane_busy_ns[l]) / 1e6);
+      split += cell;
+    }
+    std::printf("%8d %10.1f %8.2fx %12.2f %12d %8s  %s\n", r.threads, r.wall_ms, speedup,
+                r.result.utility / 1e9, r.result.evaluations, note, split.c_str());
     if (r.oversubscribed || r.threads == 1) continue;
     const double required = r.threads >= 8 ? 3.0 : r.threads >= 2 ? 1.5 : 1.0;
     if (speedup < required) {
@@ -259,8 +279,9 @@ int run() {
   std::printf("\nresults bit-identical across thread counts: %s\n", identical ? "yes" : "NO");
 
   // Cross-commit pin, checked in CI against `replay run --scenario ga
-  // --threads 4 --seed 13`: that GA picks RPS or VLB per flow on a 4x4
-  // torus, so a change to any route-weight value moves its digests.
+  // --seed 13` at 1, 2 and 4 threads: that GA picks RPS or VLB per flow on
+  // a 4x4 torus, so a change to any route-weight value moves its digests,
+  // and no thread count may.
   snapshot::ReplayConfig pin;
   pin.scenario = "ga";
   pin.threads = 4;
@@ -293,13 +314,13 @@ int run() {
     std::fprintf(f,
                  "    {\"threads\": %d, \"wall_ms\": %.2f, \"speedup\": %.2f, "
                  "\"utility_gbps\": %.4f, \"evaluations\": %d, \"solves\": %llu, "
-                 "\"spec_children\": %llu, \"spec_aborts\": %llu, \"memo_hits\": %llu, "
+                 "\"memo_hits\": %llu, \"lane_solves\": %s, \"lane_busy_ms\": %s, "
                  "\"oversubscribed\": %s}%s\n",
                  r.threads, r.wall_ms, serial.wall_ms / r.wall_ms, r.result.utility / 1e9,
                  r.result.evaluations, static_cast<unsigned long long>(r.result.stats.solves),
-                 static_cast<unsigned long long>(r.result.stats.spec_children),
-                 static_cast<unsigned long long>(r.result.stats.spec_aborts),
                  static_cast<unsigned long long>(r.result.stats.memo_hits),
+                 json_array(r.result.stats.lane_solves, 1.0).c_str(),
+                 json_array(r.result.stats.lane_busy_ns, 1e-6).c_str(),
                  r.oversubscribed ? "true" : "false", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"searchers\": [\n");

@@ -7,8 +7,10 @@ namespace r2c2 {
 
 namespace {
 
-// Lane of the current thread: 0 for any external thread, >= 1 inside a
-// pool worker. Used to detect re-entrant parallel_for calls.
+// The pool whose worker is the current thread (nullptr on any other
+// thread) and that worker's lane. Used to detect re-entrant parallel_for
+// calls; a worker of another pool calls in as this pool's lane 0.
+thread_local const ThreadPool* t_pool = nullptr;
 thread_local int t_lane = 0;
 
 }  // namespace
@@ -42,7 +44,6 @@ void ThreadPool::push_task(int lane, Task task) {
     std::lock_guard lock(lanes_[static_cast<std::size_t>(lane)]->m);
     lanes_[static_cast<std::size_t>(lane)]->q.push_back(std::move(task));
   }
-  inflight_.fetch_add(1, std::memory_order_relaxed);
   // Taking m_ before notifying closes the race with a worker that found the
   // queues empty and is between its re-check and its wait.
   {
@@ -88,7 +89,6 @@ bool ThreadPool::queues_empty() {
 void ThreadPool::run_task(Task&& task, int lane) {
   task(lane);
   executed_.fetch_add(1, std::memory_order_relaxed);
-  inflight_.fetch_sub(1, std::memory_order_release);
   {
     std::lock_guard lock(m_);
   }
@@ -96,6 +96,7 @@ void ThreadPool::run_task(Task&& task, int lane) {
 }
 
 void ThreadPool::worker_main(int lane) {
+  t_pool = this;
   t_lane = lane;
   for (;;) {
     Task task;
@@ -111,48 +112,15 @@ void ThreadPool::worker_main(int lane) {
   }
 }
 
-void ThreadPool::submit_on(int lane, std::function<void(int)> fn) {
-  lane = std::clamp(lane, 0, workers());
-  push_task(lane, std::move(fn));
-}
-
-bool ThreadPool::try_help() {
-  Task task;
-  if (!pop_or_steal(0, task)) return false;
-  run_task(std::move(task), 0);
-  return true;
-}
-
-void ThreadPool::submit(std::function<void()> fn) {
-  // Round-robin across worker lanes (lane 0 only when there are none, so
-  // tasks don't sit waiting for the owner to call wait()).
-  const int lane = workers() == 0 ? 0 : 1 + static_cast<int>(next_lane_++ % static_cast<unsigned>(workers()));
-  push_task(lane, [f = std::move(fn)](int) { f(); });
-}
-
-void ThreadPool::wait() {
-  for (;;) {
-    Task task;
-    if (pop_or_steal(0, task)) {
-      run_task(std::move(task), 0);
-      continue;
-    }
-    std::unique_lock lock(m_);
-    if (inflight_.load(std::memory_order_acquire) == 0) return;
-    if (!queues_empty()) continue;
-    done_cv_.wait(lock, [this] {
-      return inflight_.load(std::memory_order_acquire) == 0 || !queues_empty();
-    });
-    if (inflight_.load(std::memory_order_acquire) == 0) return;
-  }
-}
-
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t, int)>& body) {
   if (n == 0) return;
   // Inline execution: no workers, a single index, or a re-entrant call from
-  // inside a worker (nested parallelism runs serially on that lane).
-  if (workers() == 0 || n == 1 || t_lane != 0) {
-    for (std::size_t i = 0; i < n; ++i) body(i, t_lane);
+  // inside one of this pool's workers (nested parallelism runs serially on
+  // that lane).
+  const bool nested = t_pool == this;
+  if (workers() == 0 || n == 1 || nested) {
+    const int lane = nested ? t_lane : 0;
+    for (std::size_t i = 0; i < n; ++i) body(i, lane);
     return;
   }
 
@@ -189,9 +157,8 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     place = (place + 1) % static_cast<int>(lane_count);
   }
 
-  // The caller is lane 0: help execute until the batch drains. It may pick
-  // up chunks of this batch or unrelated submitted tasks — both are
-  // progress; the final wait only sleeps when nothing is poppable.
+  // The caller is lane 0: help execute until the batch drains; the final
+  // wait only sleeps when nothing is poppable.
   while (batch->remaining.load(std::memory_order_acquire) > 0) {
     Task task;
     if (pop_or_steal(0, task)) {

@@ -4,7 +4,7 @@
 // packet frameworks (mTCP's per-core stacks, IX's run-to-completion
 // dataplane): callers keep one unit of mutable scratch state *per lane* and
 // share only immutable data, so no work item ever synchronizes with another
-// beyond the queue handoff. Two entry points:
+// beyond the queue handoff. One entry point:
 //
 //  - parallel_for(n, body): runs body(i, lane) for every i in [0, n),
 //    splitting the index space into chunks spread across lanes; idle lanes
@@ -13,8 +13,6 @@
 //    executing lane (0 = caller, 1..workers() = pool threads) and is unique
 //    among concurrently running bodies, so indexing per-lane scratch by it
 //    is race-free by construction.
-//  - submit(fn) + wait(): fire-and-collect for heterogeneous tasks; wait()
-//    has the caller help drain the queues rather than just block.
 //
 // Determinism: the pool guarantees nothing about *execution order*, so
 // callers achieve deterministic results by writing into index-addressed
@@ -24,8 +22,8 @@
 // bit-identical for any worker count, including zero.
 //
 // External calls (constructor aside) must come from one thread at a time —
-// the pool's owner. Tasks themselves must not call back into the pool; a
-// parallel_for issued from inside a worker runs inline on that lane.
+// the pool's owner. A parallel_for issued from inside one of this pool's
+// bodies runs inline on that body's lane.
 //
 // The "tasks executed / stolen" counters are exposed via stats() and can be
 // published into an obs::MetricsRegistry with obs::publish_pool_stats()
@@ -46,9 +44,9 @@ namespace r2c2 {
 
 class ThreadPool {
  public:
-  // Spawns `workers` threads (clamped to >= 0). 0 is valid and useful: every
-  // entry point degrades to inline execution on the caller, so code can be
-  // written once against the pool API and run serially.
+  // Spawns `workers` threads (clamped to >= 0). 0 is valid and useful:
+  // parallel_for then runs inline on the caller, so code can be written
+  // once against the pool API and run serially.
   explicit ThreadPool(int workers);
   ~ThreadPool();
 
@@ -65,28 +63,6 @@ class ThreadPool {
   // first exception thrown by `body` is rethrown here after the batch
   // drains (remaining chunks are skipped, not interrupted).
   void parallel_for(std::size_t n, const std::function<void(std::size_t, int)>& body);
-
-  // Enqueues one task; wait() blocks until all submitted tasks finished,
-  // with the caller executing queued tasks itself while it waits.
-  void submit(std::function<void()> fn);
-  void wait();
-
-  // Enqueues one lane-aware task on a specific lane's queue. Placement is a
-  // locality hint, not a pin: an idle lane may still steal the task, so the
-  // `lane` argument passed to `fn` at execution time is the *executing*
-  // lane, which can differ from the queue it was placed on. Callers that
-  // want per-task state (e.g. the GA's per-lane waterfill clones) capture
-  // the state's index in the closure instead of trusting the executing
-  // lane — then a steal only changes which OS thread runs the task, never
-  // which state it touches.
-  void submit_on(int lane, std::function<void(int)> fn);
-
-  // Pops and runs one queued task on the calling thread (as lane 0), if
-  // any; returns false when every queue is empty. Lets the pool's owner
-  // make incremental progress on queued work while it is blocked on an
-  // out-of-band condition (e.g. a speculative-execution dependency) rather
-  // than committing to a full wait(). Owner thread only, like submit().
-  bool try_help();
 
   struct Stats {
     std::uint64_t executed = 0;  // tasks run to completion, by any lane
@@ -116,11 +92,9 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   std::mutex m_;
   std::condition_variable work_cv_;  // workers sleep here when queues drain
-  std::condition_variable done_cv_;  // wait()/parallel_for callers sleep here
-  std::atomic<std::uint64_t> inflight_{0};  // queued + currently running tasks
+  std::condition_variable done_cv_;  // parallel_for callers sleep here
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> stolen_{0};
-  unsigned next_lane_ = 0;  // round-robin placement cursor for submit()
   bool stop_ = false;
 };
 

@@ -1,14 +1,12 @@
 #include "control/route_selection.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
+#include <chrono>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -19,6 +17,17 @@ namespace {
 
 // Genotype: per-flow index into config.choices.
 using Genotype = std::vector<std::uint8_t>;
+
+// Per-gene mutation probability of the GA's children (the paper's 0.01).
+constexpr double kMutationProb = 0.01;
+
+// Simulated annealing cools geometrically from kAnnealT0 to kAnnealT1 over
+// the evaluation budget. Temperatures are *relative* degradations — a move
+// that loses fraction `t` of the current utility is accepted with
+// probability 1/e at temperature t — so the schedule is scale-free across
+// utility kinds.
+constexpr double kAnnealT0 = 0.02;
+constexpr double kAnnealT1 = 1e-4;
 
 // Hamming distance with an early exit once it can no longer beat `bound`
 // (the scheduler only cares which lane is nearest, not the exact distance
@@ -55,37 +64,47 @@ double utility_of(const std::vector<Bps>& rates, UtilityKind kind, double blend_
 }
 
 struct Evaluator {
-  // One lane = everything one executing task needs to score genotypes with
-  // zero shared mutable state: its own problem copy (row selections are
+  // One lane = everything one lane list needs to score genotypes with zero
+  // shared mutable state: its own problem copy (row selections are
   // per-lane cursors), scratch arena, rate buffer, and the genotype its
-  // row selection currently encodes. Lane 0 belongs to the calling thread;
-  // lanes 1..workers to the pool's workers (by schedule, not by pin: a
-  // stolen lane task still addresses its own lane's state). The waterfill
-  // result depends only on the selected rows — never on scratch history or
-  // which genotype a lane scored before — so every lane produces
-  // bit-identical utilities.
+  // row selection currently encodes. Lane list l always runs on lanes[l],
+  // whichever pool lane executes it. The waterfill result depends only on
+  // the selected rows — never on scratch history or which genotype a lane
+  // scored before — so every lane produces bit-identical utilities.
   struct Lane {
     WaterfillProblem problem;
     WaterfillScratch scratch;
     RateAllocation alloc;
     Genotype current;  // the genotype this lane's row selection encodes
   };
+  // Solver work done by one executing pool lane (0 = the caller); each
+  // pool lane writes only its own slot.
+  struct Tally {
+    std::uint64_t solves = 0;
+    std::uint64_t busy_ns = 0;
+    std::uint64_t delta_genes = 0;
+  };
+  struct Miss {
+    const Genotype* genes = nullptr;
+    std::uint64_t hash = 0;
+    double fitness = 0.0;
+  };
 
   Evaluator(const Router& r, std::span<const FlowSpec> f, const SelectionConfig& c,
             ThreadPool* p = nullptr)
-      : config(c), pool(p), memo(c.memo_max_bytes, c.memo_max_entries) {
+      : config(c), pool(p), memo(detail::FitnessMemo::kDefaultMaxBytes, c.memo_max_entries) {
     // All (flow, protocol-choice) link weights are derived once, into CSR
     // rows of one WaterfillProblem; evaluating a genotype then only flips
     // row selections for genes that differ from the lane's previous one
     // (delta fitness) and solves with a reused scratch arena. The Router
-    // is never touched again. Worker lanes start as copies of lane 0 —
-    // cheap (a handful of vectors) next to re-deriving link weights.
+    // is never touched again. Each further lane is a copy of lane 0.
+    const std::size_t n_lanes = pool != nullptr ? static_cast<std::size_t>(pool->lanes()) : 1;
+    lanes.reserve(n_lanes);
     lanes.resize(1);
     lanes[0].problem.build_with_choices(r, f, c.choices, c.alloc);
     lanes[0].current.assign(f.size(), 0);  // build_with_choices selects choice 0
-    if (pool != nullptr) {
-      for (int l = 1; l < pool->lanes(); ++l) lanes.push_back(lanes[0]);
-    }
+    while (lanes.size() < n_lanes) lanes.push_back(lanes[0]);
+    tally.resize(n_lanes);
   }
 
   const SelectionConfig& config;
@@ -93,20 +112,21 @@ struct Evaluator {
   int evaluations = 0;
   detail::FitnessMemo memo;
   std::vector<Lane> lanes;
-  // Solver stats. The atomics are bumped from concurrently running lane
-  // tasks (relaxed: sums commute); the spec_* counters are caller-only.
-  std::atomic<std::uint64_t> solves{0};
-  std::atomic<std::uint64_t> delta_genes{0};
-  std::uint64_t spec_children = 0;
-  std::uint64_t spec_aborts = 0;
+  std::vector<Tally> tally;  // indexed by executing pool lane
 
-  double lane_fitness(Lane& lane, const Genotype& g) {
+  double lane_fitness(Lane& lane, const Genotype& g, int exec_lane) {
+    const auto t0 = std::chrono::steady_clock::now();
     const std::size_t changed = lane.problem.apply_choice_delta(lane.current, g);
     lane.current.assign(g.begin(), g.end());
-    delta_genes.fetch_add(changed, std::memory_order_relaxed);
-    solves.fetch_add(1, std::memory_order_relaxed);
     waterfill(lane.problem, lane.scratch, lane.alloc);
-    return utility_of(lane.alloc.rate, config.utility, config.blend_min_weight);
+    const double utility = utility_of(lane.alloc.rate, config.utility, config.blend_min_weight);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    Tally& t = tally[static_cast<std::size_t>(exec_lane)];
+    ++t.solves;
+    t.delta_genes += changed;
+    t.busy_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+    return utility;
   }
 
   double fitness(const Genotype& g) {
@@ -116,38 +136,11 @@ struct Evaluator {
       return *f;
     }
     memo.record_miss();
-    const double utility = lane_fitness(lanes[0], g);
+    const double utility = lane_fitness(lanes[0], g, 0);
     ++evaluations;
     memo.insert(h, g, utility);
     return utility;
   }
-
-  // --- asynchronous batch evaluation -------------------------------------
-  //
-  // One generation's fitness work, launched lane-by-lane so the caller can
-  // overlap speculative breeding of the next generation with the worker
-  // lanes draining this one. Lifecycle: begin_batch (dedup, schedule,
-  // launch workers, evaluate the caller's own share) -> [caller overlaps
-  // other work, polling `done`] -> finish_batch (join, memo commit,
-  // evaluation accounting). The Batch must stay at a stable address until
-  // finish_batch returns — worker tasks hold a reference.
-  struct Batch {
-    struct Miss {
-      const Genotype* genes = nullptr;
-      std::uint64_t hash = 0;
-      double fitness = 0.0;
-    };
-    static constexpr std::size_t kHit = static_cast<std::size_t>(-1);
-    std::vector<Miss> misses;
-    std::vector<std::size_t> ref;  // population index -> miss index, or kHit
-    // done[u] set (release) after misses[u].fitness is written; the
-    // caller's acquire load makes that value safe to read mid-batch.
-    std::vector<std::atomic<std::uint32_t>> done;
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_m;
-    bool launched = false;  // worker tasks in flight (finish must join)
-  };
 
   // Deterministic nearest-Hamming scheduler: walks the deduped misses in
   // order and assigns each to the lane whose *projected* genotype (its
@@ -155,9 +148,9 @@ struct Evaluator {
   // ceil(misses / lanes) per lane so batches stay balanced. Elites and
   // crossover children differ from some recent genotype in a handful of
   // genes, so chaining nearest neighbours keeps per-lane deltas small.
-  // Runs on the caller with deterministic inputs; the plan depends on the
-  // lane count but the resulting fitness values do not.
-  std::vector<std::vector<std::uint32_t>> schedule(const std::vector<Batch::Miss>& misses) {
+  // The plan depends on the lane count but the resulting fitness values
+  // do not.
+  std::vector<std::vector<std::uint32_t>> schedule(const std::vector<Miss>& misses) {
     const std::size_t n_lanes = lanes.size();
     std::vector<std::vector<std::uint32_t>> plan(n_lanes);
     if (n_lanes == 1 || misses.size() <= 1) {
@@ -186,30 +179,18 @@ struct Evaluator {
     return plan;
   }
 
-  void run_lane_list(Batch& b, std::size_t lane, const std::vector<std::uint32_t>& list) {
-    try {
-      for (const std::uint32_t u : list) {
-        b.misses[u].fitness = lane_fitness(lanes[lane], *b.misses[u].genes);
-        b.done[u].store(1, std::memory_order_release);
-      }
-    } catch (...) {
-      bool expected = false;
-      if (b.failed.compare_exchange_strong(expected, true)) {
-        std::lock_guard lock(b.error_m);
-        b.error = std::current_exception();
-      }
-    }
-  }
-
-  // Dedups the population against the memo and in-batch repeats (exactly
-  // the serial one-at-a-time memo pattern: first occurrence = miss, every
-  // repeat = hit), schedules the misses across lanes, launches the worker
-  // lanes' lists, and evaluates lane 0's list on the caller. Memo hits are
-  // final in `fit` on return; miss slots are filled by finish_batch.
-  void begin_batch(Batch& b, std::span<const Genotype> population, std::vector<double>& fit) {
+  // Scores one generation. Dedups the population against the memo and
+  // in-batch repeats (exactly the serial one-at-a-time memo pattern: first
+  // occurrence = miss, every repeat = hit), runs the scheduler's lane
+  // lists through one parallel_for (a 0-worker pool runs them inline),
+  // then commits memo insertions and the evaluation count in miss (dedup)
+  // order — fixed by the population alone, so memo contents, eviction
+  // order and `evaluations` are identical at every thread count.
+  void fitness_batch(std::span<const Genotype> population, std::vector<double>& fit) {
+    constexpr std::size_t kHit = static_cast<std::size_t>(-1);
+    std::vector<Miss> misses;
+    std::vector<std::size_t> ref(population.size(), kHit);  // index into misses
     fit.resize(population.size());
-    b.ref.assign(population.size(), Batch::kHit);
-    b.misses.clear();
     for (std::size_t i = 0; i < population.size(); ++i) {
       const Genotype& g = population[i];
       const std::uint64_t h = detail::FitnessMemo::hash(g);
@@ -219,55 +200,30 @@ struct Evaluator {
         continue;
       }
       std::size_t u = 0;
-      for (; u < b.misses.size(); ++u) {
-        if (b.misses[u].hash == h && *b.misses[u].genes == g) break;
+      for (; u < misses.size(); ++u) {
+        if (misses[u].hash == h && *misses[u].genes == g) break;
       }
-      if (u == b.misses.size()) {
+      if (u == misses.size()) {
         memo.record_miss();
-        b.misses.push_back(Batch::Miss{&g, h, 0.0});
+        misses.push_back(Miss{&g, h, 0.0});
       } else {
         memo.record_hit();  // in-batch repeat: a hit under serial semantics
       }
-      b.ref[i] = u;
+      ref[i] = u;
     }
-    b.done = std::vector<std::atomic<std::uint32_t>>(b.misses.size());
-    const auto plan = schedule(b.misses);
-    if (pool != nullptr) {
-      for (std::size_t l = 1; l < plan.size(); ++l) {
-        if (plan[l].empty()) continue;
-        b.launched = true;
-        pool->submit_on(static_cast<int>(l), [this, &b, l, list = plan[l]](int) {
-          run_lane_list(b, l, list);
-        });
+    const auto plan = schedule(misses);
+    pool->parallel_for(plan.size(), [&](std::size_t l, int exec_lane) {
+      for (const std::uint32_t u : plan[l]) {
+        misses[u].fitness = lane_fitness(lanes[l], *misses[u].genes, exec_lane);
       }
-    }
-    run_lane_list(b, 0, plan[0]);
-  }
-
-  // Joins the batch, commits memo insertions and the evaluation count in
-  // miss (dedup) order — the order is fixed by the population alone, so
-  // memo contents, eviction order and `evaluations` are identical at
-  // every thread count — then fills the miss slots of `fit`.
-  void finish_batch(Batch& b, std::vector<double>& fit) {
-    if (b.launched) pool->wait();
-    if (b.failed.load(std::memory_order_acquire)) {
-      std::lock_guard lock(b.error_m);
-      std::rethrow_exception(b.error);
-    }
-    for (const Batch::Miss& m : b.misses) {
+    });
+    for (const Miss& m : misses) {
       memo.insert(m.hash, *m.genes, m.fitness);
       ++evaluations;
     }
-    for (std::size_t i = 0; i < b.ref.size(); ++i) {
-      if (b.ref[i] != Batch::kHit) fit[i] = b.misses[b.ref[i]].fitness;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (ref[i] != kHit) fit[i] = misses[ref[i]].fitness;
     }
-  }
-
-  // Synchronous convenience wrapper (final-population accounting).
-  void fitness_batch(std::span<const Genotype> population, std::vector<double>& fit) {
-    Batch b;
-    begin_batch(b, population, fit);
-    finish_batch(b, fit);
   }
 };
 
@@ -290,12 +246,15 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
   result.utility = utility;
   result.evaluations = eval.evaluations;
   const detail::FitnessMemo::Stats ms = eval.memo.stats();
-  result.stats.solves = eval.solves.load(std::memory_order_relaxed);
-  result.stats.delta_genes = eval.delta_genes.load(std::memory_order_relaxed);
-  result.stats.memo_hits = ms.hits;
-  result.stats.memo_evictions = ms.evictions;
-  result.stats.spec_children = eval.spec_children;
-  result.stats.spec_aborts = eval.spec_aborts;
+  SelectionResult::Stats& st = result.stats;
+  for (const Evaluator::Tally& t : eval.tally) {
+    st.solves += t.solves;
+    st.delta_genes += t.delta_genes;
+    st.lane_solves.push_back(t.solves);
+    st.lane_busy_ns.push_back(t.busy_ns);
+  }
+  st.memo_hits = ms.hits;
+  st.memo_evictions = ms.evictions;
 #if R2C2_TRACING_ENABLED
   if (config.metrics != nullptr) {
     obs::MetricsRegistry& m = *config.metrics;
@@ -304,10 +263,13 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
     m.counter("ga.memo.evictions").add(ms.evictions);
     m.gauge("ga.memo.entries").set(static_cast<double>(ms.entries));
     m.gauge("ga.memo.bytes").set(static_cast<double>(ms.bytes));
-    m.counter("ga.eval.solves").add(result.stats.solves);
-    m.counter("ga.eval.delta_genes").add(result.stats.delta_genes);
-    m.counter("ga.eval.spec_children").add(eval.spec_children);
-    m.counter("ga.eval.spec_aborts").add(eval.spec_aborts);
+    m.counter("ga.eval.solves").add(st.solves);
+    m.counter("ga.eval.delta_genes").add(st.delta_genes);
+    for (std::size_t l = 0; l < st.lane_solves.size(); ++l) {
+      const std::string lane = "ga.eval.lane" + std::to_string(l);
+      m.gauge(lane + ".solves").set(static_cast<double>(st.lane_solves[l]));
+      m.gauge(lane + ".busy_ns").set(static_cast<double>(st.lane_busy_ns[l]));
+    }
   }
 #endif
   return result;
@@ -330,7 +292,7 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
   validate(config);
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = config.pool;
-  if (pool == nullptr && config.threads > 1) {
+  if (pool == nullptr) {
     owned = std::make_unique<ThreadPool>(config.threads - 1);  // caller is a lane too
     pool = owned.get();
   }
@@ -360,96 +322,16 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
   double best_fit = -std::numeric_limits<double>::infinity();
   int stall = 0;
 
-  // Speculative breeding: while the lanes drain generation G's misses, the
-  // caller breeds generation G+1's children against the values it already
-  // has (memo hits plus landed misses), predicting the rest. Only the
-  // tournament *outcomes* consume fitness, and no RNG draw count depends
-  // on fitness, so a mispredicted child is re-bred ("aborted") afterwards
-  // by replaying its RNG window against the final values — which restores
-  // exactly the serial breeding result without disturbing any later
-  // child's draws.
-  struct Dep {
-    std::uint32_t a = 0, b = 0;  // tournament contestants
-    bool picked_a = false;
-    bool final = false;  // both values were final at speculation time
-  };
-  struct SpecChild {
-    Genotype genes;
-    std::array<std::uint64_t, 4> rng_state{};  // before this child's draws
-    std::vector<Dep> deps;
+  // Binary tournament on the generation's final fitness values.
+  const auto tourney = [&]() -> const Genotype& {
+    const std::size_t a = rng.uniform_int(population.size());
+    const std::size_t b = rng.uniform_int(population.size());
+    return population[fit[a] >= fit[b] ? a : b];
   };
 
   for (int gen = 0; gen < config.max_generations && stall < config.stall_generations; ++gen) {
     if (memetic && config.eval_budget > 0 && eval.evaluations >= config.eval_budget) break;
-    Evaluator::Batch batch;
-    eval.begin_batch(batch, population, fit);
-
-    const int elite = std::min<int>(config.elite, static_cast<int>(population.size()));
-    const std::size_t n_children = population.size() - static_cast<std::size_t>(elite);
-    // Prediction for still-in-flight fitness values. Accuracy only affects
-    // the abort rate (re-breeding cost), never the result.
-    const double predicted = std::isinf(best_fit) ? 0.0 : best_fit;
-
-    auto spec_value = [&](std::size_t i, bool& is_final) -> double {
-      const std::size_t u = batch.ref[i];
-      if (u == Evaluator::Batch::kHit) {
-        is_final = true;
-        return fit[i];
-      }
-      if (batch.done[u].load(std::memory_order_acquire) == 0) {
-        // Opportunistically run one queued lane list before predicting.
-        if (pool != nullptr) pool->try_help();
-        if (batch.done[u].load(std::memory_order_acquire) == 0) {
-          is_final = false;
-          return predicted;
-        }
-      }
-      is_final = true;
-      return batch.misses[u].fitness;
-    };
-
-    // Breeds one child from `r`; speculative mode reads through spec_value
-    // and records deps, replay mode reads the final `fit` directly.
-    auto breed_child = [&](Rng& r, SpecChild* spec) -> Genotype {
-      const auto tourney = [&]() -> std::size_t {
-        const std::size_t a = r.uniform_int(population.size());
-        const std::size_t b = r.uniform_int(population.size());
-        bool fa_final = true, fb_final = true;
-        double fa, fb;
-        if (spec != nullptr) {
-          fa = spec_value(a, fa_final);
-          fb = spec_value(b, fb_final);
-        } else {
-          fa = fit[a];
-          fb = fit[b];
-        }
-        const bool pick_a = fa >= fb;
-        if (spec != nullptr) {
-          spec->deps.push_back(Dep{static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b),
-                                   pick_a, fa_final && fb_final});
-        }
-        return pick_a ? a : b;
-      };
-      const Genotype& pa = population[tourney()];
-      const Genotype& pb = population[tourney()];
-      Genotype child(pa.size());
-      for (std::size_t i = 0; i < child.size(); ++i) {
-        child[i] = r.bernoulli(0.5) ? pa[i] : pb[i];
-        if (r.bernoulli(config.mutation_prob)) {
-          child[i] = static_cast<std::uint8_t>(r.uniform_int(n_choices));
-        }
-      }
-      return child;
-    };
-
-    std::vector<SpecChild> spec(n_children);
-    for (SpecChild& c : spec) {
-      c.rng_state = rng.state();
-      c.genes = breed_child(rng, &c);
-    }
-    eval.spec_children += n_children;
-
-    eval.finish_batch(batch, fit);
+    eval.fitness_batch(population, fit);
 
     // Rank by fitness, best first.
     std::vector<std::size_t> rank(population.size());
@@ -465,9 +347,10 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
     }
 
     // Elite copies for the next generation (possibly improved below).
-    std::vector<Genotype> elites;
-    elites.reserve(static_cast<std::size_t>(elite));
-    for (int e = 0; e < elite; ++e) elites.push_back(population[rank[static_cast<std::size_t>(e)]]);
+    const int elite = std::min<int>(config.elite, static_cast<int>(population.size()));
+    std::vector<Genotype> next;
+    next.reserve(population.size());
+    for (int e = 0; e < elite; ++e) next.push_back(population[rank[static_cast<std::size_t>(e)]]);
 
     if (memetic && n_choices >= 2) {
       // Memetic step: first-improvement single-gene flips on the top
@@ -480,7 +363,7 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
       Rng ls_rng(splitmix64(fork));
       const int k = std::min<int>(config.ls_elites, elite);
       for (int e = 0; e < k; ++e) {
-        Genotype& g = elites[static_cast<std::size_t>(e)];
+        Genotype& g = next[static_cast<std::size_t>(e)];
         double gf = fit[rank[static_cast<std::size_t>(e)]];
         for (int step = 0; step < config.ls_steps; ++step) {
           if (config.eval_budget > 0 && eval.evaluations >= config.eval_budget) break;
@@ -503,30 +386,19 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
       }
     }
 
-    // Commit/abort the speculated children: a child is committed when
-    // every tournament it ran would pick the same parent under the final
-    // values; otherwise its RNG window is replayed against them.
-    for (SpecChild& c : spec) {
-      bool committed = true;
-      for (const Dep& d : c.deps) {
-        if (d.final) continue;
-        if ((fit[d.a] >= fit[d.b]) != d.picked_a) {
-          committed = false;
-          break;
+    // Children: tournament selection, uniform crossover, mutation.
+    while (next.size() < population.size()) {
+      const Genotype& pa = tourney();
+      const Genotype& pb = tourney();
+      Genotype child(pa.size());
+      for (std::size_t i = 0; i < child.size(); ++i) {
+        child[i] = rng.bernoulli(0.5) ? pa[i] : pb[i];
+        if (rng.bernoulli(kMutationProb)) {
+          child[i] = static_cast<std::uint8_t>(rng.uniform_int(n_choices));
         }
       }
-      if (!committed) {
-        ++eval.spec_aborts;
-        Rng replay;
-        replay.set_state(c.rng_state);
-        c.genes = breed_child(replay, nullptr);
-      }
+      next.push_back(std::move(child));
     }
-
-    std::vector<Genotype> next;
-    next.reserve(population.size());
-    for (Genotype& e : elites) next.push_back(std::move(e));
-    for (SpecChild& c : spec) next.push_back(std::move(c.genes));
     population = std::move(next);
   }
   // Account for the final population (it may contain the best genotype).
@@ -598,7 +470,7 @@ SelectionResult select_routes_anneal(const Router& router, std::span<const FlowS
   for (long proposal = 0; proposal < max_proposals && eval.evaluations < budget; ++proposal) {
     const double frac =
         static_cast<double>(eval.evaluations) / static_cast<double>(budget);
-    const double temp = config.anneal_t0 * std::pow(config.anneal_t1 / config.anneal_t0, frac);
+    const double temp = kAnnealT0 * std::pow(kAnnealT1 / kAnnealT0, frac);
     Genotype nb = at;
     const std::size_t i = rng.uniform_int(nb.size());
     const std::uint64_t shift = 1 + rng.uniform_int(n_choices - 1);

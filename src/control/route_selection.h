@@ -182,9 +182,9 @@ struct SelectionConfig {
   AllocationConfig alloc{};
   std::uint64_t seed = 1;
 
-  // Genetic-algorithm parameters (paper: population 100, mutation 0.01).
+  // Genetic-algorithm parameters (paper: population 100; the per-gene
+  // mutation probability is fixed at the paper's 0.01).
   int population = 100;
-  double mutation_prob = 0.01;
   int max_generations = 60;
   int stall_generations = 12;  // stop early when no improvement
   int elite = 10;              // genotypes copied unchanged each generation
@@ -195,14 +195,6 @@ struct SelectionConfig {
   // so it may overshoot by at most one generation's batch).
   int eval_budget = 2000;
 
-  // Simulated annealing (select_routes_anneal): geometric cooling from
-  // t0 to t1 over the evaluation budget. Temperatures are *relative*
-  // degradations — a move that loses fraction `t` of the current utility
-  // is accepted with probability 1/e at temperature t — so the schedule
-  // is scale-free across utility kinds.
-  double anneal_t0 = 0.02;
-  double anneal_t1 = 1e-4;
-
   // Memetic step of select_routes_hybrid: after each generation's
   // fitness, the top `ls_elites` ranked genotypes each get `ls_steps`
   // first-improvement single-gene flips (delta evaluations) and the
@@ -210,22 +202,21 @@ struct SelectionConfig {
   int ls_elites = 4;
   int ls_steps = 16;
 
-  // Fitness memo budget (entries evicted FIFO past it; 0 = unlimited).
+  // Fitness memo entry budget (entries evicted FIFO past it; 0 =
+  // unlimited); the byte budget is FitnessMemo::kDefaultMaxBytes.
   // Eviction is deterministic and thread-count independent, but a budget
   // small enough to evict changes `evaluations` versus an unbounded run.
-  std::size_t memo_max_bytes = detail::FitnessMemo::kDefaultMaxBytes;
   std::size_t memo_max_entries = 0;
 
   // Fitness-evaluation parallelism for the GA. Each generation's distinct
   // un-memoized genotypes are assigned to per-lane clones of the
   // waterfill problem by a deterministic nearest-Hamming scheduler (so
-  // per-lane deltas stay small) and evaluated concurrently, overlapped
-  // with speculative breeding of the next generation; the result
-  // (assignment, utility, evaluation count) is bit-identical for every
-  // thread count, including 1 (see DESIGN.md "Threading model").
-  // threads <= 1 runs serially. When `pool` is non-null it is used and
-  // `threads` is ignored; otherwise a temporary pool with threads - 1
-  // workers is spun up for the call.
+  // per-lane deltas stay small) and scored concurrently before the next
+  // generation is bred; the result (assignment, utility, evaluation
+  // count) is bit-identical for every thread count, including 1 (see
+  // DESIGN.md "Threading model"). threads <= 1 runs serially. When `pool`
+  // is non-null it is used and `threads` is ignored; otherwise a
+  // temporary pool with threads - 1 workers is spun up for the call.
   int threads = 1;
   ThreadPool* pool = nullptr;
 
@@ -242,16 +233,23 @@ struct SelectionResult {
 
   // Evaluator diagnostics. `solves` equals the number of waterfill solves
   // (= memo misses) and is part of the determinism contract like
-  // `evaluations`; the remaining fields depend on the lane schedule and
-  // on evaluation/speculation timing, so they legitimately vary with
-  // thread count and are excluded from bit-identity gates.
+  // `evaluations`; `delta_genes` depends on the lane schedule and the
+  // lane_* vectors on timing, so they legitimately vary with thread count
+  // and are excluded from bit-identity gates.
   struct Stats {
     std::uint64_t solves = 0;
     std::uint64_t delta_genes = 0;     // set_choice flips applied across lanes
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_evictions = 0;
-    std::uint64_t spec_children = 0;   // children bred speculatively
-    std::uint64_t spec_aborts = 0;     // re-bred after a misprediction
+    // Always 0: breeding waits for final fitness values and is never
+    // speculative. Kept because rackbench still reports their ratio as
+    // control.spec_abort_ratio.
+    std::uint64_t spec_children = 0;
+    std::uint64_t spec_aborts = 0;
+    // Solves and solve wall time per executing pool lane (0 = the caller;
+    // one slot per lane, so a serial run has one). Sums to `solves`.
+    std::vector<std::uint64_t> lane_solves;
+    std::vector<std::uint64_t> lane_busy_ns;
   };
   Stats stats;
 };
@@ -262,8 +260,8 @@ SelectionResult select_routes_ga(const Router& router, std::span<const FlowSpec>
 
 // Simulated annealing over single-gene flips: starts from the best of the
 // current assignment and the uniform single-protocol assignments, applies
-// Metropolis-accepted random flips under geometric cooling
-// (anneal_t0 -> anneal_t1 across eval_budget evaluations). Every step is
+// Metropolis-accepted random flips under geometric cooling (relative
+// temperature 0.02 -> 1e-4 across eval_budget evaluations). Every step is
 // a Hamming-1 delta evaluation, the cheapest move the fast path offers.
 SelectionResult select_routes_anneal(const Router& router, std::span<const FlowSpec> flows,
                                      const SelectionConfig& config);

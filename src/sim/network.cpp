@@ -12,6 +12,10 @@
 namespace r2c2::sim {
 
 namespace {
+// Base seed of the data-plane corruption streams (NetworkConfig::
+// corruption_rate); a 1-lane network draws from it directly.
+constexpr std::uint64_t kCorruptionSeed = 99;
+
 // Deterministic per-lane seed derivation (splitmix-style odd multiplier);
 // lane streams must differ from each other and from the 1-shard stream.
 std::uint64_t lane_seed(std::uint64_t base, int lane) {
@@ -65,8 +69,7 @@ void Network::set_shard_plan(const ShardPlan& plan) {
   // were before per-lane streams existed.
   corruption_rngs_.clear();
   for (int i = 0; i < lanes; ++i) {
-    corruption_rngs_.emplace_back(lanes == 1 ? config_.corruption_seed
-                                             : lane_seed(config_.corruption_seed, i));
+    corruption_rngs_.emplace_back(lanes == 1 ? kCorruptionSeed : lane_seed(kCorruptionSeed, i));
   }
   mail_.assign(static_cast<std::size_t>(shards_) * static_cast<std::size_t>(shards_), {});
   mail_posted_.assign(static_cast<std::size_t>(shards_), 0);
@@ -227,8 +230,7 @@ void Network::try_transmit(LinkId link) {
     }
     return;
   }
-  schedule_delivery(l.to, engine_.now() + tx + l.latency + config_.forwarding_delay + gray_delay,
-                    std::move(pkt));
+  schedule_delivery(l.to, engine_.now() + tx + l.latency + gray_delay, std::move(pkt));
 }
 
 void Network::forward(NodeId at, SimPacket&& pkt) {

@@ -116,14 +116,10 @@ struct NetworkConfig {
   // Give 16-byte control packets strict priority over data at every port,
   // so flow events propagate with minimal queuing. Ablatable.
   bool control_priority = true;
-  // Extra per-node forwarding delay beyond link propagation (0: folded into
-  // the link latency, as the paper's 100-500 ns per-hop figure suggests).
-  TimeNs forwarding_delay = 0;
   // Failure injection: probability that a transmitted packet is corrupted
   // in flight and discarded at the receiving hop (checksum detection,
   // Section 3.2). Exercises the reliability extension (Section 6).
   double corruption_rate = 0.0;
-  std::uint64_t corruption_seed = 99;
 };
 
 class Network {

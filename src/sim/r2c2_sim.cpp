@@ -12,7 +12,17 @@ namespace r2c2::sim {
 
 namespace {
 constexpr std::uint32_t kBcastWireBytes = 16;
-}
+// The receiver acks every kAckEveryPkts data packets, and at gaps and at
+// completion.
+constexpr int kAckEveryPkts = 4;
+// Adaptive detection clears a suspect link only below this estimated loss
+// (hysteresis against the demotion threshold), and divides a suspect's
+// routing weight by 1 + kSuspectPenalty.
+constexpr double kSuspectClearThreshold = 0.005;
+constexpr double kSuspectPenalty = 8.0;
+// EWMA step of the per-link congestion marks.
+constexpr double kCongestionEwmaAlpha = 0.3;
+}  // namespace
 
 R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig config)
     : topo_(topo),
@@ -337,10 +347,8 @@ FlowId R2c2Sim::start_flow(const FlowArrival& arrival) {
   receivers_.emplace(id, std::move(recv));
   auto [it, inserted] = senders_.emplace(id, std::move(flow));
   assert(inserted);
-  set_rate(it->second,
-           config_.rate_limit_new_flows ? start_rate_estimate(spec)
-                                        : topo_.link(0).bandwidth,
-           engine_.now());
+  // A fresh flow gets its estimated fair share at once (Section 3.1).
+  set_rate(it->second, start_rate_estimate(spec), engine_.now());
 
   // Announce the flow to the rack.
   broadcast(flow_msg(it->second, PacketType::kFlowStart), spec.src);
@@ -747,7 +755,7 @@ void R2c2Sim::on_data_at_receiver(SimPacket&& pkt) {
     complete = recv.rel->complete();
     // ACK policy: every N data packets, and always at completion (the
     // final ACK also lets the sender announce the finish).
-    if (++recv.pkts_since_ack >= config_.ack_every_pkts || complete) {
+    if (++recv.pkts_since_ack >= kAckEveryPkts || complete) {
       recv.pkts_since_ack = 0;
       send_ack(pkt.flow, recv, pkt.dst, pkt.src);
     }
@@ -906,7 +914,7 @@ void R2c2Sim::congestion_tick() {
   congestion_tick_scheduled_ = false;
   // Runs on the global lane (scheduled from serial phases only), so the
   // whole-rack port scan inside sample_congestion never races a window.
-  net_.sample_congestion(config_.congestion_ewma_alpha, config_.ecn_threshold_bytes);
+  net_.sample_congestion(kCongestionEwmaAlpha, config_.ecn_threshold_bytes);
   // Keep sampling while there is traffic to steer or residual marks are
   // still decaying toward the exact-zero floor; a fully quiet rack stops
   // ticking so runs terminate.
@@ -1028,7 +1036,7 @@ void R2c2Sim::update_suspicion(TimeNs now) {
         R2C2_TRACE_INSTANT(ctx_trace(), now, topo_.link(id).to, obs::EventType::kLinkDemote,
                            static_cast<std::uint64_t>(id), 1);
       }
-    } else if (loss < config_.suspect_clear_threshold && phi < config_.suspect_phi) {
+    } else if (loss < kSuspectClearThreshold && phi < config_.suspect_phi) {
       link_suspect_[id] = 0;
       --suspects_;
       c_links_cleared_.add(1);
@@ -1068,7 +1076,7 @@ void R2c2Sim::refresh_active_penalty() {
   active_penalty_.assign(t.num_links(), 0.0);
   if (!cur_topo_) {
     for (LinkId id = 0; id < static_cast<LinkId>(topo_.num_links()); ++id) {
-      if (link_suspect_[id]) active_penalty_[id] = config_.suspect_penalty;
+      if (link_suspect_[id]) active_penalty_[id] = kSuspectPenalty;
     }
     return;
   }
@@ -1079,7 +1087,7 @@ void R2c2Sim::refresh_active_penalty() {
     if (!link_suspect_[id]) continue;
     const Link& l = topo_.link(id);
     const LinkId cur = t.find_link(l.from, l.to);
-    if (cur != kInvalidLink) active_penalty_[cur] = config_.suspect_penalty;
+    if (cur != kInvalidLink) active_penalty_[cur] = kSuspectPenalty;
   }
 }
 
@@ -1345,14 +1353,10 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
   d.mix(static_cast<std::uint64_t>(config_.broadcast_trees));
   d.mix(config_.net.data_buffer_bytes);
   d.mix(config_.net.control_priority ? 1 : 0);
-  d.mix_i64(config_.net.forwarding_delay);
   d.mix_f64(config_.net.corruption_rate);
-  d.mix(config_.net.corruption_seed);
   d.mix(config_.mtu_payload);
-  d.mix(config_.rate_limit_new_flows ? 1 : 0);
   d.mix(config_.reliable ? 1 : 0);
   d.mix_i64(config_.rto);
-  d.mix(static_cast<std::uint64_t>(config_.ack_every_pkts));
   d.mix(config_.retransmit_dropped_control ? 1 : 0);
   d.mix(static_cast<std::uint64_t>(config_.max_retransmits));
   d.mix(config_.adaptive_rto ? 1 : 0);
@@ -1361,13 +1365,10 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
   d.mix(config_.retransmit_jitter ? 1 : 0);
   d.mix(config_.adaptive_detection ? 1 : 0);
   d.mix_f64(config_.suspect_loss_threshold);
-  d.mix_f64(config_.suspect_clear_threshold);
   d.mix_f64(config_.suspect_phi);
   d.mix_f64(config_.suspect_ewma_alpha);
-  d.mix_f64(config_.suspect_penalty);
   d.mix(config_.congestion_aware ? 1 : 0);
   d.mix_i64(config_.congestion_interval);
-  d.mix_f64(config_.congestion_ewma_alpha);
   d.mix(config_.ecn_threshold_bytes);
   d.mix_f64(config_.congestion_gain);
   d.mix(config_.faults.events.size());

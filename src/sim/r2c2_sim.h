@@ -69,10 +69,6 @@ struct R2c2SimConfig {
   int broadcast_trees = 4;
   NetworkConfig net{};  // default: unbounded data buffers, control priority
   std::uint32_t mtu_payload = static_cast<std::uint32_t>(kMaxPayloadBytes);
-  // Assign a fresh flow its estimated fair share immediately (Section 3.1).
-  // If false, new flows send unpaced until the first recomputation — the
-  // "don't rate-limit short flows" reading; ablatable.
-  bool rate_limit_new_flows = true;
   // Section 6 reliability extension: selective-repeat retransmission with
   // cumulative+SACK acknowledgements used *only* for reliability (rates
   // still come from the allocator). Required when the network corrupts or
@@ -80,7 +76,6 @@ struct R2c2SimConfig {
   // flight across a cut cable are lost.
   bool reliable = false;
   TimeNs rto = 500 * kNsPerUs;
-  int ack_every_pkts = 4;  // receiver acks every N data packets + at gaps/end
   // Per-segment retransmission budget. A segment that exhausts it makes the
   // sender give up; the sim then records an explicit per-flow abort (the
   // FlowRecord is marked aborted, "r2c2.flow_aborts" counts it) instead of
@@ -127,13 +122,12 @@ struct R2c2SimConfig {
   // stays in the topology (no context rebuild, no re-announcements) but
   // randomized routing walks are biased away from it via a per-link
   // penalty, and hysteresis clears the demotion once the link behaves
-  // again. Dead declaration is unchanged (silence > failure_timeout).
+  // again (below 0.5% estimated loss). Dead declaration is unchanged
+  // (silence > failure_timeout).
   bool adaptive_detection = false;
   double suspect_loss_threshold = 0.02;   // demote when est. loss exceeds this
-  double suspect_clear_threshold = 0.005; // hysteresis: clear only below this
   double suspect_phi = 2.5;               // demote when silence > phi * mean gap
   double suspect_ewma_alpha = 0.1;        // delivery-indicator EWMA step
-  double suspect_penalty = 8.0;           // routing weight divisor for suspects
   // --- Congestion-aware adaptive spraying ---
   // With this on, the sim periodically samples every port's peak queue
   // depth into an ECN-style EWMA mark per directed link (see
@@ -147,7 +141,6 @@ struct R2c2SimConfig {
   // zero and every draw matches the congestion-blind run.
   bool congestion_aware = false;
   TimeNs congestion_interval = 20 * kNsPerUs;    // sampling period
-  double congestion_ewma_alpha = 0.3;            // mark EWMA step
   std::uint64_t ecn_threshold_bytes = 16 * 1024; // queue depth that marks
   double congestion_gain = 4.0;                  // bias weight of a full mark
   // Lease refresh period: every sender re-advertises its live flows this

@@ -70,9 +70,10 @@ TEST(ParallelDeterminism, GaIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, UtilityKindsAreBitIdenticalAcrossThreadCounts) {
-  // The speculative-breeding path must stay invisible for every utility:
-  // kMinThroughput and the blended scalarization produce many fitness
-  // ties and near-ties, the worst case for tournament mispredictions.
+  // The lane plan must stay invisible for every utility: kMinThroughput
+  // and the blended scalarization produce many fitness ties and
+  // near-ties, so any lane-dependent bit in a fitness value would flip a
+  // tournament.
   const Topology topo = make_torus({4, 4, 4}, 10 * kGbps, 100);
   const Router router(topo);
   const auto flows = permutation_like_flows(topo, 60, 0x5eed);
@@ -194,6 +195,39 @@ TEST(ParallelDeterminism, GaWithExternalPoolMatchesSerial) {
   expect_identical(select_routes_ga(router, flows, cfg), serial, pool.lanes());
   // The pool actually ran fitness work (not a silent serial fallback).
   EXPECT_GT(pool.stats().executed, 0u);
+}
+
+TEST(ParallelDeterminism, GaReportsWhereTheSolvesRan) {
+  // Per-lane accounting: every solve is charged to the pool lane that ran
+  // it, so the lanes sum to the total; without a pool everything runs on
+  // the caller, lane 0.
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  const auto flows = permutation_like_flows(topo, 40, 0x1a4e);
+
+  SelectionConfig cfg;
+  cfg.population = 20;
+  cfg.max_generations = 6;
+  cfg.seed = 17;
+
+  cfg.threads = 1;
+  const SelectionResult serial = select_routes_ga(router, flows, cfg);
+  ASSERT_EQ(serial.stats.lane_solves.size(), 1u);
+  ASSERT_EQ(serial.stats.lane_busy_ns.size(), 1u);
+  EXPECT_GT(serial.stats.solves, 0u);
+  EXPECT_EQ(serial.stats.lane_solves[0], serial.stats.solves);
+  EXPECT_GT(serial.stats.lane_busy_ns[0], 0u);
+
+  ThreadPool pool(3);
+  cfg.pool = &pool;
+  const SelectionResult parallel = select_routes_ga(router, flows, cfg);
+  expect_identical(parallel, serial, pool.lanes());
+  ASSERT_EQ(parallel.stats.lane_solves.size(), static_cast<std::size_t>(pool.lanes()));
+  ASSERT_EQ(parallel.stats.lane_busy_ns.size(), static_cast<std::size_t>(pool.lanes()));
+  std::uint64_t sum = 0;
+  for (const std::uint64_t s : parallel.stats.lane_solves) sum += s;
+  EXPECT_EQ(sum, parallel.stats.solves);
+  EXPECT_EQ(parallel.stats.solves, serial.stats.solves);
 }
 
 TEST(ParallelDeterminism, SelectionIsIndependentOfPriorRouterUse) {

@@ -1,6 +1,6 @@
-// ThreadPool: parallel_for correctness and determinism, submit/wait,
-// work-stealing stats, exception propagation, degenerate worker counts,
-// and the sweep runner's order guarantee.
+// ThreadPool: parallel_for correctness and determinism, work-stealing
+// stats, exception propagation, degenerate worker counts, nesting, and the
+// sweep runner's order guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -66,18 +66,6 @@ TEST(ThreadPool, LaneIsUniqueAmongConcurrentBodies) {
   EXPECT_FALSE(clash.load());
 }
 
-TEST(ThreadPool, SubmitAndWaitRunsEverything) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&] { ran.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 50);
-  // The pool is reusable after wait().
-  for (int i = 0; i < 10; ++i) pool.submit([&] { ran.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 60);
-}
-
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.parallel_for(100,
@@ -122,6 +110,24 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     pool.parallel_for(4, [&](std::size_t, int) { inner.fetch_add(1); });
   });
   EXPECT_EQ(inner.load(), 32);
+}
+
+TEST(ThreadPool, AnotherPoolsWorkerCallsInAsLaneZero) {
+  // A body of one pool may own a second pool (a sweep job running a
+  // threaded search): it is that pool's caller, so the second pool runs
+  // in parallel and hands its bodies lanes of its own range.
+  ThreadPool outer(2);
+  std::atomic<bool> out_of_range{false};
+  std::atomic<int> ran{0};
+  outer.parallel_for(4, [&](std::size_t, int) {
+    ThreadPool inner(1);
+    inner.parallel_for(16, [&](std::size_t, int lane) {
+      if (lane < 0 || lane >= inner.lanes()) out_of_range.store(true);
+      ran.fetch_add(1);
+    });
+  });
+  EXPECT_FALSE(out_of_range.load());
+  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPool, PublishesStatsAsGauges) {

@@ -1,13 +1,15 @@
 // Reusable sense-reversing barrier for small, tightly coupled worker gangs.
 //
-// The sharded event engine synchronizes its workers three times per
-// conservative window (publish window -> run events -> drain mailboxes),
-// and a window can be as short as a few microseconds of wall time, so the
-// barrier must not take a kernel round-trip on the fast path. Arrivals
-// spin on the generation counter with a pause hint, degrade to yield, and
-// only fall back to a condition variable when a window stalls long enough
-// that burning a core would be rude (e.g. the engine is idle between
-// run() calls). All transitions are acquire/release on the generation
+// ThreadPool's workers park here between parallel_for calls, and every
+// call crosses it twice (publish the body -> every share done). The
+// sharded event engine makes two such calls per conservative window (run
+// events, then drain mailboxes), and a window can be as short as a few
+// microseconds of wall time, so the barrier must not take a kernel
+// round-trip on the fast path. Arrivals spin on the generation counter
+// with a pause hint, degrade to yield, and only fall back to a condition
+// variable when a wait lasts long enough that burning a core would be rude
+// (e.g. the engine is idle between run() calls, or the GA breeds between
+// generations). All transitions are acquire/release on the generation
 // word, so everything written before arrive_and_wait() on one thread is
 // visible after it returns on every other — TSan-clean by construction.
 #pragma once

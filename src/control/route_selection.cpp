@@ -68,7 +68,8 @@ struct Evaluator {
   // shared mutable state: its own problem copy (row selections are
   // per-lane cursors), scratch arena, rate buffer, and the genotype its
   // row selection currently encodes. Lane list l always runs on lanes[l],
-  // whichever pool lane executes it. The waterfill result depends only on
+  // and the pool runs it on pool lane l, so each clone stays on one thread
+  // across generations. The waterfill result depends only on
   // the selected rows — never on scratch history or which genotype a lane
   // scored before — so every lane produces bit-identical utilities.
   struct Lane {

@@ -1,5 +1,5 @@
 // The event engine's one driver, for every lane count: conservative
-// windows, serial phases, and the persistent worker gang.
+// windows and serial phases.
 //
 // The schedule alternates between two regimes, chosen by comparing the
 // earliest pending event time Tmin against the global lane's top. A
@@ -15,13 +15,15 @@
 //
 //   * Parallel window [Tmin, We) with We = min(Tmin + lookahead,
 //     global_top, until + 1): every shard lane runs its own events with
-//     time < We on its owning worker. The lookahead is the minimum
-//     shard-boundary propagation delay, so anything a shard emits toward
-//     another shard inside the window is stamped >= We — conservatively
-//     safe, no rollback. Cross-shard packets go through mailboxes; the
-//     destination lane drains them at the window barrier (lane_drain
+//     time < We on its owning worker, in one ThreadPool::parallel_for
+//     over the workers. The lookahead is the minimum shard-boundary
+//     propagation delay, so anything a shard emits toward another shard
+//     inside the window is stamped >= We — conservatively safe, no
+//     rollback. Cross-shard packets go through mailboxes; a second
+//     parallel_for has each destination lane drain them (lane_drain
 //     hook), and the simulator's deferred cross-shard state ops apply
-//     after that (barrier_apply hook), with all workers parked.
+//     after that on the driving thread (barrier_apply hook), with all
+//     workers parked.
 //
 // Determinism: which regime runs, the window bounds, each lane's event
 // order, the mailbox drain order (fixed source-lane sweep) and the op
@@ -29,90 +31,12 @@
 // thread timing — so a run with W workers is bit-identical to W = 1.
 #include "sim/engine.h"
 
-#include <atomic>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
-#include "common/spin_barrier.h"
+#include "common/thread_pool.h"
 
 namespace r2c2::sim {
-
-// Persistent worker gang: workers_ - 1 helper threads plus the driving
-// thread, synchronized by a reusable barrier three times per window
-// (publish -> events done -> drains done). Helpers park in the barrier
-// between windows, so serial phases and idle time cost nothing.
-class Engine::Gang {
- public:
-  explicit Gang(Engine& e) : e_(e), barrier_(e.workers_) {
-    threads_.reserve(static_cast<std::size_t>(e.workers_ - 1));
-    for (int w = 1; w < e.workers_; ++w) {
-      threads_.emplace_back([this, w] { worker_main(w); });
-    }
-  }
-
-  ~Gang() {
-    exit_.store(true, std::memory_order_release);
-    barrier_.arrive_and_wait();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  // Runs one parallel window. The caller has set window_we_ and
-  // in_window_ = true; both are published to the helpers by the first
-  // barrier and every lane/mailbox write is published back to the caller
-  // by the last one.
-  void run_window() {
-    barrier_.arrive_and_wait();
-    work(0);
-    barrier_.arrive_and_wait();
-    e_.in_window_ = false;  // next read is behind a barrier on every thread
-    drain(0);
-    barrier_.arrive_and_wait();
-  }
-
- private:
-  void worker_main(int w) {
-    for (;;) {
-      barrier_.arrive_and_wait();
-      if (exit_.load(std::memory_order_acquire)) return;
-      work(w);
-      barrier_.arrive_and_wait();
-      drain(w);
-      barrier_.arrive_and_wait();
-    }
-  }
-
-  // Worker w owns the contiguous lane range [w*K/W, (w+1)*K/W).
-  void work(int w) {
-    const int K = e_.shards_;
-    const int W = e_.workers_;
-    const int lo = w * K / W;
-    const int hi = (w + 1) * K / W;
-    for (int lane = lo; lane < hi; ++lane) {
-      detail::tls_engine_lane = lane;
-      e_.run_lane_until(e_.lanes_[static_cast<std::size_t>(lane)], e_.window_we_);
-    }
-    detail::tls_engine_lane = -1;
-  }
-
-  void drain(int w) {
-    if (!e_.lane_drain_) return;
-    const int K = e_.shards_;
-    const int W = e_.workers_;
-    const int lo = w * K / W;
-    const int hi = (w + 1) * K / W;
-    for (int lane = lo; lane < hi; ++lane) {
-      detail::tls_engine_lane = lane;
-      e_.lane_drain_(lane);
-    }
-    detail::tls_engine_lane = -1;
-  }
-
-  Engine& e_;
-  SpinBarrier barrier_;
-  std::atomic<bool> exit_{false};
-  std::vector<std::thread> threads_;
-};
 
 Engine::Engine() : lanes_(1) {}
 
@@ -126,17 +50,13 @@ void Engine::configure_shards(int shards, int workers, TimeNs lookahead) {
   assert(empty() && total_events() == 0 && next_seq() == 0 &&
          "configure_shards must precede all scheduling");
   assert(shards == 1 || lookahead > 0);
-  gang_.reset();
+  pool_.reset();
   shards_ = shards;
   workers_ = workers < 1 ? 1 : (workers > shards ? shards : workers);
   lookahead_ = shards == 1 ? 0 : lookahead;
   lanes_.clear();
   lanes_.resize(static_cast<std::size_t>(shards == 1 ? 1 : shards + 1));
   cur_lane_ = global_lane();
-}
-
-void Engine::ensure_gang() {
-  if (!gang_) gang_ = std::make_unique<Gang>(*this);
 }
 
 std::uint64_t Engine::run_lane_until(Lane& lane, TimeNs we) {
@@ -191,28 +111,26 @@ std::uint64_t Engine::serial_phase(TimeNs t) {
 }
 
 void Engine::run_window(TimeNs we) {
-  window_we_ = we;
   in_window_ = true;
   ++windows_;
-  if (workers_ > 1) {
-    ensure_gang();
-    gang_->run_window();
-    return;
-  }
-  // Single-worker sharded run: same phases, same order, no threads.
-  for (int lane = 0; lane < shards_; ++lane) {
-    detail::tls_engine_lane = lane;
-    run_lane_until(lanes_[static_cast<std::size_t>(lane)], we);
-  }
-  detail::tls_engine_lane = -1;
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(workers_ - 1);
+  // Pool lane w owns the contiguous shard lanes [w*K/W, (w+1)*K/W) in both
+  // calls and in every window.
+  const auto on_shard_lanes = [this](const auto& fn) {
+    pool_->parallel_for(static_cast<std::size_t>(workers_), [this, &fn](std::size_t w, int) {
+      const int lo = static_cast<int>(w) * shards_ / workers_;
+      const int hi = (static_cast<int>(w) + 1) * shards_ / workers_;
+      for (int lane = lo; lane < hi; ++lane) {
+        detail::tls_engine_lane = lane;
+        fn(lane);
+      }
+      detail::tls_engine_lane = -1;
+    });
+  };
+  on_shard_lanes(
+      [this, we](int lane) { run_lane_until(lanes_[static_cast<std::size_t>(lane)], we); });
   in_window_ = false;
-  if (lane_drain_) {
-    for (int lane = 0; lane < shards_; ++lane) {
-      detail::tls_engine_lane = lane;
-      lane_drain_(lane);
-    }
-    detail::tls_engine_lane = -1;
-  }
+  if (lane_drain_) on_shard_lanes([this](int lane) { lane_drain_(lane); });
 }
 
 std::uint64_t Engine::run(TimeNs until) {

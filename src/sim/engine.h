@@ -52,6 +52,10 @@
 #include "common/types.h"
 #include "snapshot/persist.h"
 
+namespace r2c2 {
+class ThreadPool;
+}  // namespace r2c2
+
 namespace r2c2::sim {
 
 // Serializable description of a scheduled event, for snapshot/restore
@@ -185,8 +189,9 @@ class Engine {
   // `lookahead` is the conservative window width (minimum shard-boundary
   // propagation delay, see topology/partition.h) and must be positive when
   // shards > 1. `workers` threads drive the shard lanes inside windows
-  // (clamped to [1, shards]; the thread gang is spawned lazily on the
-  // first parallel run). Must be called before anything is scheduled.
+  // (clamped to [1, shards]; the engine's pool of workers - 1 threads
+  // starts at the first window). Must be called before anything is
+  // scheduled.
   // Throws std::invalid_argument unless 1 <= shards <= kMaxShards: lane ids
   // live in the low kLaneBits of every event key, so a larger count would
   // alias lanes and break the tie order.
@@ -417,8 +422,8 @@ class Engine {
   // Each lane is an independent queue + clock. Slots freed by pops are
   // reused LIFO, so a warm lane schedules without allocating. Neither the
   // heap's array order nor the slot numbering is archived. Padded so
-  // neighboring lanes' hot cursors don't share a cache line under the
-  // worker gang.
+  // neighboring lanes' hot cursors don't share a cache line when pool
+  // threads run them.
   struct alignas(64) Lane {
     std::vector<Entry> heap;                // binary min-heap over (time, key)
     std::vector<Slot> slots;                // descriptor + closure per event
@@ -430,9 +435,6 @@ class Engine {
     std::uint64_t windows = 0;
     std::uint64_t stalls = 0;
   };
-
-  class Gang;
-  friend class Gang;
 
   std::uint64_t alloc_key_from(int origin) {
     const std::uint64_t seq = lanes_[static_cast<std::size_t>(origin)].next_key++;
@@ -493,20 +495,18 @@ class Engine {
   std::uint64_t serial_phase(TimeNs t);
   std::uint64_t run_lane_until(Lane& lane, TimeNs we);
   void run_window(TimeNs we);
-  void ensure_gang();
 
   std::vector<Lane> lanes_;
   int shards_ = 1;
   int workers_ = 1;
   TimeNs lookahead_ = 0;
-  int cur_lane_ = 0;        // executing lane when not on a gang thread
+  int cur_lane_ = 0;        // executing lane outside windows
   bool in_window_ = false;  // written by the driver, read by workers across barriers
-  TimeNs window_we_ = 0;    // exclusive end of the window being run
   std::uint64_t windows_ = 0;
   std::uint64_t serial_phases_ = 0;
   std::function<void(int)> lane_drain_;
   std::function<void()> barrier_apply_;
-  std::unique_ptr<Gang> gang_;
+  std::unique_ptr<ThreadPool> pool_;  // runs windows; workers_ - 1 threads
 };
 
 }  // namespace r2c2::sim

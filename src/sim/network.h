@@ -229,7 +229,7 @@ class Network {
   // draws to the congestion-blind data plane). Must be called from a
   // serial engine phase (the simulator's congestion tick lives on the
   // global lane): it reads port state owned by every lane, which is only
-  // race-free with the worker gang parked — that is also what makes the
+  // race-free with the engine's workers parked — that is also what makes the
   // signal identical at any worker count.
   void sample_congestion(double alpha, std::uint64_t threshold_bytes);
   // Current EWMA mark per directed (substrate) link. Zero everywhere until

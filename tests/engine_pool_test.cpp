@@ -74,35 +74,40 @@ constexpr int kEventsPerLane = 64;
 // Schedules kEventsPerLane counter bumps onto every shard lane in [from,
 // to) and runs them. Lambdas capture one pointer: well inside the Action
 // inline buffer, so a warm heap array makes the whole cycle allocation-free.
-void run_round(Engine& e, std::uint64_t* counter, TimeNs from, TimeNs to) {
+// The counter is shared by lanes that may run on different threads.
+void run_round(Engine& e, std::atomic<std::uint64_t>* counter, TimeNs from, TimeNs to) {
   const TimeNs step = (to - from) / kEventsPerLane;
   for (int lane = 0; lane < e.shards(); ++lane) {
     for (int i = 0; i < kEventsPerLane; ++i) {
-      e.schedule_on(lane, from + i * step, EventDesc{}, [counter] { ++*counter; });
+      e.schedule_on(lane, from + i * step, EventDesc{}, [counter] { counter->fetch_add(1); });
     }
   }
   e.run(to);
 }
 
 TEST(EnginePool, ShardedSteadyStateIsAllocationFree) {
-  Engine e;
-  e.configure_shards(4, 1, /*lookahead=*/100);
-  std::uint64_t counter = 0;
-  // Warm-up: grow each lane's heap array to its working size.
-  run_round(e, &counter, 0, 10'000);
-  run_round(e, &counter, 10'000, 20'000);
-  ASSERT_EQ(counter, 2u * 4 * kEventsPerLane);
+  // 1 worker runs each window inline; 2 run it on the engine's pool.
+  for (const int workers : {1, 2}) {
+    Engine e;
+    e.configure_shards(4, workers, /*lookahead=*/100);
+    std::atomic<std::uint64_t> counter{0};
+    // Warm-up: start the pool and grow each lane's heap array to its
+    // working size.
+    run_round(e, &counter, 0, 10'000);
+    run_round(e, &counter, 10'000, 20'000);
+    ASSERT_EQ(counter.load(), 2u * 4 * kEventsPerLane) << "workers=" << workers;
 
-  const std::uint64_t before = g_allocations.load();
-  run_round(e, &counter, 20'000, 30'000);
-  EXPECT_EQ(g_allocations.load() - before, 0u)
-      << "sharded schedule/run steady state allocated";
-  EXPECT_EQ(counter, 3u * 4 * kEventsPerLane);
+    const std::uint64_t before = g_allocations.load();
+    run_round(e, &counter, 20'000, 30'000);
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << "sharded schedule/run steady state allocated, workers=" << workers;
+    EXPECT_EQ(counter.load(), 3u * 4 * kEventsPerLane) << "workers=" << workers;
+  }
 }
 
 TEST(EnginePool, SerialSteadyStateIsAllocationFree) {
   Engine e;
-  std::uint64_t counter = 0;
+  std::atomic<std::uint64_t> counter{0};
   run_round(e, &counter, 0, 10'000);  // shards() == 1: lane 0 only
   run_round(e, &counter, 10'000, 20'000);
 

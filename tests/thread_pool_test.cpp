@@ -1,6 +1,6 @@
-// ThreadPool: parallel_for correctness and determinism, work-stealing
-// stats, exception propagation, degenerate worker counts, nesting, and the
-// sweep runner's order guarantee.
+// ThreadPool: parallel_for correctness and determinism, static placement
+// of the first lanes() indices, stats, exception propagation, degenerate
+// worker counts, nesting, and the sweep runner's order guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +12,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "obs/metrics.h"
-#include "obs/pool_gauges.h"
 
 namespace r2c2 {
 namespace {
@@ -36,6 +34,29 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
       }
     }
   }
+}
+
+TEST(ThreadPool, OneIndexPerLaneRunsOnItsLane) {
+  // A caller that splits its work into lanes() lists (the GA's lane plan,
+  // the engine's shard-lane ranges) gets list i on lane i, and so on the
+  // same thread, in every call.
+  ThreadPool pool(3);
+  const auto lanes = static_cast<std::size_t>(pool.lanes());
+  std::vector<std::thread::id> first(lanes);
+  for (int call = 0; call < 200; ++call) {
+    std::vector<int> lane_of(lanes, -1);
+    std::vector<std::thread::id> thread_of(lanes);
+    pool.parallel_for(lanes, [&](std::size_t i, int lane) {
+      lane_of[i] = lane;
+      thread_of[i] = std::this_thread::get_id();
+    });
+    if (call == 0) first = thread_of;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      ASSERT_EQ(lane_of[i], static_cast<int>(i)) << "call " << call;
+      ASSERT_EQ(thread_of[i], first[i]) << "call " << call << " index " << i;
+    }
+  }
+  EXPECT_EQ(first[0], std::this_thread::get_id());
 }
 
 TEST(ThreadPool, IndexAddressedResultsAreDeterministic) {
@@ -84,8 +105,8 @@ TEST(ThreadPool, StatsCountExecutedTasks) {
   const auto before = pool.stats();
   pool.parallel_for(256, [](std::size_t, int) {});
   const auto after = pool.stats();
-  EXPECT_GT(after.executed, before.executed);
-  EXPECT_GE(after.stolen, before.stolen);  // stealing is possible, not required
+  EXPECT_EQ(after.executed - before.executed, 256u);
+  EXPECT_EQ(after.stolen, 0u);  // lanes claim from one cursor; nothing is stolen
 }
 
 TEST(ThreadPool, ZeroWorkersRunsInlineOnCaller) {
@@ -112,6 +133,27 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_EQ(inner.load(), 32);
 }
 
+TEST(ThreadPool, NestedCallOnTheCallersLaneRunsInline) {
+  // The caller's own share is one of the pool's bodies too: a nested call
+  // from it must stay on lane 0 like a nested call from a worker stays on
+  // that worker's lane. The inner bodies sleep so that idle workers would
+  // have time to pick up any inner index offered to them.
+  ThreadPool pool(3);
+  const auto lanes = static_cast<std::size_t>(pool.lanes());
+  for (int call = 0; call < 200; ++call) {
+    std::vector<std::atomic<int>> strays(lanes);
+    pool.parallel_for(lanes, [&](std::size_t, int outer) {
+      pool.parallel_for(4, [&](std::size_t, int inner) {
+        if (inner != outer) strays[static_cast<std::size_t>(outer)].fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      });
+    });
+    for (std::size_t l = 0; l < lanes; ++l) {
+      ASSERT_EQ(strays[l].load(), 0) << "call " << call << " outer lane " << l;
+    }
+  }
+}
+
 TEST(ThreadPool, AnotherPoolsWorkerCallsInAsLaneZero) {
   // A body of one pool may own a second pool (a sweep job running a
   // threaded search): it is that pool's caller, so the second pool runs
@@ -128,15 +170,6 @@ TEST(ThreadPool, AnotherPoolsWorkerCallsInAsLaneZero) {
   });
   EXPECT_FALSE(out_of_range.load());
   EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, PublishesStatsAsGauges) {
-  ThreadPool pool(1);
-  pool.parallel_for(32, [](std::size_t, int) {});
-  obs::MetricsRegistry registry;
-  obs::publish_pool_stats(pool, registry, "test_pool");
-  EXPECT_EQ(registry.gauge("test_pool.workers").value(), 1.0);
-  EXPECT_GE(registry.gauge("test_pool.tasks_executed").value(), 1.0);
 }
 
 TEST(Sweep, ResultsComeBackInInputOrder) {

@@ -46,7 +46,7 @@ ModeResult run_mode(const char* label, const Topology& topo, const Router& route
                     const std::vector<FlowArrival>& arrivals, int shards, int workers) {
   sim::R2c2SimConfig cfg;
   cfg.route_alg = RouteAlg::kDor;
-  cfg.broadcast_trees = 1;  // 4096-node trees are ~96 MiB each; one is plenty
+  cfg.broadcast_trees = 1;  // a 4096-node tree's FIB is 16 MiB; one is plenty
   cfg.recompute_interval = 500 * kNsPerUs;
   cfg.engine_shards = shards;
   cfg.engine_workers = workers;

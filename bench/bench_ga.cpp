@@ -162,12 +162,12 @@ int run() {
 
   // Timing gates, applied only where the host can actually run the lanes
   // in parallel. cpu_per_eval charges the whole wall time to every lane
-  // (an upper bound on per-lane busy time), so the 2x bound also caps the
+  // (an upper bound on per-lane solve CPU), so the 2x bound also caps the
   // scheduling overhead of the parallel path.
   bool gates_ok = true;
   const double serial_per_eval = serial.wall_ms / std::max(1, serial.result.evaluations);
   std::printf("%8s %10s %9s %12s %12s %8s  %s\n", "threads", "wall_ms", "speedup",
-              "utility_gbps", "evaluations", "note", "per-lane solves/busy_ms");
+              "utility_gbps", "evaluations", "note", "per-lane solves/cpu_ms");
   for (const ThreadResult& r : results) {
     const double speedup = serial.wall_ms / r.wall_ms;
     const char* note = r.oversubscribed ? "oversub" : "";

@@ -1,8 +1,8 @@
 #include "control/route_selection.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <ctime>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -28,6 +28,15 @@ constexpr double kMutationProb = 0.01;
 // utility kinds.
 constexpr double kAnnealT0 = 0.02;
 constexpr double kAnnealT1 = 1e-4;
+
+// CPU time of the calling thread: a solve's cost, without the time its
+// thread waited for a CPU.
+std::uint64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
 
 // Hamming distance with an early exit once it can no longer beat `bound`
 // (the scheduler only cares which lane is nearest, not the exact distance
@@ -116,17 +125,15 @@ struct Evaluator {
   std::vector<Tally> tally;  // indexed by executing pool lane
 
   double lane_fitness(Lane& lane, const Genotype& g, int exec_lane) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t t0 = thread_cpu_ns();
     const std::size_t changed = lane.problem.apply_choice_delta(lane.current, g);
     lane.current.assign(g.begin(), g.end());
     waterfill(lane.problem, lane.scratch, lane.alloc);
     const double utility = utility_of(lane.alloc.rate, config.utility, config.blend_min_weight);
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
     Tally& t = tally[static_cast<std::size_t>(exec_lane)];
     ++t.solves;
     t.delta_genes += changed;
-    t.busy_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+    t.busy_ns += thread_cpu_ns() - t0;
     return utility;
   }
 

@@ -246,8 +246,9 @@ struct SelectionResult {
     // control.spec_abort_ratio.
     std::uint64_t spec_children = 0;
     std::uint64_t spec_aborts = 0;
-    // Solves and solve wall time per executing pool lane (0 = the caller;
-    // one slot per lane, so a serial run has one). Sums to `solves`.
+    // Solves and solve CPU time (CLOCK_THREAD_CPUTIME_ID, so a wait for a
+    // CPU is not counted) per executing pool lane (0 = the caller; one
+    // slot per lane, so a serial run has one). lane_solves sums to `solves`.
     std::vector<std::uint64_t> lane_solves;
     std::vector<std::uint64_t> lane_busy_ns;
   };

@@ -428,18 +428,17 @@ void R2c2Sim::broadcast(const BroadcastMsg& base, NodeId origin, bool recovery) 
                     .msg = msg});
   // Send one copy toward each child of the origin; copies fan out further
   // at every hop via the broadcast FIB.
-  for (const NodeId child : trees.children(origin, origin, msg.tree)) {
+  for (const LinkId plane_link : trees.child_links(origin, origin, msg.tree)) {
+    const LinkId link = substrate_link(plane_link);
     SimPacket pkt;
     pkt.type = msg.type;
     pkt.src = msg.src;
-    pkt.dst = child;
+    pkt.dst = topo_.link(link).to;
     pkt.wire_bytes = kBcastWireBytes;
     pkt.tree = msg.tree;
     pkt.bcast_src = origin;
     pkt.bcast_id = bcast_id;
     pkt.sent_at = engine_.now();
-    const LinkId link = topo_.find_link(origin, child);
-    assert(link != kInvalidLink);
     net_.send_on_link(link, std::move(pkt));
   }
 }
@@ -450,11 +449,10 @@ void R2c2Sim::on_broadcast_copy(NodeId at, SimPacket&& pkt) {
   // rebuild may straddle two tree generations, in which case some nodes
   // see the copy twice (harmless: the pending entry is erased at zero) or
   // never — the post-recovery rebroadcast and the lease protocol heal both.
-  for (const NodeId child : cur_trees().children(at, pkt.bcast_src, pkt.tree)) {
+  for (const LinkId plane_link : cur_trees().child_links(at, pkt.bcast_src, pkt.tree)) {
+    const LinkId link = substrate_link(plane_link);
     SimPacket copy = pkt;
-    copy.dst = child;
-    const LinkId link = topo_.find_link(at, child);
-    assert(link != kInvalidLink);
+    copy.dst = topo_.link(link).to;
     net_.send_on_link(link, std::move(copy));
   }
   // Dedup against already-completed broadcasts happens when the op applies.

@@ -399,6 +399,10 @@ class R2c2Sim {
   const Topology& cur_topo() const { return cur_topo_ ? *cur_topo_ : topo_; }
   const Router& cur_router() const { return cur_router_ ? *cur_router_ : router_; }
   const BroadcastTrees& cur_trees() const { return cur_trees_ ? *cur_trees_ : trees_; }
+  // The substrate link of a decision-plane link id.
+  LinkId substrate_link(LinkId plane_link) const {
+    return plane_link_map_.empty() ? plane_link : plane_link_map_[plane_link];
+  }
   LinkId reverse_link(LinkId link) const;
   LinkId cable_of(LinkId link) const;  // canonical id: min of both directions
   void start_fault_ticks();

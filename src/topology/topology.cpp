@@ -1,7 +1,6 @@
 #include "topology/topology.h"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -62,24 +61,26 @@ void Topology::finalize(std::span<const NodeId> failed_nodes) {
     max_degree_ = std::max(max_degree_, static_cast<int>(adj_offset_[n + 1] - adj_offset_[n]));
   }
 
-  // All-pairs BFS hop distances.
+  // All-pairs BFS hop distances over a flat FIFO queue (each node enters it
+  // at most once per source) and each port's neighbour id.
   constexpr std::uint16_t kUnreach = 0xffff;
   dist_.assign(num_nodes_ * num_nodes_, kUnreach);
-  std::deque<NodeId> queue;
+  std::vector<NodeId> neighbour(adj_links_.size());
+  for (std::size_t i = 0; i < adj_links_.size(); ++i) neighbour[i] = links_[adj_links_[i]].to;
+  std::vector<NodeId> queue(num_nodes_);
   for (NodeId s = 0; s < num_nodes_; ++s) {
     auto row = dist_.data() + static_cast<std::size_t>(s) * num_nodes_;
     row[s] = 0;
-    queue.clear();
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      const std::uint16_t du = row[u];
+    queue[0] = s;
+    std::size_t tail = 1;
+    for (std::size_t head = 0; head < tail; ++head) {
+      const NodeId u = queue[head];
+      const auto du = static_cast<std::uint16_t>(row[u] + 1);
       for (std::uint32_t i = adj_offset_[u]; i < adj_offset_[u + 1]; ++i) {
-        const NodeId v = links_[adj_links_[i]].to;
+        const NodeId v = neighbour[i];
         if (row[v] == kUnreach) {
-          row[v] = static_cast<std::uint16_t>(du + 1);
-          queue.push_back(v);
+          row[v] = du;
+          queue[tail++] = v;
         }
       }
     }

@@ -1,11 +1,50 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
+#include <new>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "broadcast/broadcast.h"
 #include "topology/topology.h"
+
+// --- Counting allocator hook ------------------------------------------------
+// Counts the bytes of every global allocation while g_counting is set.
+namespace {
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+std::atomic<bool> g_counting{false};
+}  // namespace
+
+// GCC's new/delete pairing heuristic misfires on these hooks: every path
+// ends in malloc, which std::free releases.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace r2c2 {
 namespace {
@@ -25,9 +64,48 @@ std::map<NodeId, int> walk_tree(const BroadcastTrees& trees, NodeId src, int t) 
   return depth;
 }
 
-class BroadcastOnTopo : public ::testing::TestWithParam<std::vector<int>> {
+// One topology under test; test names carry its printed name.
+struct TopoCase {
+  std::string name;
+  std::function<Topology()> build;
+};
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
+
+TopoCase torus(std::vector<int> dims) {
+  return {::testing::PrintToString(dims), [dims] { return make_torus(dims, 10 * kGbps, 100); }};
+}
+
+// Section 6's 512-server folded Clos: leaves and spines have degree 32, so
+// every FIB entry spans four bytes.
+Topology clos512() {
+  return make_folded_clos({.servers_per_leaf = 16,
+                           .num_leaves = 32,
+                           .num_spines = 16,
+                           .bandwidth = 10 * kGbps,
+                           .latency = 100});
+}
+
+// A six-node ring with a second cable between nodes 0 and 1 and a chord
+// 0-3. Node 0's ports lead to 5, 1, 1, 3: port order is not neighbour-id
+// order, and with three trees, tree 2 reaches node 1 first through the
+// second (port 2) cable.
+Topology ring_with_parallel_cable() {
+  Topology topo;
+  for (int i = 0; i < 6; ++i) topo.add_node();
+  topo.add_duplex_link(0, 5, 10 * kGbps, 100);
+  topo.add_duplex_link(0, 1, 10 * kGbps, 100);
+  topo.add_duplex_link(0, 1, 10 * kGbps, 100);
+  topo.add_duplex_link(0, 3, 10 * kGbps, 100);
+  for (NodeId i = 1; i < 5; ++i) {
+    topo.add_duplex_link(i, static_cast<NodeId>(i + 1), 10 * kGbps, 100);
+  }
+  topo.finalize();
+  return topo;
+}
+
+class BroadcastOnTopo : public ::testing::TestWithParam<TopoCase> {
  protected:
-  BroadcastOnTopo() : topo_(make_torus(GetParam(), 10 * kGbps, 100)), trees_(topo_, 3) {}
+  BroadcastOnTopo() : topo_(GetParam().build()), trees_(topo_, 3) {}
   Topology topo_;
   BroadcastTrees trees_;
 };
@@ -68,9 +146,48 @@ TEST_P(BroadcastOnTopo, ChildrenAreNeighbors) {
   }
 }
 
+TEST_P(BroadcastOnTopo, ChildLinksAreFindLinksInAscendingChildOrder) {
+  // child_links() is children() as links: the i-th link leads to the i-th
+  // child, and where parallel links join the pair it is the lowest-port
+  // one (Topology::find_link's), whichever cable the BFS reached it by.
+  for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+    for (int t = 0; t < trees_.trees_per_source(); ++t) {
+      for (NodeId v = 0; v < topo_.num_nodes(); ++v) {
+        const auto c = trees_.children(v, src, t);
+        const auto l = trees_.child_links(v, src, t);
+        const std::vector<NodeId> kids(c.begin(), c.end());
+        const std::vector<LinkId> links(l.begin(), l.end());
+        ASSERT_EQ(kids.size(), links.size());
+        for (std::size_t i = 0; i < kids.size(); ++i) {
+          if (i > 0) {
+            EXPECT_LT(kids[i - 1], kids[i]) << "src " << src << " tree " << t;
+          }
+          EXPECT_EQ(links[i], topo_.find_link(v, kids[i])) << "src " << src << " tree " << t;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Tori, BroadcastOnTopo,
-                         ::testing::Values(std::vector<int>{4, 4}, std::vector<int>{3, 3, 3},
-                                           std::vector<int>{8, 8}, std::vector<int>{4, 4, 4}));
+                         ::testing::Values(torus({4, 4}), torus({3, 3, 3}), torus({8, 8}),
+                                           torus({4, 4, 4})));
+INSTANTIATE_TEST_SUITE_P(Graphs, BroadcastOnTopo,
+                         ::testing::Values(TopoCase{"clos 512 servers", clos512},
+                                           TopoCase{"ring with parallel cable",
+                                                    ring_with_parallel_cable}));
+
+TEST(Broadcast, RackScaleFibTakesOneBytePerSourceAndNode) {
+  // The 16x16x16 torus has degree 6, so one tree's FIB is n^2 one-byte
+  // port masks (16 MiB) plus O(links) of rank tables and BFS scratch.
+  const Topology topo = make_torus({16, 16, 16}, 10 * kGbps, 500);
+  g_alloc_bytes.store(0);
+  g_counting.store(true);
+  auto trees = std::make_unique<BroadcastTrees>(topo, 1);
+  g_counting.store(false);
+  EXPECT_LE(g_alloc_bytes.load(), std::uint64_t{17} << 20);
+  EXPECT_EQ(trees->height(0, 0), 24);
+}
 
 TEST(Broadcast, MultipleTreesDiffer) {
   // Rotated BFS neighbor order must produce distinct trees so broadcast

@@ -4,7 +4,11 @@
 // genotype, not just the hash).
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cstdlib>
+#include <ctime>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -228,6 +232,54 @@ TEST(ParallelDeterminism, GaReportsWhereTheSolvesRan) {
   for (const std::uint64_t s : parallel.stats.lane_solves) sum += s;
   EXPECT_EQ(sum, parallel.stats.solves);
   EXPECT_EQ(parallel.stats.solves, serial.stats.solves);
+}
+
+TEST(ParallelDeterminism, LaneBusyTimeIsSolveCpuTime) {
+  // lane_busy_ns counts each solve's CPU time, not its wall time. With a
+  // spinning thread pinned to the caller's one CPU, a serial GA's lane 0
+  // reports at most the CPU time the caller spent in the whole call; wall
+  // time per solve would read about twice that.
+  const auto thread_cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+           static_cast<std::uint64_t>(ts.tv_nsec);
+  };
+  const Topology topo = make_torus({4, 4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  const auto flows = permutation_like_flows(topo, 80, 0xc9u);
+  SelectionConfig cfg;
+  cfg.population = 30;
+  cfg.max_generations = 8;
+  cfg.seed = 23;
+  cfg.threads = 1;
+  // Warm the Router's weight cache first, so the measured call's CPU time
+  // goes almost all to solves: wall-clock solve timing would then exceed it.
+  select_routes_ga(router, flows, cfg);
+
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);  // this thread only
+  std::jthread burner([&one](std::stop_token stop) {
+    sched_setaffinity(0, sizeof one, &one);
+    while (!stop.stop_requested()) {
+    }
+  });
+  const std::uint64_t cpu0 = thread_cpu_ns();
+  const SelectionResult r = select_routes_ga(router, flows, cfg);
+  const std::uint64_t spent = thread_cpu_ns() - cpu0;
+  burner.request_stop();
+  burner.join();
+  ASSERT_EQ(sched_setaffinity(0, sizeof allowed, &allowed), 0);
+
+  ASSERT_EQ(r.stats.lane_busy_ns.size(), 1u);
+  EXPECT_GT(r.stats.lane_busy_ns[0], 0u);
+  EXPECT_LE(r.stats.lane_busy_ns[0], spent);
 }
 
 TEST(ParallelDeterminism, SelectionIsIndependentOfPriorRouterUse) {

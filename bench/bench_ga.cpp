@@ -1,6 +1,6 @@
-// Route-search benchmark: the parallel delta-fitness GA against its
-// searcher siblings on the paper-scale workload (512-node 3D torus, 1000
-// long flows, choices {RPS, VLB}).
+// Route-search benchmark: the parallel GA against its searcher siblings
+// on the paper-scale workload (512-node 3D torus, 1000 long flows,
+// choices {RPS, VLB}).
 //
 // Three sections, all feeding one JSON report:
 //   1. GA thread scaling (1/2/4/8 threads) — asserts every thread count
@@ -8,7 +8,7 @@
 //      count) as the serial run, and on hosts with enough cores enforces
 //      hard speedup gates (>= 1.5x at 2 threads, >= 3x at 8) plus a
 //      per-evaluation CPU bound (parallel cost within 2x of the serial
-//      delta path). Thread counts beyond the host's cores are reported
+//      evaluation). Thread counts beyond the host's cores are reported
 //      with an "oversub" warning and exempt from the timing gates —
 //      oversubscribed speedups measure the scheduler, not the code.
 //   2. Searcher parity — simulated annealing and the memetic hybrid get
@@ -130,7 +130,7 @@ int run() {
   }
 
   const int hardware = ThreadPool::hardware_workers() + 1;
-  std::printf("== bench_ga: parallel delta-fitness route search, %zu nodes, %d flows ==\n",
+  std::printf("== bench_ga: parallel route search, %zu nodes, %d flows ==\n",
               topo.num_nodes(), n_flows);
   std::printf("host hardware threads: %d\n\n", hardware);
 

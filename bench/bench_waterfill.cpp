@@ -1,6 +1,7 @@
 // Rate-computation fast-path benchmark: CSR/scratch waterfill vs the
 // reference implementation, across rack sizes, flow counts and priority
-// classes, plus the GA fitness loop (delta-fitness vs rebuild-per-genotype).
+// classes, plus the GA fitness loop (one multi-choice problem solved per
+// genotype vs rebuild-per-genotype).
 //
 // Emits machine-readable JSON to BENCH_waterfill.json (override with
 // R2C2_BENCH_OUT) alongside the human-readable table; the committed
@@ -116,9 +117,9 @@ struct GaResult {
   double speedup() const { return ref_us_per_eval / fast_us_per_eval; }
 };
 
-// The GA fitness loop, with and without delta fitness: identical genotype
-// sequences (elite-style small mutations, as uniform crossover + 2%
-// mutation produces), so both sides solve the same problems.
+// The GA fitness loop, with and without a prebuilt multi-choice problem:
+// identical genotype sequences (elite-style small mutations, as uniform
+// crossover + 2% mutation produces), so both sides solve the same problems.
 GaResult run_ga_case(const Topology& topo, const Router& router, int n_flows, int evals) {
   Rng rng(0x6a);
   const auto base = bench_flows(topo, n_flows, 1, rng);
@@ -140,8 +141,8 @@ GaResult run_ga_case(const Topology& topo, const Router& router, int n_flows, in
   res.choices = 3;
   res.evals = evals;
 
-  // Reference loop: what Evaluator::fitness did before delta fitness —
-  // copy the specs, overwrite .alg per gene, re-derive everything.
+  // Reference loop: copy the specs, overwrite .alg per gene, re-derive
+  // everything.
   {
     std::vector<FlowSpec> adjusted(base.begin(), base.end());
     const auto t0 = Clock::now();
@@ -154,23 +155,16 @@ GaResult run_ga_case(const Topology& topo, const Router& router, int n_flows, in
         std::chrono::duration<double, std::micro>(t1 - t0).count() / static_cast<double>(evals);
   }
 
-  // Fast loop: one CSR problem with all (flow, choice) rows, O(changed
-  // genes) selection flips, reused scratch.
+  // Fast loop: one CSR problem with all (flow, choice) rows, each solve
+  // given its genotype, reused scratch.
   {
     WaterfillProblem problem;
     problem.build_with_choices(router, base, choices, cfg);
     WaterfillScratch scratch;
     RateAllocation out;
-    std::vector<std::uint8_t> current(base.size(), 0);
     const auto t0 = Clock::now();
     for (const auto& geno : genotypes) {
-      for (std::size_t i = 0; i < geno.size(); ++i) {
-        if (geno[i] != current[i]) {
-          problem.set_choice(i, geno[i]);
-          current[i] = geno[i];
-        }
-      }
-      waterfill(problem, scratch, out);
+      waterfill(problem, geno, scratch, out);
       checksum += out.rate[0];
     }
     const auto t1 = Clock::now();

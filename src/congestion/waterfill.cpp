@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 namespace r2c2 {
 
@@ -45,7 +46,6 @@ void WaterfillProblem::build_rows(const Router& router, std::span<const FlowSpec
   demand_.resize(n_flows_);
   priority_.resize(n_flows_);
   active_.resize(n_flows_);
-  selected_.resize(n_flows_);
 
   csr_link_.clear();
   csr_wfrac_.clear();
@@ -58,7 +58,6 @@ void WaterfillProblem::build_rows(const Router& router, std::span<const FlowSpec
     demand_[i] = std::max<Bps>(f.demand, 0.0);
     priority_[i] = f.priority;
     active_[i] = (f.src != f.dst && f.weight > 0.0) ? 1 : 0;
-    selected_[i] = static_cast<std::uint32_t>(i * n_choices_);
     for (std::size_t c = 0; c < n_choices_; ++c) {
       if (active_[i]) {
         const RouteAlg alg = choices.empty() ? f.alg : choices[c];
@@ -68,6 +67,26 @@ void WaterfillProblem::build_rows(const Router& router, std::span<const FlowSpec
         }
       }
       row_off_.push_back(static_cast<std::uint32_t>(csr_link_.size()));
+    }
+  }
+
+  // Link->row index by counting sort, with the offsets as the cursors:
+  // each link's count becomes its end, then a fill over the rows in
+  // descending order walks every end back to its link's start, leaving
+  // each link's rows in ascending order.
+  lnk_row_off_.assign(n_links + 1, 0);
+  for (const LinkId l : csr_link_) ++lnk_row_off_[l];
+  std::partial_sum(lnk_row_off_.begin(), lnk_row_off_.end(), lnk_row_off_.begin());
+  lnk_flow_.resize(csr_link_.size());
+  lnk_choice_.resize(csr_link_.size());
+  for (std::size_t i = n_flows_; i-- > 0;) {
+    for (std::size_t c = n_choices_; c-- > 0;) {
+      const std::size_t r = i * n_choices_ + c;
+      for (std::uint32_t k = row_off_[r + 1]; k-- > row_off_[r];) {
+        const std::uint32_t at = --lnk_row_off_[csr_link_[k]];
+        lnk_flow_[at] = static_cast<std::uint32_t>(i);
+        lnk_choice_[at] = static_cast<std::uint8_t>(c);
+      }
     }
   }
 
@@ -83,9 +102,11 @@ void WaterfillProblem::build_rows(const Router& router, std::span<const FlowSpec
   });
 }
 
-void waterfill(const WaterfillProblem& p, WaterfillScratch& s, RateAllocation& out) {
+void waterfill(const WaterfillProblem& p, std::span<const std::uint8_t> choice,
+               WaterfillScratch& s, RateAllocation& out) {
   const std::size_t n_links = p.cap_.size();
   const std::size_t n_flows = p.n_flows_;
+  assert(choice.empty() || choice.size() == n_flows);
   out.rate.assign(n_flows, 0.0);
   out.iterations = 0;
 
@@ -94,14 +115,14 @@ void waterfill(const WaterfillProblem& p, WaterfillScratch& s, RateAllocation& o
   s.denom.assign(n_links, 0.0);
   s.link_ver.assign(n_links, 0u);
   s.in_class.assign(n_links, 0);
-  if (s.lnk_off.size() < n_links) s.lnk_off.resize(n_links);
-  if (s.lnk_cursor.size() < n_links) s.lnk_cursor.resize(n_links);
   s.frozen.assign(n_flows, 0);
   s.touched.clear();
   s.heap.clear();
 
-  const auto row_begin = [&](std::uint32_t f) { return p.row_off_[p.selected_[f]]; };
-  const auto row_end = [&](std::uint32_t f) { return p.row_off_[p.selected_[f] + 1]; };
+  const auto selected = [&](std::uint32_t f) -> std::uint32_t {
+    return choice.empty() ? 0u : choice[f];
+  };
+  const auto row = [&](std::uint32_t f) { return f * p.n_choices_ + selected(f); };
   const auto heap_after = [](const WaterfillScratch::SatEvent& a,
                              const WaterfillScratch::SatEvent& b) { return a.theta > b.theta; };
 
@@ -114,32 +135,20 @@ void waterfill(const WaterfillProblem& p, WaterfillScratch& s, RateAllocation& o
       s.cls.push_back(p.order_[at]);
     }
 
-    // Per-link denominators for the class, plus the CSR transpose (which
-    // flows cross each touched link) via counting sort.
+    // Per-link denominators for the class. Row ends are read once per row:
+    // the in_class byte store may alias `choice`, so a bound read in the
+    // loop condition would reload it every entry.
     for (const std::uint32_t f : s.cls) {
-      for (std::uint32_t k = row_begin(f); k < row_end(f); ++k) {
+      const std::size_t r = row(f);
+      const std::uint32_t end = p.row_off_[r + 1];
+      for (std::uint32_t k = p.row_off_[r]; k < end; ++k) {
         const LinkId l = p.csr_link_[k];
         if (!s.in_class[l]) {
           s.in_class[l] = 1;
           s.touched.push_back(l);
           s.theta_mark[l] = 0.0;  // theta restarts at 0 each class
-          s.lnk_off[l] = 0;
         }
         s.denom[l] += p.csr_wfrac_[k];
-        ++s.lnk_off[l];  // per-link entry count, for now
-      }
-    }
-    std::uint32_t running = 0;
-    for (const LinkId l : s.touched) {
-      const std::uint32_t count = s.lnk_off[l];
-      s.lnk_off[l] = running;
-      s.lnk_cursor[l] = running;
-      running += count;
-    }
-    if (s.lnk_flow.size() < running) s.lnk_flow.resize(running);
-    for (const std::uint32_t f : s.cls) {
-      for (std::uint32_t k = row_begin(f); k < row_end(f); ++k) {
-        s.lnk_flow[s.lnk_cursor[p.csr_link_[k]]++] = f;
       }
     }
 
@@ -182,7 +191,9 @@ void waterfill(const WaterfillProblem& p, WaterfillScratch& s, RateAllocation& o
       s.frozen[f] = 1;
       out.rate[f] = rate;
       --remaining;
-      for (std::uint32_t k = row_begin(f); k < row_end(f); ++k) {
+      const std::size_t r = row(f);
+      const std::uint32_t end = p.row_off_[r + 1];
+      for (std::uint32_t k = p.row_off_[r]; k < end; ++k) {
         const LinkId l = p.csr_link_[k];
         s.resid[l] = cur_resid(l);
         s.theta_mark[l] = theta;
@@ -256,9 +267,14 @@ void waterfill(const WaterfillProblem& p, WaterfillScratch& s, RateAllocation& o
         if (cur_resid(l) > p.sat_eps_[l]) break;
         std::pop_heap(s.heap.begin(), s.heap.end(), heap_after);
         s.heap.pop_back();
-        for (std::uint32_t idx = s.lnk_off[l]; idx < s.lnk_cursor[l]; ++idx) {
-          const std::uint32_t f = s.lnk_flow[idx];
-          if (!s.frozen[f]) freeze_flow(f, p.weight_[f] * theta);
+        // The link's rows in ascending flow order; a flow freezes if this
+        // is its selected row, it is unfrozen, and it is in this class.
+        const std::uint32_t end = p.lnk_row_off_[l + 1];
+        for (std::uint32_t idx = p.lnk_row_off_[l]; idx < end; ++idx) {
+          const std::uint32_t f = p.lnk_flow_[idx];
+          if (p.lnk_choice_[idx] == selected(f) && !s.frozen[f] && p.priority_[f] == prio) {
+            freeze_flow(f, p.weight_[f] * theta);
+          }
         }
       }
     }

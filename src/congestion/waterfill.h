@@ -80,15 +80,18 @@ struct RateAllocation {
 
 // An immutable-topology waterfill instance: the flow set's link weights
 // flattened into a CSR layout (contiguous link/weighted-fraction arrays
-// with per-row offsets) plus the per-flow scalars and the headroom-reduced
-// link capacities. Build once per flow set, solve many times.
+// with per-row offsets), the link->row index (for each link, the rows that
+// cross it, in ascending row order), plus the per-flow scalars and the
+// headroom-reduced link capacities. Build once per flow set, solve many
+// times.
 //
 // Rows can be built with *variants*: one row per (flow, protocol choice),
-// so the GA's delta-fitness evaluation switches a single flow's routing
-// protocol in O(1) (set_choice) without touching the Router. The problem
-// must be rebuilt whenever the topology, the flow set, or any per-flow
-// scalar (weight, priority, demand) changes; set_choice only covers the
-// routing-protocol dimension.
+// and each solve takes every flow's choice as an argument, so the GA scores
+// any genotype without touching the Router or the problem. A solve never
+// writes the problem: any number of threads may solve one problem at once,
+// each with its own scratch and output. The problem must be rebuilt
+// whenever the topology, the flow set, or any per-flow scalar (weight,
+// priority, demand) changes.
 class WaterfillProblem {
  public:
   WaterfillProblem() = default;
@@ -98,59 +101,34 @@ class WaterfillProblem {
   void build(const Router& router, std::span<const FlowSpec> flows,
              const AllocationConfig& config = {});
 
-  // One row per (flow, choice); flow i initially selects choices[0]. The
-  // flows' own .alg fields are ignored (the caller drives selection, as in
-  // route selection where the genotype overrides the current assignment).
+  // One row per (flow, choice). The flows' own .alg fields are ignored (the
+  // caller drives selection, as in route selection where the genotype
+  // overrides the current assignment).
   void build_with_choices(const Router& router, std::span<const FlowSpec> flows,
                           std::span<const RouteAlg> choices,
                           const AllocationConfig& config = {});
-
-  // Selects choices[choice] for flow `flow`. O(1): flips the row the
-  // solver reads, nothing is re-derived.
-  void set_choice(std::size_t flow, std::size_t choice) {
-    selected_[flow] = static_cast<std::uint32_t>(flow * n_choices_ + choice);
-  }
-
-  // Choice currently selected for `flow` (inverse of set_choice).
-  std::size_t selected_choice(std::size_t flow) const {
-    return selected_[flow] - flow * n_choices_;
-  }
-
-  // Moves the row selection from the choice vector `prev` to `next` by
-  // flipping only the genes that differ (the Hamming delta) — the GA's
-  // per-lane incremental evaluation path: a lane that just scored `prev`
-  // reaches `next` in O(distance) instead of O(flows). Both spans must be
-  // flow-count sized and `prev` must describe the current selection (as
-  // left by a prior apply/set_choice sequence). Returns the number of
-  // genes flipped.
-  std::size_t apply_choice_delta(std::span<const std::uint8_t> prev,
-                                 std::span<const std::uint8_t> next) {
-    std::size_t changed = 0;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      if (prev[i] != next[i]) {
-        set_choice(i, next[i]);
-        ++changed;
-      }
-    }
-    return changed;
-  }
 
   std::size_t num_flows() const { return n_flows_; }
   std::size_t num_choices() const { return n_choices_; }
   std::size_t num_links() const { return cap_.size(); }
 
  private:
-  friend void waterfill(const WaterfillProblem&, struct WaterfillScratch&, RateAllocation&);
+  friend void waterfill(const WaterfillProblem&, std::span<const std::uint8_t>,
+                        struct WaterfillScratch&, RateAllocation&);
 
   void build_rows(const Router& router, std::span<const FlowSpec> flows,
                   std::span<const RouteAlg> choices, const AllocationConfig& config);
 
-  // CSR over (flow, choice) rows: row r covers csr entries
-  // [row_off_[r], row_off_[r+1]).
+  // CSR over (flow, choice) rows: row r = f * n_choices + c covers csr
+  // entries [row_off_[r], row_off_[r+1]).
   std::vector<LinkId> csr_link_;
   std::vector<double> csr_wfrac_;       // flow weight * link fraction
   std::vector<std::uint32_t> row_off_;  // n_flows * n_choices + 1 offsets
-  std::vector<std::uint32_t> selected_; // per flow: currently selected row
+  // Link->row index, the CSR transposed: link l's rows are entries
+  // [lnk_row_off_[l], lnk_row_off_[l+1]), each named by its flow and choice.
+  std::vector<std::uint32_t> lnk_row_off_;  // n_links + 1 offsets
+  std::vector<std::uint32_t> lnk_flow_;
+  std::vector<std::uint8_t> lnk_choice_;
   // Per-flow scalars (indexed by input position).
   std::vector<double> weight_;
   std::vector<double> demand_;          // clamped >= 0; +inf when unlimited
@@ -188,19 +166,24 @@ struct WaterfillScratch {
   std::vector<std::uint32_t> cls;           // flow indices in the class
   std::vector<std::uint8_t> frozen;         // indexed by flow position
   std::vector<std::uint32_t> demand_order;  // finite-demand flows, sorted
-  // CSR transpose of the class: flows crossing each touched link.
-  std::vector<std::uint32_t> lnk_off;
-  std::vector<std::uint32_t> lnk_cursor;
-  std::vector<std::uint32_t> lnk_flow;
 };
 
 // Zero-allocation fast path: solves `problem` into `out.rate` (resized to
-// the flow count) using `scratch` for all working memory. Deterministic:
-// repeated calls with the same problem produce bit-identical rates.
-void waterfill(const WaterfillProblem& problem, WaterfillScratch& scratch, RateAllocation& out);
+// the flow count) using `scratch` for all working memory, with flow f on
+// its row choice[f]. An empty `choice` selects choice 0 for every flow.
+// Deterministic: repeated calls with the same problem and choices produce
+// bit-identical rates.
+void waterfill(const WaterfillProblem& problem, std::span<const std::uint8_t> choice,
+               WaterfillScratch& scratch, RateAllocation& out);
+
+// Choice 0 for every flow: the one row per flow that build() makes.
+inline void waterfill(const WaterfillProblem& problem, WaterfillScratch& scratch,
+                      RateAllocation& out) {
+  waterfill(problem, {}, scratch, out);
+}
 
 // Convenience wrapper: builds a problem and scratch per call. Prefer the
-// three-argument overload anywhere called repeatedly.
+// problem/scratch overloads anywhere called repeatedly.
 RateAllocation waterfill(const Router& router, std::span<const FlowSpec> flows,
                          const AllocationConfig& config = {});
 

@@ -38,17 +38,6 @@ std::uint64_t thread_cpu_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-// Hamming distance with an early exit once it can no longer beat `bound`
-// (the scheduler only cares which lane is nearest, not the exact distance
-// of the losers).
-std::size_t bounded_hamming(const Genotype& a, const Genotype& b, std::size_t bound) {
-  std::size_t d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i] && ++d >= bound) break;
-  }
-  return d;
-}
-
 // The utility of one rate allocation (see UtilityKind); `blend_min_weight`
 // is only read for kBlended.
 double utility_of(const std::vector<Bps>& rates, UtilityKind kind, double blend_min_weight) {
@@ -73,26 +62,18 @@ double utility_of(const std::vector<Bps>& rates, UtilityKind kind, double blend_
 }
 
 struct Evaluator {
-  // One lane = everything one lane list needs to score genotypes with zero
-  // shared mutable state: its own problem copy (row selections are
-  // per-lane cursors), scratch arena, rate buffer, and the genotype its
-  // row selection currently encodes. Lane list l always runs on lanes[l],
-  // and the pool runs it on pool lane l, so each clone stays on one thread
-  // across generations. The waterfill result depends only on
-  // the selected rows — never on scratch history or which genotype a lane
-  // scored before — so every lane produces bit-identical utilities.
+  // What one executing pool lane solves with: a scratch arena, a rate
+  // buffer and the lane's solve tally. Indexed by the pool lane that runs
+  // the solve (0 = the caller), which is unique among concurrently running
+  // bodies, so no two threads share one. The problem itself is shared
+  // read-only, and a waterfill result depends only on the problem and the
+  // genotype, never on scratch history, so every lane produces
+  // bit-identical utilities.
   struct Lane {
-    WaterfillProblem problem;
     WaterfillScratch scratch;
     RateAllocation alloc;
-    Genotype current;  // the genotype this lane's row selection encodes
-  };
-  // Solver work done by one executing pool lane (0 = the caller); each
-  // pool lane writes only its own slot.
-  struct Tally {
     std::uint64_t solves = 0;
     std::uint64_t busy_ns = 0;
-    std::uint64_t delta_genes = 0;
   };
   struct Miss {
     const Genotype* genes = nullptr;
@@ -102,38 +83,31 @@ struct Evaluator {
 
   Evaluator(const Router& r, std::span<const FlowSpec> f, const SelectionConfig& c,
             ThreadPool* p = nullptr)
-      : config(c), pool(p), memo(detail::FitnessMemo::kDefaultMaxBytes, c.memo_max_entries) {
+      : config(c),
+        pool(p),
+        memo(detail::FitnessMemo::kDefaultMaxBytes, c.memo_max_entries),
+        lanes(p != nullptr ? static_cast<std::size_t>(p->lanes()) : 1) {
     // All (flow, protocol-choice) link weights are derived once, into CSR
-    // rows of one WaterfillProblem; evaluating a genotype then only flips
-    // row selections for genes that differ from the lane's previous one
-    // (delta fitness) and solves with a reused scratch arena. The Router
-    // is never touched again. Each further lane is a copy of lane 0.
-    const std::size_t n_lanes = pool != nullptr ? static_cast<std::size_t>(pool->lanes()) : 1;
-    lanes.reserve(n_lanes);
-    lanes.resize(1);
-    lanes[0].problem.build_with_choices(r, f, c.choices, c.alloc);
-    lanes[0].current.assign(f.size(), 0);  // build_with_choices selects choice 0
-    while (lanes.size() < n_lanes) lanes.push_back(lanes[0]);
-    tally.resize(n_lanes);
+    // rows of the one WaterfillProblem every lane solves; a solve takes
+    // the genotype as each flow's row choice. The Router is never touched
+    // again.
+    problem.build_with_choices(r, f, c.choices, c.alloc);
   }
 
   const SelectionConfig& config;
   ThreadPool* pool = nullptr;
   int evaluations = 0;
   detail::FitnessMemo memo;
-  std::vector<Lane> lanes;
-  std::vector<Tally> tally;  // indexed by executing pool lane
+  WaterfillProblem problem;
+  std::vector<Lane> lanes;  // indexed by executing pool lane
 
-  double lane_fitness(Lane& lane, const Genotype& g, int exec_lane) {
+  double solve(const Genotype& g, int exec_lane) {
+    Lane& lane = lanes[static_cast<std::size_t>(exec_lane)];
     const std::uint64_t t0 = thread_cpu_ns();
-    const std::size_t changed = lane.problem.apply_choice_delta(lane.current, g);
-    lane.current.assign(g.begin(), g.end());
-    waterfill(lane.problem, lane.scratch, lane.alloc);
+    waterfill(problem, g, lane.scratch, lane.alloc);
     const double utility = utility_of(lane.alloc.rate, config.utility, config.blend_min_weight);
-    Tally& t = tally[static_cast<std::size_t>(exec_lane)];
-    ++t.solves;
-    t.delta_genes += changed;
-    t.busy_ns += thread_cpu_ns() - t0;
+    ++lane.solves;
+    lane.busy_ns += thread_cpu_ns() - t0;
     return utility;
   }
 
@@ -144,56 +118,19 @@ struct Evaluator {
       return *f;
     }
     memo.record_miss();
-    const double utility = lane_fitness(lanes[0], g, 0);
+    const double utility = solve(g, 0);
     ++evaluations;
     memo.insert(h, g, utility);
     return utility;
   }
 
-  // Deterministic nearest-Hamming scheduler: walks the deduped misses in
-  // order and assigns each to the lane whose *projected* genotype (its
-  // current one, updated as assignments are made) is nearest, capped at
-  // ceil(misses / lanes) per lane so batches stay balanced. Elites and
-  // crossover children differ from some recent genotype in a handful of
-  // genes, so chaining nearest neighbours keeps per-lane deltas small.
-  // The plan depends on the lane count but the resulting fitness values
-  // do not.
-  std::vector<std::vector<std::uint32_t>> schedule(const std::vector<Miss>& misses) {
-    const std::size_t n_lanes = lanes.size();
-    std::vector<std::vector<std::uint32_t>> plan(n_lanes);
-    if (n_lanes == 1 || misses.size() <= 1) {
-      plan[0].reserve(misses.size());
-      for (std::uint32_t u = 0; u < misses.size(); ++u) plan[0].push_back(u);
-      return plan;
-    }
-    const std::size_t cap = (misses.size() + n_lanes - 1) / n_lanes;
-    std::vector<const Genotype*> projected(n_lanes);
-    for (std::size_t l = 0; l < n_lanes; ++l) projected[l] = &lanes[l].current;
-    for (std::uint32_t u = 0; u < misses.size(); ++u) {
-      const Genotype& g = *misses[u].genes;
-      std::size_t best_l = 0;
-      std::size_t best_d = std::numeric_limits<std::size_t>::max();
-      for (std::size_t l = 0; l < n_lanes; ++l) {
-        if (plan[l].size() >= cap) continue;
-        const std::size_t d = bounded_hamming(*projected[l], g, best_d);
-        if (d < best_d) {
-          best_d = d;
-          best_l = l;
-        }
-      }
-      plan[best_l].push_back(u);
-      projected[best_l] = &g;
-    }
-    return plan;
-  }
-
   // Scores one generation. Dedups the population against the memo and
   // in-batch repeats (exactly the serial one-at-a-time memo pattern: first
-  // occurrence = miss, every repeat = hit), runs the scheduler's lane
-  // lists through one parallel_for (a 0-worker pool runs them inline),
-  // then commits memo insertions and the evaluation count in miss (dedup)
-  // order — fixed by the population alone, so memo contents, eviction
-  // order and `evaluations` are identical at every thread count.
+  // occurrence = miss, every repeat = hit), solves the misses through one
+  // parallel_for (a 0-worker pool runs them inline), each into its own
+  // slot, then commits memo insertions and the evaluation count in miss
+  // (dedup) order — fixed by the population alone, so memo contents,
+  // eviction order and `evaluations` are identical at every thread count.
   void fitness_batch(std::span<const Genotype> population, std::vector<double>& fit) {
     constexpr std::size_t kHit = static_cast<std::size_t>(-1);
     std::vector<Miss> misses;
@@ -219,11 +156,8 @@ struct Evaluator {
       }
       ref[i] = u;
     }
-    const auto plan = schedule(misses);
-    pool->parallel_for(plan.size(), [&](std::size_t l, int exec_lane) {
-      for (const std::uint32_t u : plan[l]) {
-        misses[u].fitness = lane_fitness(lanes[l], *misses[u].genes, exec_lane);
-      }
+    pool->parallel_for(misses.size(), [&](std::size_t u, int exec_lane) {
+      misses[u].fitness = solve(*misses[u].genes, exec_lane);
     });
     for (const Miss& m : misses) {
       memo.insert(m.hash, *m.genes, m.fitness);
@@ -255,11 +189,10 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
   result.evaluations = eval.evaluations;
   const detail::FitnessMemo::Stats ms = eval.memo.stats();
   SelectionResult::Stats& st = result.stats;
-  for (const Evaluator::Tally& t : eval.tally) {
-    st.solves += t.solves;
-    st.delta_genes += t.delta_genes;
-    st.lane_solves.push_back(t.solves);
-    st.lane_busy_ns.push_back(t.busy_ns);
+  for (const Evaluator::Lane& lane : eval.lanes) {
+    st.solves += lane.solves;
+    st.lane_solves.push_back(lane.solves);
+    st.lane_busy_ns.push_back(lane.busy_ns);
   }
   st.memo_hits = ms.hits;
   st.memo_evictions = ms.evictions;
@@ -272,7 +205,6 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
     m.gauge("ga.memo.entries").set(static_cast<double>(ms.entries));
     m.gauge("ga.memo.bytes").set(static_cast<double>(ms.bytes));
     m.counter("ga.eval.solves").add(st.solves);
-    m.counter("ga.eval.delta_genes").add(st.delta_genes);
     for (std::size_t l = 0; l < st.lane_solves.size(); ++l) {
       const std::string lane = "ga.eval.lane" + std::to_string(l);
       m.gauge(lane + ".solves").set(static_cast<double>(st.lane_solves[l]));
@@ -362,8 +294,7 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
 
     if (memetic && n_choices >= 2) {
       // Memetic step: first-improvement single-gene flips on the top
-      // elites, each a Hamming-1 delta evaluation through the memo on
-      // lane 0. Lamarckian — the improved genotypes replace their elite
+      // elites, each evaluated through the memo on lane 0. Lamarckian — the improved genotypes replace their elite
       // slots — and driven by a per-generation forked RNG so the GA
       // stream (and hence the crossover trajectory) stays untouched.
       std::uint64_t fork = config.seed + 0x6d656d65ULL +

@@ -10,8 +10,8 @@
 // crossover and mutation.
 //
 // Beyond the paper's GA this module provides the searchers production
-// operators actually run: a simulated-annealing baseline riding the same
-// single-flip delta-fitness fast path, a GA + local-search hybrid
+// operators actually run: a simulated-annealing baseline of single-gene
+// flips through the same memoized fitness, a GA + local-search hybrid
 // (memetic step on elites), and a scalarized multi-objective utility that
 // trades aggregate (mean) against min (tail) throughput. Hill-climbing
 // and random-search baselines are kept both as the heuristics the paper
@@ -197,7 +197,7 @@ struct SelectionConfig {
 
   // Memetic step of select_routes_hybrid: after each generation's
   // fitness, the top `ls_elites` ranked genotypes each get `ls_steps`
-  // first-improvement single-gene flips (delta evaluations) and the
+  // first-improvement single-gene flips (memoized evaluations) and the
   // improved genotypes re-enter the next generation as its elites.
   int ls_elites = 4;
   int ls_steps = 16;
@@ -209,10 +209,9 @@ struct SelectionConfig {
   std::size_t memo_max_entries = 0;
 
   // Fitness-evaluation parallelism for the GA. Each generation's distinct
-  // un-memoized genotypes are assigned to per-lane clones of the
-  // waterfill problem by a deterministic nearest-Hamming scheduler (so
-  // per-lane deltas stay small) and scored concurrently before the next
-  // generation is bred; the result (assignment, utility, evaluation
+  // un-memoized genotypes are solved concurrently against one shared
+  // waterfill problem, each pool lane with its own scratch, before the
+  // next generation is bred; the result (assignment, utility, evaluation
   // count) is bit-identical for every thread count, including 1 (see
   // DESIGN.md "Threading model"). threads <= 1 runs serially. When `pool`
   // is non-null it is used and `threads` is ignored; otherwise a
@@ -233,12 +232,14 @@ struct SelectionResult {
 
   // Evaluator diagnostics. `solves` equals the number of waterfill solves
   // (= memo misses) and is part of the determinism contract like
-  // `evaluations`; `delta_genes` depends on the lane schedule and the
-  // lane_* vectors on timing, so they legitimately vary with thread count
-  // and are excluded from bit-identity gates.
+  // `evaluations`; the lane_* vectors depend on timing, so they
+  // legitimately vary with thread count and are excluded from bit-identity
+  // gates.
   struct Stats {
     std::uint64_t solves = 0;
-    std::uint64_t delta_genes = 0;     // set_choice flips applied across lanes
+    // Always 0: a solve takes its genotype whole and flips no genes. Kept
+    // because rackbench still reports it as control.delta_genes_per_solve.
+    std::uint64_t delta_genes = 0;
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_evictions = 0;
     // Always 0: breeding waits for final fitness values and is never
@@ -262,8 +263,8 @@ SelectionResult select_routes_ga(const Router& router, std::span<const FlowSpec>
 // Simulated annealing over single-gene flips: starts from the best of the
 // current assignment and the uniform single-protocol assignments, applies
 // Metropolis-accepted random flips under geometric cooling (relative
-// temperature 0.02 -> 1e-4 across eval_budget evaluations). Every step is
-// a Hamming-1 delta evaluation, the cheapest move the fast path offers.
+// temperature 0.02 -> 1e-4 across eval_budget evaluations). Every step
+// flips one gene and costs one memoized evaluation.
 SelectionResult select_routes_anneal(const Router& router, std::span<const FlowSpec> flows,
                                      const SelectionConfig& config);
 

@@ -1,6 +1,7 @@
 // Differential testing of the CSR/scratch waterfill fast path against the
 // straightforward reference implementation, plus the zero-allocation
-// steady-state guarantee.
+// steady-state guarantee and the shared-problem contract (concurrent solves
+// of one problem, one problem per GA search).
 //
 // The fast path reorganizes the computation (CSR rows, lazy residual
 // materialization, event heap) but must produce the same rates: every
@@ -12,30 +13,37 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "congestion/waterfill.h"
+#include "control/route_selection.h"
 #include "routing/routing.h"
 #include "topology/topology.h"
 
 // --- Counting allocator ---------------------------------------------------
-// Global operator new/delete overrides local to this test binary: the
-// steady-state test asserts that repeated waterfill(problem, scratch, out)
-// calls perform no heap allocation once warmed up.
+// Global operator new/delete overrides local to this test binary, counting
+// allocations and the bytes they request: the steady-state test asserts
+// that repeated waterfill(problem, scratch, out) calls perform no heap
+// allocation once warmed up, and the GA lane test that extra lanes do not
+// copy the problem.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++g_allocations;
+  g_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   ++g_allocations;
+  g_bytes += size;
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
   throw std::bad_alloc();
@@ -48,6 +56,7 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 // with the free()-based deletes above — an alloc-dealloc mismatch.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   ++g_allocations;
+  g_bytes += size;
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
@@ -55,6 +64,7 @@ void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
 }
 void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
   ++g_allocations;
+  g_bytes += size;
   const std::size_t a = static_cast<std::size_t>(align);
   return std::aligned_alloc(a, (size + a - 1) / a * a);
 }
@@ -67,7 +77,9 @@ void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept 
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, so that GCC's -Wmismatched-new-delete pairs a counted new
+// with this delete rather than with the free() inside it.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
@@ -172,9 +184,18 @@ TEST(WaterfillDiff, PriorityClassesAndDemandsMatchReference) {
   expect_rates_match(fast.rate, ref.rate, "priorities");
 }
 
+void expect_bit_identical(const std::vector<Bps>& got, const std::vector<Bps>& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j], want[j]) << context << ", flow " << j;
+  }
+}
+
 TEST(WaterfillDiff, ChoiceVariantsMatchPerFlowRebuild) {
-  // build_with_choices + set_choice must equal building the problem from
-  // specs whose .alg was edited to the same assignment.
+  // A build_with_choices problem solved with per-flow choices must match
+  // the reference on specs whose .alg was edited to the same assignment,
+  // and equal that assignment built as a one-choice problem bit for bit.
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
   const Router router(topo);
   Rng rng(21);
@@ -185,59 +206,108 @@ TEST(WaterfillDiff, ChoiceVariantsMatchPerFlowRebuild) {
   problem.build_with_choices(router, flows, choices, {});
   WaterfillScratch scratch;
   RateAllocation out;
+  std::vector<std::uint8_t> genes(flows.size());
   for (int round = 0; round < 8; ++round) {
     std::vector<FlowSpec> adjusted = flows;
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      const std::size_t c = rng.uniform_int(3);
-      problem.set_choice(i, c);
-      adjusted[i].alg = choices[c];
+      genes[i] = static_cast<std::uint8_t>(rng.uniform_int(3));
+      adjusted[i].alg = choices[genes[i]];
     }
-    waterfill(problem, scratch, out);
+    waterfill(problem, genes, scratch, out);
     const auto ref = waterfill_reference(router, adjusted, {});
     expect_rates_match(out.rate, ref.rate, "choices");
+    expect_bit_identical(out.rate, waterfill(router, adjusted, {}).rate,
+                         "round " + std::to_string(round));
+  }
+  // An empty choice span is choice 0 for every flow.
+  for (FlowSpec& f : flows) f.alg = choices[0];
+  waterfill(problem, {}, scratch, out);
+  expect_bit_identical(out.rate, waterfill(router, flows, {}).rate, "empty choice span");
+}
+
+TEST(WaterfillDiff, ConcurrentSolvesOfOneProblemMatchSerial) {
+  // One const problem, four threads, each solving its own genotypes at the
+  // same time with its own scratch: a solve only reads the problem, so
+  // every result equals its serial solve bit for bit.
+  const Topology topo = make_torus({4, 4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  Rng rng(31);
+  const auto flows = random_flows(topo, rng, 120);
+  const RouteAlg choices[] = {RouteAlg::kRps, RouteAlg::kVlb, RouteAlg::kDor};
+  WaterfillProblem built;
+  built.build_with_choices(router, flows, choices, {.headroom = 0.05});
+  const WaterfillProblem& problem = built;
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 6;
+  std::vector<std::vector<std::uint8_t>> genotypes(kThreads * kPerThread,
+                                                   std::vector<std::uint8_t>(flows.size()));
+  for (auto& g : genotypes) {
+    for (auto& v : g) v = static_cast<std::uint8_t>(rng.uniform_int(3));
+  }
+  std::vector<std::vector<Bps>> serial(genotypes.size());
+  {
+    WaterfillScratch scratch;
+    RateAllocation out;
+    for (std::size_t i = 0; i < genotypes.size(); ++i) {
+      waterfill(problem, genotypes[i], scratch, out);
+      serial[i] = out.rate;
+    }
+  }
+
+  std::vector<std::vector<Bps>> concurrent(genotypes.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      WaterfillScratch scratch;
+      RateAllocation out;
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int k = 0; k < kPerThread; ++k) {
+        const std::size_t i = static_cast<std::size_t>(t * kPerThread + k);
+        waterfill(problem, genotypes[i], scratch, out);
+        concurrent[i] = out.rate;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t i = 0; i < genotypes.size(); ++i) {
+    expect_bit_identical(concurrent[i], serial[i], "genotype " + std::to_string(i));
   }
 }
 
-TEST(WaterfillDiff, ChoiceDeltaMatchesFullSelection) {
-  // apply_choice_delta (the GA lanes' Hamming-delta move) must land the
-  // problem in exactly the state a full per-flow set_choice pass reaches:
-  // bit-identical rates, and only the differing genes flipped.
-  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+TEST(WaterfillDiff, GaLanesShareOneProblem) {
+  // Every GA lane solves the one problem its search built, so 4 lanes
+  // allocate less than one more problem than 1 lane does: only a scratch
+  // and a rate buffer per extra lane, plus the pool's threads.
+  const Topology topo = make_torus({4, 4, 4}, 10 * kGbps, 100);
   const Router router(topo);
-  Rng rng(77);
-  const auto flows = random_flows(topo, rng, 50);
-  const RouteAlg choices[] = {RouteAlg::kRps, RouteAlg::kVlb, RouteAlg::kDor};
+  Rng rng(41);
+  const auto flows = random_flows(topo, rng, 200);
+  SelectionConfig cfg;
+  cfg.population = 16;
+  cfg.max_generations = 3;
+  WaterfillProblem problem;
+  problem.build_with_choices(router, flows, cfg.choices, cfg.alloc);  // warms the router
+  // One problem's footprint: the bytes an exact-size copy allocates.
+  const std::uint64_t before_copy = g_bytes.load();
+  const WaterfillProblem copy = problem;
+  const std::uint64_t problem_bytes = g_bytes.load() - before_copy;
+  ASSERT_EQ(copy.num_flows(), flows.size());
 
-  WaterfillProblem delta_problem, full_problem;
-  delta_problem.build_with_choices(router, flows, choices, {});
-  full_problem.build_with_choices(router, flows, choices, {});
-  WaterfillScratch s1, s2;
-  RateAllocation via_delta, via_full;
-
-  std::vector<std::uint8_t> prev(flows.size(), 0);  // build selects choice 0
-  for (int round = 0; round < 8; ++round) {
-    std::vector<std::uint8_t> next = prev;
-    // Mutate a handful of genes (round 0: none — the zero-delta case).
-    for (int m = 0; m < round; ++m) {
-      next[rng.uniform_int(next.size())] = static_cast<std::uint8_t>(rng.uniform_int(3));
-    }
-    std::size_t expected_changed = 0;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      if (prev[i] != next[i]) ++expected_changed;
-    }
-    EXPECT_EQ(delta_problem.apply_choice_delta(prev, next), expected_changed);
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      full_problem.set_choice(i, next[i]);
-      EXPECT_EQ(delta_problem.selected_choice(i), next[i]);
-    }
-    waterfill(delta_problem, s1, via_delta);
-    waterfill(full_problem, s2, via_full);
-    ASSERT_EQ(via_delta.rate.size(), via_full.rate.size());
-    for (std::size_t j = 0; j < via_delta.rate.size(); ++j) {
-      EXPECT_EQ(via_delta.rate[j], via_full.rate[j]) << "round " << round << ", flow " << j;
-    }
-    prev = std::move(next);
-  }
+  const auto ga_bytes = [&](int threads) {
+    cfg.threads = threads;
+    const std::uint64_t before = g_bytes.load();
+    const SelectionResult result = select_routes_ga(router, flows, cfg);
+    EXPECT_GT(result.stats.solves, 0u);
+    return g_bytes.load() - before;
+  };
+  const std::uint64_t one_lane = ga_bytes(1);
+  const std::uint64_t four_lanes = ga_bytes(4);
+  EXPECT_LT(four_lanes, one_lane + problem_bytes)
+      << "1 lane: " << one_lane << " B, 4 lanes: " << four_lanes
+      << " B, one problem: " << problem_bytes << " B";
 }
 
 TEST(WaterfillDiff, ScratchReuseIsDeterministic) {

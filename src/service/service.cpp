@@ -1,10 +1,10 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/event_kind.h"
 #include "snapshot/digest.h"
 #include "snapshot/persist.h"
 
@@ -314,46 +314,45 @@ SloReport ServiceLayer::report() const {
   return rep;
 }
 
-// --- Snapshot seam --------------------------------------------------------
+// --- kEvService events and the snapshot seam ------------------------------
 
-sim::Engine::Action ServiceLayer::rebuild_service_event(const sim::EventDesc& desc) {
-  if (desc.kind != sim::kEvService) {
-    throw snapshot::SnapshotError("service asked to rebuild a non-service event");
-  }
-  auto tenant_of = [this](std::uint64_t b) {
-    if (b >= config_.tenants.size()) {
-      throw snapshot::SnapshotError("service event references an unknown tenant");
-    }
-    return static_cast<std::uint32_t>(b);
-  };
-  switch (desc.a) {
-    case kOpIssue: {
-      const std::uint32_t t = tenant_of(desc.b);
-      return [this, t] { op_issue(t); };
-    }
-    case kOpOpenTick: {
-      const std::uint32_t t = tenant_of(desc.b);
-      return [this, t] { op_open_tick(t); };
-    }
-    case kOpResponse: {
-      const std::uint64_t req = desc.b;
-      return [this, req] { op_response(req); };
-    }
-    case kOpLeafResponse: {
-      const std::uint64_t req = desc.b >> 8;
-      const auto leaf = static_cast<std::uint8_t>(desc.b & 0xff);
-      return [this, req, leaf] { op_leaf_response(req, leaf); };
-    }
-    case kOpTimeout: {
-      const std::uint64_t req = desc.b;
-      return [this, req] { op_timeout(req); };
-    }
-    case kOpShift: {
-      const std::uint32_t t = tenant_of(desc.b);
-      return [this, t] { op_shift(t); };
-    }
+void ServiceLayer::on_service_event(std::uint64_t op, std::uint64_t b) {
+  switch (op) {
+    case kOpIssue:
+      op_issue(static_cast<std::uint32_t>(b));
+      break;
+    case kOpOpenTick:
+      op_open_tick(static_cast<std::uint32_t>(b));
+      break;
+    case kOpResponse:
+      op_response(b);
+      break;
+    case kOpLeafResponse:
+      op_leaf_response(b >> 8, static_cast<std::uint8_t>(b & 0xff));
+      break;
+    case kOpTimeout:
+      op_timeout(b);
+      break;
+    case kOpShift:
+      op_shift(static_cast<std::uint32_t>(b));
+      break;
     default:
-      throw snapshot::SnapshotError("unknown service opcode " + std::to_string(desc.a));
+      assert(false && "unknown service opcode");
+  }
+}
+
+bool ServiceLayer::service_event_valid(std::uint64_t op, std::uint64_t b) const {
+  switch (op) {
+    case kOpIssue:
+    case kOpOpenTick:
+    case kOpShift:
+      return b < config_.tenants.size();
+    case kOpResponse:
+    case kOpLeafResponse:
+    case kOpTimeout:
+      return true;
+    default:
+      return false;
   }
 }
 

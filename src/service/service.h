@@ -39,7 +39,7 @@
 // Snapshot: all service state — outstanding request tables, per-tenant RNG
 // streams and latency histograms — archives in its own sections
 // ("service.core", "service.requests") through the sim's save/load, and
-// pending kEvService timers rebuild via rebuild_service_event. The tenant
+// pending kEvService timers run on_service_event like live ones. The tenant
 // configuration enters the sim's config fingerprint.
 #pragma once
 
@@ -169,7 +169,8 @@ class ServiceLayer : public sim::ServiceClient {
   // --- sim::ServiceClient ---
   void on_flow_complete(FlowId id, TimeNs at) override;
   void on_flow_abort(FlowId id, TimeNs at) override;
-  sim::Engine::Action rebuild_service_event(const sim::EventDesc& desc) override;
+  void on_service_event(std::uint64_t op, std::uint64_t b) override;
+  bool service_event_valid(std::uint64_t op, std::uint64_t b) const override;
   std::uint64_t service_fingerprint() const override;
   void persist(snapshot::SaveVisitor& v) const override;
   void persist(snapshot::LoadVisitor& v) override;

@@ -59,12 +59,23 @@ void Engine::configure_shards(int shards, int workers, TimeNs lookahead) {
   cur_lane_ = global_lane();
 }
 
+void Engine::handle(std::uint32_t kind, Handler run, Check check) {
+  if (kind >= kinds_.size()) kinds_.resize(kind + 1);
+  assert(!kinds_[kind].run && "one handler per event kind");
+  kinds_[kind] = Kind{std::move(run), std::move(check)};
+}
+
+bool Engine::runnable(const EventDesc& ev) const {
+  if (ev.kind >= kinds_.size() || !kinds_[ev.kind].run) return false;
+  const Check& check = kinds_[ev.kind].check;
+  return !check || check(ev);
+}
+
 std::uint64_t Engine::run_lane_until(Lane& lane, TimeNs we) {
   std::uint64_t n = 0;
   while (!lane.heap.empty() && lane.heap.front().time < we) {
     lane.now = lane.heap.front().time;
-    Action action = pop_min(lane);
-    action();
+    dispatch(pop_min(lane));
     ++n;
   }
   lane.events += n;
@@ -95,10 +106,10 @@ std::uint64_t Engine::serial_phase(TimeNs t) {
     }
     if (best < 0) break;
     Lane& lane = lanes_[static_cast<std::size_t>(best)];
-    Action action = pop_min(lane);
+    const EventDesc ev = pop_min(lane);
     lane.now = t;
     cur_lane_ = best;
-    action();
+    dispatch(ev);
     ++lane.events;
     ++n;
     shard_ran |= best != global_lane();

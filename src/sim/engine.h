@@ -2,13 +2,14 @@
 // driver, sharded into lanes that run in parallel under conservative
 // lookahead; a serial run is the one-lane case.
 //
-// Each lane's queue is two parts: a slot arena holding every pending
-// event's descriptor and closure, and a binary min-heap (std::push_heap /
-// std::pop_heap) of 24-byte (time, key, slot) entries pointing into it.
-// Sifting moves only the plain entries; a closure is moved into its slot
-// once when scheduled and out once when popped. Actions are stored in a
-// small-buffer-optimized callable, so the common case — a lambda capturing
-// `this` plus a couple of ids — costs no heap allocation per event.
+// An event is its descriptor (EventDesc): a kind and two operands. The
+// component that schedules a kind registers one handler for it (handle),
+// and the engine runs every event, live or restored from a snapshot, by
+// calling the handler of its kind. Each lane's queue is two parts: a slot
+// arena holding every pending event's descriptor, and a binary min-heap
+// (std::push_heap / std::pop_heap) of 24-byte (time, key, slot) entries
+// pointing into it. Sifting moves only the plain entries; a descriptor is
+// copied into its slot once when scheduled and out once when popped.
 //
 // configure_shards(K, ...) splits the event queue into K shard lanes plus
 // one global lane (index K), each with its own heap and clock. A 1-shard
@@ -43,9 +44,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <new>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,110 +57,14 @@ class ThreadPool;
 
 namespace r2c2::sim {
 
-// Serializable description of a scheduled event, for snapshot/restore
-// (src/snapshot/). An Action is an opaque closure; transports that want
-// their event queue to survive a save/load tag every event with a
-// descriptor — a kind plus up to two operands (a flow id, a link id, a
-// parked-packet slot, ...) — from which an equivalent Action can be
-// rebuilt against the restored object graph. kind 0 means "opaque": such
-// events execute normally but make the queue unsaveable (Engine::save
-// throws), which is how transports that never opted in (TcpSim, PfqSim)
-// stay unaffected.
+// One scheduled event: its kind (sim/event_kind.h) and up to two operands
+// (a flow id, a link id, a parked-packet slot, ...). The descriptor is the
+// whole event: the engine runs it with the handler registered for its kind,
+// and a snapshot archives it as it is (src/snapshot/).
 struct EventDesc {
   std::uint32_t kind = 0;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-};
-
-// Move-only type-erased callable with a 48-byte inline buffer (libstdc++'s
-// std::function only inlines 16 bytes, heap-allocating most simulator
-// lambdas). Callables that are larger or have a throwing move constructor
-// fall back to the heap.
-class Action {
- public:
-  static constexpr std::size_t kInlineBytes = 48;
-
-  Action() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Action> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  Action(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) (Fn*)(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
-  }
-
-  Action(Action&& other) noexcept { move_from(other); }
-  Action& operator=(Action&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  Action(const Action&) = delete;
-  Action& operator=(const Action&) = delete;
-  ~Action() { reset(); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-  void operator()() { ops_->invoke(buf_); }
-
-  void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void* buf);
-    void (*relocate)(void* from, void* to);  // move-construct into to, destroy from
-    void (*destroy)(void* buf);
-  };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
-  static constexpr Ops kInlineOps{
-      [](void* buf) { (*std::launder(reinterpret_cast<Fn*>(buf)))(); },
-      [](void* from, void* to) {
-        Fn* src = std::launder(reinterpret_cast<Fn*>(from));
-        ::new (to) Fn(std::move(*src));
-        src->~Fn();
-      },
-      [](void* buf) { std::launder(reinterpret_cast<Fn*>(buf))->~Fn(); },
-  };
-
-  template <typename Fn>
-  static constexpr Ops kHeapOps{
-      [](void* buf) { (**std::launder(reinterpret_cast<Fn**>(buf)))(); },
-      [](void* from, void* to) {
-        ::new (to) (Fn*)(*std::launder(reinterpret_cast<Fn**>(from)));
-      },
-      [](void* buf) { delete *std::launder(reinterpret_cast<Fn**>(buf)); },
-  };
-
-  void move_from(Action& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(other.buf_, buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
 namespace detail {
@@ -173,8 +76,6 @@ inline thread_local int tls_engine_lane = -1;
 
 class Engine {
  public:
-  using Action = r2c2::sim::Action;
-
   // Lane index fits in the low 7 bits of an event key.
   static constexpr int kLaneBits = 7;
   static constexpr int kMaxShards = 126;
@@ -220,25 +121,30 @@ class Engine {
   TimeNs now() const { return lanes_[static_cast<std::size_t>(current_lane())].now; }
   TimeNs lane_now(int lane) const { return lanes_[static_cast<std::size_t>(lane)].now; }
 
-  void schedule_at(TimeNs t, Action action) { schedule_here(t, EventDesc{}, std::move(action)); }
-  void schedule_at(TimeNs t, EventDesc desc, Action action) {
-    schedule_here(t, desc, std::move(action));
+  // Runs one event of a kind. `check`, if given, vets the operands of an
+  // archived event of the kind: a load rejects the event unless it returns
+  // true (no check: any operands). The component that schedules a kind
+  // registers its handler once, before the first event of the kind is
+  // scheduled or loaded. Handlers run on the lane of their event, so a
+  // handler of a shard-lane kind may run on any worker thread.
+  using Handler = std::function<void(const EventDesc&)>;
+  using Check = std::function<bool(const EventDesc&)>;
+  void handle(std::uint32_t kind, Handler run, Check check = nullptr);
+
+  void schedule_at(TimeNs t, const EventDesc& desc) {
+    const int lane_idx = current_lane();
+    enqueue(lane_idx, t, alloc_key_from(lane_idx), desc);
   }
-  void schedule_in(TimeNs dt, Action action) {
-    schedule_here(now() + dt, EventDesc{}, std::move(action));
-  }
-  void schedule_in(TimeNs dt, EventDesc desc, Action action) {
-    schedule_here(now() + dt, desc, std::move(action));
-  }
+  void schedule_in(TimeNs dt, const EventDesc& desc) { schedule_at(now() + dt, desc); }
 
   // Schedules onto an explicit lane, stamping the key from the *calling*
   // lane's sequence counter (ties keep the origin's serial order). Only
   // legal across lanes outside parallel windows; inside a window a shard
   // may only reach other lanes through mailboxes + schedule_keyed.
-  void schedule_on(int lane_idx, TimeNs t, EventDesc desc, Action action) {
+  void schedule_on(int lane_idx, TimeNs t, const EventDesc& desc) {
     assert(lane_idx >= 0 && lane_idx < num_lanes());
     assert(!in_window_ || lane_idx == current_lane());
-    enqueue(lane_idx, t, alloc_key_from(current_lane()), desc, std::move(action));
+    enqueue(lane_idx, t, alloc_key_from(current_lane()), desc);
   }
 
   // Allocates an event key from the calling lane without scheduling —
@@ -247,8 +153,8 @@ class Engine {
   // origin's tie order exactly as if the event had been pushed directly.
   std::uint64_t alloc_key() { return alloc_key_from(current_lane()); }
 
-  void schedule_keyed(int lane_idx, TimeNs t, std::uint64_t key, EventDesc desc, Action action) {
-    enqueue(lane_idx, t, key, desc, std::move(action));
+  void schedule_keyed(int lane_idx, TimeNs t, std::uint64_t key, const EventDesc& desc) {
+    enqueue(lane_idx, t, key, desc);
   }
 
   // Runs events until the queue drains or simulated time would exceed
@@ -321,18 +227,16 @@ class Engine {
   // the key counter, the events run and every pending event in ascending
   // (time, key) order — the queue's state, not its heap layout, so equal
   // queues archive and digest alike however they were built. Each event
-  // archives its time, key and descriptor kind, then `event(desc, action,
-  // lane)` walks the rest of it: the operands, or what the transport
-  // archives in their place, and on load the closure rebuilt against the
-  // restored object graph (throwing SnapshotError on a descriptor it does
-  // not recognize). The reader requires the order strictly and every key's
-  // lane tag to name a lane of this engine. A sorted array is a valid
-  // heap, so a load adopts it as is: event i of a lane lands in slot i
-  // with an empty free list. An event without a descriptor (kind 0) makes
-  // the queue unsaveable. clamped/windows/stalls are observability only
-  // and restart from zero.
-  template <class Self, class V, class EventWalk>
-  static void persist(Self& e, V& v, EventWalk&& event) {
+  // archives its time, key and kind, then `operands(desc, lane)` walks the
+  // rest of its descriptor: the two operands, or what the queue's owner
+  // archives in their place. The reader requires the order strictly, every
+  // key's lane tag to name a lane of this engine and every event to be
+  // runnable() here, so a loaded event runs exactly as a live one would. A
+  // sorted array is a valid heap, so a load adopts it as is: event i of a
+  // lane lands in slot i with an empty free list. clamped/windows/stalls
+  // are observability only and restart from zero.
+  template <class Self, class V, class Operands>
+  static void persist(Self& e, V& v, Operands&& operands) {
     // time, key and kind, plus the two operands' worth every event walk
     // archives at least.
     constexpr std::size_t kArchivedEventBytes = 8 + 8 + 4 + 8 + 8;
@@ -360,49 +264,43 @@ class Engine {
             entry.slot = static_cast<std::uint32_t>(lane.slots.size());
             lane.slots.emplace_back();
           }
-          auto& slot = lane.slots[entry.slot];
-          v.u32(slot.desc.kind);
-          v.expect(slot.desc.kind != 0,
-                   "pending event without a descriptor: this transport cannot be snapshotted");
-          event(slot.desc, slot.action, lane_idx);
+          auto& desc = lane.slots[entry.slot];
+          v.u32(desc.kind);
+          operands(desc, lane_idx);
+          v.expect(e.runnable(desc), "archived event of a kind without a handler, or with "
+                                     "operands its handler rejects");
         }, kArchivedEventBytes, [&lane](auto n) { lane.slots.reserve(n); });
         ++lane_idx;
       });
     });
   }
-  // The event walk of an engine whose descriptors are the whole event: the
-  // two operands, and on load the closure `rebuild(desc, lane)` makes.
-  template <class V, class Rebuild>
-  static auto operands(V& v, Rebuild&& rebuild) {
-    return [&v, &rebuild](auto& desc, auto& action, int lane) {
+  // The walk of a queue whose descriptors archive as they are.
+  template <class Self, class V>
+  static void persist(Self& e, V& v) {
+    persist(e, v, [&v](auto& desc, int) {
       v.u64(desc.a);
       v.u64(desc.b);
-      if constexpr (V::kLoading) action = rebuild(std::as_const(desc), lane);
-    };
+    });
   }
   void save(snapshot::ArchiveWriter& w) const {
     snapshot::SaveVisitor v(w);
-    persist(*this, v, operands(v, nullptr));
+    persist(*this, v);
   }
-  // Replaces the entire engine state with the archived one, `rebuild(desc,
-  // lane)` making each event's closure; parse-then-commit, so a failed load
-  // leaves the engine unchanged. Taken as a template (function_ref style)
-  // so the caller's lambda is invoked directly, with no std::function
-  // allocation per event.
-  template <typename Rebuild>
-  void load(snapshot::ArchiveReader& r, Rebuild&& rebuild) {
+  // Replaces the entire engine state with the archived one; parse-then-
+  // commit, so a failed load leaves the engine unchanged.
+  void load(snapshot::ArchiveReader& r) {
     snapshot::LoadVisitor v(r);
-    persist(*this, v, operands(v, rebuild));
+    persist(*this, v);
     v.commit();
   }
   void mix_digest(snapshot::Digest& d) const {
     snapshot::DigestVisitor v(d);
-    persist(*this, v, operands(v, nullptr));
+    persist(*this, v);
   }
 
  private:
   // Heap entry: the sort key plus the index of the event's arena slot.
-  // Sifting moves only these 24 plain bytes, never a closure.
+  // Sifting moves only these 24 plain bytes, never a descriptor.
   struct Entry {
     TimeNs time = 0;
     std::uint64_t key = 0;
@@ -414,11 +312,6 @@ class Engine {
   // by `later`, that is the earliest (time, key).
   static constexpr auto later = [](const Entry& a, const Entry& b) { return b < a; };
 
-  struct Slot {
-    EventDesc desc;
-    Action action;
-  };
-
   // Each lane is an independent queue + clock. Slots freed by pops are
   // reused LIFO, so a warm lane schedules without allocating. Neither the
   // heap's array order nor the slot numbering is archived. Padded so
@@ -426,7 +319,7 @@ class Engine {
   // threads run them.
   struct alignas(64) Lane {
     std::vector<Entry> heap;                // binary min-heap over (time, key)
-    std::vector<Slot> slots;                // descriptor + closure per event
+    std::vector<EventDesc> slots;           // one per pending event
     std::vector<std::uint32_t> free_slots;  // LIFO
     TimeNs now = 0;
     std::uint64_t next_key = 0;  // raw per-lane sequence; encoded on allocation
@@ -441,17 +334,13 @@ class Engine {
     return (seq << kLaneBits) | static_cast<std::uint64_t>(origin);
   }
 
-  // The public schedule_* overloads take the closure by value and hand it
-  // down by reference, so it is moved only once more: into its slot.
-  void schedule_here(TimeNs t, const EventDesc& desc, Action&& action) {
-    const int lane_idx = current_lane();
-    enqueue(lane_idx, t, alloc_key_from(lane_idx), desc, std::move(action));
-  }
+  // True if `ev`'s kind has a handler and its check accepts the operands.
+  bool runnable(const EventDesc& ev) const;
 
-  // Parks the closure in a free slot of the target lane (growing the arena
-  // only when none is free) and sifts its entry into the lane's heap.
-  void enqueue(int lane_idx, TimeNs t, std::uint64_t key, const EventDesc& desc,
-               Action&& action) {
+  // Copies the descriptor into a free slot of the target lane (growing the
+  // arena only when none is free) and sifts its entry into the lane's heap.
+  void enqueue(int lane_idx, TimeNs t, std::uint64_t key, const EventDesc& desc) {
+    assert(runnable(desc) && "scheduled an event of a kind without a handler");
     Lane& lane = lanes_[static_cast<std::size_t>(lane_idx)];
     if (t < lane.now) {
       // Never schedule into the past — but never do it silently either.
@@ -467,29 +356,27 @@ class Engine {
     }
     auto slot = static_cast<std::uint32_t>(lane.slots.size());
     if (lane.free_slots.empty()) {
-      lane.slots.emplace_back();
+      lane.slots.push_back(desc);
     } else {
       slot = lane.free_slots.back();
       lane.free_slots.pop_back();
+      lane.slots[slot] = desc;
     }
-    Slot& s = lane.slots[slot];
-    s.desc = desc;
-    s.action = std::move(action);
     lane.heap.push_back(Entry{t, key, slot});
     std::push_heap(lane.heap.begin(), lane.heap.end(), later);
   }
 
-  // Removes the earliest entry and moves its closure out of the arena.
-  // The caller runs it afterwards: running it may schedule events and grow
-  // the arena, which would relocate a closure still in its slot.
-  static Action pop_min(Lane& lane) {
+  // Removes the earliest entry and returns its descriptor, freeing its
+  // slot. A copy, because the handler it goes to may schedule events and
+  // grow the arena.
+  static EventDesc pop_min(Lane& lane) {
     std::pop_heap(lane.heap.begin(), lane.heap.end(), later);
     const std::uint32_t slot = lane.heap.back().slot;
     lane.heap.pop_back();
     lane.free_slots.push_back(slot);
-    return std::move(lane.slots[slot].action);
+    return lane.slots[slot];
   }
-
+  void dispatch(const EventDesc& ev) const { kinds_[ev.kind].run(ev); }
 
   // Driver steps (engine.cpp).
   std::uint64_t serial_phase(TimeNs t);
@@ -504,6 +391,11 @@ class Engine {
   bool in_window_ = false;  // written by the driver, read by workers across barriers
   std::uint64_t windows_ = 0;
   std::uint64_t serial_phases_ = 0;
+  struct Kind {
+    Handler run;
+    Check check;
+  };
+  std::vector<Kind> kinds_;  // indexed by EventDesc::kind
   std::function<void(int)> lane_drain_;
   std::function<void()> barrier_apply_;
   std::unique_ptr<ThreadPool> pool_;  // runs windows; workers_ - 1 threads

@@ -249,23 +249,18 @@ FaultScript make_chaos_script(const Topology& topo, Rng& rng, const ChaosConfig&
 
 FaultInjector::FaultInjector(Engine& engine, Network& net, const Topology& topo,
                              FaultScript script)
-    : engine_(engine), net_(net), topo_(topo), script_(std::move(script)) {}
+    : engine_(engine), net_(net), topo_(topo), script_(std::move(script)) {
+  engine_.handle(
+      kEvFaultApply, [this](const EventDesc& ev) { apply(script_.events[ev.a]); },
+      [this](const EventDesc& ev) { return ev.a < script_.events.size(); });
+}
 
 void FaultInjector::arm() {
   if (armed_) throw std::logic_error("FaultInjector armed twice");
   armed_ = true;
   for (std::size_t i = 0; i < script_.events.size(); ++i) {
-    const FaultEvent& ev = script_.events[i];
-    engine_.schedule_at(ev.at, EventDesc{kEvFaultApply, i, 0}, [this, ev] { apply(ev); });
+    engine_.schedule_at(script_.events[i].at, EventDesc{kEvFaultApply, i, 0});
   }
-}
-
-Engine::Action FaultInjector::rebuild_event(const EventDesc& desc) {
-  if (desc.kind != kEvFaultApply || desc.a >= script_.events.size()) {
-    throw snapshot::SnapshotError("fault-apply event references an invalid script index");
-  }
-  const FaultEvent ev = script_.events[desc.a];
-  return [this, ev] { apply(ev); };
 }
 
 void FaultInjector::set_cable(LinkId link, bool up) {

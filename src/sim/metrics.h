@@ -38,6 +38,22 @@ struct FlowRecord {
     const TimeNs d = fct();
     return d > 0 ? static_cast<double>(bytes) * 8.0 * 1e9 / static_cast<double>(d) : 0.0;
   }
+
+  // Field walk (src/snapshot/persist.h): archived by R2c2Sim, mixed into
+  // snapshot::metrics_digest.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.u32(s.id);
+    v.u16(s.src);
+    v.u16(s.dst);
+    v.u64(s.bytes);
+    v.i64(s.arrival);
+    v.i64(s.completed);
+    v.u32(s.max_reorder_pkts);
+    v.f64(s.avg_assigned_rate_bps);
+    v.flag(s.aborted);
+    v.i64(s.aborted_at);
+  }
 };
 
 // One fault-to-recovery episode (Section 3.2 made dynamic): a cable fails
@@ -57,6 +73,18 @@ struct RecoveryRecord {
 
   TimeNs detection_ns() const { return detected_at - injected_at; }
   TimeNs reconvergence_ns() const { return reconverged_at - injected_at; }
+
+  // Field walk (src/snapshot/persist.h): archived by R2c2Sim, mixed into
+  // snapshot::metrics_digest.
+  template <class Self, class V>
+  static void persist(Self& s, V& v) {
+    v.u32(s.link);
+    v.flag(s.failure);
+    v.i64(s.injected_at);
+    v.i64(s.detected_at);
+    v.i64(s.recovered_at);
+    v.i64(s.reconverged_at);
+  }
 };
 
 struct RunMetrics {

@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <span>
-#include <string>
 #include <utility>
 
 #include "sim/event_kind.h"
@@ -36,6 +35,18 @@ Network::Network(Engine& engine, const Topology& topo, NetworkConfig config)
       congestion_(topo.num_links(), 0.0),
       degrade_(topo.num_links()) {
   set_shard_plan(ShardPlan{.shards = 1, .lane_of = std::vector<std::int32_t>(topo.num_nodes())});
+  engine_.handle(
+      kEvLinkFree,
+      [this](const EventDesc& ev) {
+        const auto link = static_cast<LinkId>(ev.a);
+        ports_[link].busy = false;
+        try_transmit(link);
+      },
+      [this](const EventDesc& ev) { return ev.a < ports_.size(); });
+  engine_.handle(
+      kEvDeliver,
+      [this](const EventDesc& ev) { deliver_(static_cast<NodeId>(ev.b), take_parked(ev.a)); },
+      [this](const EventDesc& ev) { return ev.b < topo_.num_nodes(); });
 }
 
 void Network::set_link_degrade(LinkId link, const LinkDegrade& degrade) {
@@ -134,7 +145,7 @@ void Network::schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt) {
   // Park in the destination lane's store: the deliver event executes
   // there, and only a lane's owner touches its store inside windows.
   const std::uint64_t slot = park_in(parks_, dst_lane, std::move(pkt));
-  engine_.schedule_on(dst_lane, at, EventDesc{kEvDeliver, slot, to}, deliver_parked(to, slot));
+  engine_.schedule_on(dst_lane, at, EventDesc{kEvDeliver, slot, to});
 }
 
 void Network::drain_mailbox(int dst) {
@@ -144,10 +155,8 @@ void Network::drain_mailbox(int dst) {
                       static_cast<std::size_t>(dst)];
     depth += box.size();
     for (MailEntry& e : box) {
-      const NodeId to = e.to;
       const std::uint64_t slot = park_in(parks_, dst, std::move(e.pkt));
-      engine_.schedule_keyed(dst, e.at, e.key, EventDesc{kEvDeliver, slot, to},
-                             deliver_parked(to, slot));
+      engine_.schedule_keyed(dst, e.at, e.key, EventDesc{kEvDeliver, slot, e.to});
     }
     box.clear();  // keeps capacity: steady-state windows do not allocate
   }
@@ -181,8 +190,7 @@ void Network::try_transmit(LinkId link) {
   // serialization + propagation (+ forwarding overhead at the next node).
   // The completion always runs on the lane that owns the port; inside a
   // window that is the current lane, from global context it hops lanes.
-  engine_.schedule_on(link_lane_[link], engine_.now() + tx, EventDesc{kEvLinkFree, link, 0},
-                      link_free(link));
+  engine_.schedule_on(link_lane_[link], engine_.now() + tx, EventDesc{kEvLinkFree, link, 0});
   // Gray degradation: a flap oscillator's dark window or a loss draw loses
   // the packet on the wire — silently, like a dead cable, so the transport
   // has to *infer* it; degrade corruption folds into the checksum path
@@ -291,22 +299,6 @@ SimPacket Network::take_parked(std::uint64_t slot) {
   assert(idx < store.slots.size());
   store.free.push_back(idx);
   return std::move(store.slots[idx]);
-}
-
-Engine::Action Network::rebuild_event(const EventDesc& desc) {
-  switch (desc.kind) {
-    case kEvLinkFree:
-      if (desc.a >= ports_.size()) throw snapshot::SnapshotError("link-free event out of range");
-      return link_free(static_cast<LinkId>(desc.a));
-    case kEvDeliver:
-      if (desc.b >= topo_.num_nodes()) {
-        throw snapshot::SnapshotError("deliver event targets an unknown node");
-      }
-      return deliver_parked(static_cast<NodeId>(desc.b), desc.a);
-    default:
-      throw snapshot::SnapshotError("network cannot rebuild event kind " +
-                                    std::to_string(desc.kind));
-  }
 }
 
 }  // namespace r2c2::sim

@@ -122,6 +122,8 @@ struct NetworkConfig {
   double corruption_rate = 0.0;
 };
 
+// Registers the handlers of kEvLinkFree and kEvDeliver on its engine, so
+// one engine carries one Network.
 class Network {
  public:
   // `deliver` is invoked when a packet reaches the head of `to`'s pipeline
@@ -248,12 +250,12 @@ class Network {
   }
 
   // --- Snapshot support (src/snapshot/) ---
-  // Packets owned by pending engine events live in a slot store rather
-  // than inside the closures, so the events keep (kind, slot, ...)
-  // descriptors. There is one store per engine lane, and a lane takes
-  // packets only from its own store; slot ids carry the store index in
-  // their top bits. Slot ids are memory layout, not state: each event
-  // archives its packet in place of its slot (parked_walk).
+  // Packets owned by pending engine events live in a slot store, and the
+  // events carry the slot as an operand. There is one store per engine
+  // lane, and a lane takes packets only from its own store; slot ids carry
+  // the store index in their top bits. Slot ids are memory layout, not
+  // state: each event archives its packet in place of its slot
+  // (parked_walk).
   std::uint64_t park(SimPacket&& pkt);
   SimPacket take_parked(std::uint64_t slot);
   // Packets parked, in all stores.
@@ -282,10 +284,6 @@ class Network {
       };
     }
   }
-
-  // Rebuilds the closure of a kEvLinkFree / kEvDeliver descriptor; throws
-  // SnapshotError on any other kind or an operand out of range.
-  Engine::Action rebuild_event(const EventDesc& desc);
 
   // Snapshot field walk (src/snapshot/persist.h): ports (queued packets of
   // both classes), the corruption RNG stream(s), traffic and drop
@@ -400,16 +398,6 @@ class Network {
   }
 
   static std::uint64_t park_in(std::vector<ParkStore>& stores, int store, SimPacket&& pkt);
-  // The closures of kEvLinkFree and kEvDeliver events, live and restored.
-  Engine::Action link_free(LinkId link) {
-    return [this, link] {
-      ports_[link].busy = false;
-      try_transmit(link);
-    };
-  }
-  Engine::Action deliver_parked(NodeId to, std::uint64_t slot) {
-    return [this, to, slot] { deliver_(to, take_parked(slot)); };
-  }
   void schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt);
   void try_transmit(LinkId link);
   // Index of the executing lane's per-lane state.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/event_kind.h"
+
 namespace r2c2::sim {
 
 PfqSim::PfqSim(const Topology& topo, const Router& router, PfqSimConfig config)
@@ -12,11 +14,25 @@ PfqSim::PfqSim(const Topology& topo, const Router& router, PfqSimConfig config)
     c_started_ = &config_.metrics->counter("pfq.flows_started");
     c_finished_ = &config_.metrics->counter("pfq.flows_finished");
   }
+  engine_.handle(kEvPfqStart, [this](const EventDesc& ev) { start_flow(arrivals_[ev.a]); });
+  engine_.handle(kEvPfqLinkFree, [this](const EventDesc& ev) {
+    const auto link = static_cast<LinkId>(ev.a);
+    ports_[link].busy = false;
+    try_transmit(link);
+  });
+  engine_.handle(kEvPfqArrive, [this](const EventDesc& ev) {
+    const auto link = static_cast<LinkId>(ev.a);
+    std::deque<SimPacket>& wire = ports_[link].in_flight;
+    SimPacket pkt = std::move(wire.front());
+    wire.pop_front();
+    arrive(link, std::move(pkt));
+  });
 }
 
 void PfqSim::add_flows(const std::vector<FlowArrival>& flows) {
   for (const FlowArrival& f : flows) {
-    engine_.schedule_at(f.start, [this, f] { start_flow(f); });
+    engine_.schedule_at(f.start, EventDesc{kEvPfqStart, arrivals_.size(), 0});
+    arrivals_.push_back(f);
   }
 }
 
@@ -141,12 +157,9 @@ void PfqSim::try_transmit(LinkId link) {
     const Link& l = topo_.link(link);
     const TimeNs tx = transmission_time_ns(pkt.wire_bytes, l.bandwidth);
     data_bytes_ += pkt.wire_bytes;
-    engine_.schedule_in(tx, [this, link] {
-      ports_[link].busy = false;
-      try_transmit(link);
-    });
-    engine_.schedule_in(tx + l.latency,
-                        [this, link, p = std::move(pkt)]() mutable { arrive(link, std::move(p)); });
+    engine_.schedule_in(tx, EventDesc{kEvPfqLinkFree, link, 0});
+    engine_.schedule_in(tx + l.latency, EventDesc{kEvPfqArrive, link, 0});
+    port.in_flight.push_back(std::move(pkt));
     return;
   }
   // Nothing eligible: the port idles until an enqueue or an occupancy drop.

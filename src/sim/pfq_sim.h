@@ -58,6 +58,10 @@ class PfqSim {
     bool busy = false;
     std::uint64_t queued_bytes = 0;
     std::uint64_t max_queued_bytes = 0;
+    // Sent, not yet arrived. The port sends one packet at a time and each
+    // takes the link's latency, so they arrive in send order: a
+    // kEvPfqArrive event takes the front one.
+    std::deque<SimPacket> in_flight;
   };
 
   struct SenderFlow {
@@ -90,6 +94,7 @@ class PfqSim {
   Engine engine_;
   Rng rng_;
 
+  std::vector<FlowArrival> arrivals_;  // kEvPfqStart names an index here
   std::vector<Port> ports_;
   std::unordered_map<std::uint64_t, std::uint64_t> occupancy_;      // (node,flow) -> bytes
   std::unordered_map<std::uint64_t, std::vector<LinkId>> waiters_;  // (node,flow) -> blocked ports

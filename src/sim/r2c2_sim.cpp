@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/engine_gauges.h"
 #include "obs/scope.h"
@@ -66,6 +68,7 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
   net_.set_shard_plan(plan_);
   engine_.set_lane_drain([this](int lane) { net_.drain_mailbox(lane); });
   engine_.set_barrier_apply([this] { apply_pending_ops(); });
+  register_handlers();
   const auto lanes = static_cast<std::size_t>(engine_.num_lanes());
   const auto global = static_cast<std::size_t>(engine_.global_lane());
   lane_ids_.reserve(lanes);
@@ -105,8 +108,8 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
     if (link == kInvalidLink) return;
     // The retransmit copy is parked (not captured) so the pending event
     // keeps a (slot, link) descriptor; its archive holds the packet itself.
-    const EventDesc desc{kEvCtrlRetransmit, net_.park(SimPacket(pkt)), link};
-    engine_.schedule_in(5 * kNsPerUs, desc, rebuild_event(desc));
+    engine_.schedule_in(5 * kNsPerUs,
+                        EventDesc{kEvCtrlRetransmit, net_.park(SimPacket(pkt)), link});
   });
 #if R2C2_TRACING_ENABLED
   if (trace_ != nullptr) {
@@ -149,12 +152,38 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
   }
 }
 
+void R2c2Sim::register_handlers() {
+  engine_.handle(
+      kEvStartFlow, [this](const EventDesc& ev) { start_flow(arrivals_[ev.a]); },
+      [this](const EventDesc& ev) { return ev.a < arrivals_.size(); });
+  engine_.handle(kEvEmitPacket,
+                 [this](const EventDesc& ev) { emit_packet(static_cast<FlowId>(ev.a)); });
+  engine_.handle(
+      kEvCtrlRetransmit,
+      [this](const EventDesc& ev) {
+        net_.send_on_link(static_cast<LinkId>(ev.b), net_.take_parked(ev.a));
+      },
+      [this](const EventDesc& ev) { return ev.b < topo_.num_links(); });
+  using Tick = void (R2c2Sim::*)();
+  constexpr std::pair<EventKind, Tick> ticks[] = {
+      {kEvRecomputeTick, &R2c2Sim::recompute_tick}, {kEvKeepaliveTick, &R2c2Sim::keepalive_tick},
+      {kEvDetectionTick, &R2c2Sim::detection_tick}, {kEvLeaseTick, &R2c2Sim::lease_tick},
+      {kEvGcTick, &R2c2Sim::gc_tick},               {kEvRebuildContext, &R2c2Sim::rebuild_context},
+      {kEvCongestionTick, &R2c2Sim::congestion_tick}};
+  static_assert(std::size(ticks) == kTicks.size());
+  for (const auto& [kind, tick] : ticks) {
+    engine_.handle(kind, [this, kind, tick](const EventDesc&) {
+      armed_[kind] = false;
+      (this->*tick)();
+    });
+  }
+}
+
 void R2c2Sim::add_flows(const std::vector<FlowArrival>& flows) {
   for (const FlowArrival& f : flows) {
     const std::uint64_t index = arrivals_.size();
     arrivals_.push_back(f);
-    engine_.schedule_at(f.start, EventDesc{kEvStartFlow, index, 0},
-                        [this, index] { start_flow(arrivals_[index]); });
+    engine_.schedule_at(f.start, EventDesc{kEvStartFlow, index, 0});
   }
 }
 
@@ -354,7 +383,7 @@ FlowId R2c2Sim::start_flow(const FlowArrival& arrival) {
   broadcast(flow_msg(it->second, PacketType::kFlowStart), spec.src);
 
   schedule_emit(id);
-  schedule_recompute_tick();
+  if (config_.recompute_interval > 0) arm(kEvRecomputeTick, config_.recompute_interval);
   start_fault_ticks();
   return id;
 }
@@ -376,14 +405,20 @@ FlowId R2c2Sim::start_service_flow(NodeId src, NodeId dst, std::uint64_t bytes, 
   return start_flow(a);
 }
 
+void R2c2Sim::attach_service(ServiceClient* client) {
+  service_ = client;
+  engine_.handle(
+      kEvService, [client](const EventDesc& ev) { client->on_service_event(ev.a, ev.b); },
+      [client](const EventDesc& ev) { return client->service_event_valid(ev.a, ev.b); });
+}
+
 void R2c2Sim::schedule_service(TimeNs at, std::uint64_t a, std::uint64_t b) {
   assert(service_ != nullptr && "schedule_service requires an attached service layer");
-  const EventDesc desc{kEvService, a, b};
   const int lane = engine_.global_lane();
   // Clamp to the global lane's clock: a completion-triggered issue applied
   // at a window barrier may target a time the lane already passed.
   const TimeNs t = std::max(at, engine_.lane_now(lane));
-  engine_.schedule_on(lane, t, desc, service_->rebuild_service_event(desc));
+  engine_.schedule_on(lane, t, EventDesc{kEvService, a, b});
 }
 
 void R2c2Sim::notify_service_done(FlowId id, TimeNs at, bool aborted) {
@@ -519,17 +554,11 @@ void R2c2Sim::apply_global(const BroadcastMsg& msg) {
   if (config_.recompute_interval == 0) recompute_rates();
 }
 
-void R2c2Sim::schedule_recompute_tick() {
-  if (config_.recompute_interval == 0 || tick_scheduled_) return;
-  tick_scheduled_ = true;
-  engine_.schedule_in(config_.recompute_interval, EventDesc{kEvRecomputeTick, 0, 0},
-                      [this] { recompute_tick(); });
-}
-
 void R2c2Sim::recompute_tick() {
-  tick_scheduled_ = false;
   recompute_rates();
-  if (!senders_.empty() || !global_view_.empty()) schedule_recompute_tick();
+  if (!senders_.empty() || !global_view_.empty()) {
+    arm(kEvRecomputeTick, config_.recompute_interval);
+  }
 }
 
 void R2c2Sim::recompute_rates() {
@@ -574,8 +603,7 @@ void R2c2Sim::schedule_emit(FlowId id) {
   const TimeNs at = std::max(engine_.now(), flow.next_send);
   // Emission always runs on the sender's home lane, whichever context
   // (flow start, rate recompute, the lane itself) armed it.
-  engine_.schedule_on(plan_.lane(flow.spec.src), at, EventDesc{kEvEmitPacket, id, 0},
-                      [this, id] { emit_packet(id); });
+  engine_.schedule_on(plan_.lane(flow.spec.src), at, EventDesc{kEvEmitPacket, id, 0});
 }
 
 void R2c2Sim::emit_packet(FlowId id) {
@@ -604,8 +632,7 @@ void R2c2Sim::emit_packet(FlowId id) {
       const std::optional<TimeNs> deadline = flow.rel->next_deadline();
       if (deadline.has_value() && !flow.rel->fully_acked()) {
         flow.emit_scheduled = true;
-        engine_.schedule_at(*deadline, EventDesc{kEvEmitPacket, id, 0},
-                            [this, id] { emit_packet(id); });
+        engine_.schedule_at(*deadline, EventDesc{kEvEmitPacket, id, 0});
       }
       return;
     }
@@ -837,40 +864,25 @@ LinkId R2c2Sim::cable_of(LinkId link) const {
 void R2c2Sim::start_fault_ticks() {
   const TimeNs now = engine_.now();
   if (config_.keepalive_interval > 0) {
-    if (!keepalive_tick_scheduled_) {
+    if (!armed_[kEvKeepaliveTick]) {
       // (Re)arming after a quiet period: treat every link as just heard
       // from, so the first deadline scan measures from now, not from the
       // silence while no probes were being sent.
       std::fill(last_heard_.begin(), last_heard_.end(), now);
       keepalive_tick();
     }
-    if (!detection_tick_scheduled_) {
-      detection_tick_scheduled_ = true;
-      engine_.schedule_in(config_.failure_timeout, EventDesc{kEvDetectionTick, 0, 0},
-                          [this] { detection_tick(); });
-    }
+    arm(kEvDetectionTick, config_.failure_timeout);
   }
   if (config_.lease_interval > 0) {
-    if (!lease_tick_scheduled_) {
-      lease_tick_scheduled_ = true;
-      engine_.schedule_in(config_.lease_interval, EventDesc{kEvLeaseTick, 0, 0},
-                          [this] { lease_tick(); });
-    }
-    if (!gc_tick_scheduled_) {
-      gc_tick_scheduled_ = true;
-      engine_.schedule_in(config_.lease_ttl, EventDesc{kEvGcTick, 0, 0}, [this] { gc_tick(); });
-    }
+    arm(kEvLeaseTick, config_.lease_interval);
+    arm(kEvGcTick, config_.lease_ttl);
   }
-  if (config_.congestion_aware && config_.congestion_interval > 0 &&
-      !congestion_tick_scheduled_) {
-    congestion_tick_scheduled_ = true;
-    engine_.schedule_in(config_.congestion_interval, EventDesc{kEvCongestionTick, 0, 0},
-                        [this] { congestion_tick(); });
+  if (config_.congestion_aware && config_.congestion_interval > 0) {
+    arm(kEvCongestionTick, config_.congestion_interval);
   }
 }
 
 void R2c2Sim::keepalive_tick() {
-  keepalive_tick_scheduled_ = false;
   if (!fault_ticks_needed()) return;
   // Probe every directed link. The hardware transmits regardless of what
   // the control plane currently believes: probes over a detected-down
@@ -886,13 +898,10 @@ void R2c2Sim::keepalive_tick() {
     pkt.sent_at = now;
     net_.send_on_link(id, std::move(pkt));
   }
-  keepalive_tick_scheduled_ = true;
-  engine_.schedule_in(config_.keepalive_interval, EventDesc{kEvKeepaliveTick, 0, 0},
-                      [this] { keepalive_tick(); });
+  arm(kEvKeepaliveTick, config_.keepalive_interval);
 }
 
 void R2c2Sim::detection_tick() {
-  detection_tick_scheduled_ = false;
   if (!fault_ticks_needed()) return;
   const TimeNs now = engine_.now();
   for (LinkId id = 0; id < static_cast<LinkId>(topo_.num_links()); ++id) {
@@ -903,13 +912,10 @@ void R2c2Sim::detection_tick() {
   // links the deadline just declared dead are skipped (the rebuild handles
   // them); everything else accrues or sheds suspicion.
   if (config_.adaptive_detection) update_suspicion(now);
-  detection_tick_scheduled_ = true;
-  engine_.schedule_in(config_.keepalive_interval, EventDesc{kEvDetectionTick, 0, 0},
-                      [this] { detection_tick(); });
+  arm(kEvDetectionTick, config_.keepalive_interval);
 }
 
 void R2c2Sim::congestion_tick() {
-  congestion_tick_scheduled_ = false;
   // Runs on the global lane (scheduled from serial phases only), so the
   // whole-rack port scan inside sample_congestion never races a window.
   net_.sample_congestion(kCongestionEwmaAlpha, config_.ecn_threshold_bytes);
@@ -924,9 +930,7 @@ void R2c2Sim::congestion_tick() {
     }
   }
   if (!fault_ticks_needed() && !residual) return;
-  congestion_tick_scheduled_ = true;
-  engine_.schedule_in(config_.congestion_interval, EventDesc{kEvCongestionTick, 0, 0},
-                      [this] { congestion_tick(); });
+  arm(kEvCongestionTick, config_.congestion_interval);
 }
 
 void R2c2Sim::on_keepalive(SimPacket&& pkt) {
@@ -989,7 +993,7 @@ void R2c2Sim::note_detection(LinkId directed, bool failure, TimeNs when) {
   recoveries_.push_back(rec);
   R2C2_TRACE_INSTANT(ctx_trace(), when, topo_.link(directed).to, obs::EventType::kFaultDetect,
                      static_cast<std::uint64_t>(cable), failure ? 1 : 0);
-  schedule_rebuild();
+  arm(kEvRebuildContext, config_.rebuild_delay);
 }
 
 void R2c2Sim::update_suspicion(TimeNs now) {
@@ -1089,15 +1093,7 @@ void R2c2Sim::refresh_active_penalty() {
   }
 }
 
-void R2c2Sim::schedule_rebuild() {
-  if (rebuild_scheduled_) return;
-  rebuild_scheduled_ = true;
-  engine_.schedule_in(config_.rebuild_delay, EventDesc{kEvRebuildContext, 0, 0},
-                      [this] { rebuild_context(); });
-}
-
 void R2c2Sim::rebuild_context() {
-  rebuild_scheduled_ = false;
   R2C2_SCOPED_SPAN(span, &h_rebuild_wall_, ctx_trace(), engine_.now(), 0,
                    obs::EventType::kFaultRebuild, cables_down_);
   // Canonical cable set currently believed down (one direction per cable).
@@ -1119,9 +1115,7 @@ void R2c2Sim::rebuild_context() {
       // The believed-down set disconnects the rack — either a transient
       // (restores will shrink it) or a false-positive pileup. Keep the old
       // decision plane and retry after another detection window.
-      rebuild_scheduled_ = true;
-      engine_.schedule_in(config_.failure_timeout, EventDesc{kEvRebuildContext, 0, 0},
-                          [this] { rebuild_context(); });
+      arm(kEvRebuildContext, config_.failure_timeout);
       return;
     }
     // Old router/trees reference the old topology: tear down in order.
@@ -1171,7 +1165,6 @@ void R2c2Sim::rebuild_link_denom() {
 }
 
 void R2c2Sim::lease_tick() {
-  lease_tick_scheduled_ = false;
   if (!fault_ticks_needed()) return;
   // Re-advertise every live flow; the demand-update broadcast doubles as a
   // lease refresh (and resurrects entries lost to failures).
@@ -1180,13 +1173,10 @@ void R2c2Sim::lease_tick() {
     R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), 0, obs::EventType::kLeaseRefresh, senders_.size(),
                        0);
   }
-  lease_tick_scheduled_ = true;
-  engine_.schedule_in(config_.lease_interval, EventDesc{kEvLeaseTick, 0, 0},
-                      [this] { lease_tick(); });
+  arm(kEvLeaseTick, config_.lease_interval);
 }
 
 void R2c2Sim::gc_tick() {
-  gc_tick_scheduled_ = false;
   if (!fault_ticks_needed() && global_view_.empty()) return;
   gc_scratch_.clear();
   global_view_.expire_stale(engine_.now(), config_.lease_ttl, kInvalidNode, &gc_scratch_);
@@ -1214,10 +1204,7 @@ void R2c2Sim::gc_tick() {
                        gc_scratch_.size(), 0);
   }
   if (!gc_scratch_.empty() && config_.recompute_interval == 0) recompute_rates();
-  if (fault_ticks_needed() || !global_view_.empty()) {
-    gc_tick_scheduled_ = true;
-    engine_.schedule_in(config_.lease_ttl, EventDesc{kEvGcTick, 0, 0}, [this] { gc_tick(); });
-  }
+  if (fault_ticks_needed() || !global_view_.empty()) arm(kEvGcTick, config_.lease_ttl);
 }
 
 // --- Rack-global state ops ------------------------------------------------
@@ -1424,13 +1411,7 @@ void R2c2Sim::persist(Self& s, V& v) {
     v.i64(s.router_epoch_);
     v.u64(s.unfinished_);
     v.i64(s.fault_horizon_);
-    v.flag(s.tick_scheduled_);
-    v.flag(s.keepalive_tick_scheduled_);
-    v.flag(s.detection_tick_scheduled_);
-    v.flag(s.lease_tick_scheduled_);
-    v.flag(s.gc_tick_scheduled_);
-    v.flag(s.rebuild_scheduled_);
-    v.flag(s.congestion_tick_scheduled_);
+    for (const EventKind kind : kTicks) v.flag(s.armed_[kind]);
     v.u32(s.rebroadcast_outstanding_);
     v.u64(s.cables_down_);
     v.fixed(s.next_fseq_, [&v](auto& x) { v.u16(x); });
@@ -1492,26 +1473,9 @@ void R2c2Sim::persist(Self& s, V& v) {
       v.u32(key);
       v.u32(id);
     });
-    v.seq(s.records_, [&v](auto& rec) {
-      v.u32(rec.id);
-      v.u16(rec.src);
-      v.u16(rec.dst);
-      v.u64(rec.bytes);
-      v.i64(rec.arrival);
-      v.i64(rec.completed);
-      v.u32(rec.max_reorder_pkts);
-      v.f64(rec.avg_assigned_rate_bps);
-      v.flag(rec.aborted);
-      v.i64(rec.aborted_at);
-    });
-    const auto& recoveries = v.seq(s.recoveries_, [&v](auto& rec) {
-      v.u32(rec.link);
-      v.flag(rec.failure);
-      v.i64(rec.injected_at);
-      v.i64(rec.detected_at);
-      v.i64(rec.recovered_at);
-      v.i64(rec.reconverged_at);
-    });
+    v.seq(s.records_, [&v](auto& rec) { FlowRecord::persist(rec, v); });
+    const auto& recoveries =
+        v.seq(s.recoveries_, [&v](auto& rec) { RecoveryRecord::persist(rec, v); });
     v.seq(s.open_recoveries_, [&](auto& idx) {
       v.u64(idx);
       v.expect(idx < recoveries.size(), "open recovery index out of range");
@@ -1537,13 +1501,12 @@ void R2c2Sim::persist(Self& s, V& v) {
   FlowTable::persist(s.global_view_, v, "sim.view");
   Network::persist(s.net_, v);
   if (s.injector_) FaultInjector::persist(*s.injector_, v);
-  // The event queue last: a load rebuilds its closures against the
-  // network and service state parsed above. An event that owns a parked
-  // packet archives the packet in place of its slot, so every parked
-  // packet is archived once, with its one event.
+  // The event queue last. An event that owns a parked packet archives the
+  // packet in place of its slot, so every parked packet is archived once,
+  // with its one event.
   auto parked = Network::parked_walk(s.net_, v);
   std::size_t packets = 0;
-  Engine::persist(s.engine_, v, [&](auto& desc, auto& action, int lane) {
+  Engine::persist(s.engine_, v, [&](auto& desc, int lane) {
     if (desc.kind == kEvDeliver || desc.kind == kEvCtrlRetransmit) {
       parked(desc.a, lane);
       ++packets;
@@ -1551,7 +1514,6 @@ void R2c2Sim::persist(Self& s, V& v) {
       v.u64(desc.a);
     }
     v.u64(desc.b);
-    if constexpr (V::kLoading) action = s.rebuild_event(desc);
   });
   if constexpr (!V::kLoading) {
     v.expect(packets == s.net_.parked_packets(), "a parked packet belongs to no pending event");
@@ -1576,59 +1538,6 @@ void R2c2Sim::save(snapshot::ArchiveWriter& w) const {
   persist(*this, v);
 }
 
-Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc) {
-  switch (desc.kind) {
-    case kEvLinkFree:
-    case kEvDeliver:
-      return net_.rebuild_event(desc);
-    case kEvStartFlow: {
-      if (desc.a >= arrivals_.size()) {
-        throw snapshot::SnapshotError("start-flow event references an unknown arrival");
-      }
-      const std::uint64_t index = desc.a;
-      return [this, index] { start_flow(arrivals_[index]); };
-    }
-    case kEvEmitPacket: {
-      const FlowId id = static_cast<FlowId>(desc.a);
-      return [this, id] { emit_packet(id); };
-    }
-    case kEvRecomputeTick:
-      return [this] { recompute_tick(); };
-    case kEvKeepaliveTick:
-      return [this] { keepalive_tick(); };
-    case kEvDetectionTick:
-      return [this] { detection_tick(); };
-    case kEvLeaseTick:
-      return [this] { lease_tick(); };
-    case kEvGcTick:
-      return [this] { gc_tick(); };
-    case kEvRebuildContext:
-      return [this] { rebuild_context(); };
-    case kEvCongestionTick:
-      return [this] { congestion_tick(); };
-    case kEvFaultApply:
-      if (!injector_) {
-        throw snapshot::SnapshotError("fault event archived but no fault script configured");
-      }
-      return injector_->rebuild_event(desc);
-    case kEvService:
-      if (service_ == nullptr) {
-        throw snapshot::SnapshotError("service event archived but no service layer attached");
-      }
-      return service_->rebuild_service_event(desc);
-    case kEvCtrlRetransmit: {
-      const std::uint64_t slot = desc.a;
-      if (desc.b >= topo_.num_links()) {
-        throw snapshot::SnapshotError("control-retransmit event references an unknown link");
-      }
-      const LinkId link = static_cast<LinkId>(desc.b);
-      return [this, slot, link] { net_.send_on_link(link, net_.take_parked(slot)); };
-    }
-    default:
-      throw snapshot::SnapshotError("unknown archived event kind " + std::to_string(desc.kind));
-  }
-}
-
 void R2c2Sim::load(snapshot::ArchiveReader& r) {
   if (engine_.now() != 0 || !records_.empty()) {
     throw snapshot::SnapshotError("load() requires a freshly constructed sim that has not run");
@@ -1647,7 +1556,7 @@ void R2c2Sim::load(snapshot::ArchiveReader& r) {
     throw snapshot::SnapshotError("archive carries service state but no service layer attached");
   }
 
-  // Parse every section and rebuild the event queue's closures; nothing is
+  // Parse every section, the event queue included; nothing is
   // committed until the decision plane has been rebuilt as well.
   snapshot::LoadVisitor v(r);
   persist(*this, v);

@@ -37,6 +37,7 @@
 // modeled, while rate computation stays one water-fill per epoch.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -51,6 +52,7 @@
 #include "obs/trace.h"
 #include "routing/routing.h"
 #include "sim/engine.h"
+#include "sim/event_kind.h"
 #include "sim/fault.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
@@ -193,10 +195,12 @@ class ServiceClient {
   // all bytes (`at` = completion time) or was aborted by the transport.
   virtual void on_flow_complete(FlowId id, TimeNs at) = 0;
   virtual void on_flow_abort(FlowId id, TimeNs at) = 0;
-  // Snapshot seam: rebuild the action for an archived kEvService event.
-  // Also used on the live path — schedule_service builds its closure
-  // through this, so live and restored timers are the same code.
-  virtual Engine::Action rebuild_service_event(const EventDesc& desc) = 0;
+  // Runs one kEvService event (opcode `op`, payload `b`, as passed to
+  // schedule_service), live or restored from a snapshot.
+  virtual void on_service_event(std::uint64_t op, std::uint64_t b) = 0;
+  // The load check of an archived kEvService event: true if
+  // on_service_event can run it.
+  virtual bool service_event_valid(std::uint64_t op, std::uint64_t b) const = 0;
   // Mixed into the sim's config fingerprint.
   virtual std::uint64_t service_fingerprint() const = 0;
   // The client's field walk, run inside the sim's own for save, load and
@@ -213,8 +217,9 @@ class R2c2Sim {
   // Attaches a closed-loop service layer. Must be called before run() and
   // before load(); the client must outlive the sim. The client's
   // fingerprint joins config_fingerprint(), its state joins state_digest()
-  // and the snapshot archive.
-  void attach_service(ServiceClient* client) { service_ = client; }
+  // and the snapshot archive; its on_service_event runs every kEvService
+  // event.
+  void attach_service(ServiceClient* client);
 
   // Issues one flow right now from a service callback or kEvService timer
   // (serial context only; asserts otherwise). Bypasses the arrivals_ list —
@@ -225,9 +230,9 @@ class R2c2Sim {
                             int priority, std::int8_t alg = -1);
 
   // Schedules a service-layer timer on the global lane at time `at` (>= now;
-  // past times clamp to now). The descriptor (kEvService, a, b) archives
-  // with the engine queue and is rebuilt via the client's
-  // rebuild_service_event on load.
+  // past times clamp to now). The event (kEvService, a, b) archives with
+  // the engine queue; live or restored, it runs the client's
+  // on_service_event(a, b).
   void schedule_service(TimeNs at, std::uint64_t a, std::uint64_t b);
 
   // Registers the workload; flows start at their arrival times. Arrivals
@@ -361,11 +366,16 @@ class R2c2Sim {
   FlowId start_flow(const FlowArrival& arrival);
   void notify_service_done(FlowId id, TimeNs at, bool aborted);
   void recompute_tick();
-  // The closure of an event from its descriptor: an archived event's, once
-  // the event walk in persist has read it, and a live control
-  // retransmit's. Throws SnapshotError on an unknown kind or an operand out
-  // of range.
-  Engine::Action rebuild_event(const EventDesc& desc);
+  // Registers the handlers of the sim's own event kinds (the Network and
+  // the FaultInjector register theirs).
+  void register_handlers();
+  // Schedules the one pending event of a self-rescheduling kind (kTicks)
+  // `delay` from now, unless it is armed already.
+  void arm(EventKind kind, TimeNs delay) {
+    if (armed_[kind]) return;
+    armed_[kind] = true;
+    engine_.schedule_in(delay, EventDesc{kind, 0, 0});
+  }
   void finish_sending(FlowId id);
   void abort_flow(FlowId id);
   ReliableSender::Config rel_config(FlowId id) const;
@@ -387,7 +397,6 @@ class R2c2Sim {
   void set_rate(SenderFlow& flow, double rate_bps, TimeNs now);
   double start_rate_estimate(const FlowSpec& spec) const;
   void recompute_rates();
-  void schedule_recompute_tick();
   void add_denom(const FlowSpec& spec, double sign);
 
   // --- Failure detection & recovery ---
@@ -430,7 +439,6 @@ class R2c2Sim {
     }
     return bias;
   }
-  void schedule_rebuild();
   void rebuild_context();
   void rebuild_link_denom();
   // Keepalive/detection/lease ticks keep running while there is traffic to
@@ -563,7 +571,13 @@ class R2c2Sim {
   std::unordered_map<FlowId, std::size_t> record_index_;
   std::size_t unfinished_ = 0;
   TimeNs fault_horizon_ = -1;  // last scripted fault event + margin
-  bool tick_scheduled_ = false;
+  // The sim's self-rescheduling kinds, in archive order: at most one event
+  // of each is pending, and armed_[kind] says whether it is. A kind's
+  // handler clears its flag before the tick runs.
+  static constexpr std::array<EventKind, 7> kTicks = {
+      kEvRecomputeTick, kEvKeepaliveTick,  kEvDetectionTick, kEvLeaseTick,
+      kEvGcTick,        kEvRebuildContext, kEvCongestionTick};
+  std::array<bool, kEvCongestionTick + 1> armed_{};  // indexed by kind
 
   // Failure-detection state (receiver-side, per directed link).
   std::vector<TimeNs> last_heard_;
@@ -587,12 +601,6 @@ class R2c2Sim {
   // while the pristine plane is in force (ids coincide); rebuilt alongside
   // the decision plane, same publication discipline as active_penalty_.
   std::vector<LinkId> plane_link_map_;
-  bool keepalive_tick_scheduled_ = false;
-  bool detection_tick_scheduled_ = false;
-  bool lease_tick_scheduled_ = false;
-  bool gc_tick_scheduled_ = false;
-  bool congestion_tick_scheduled_ = false;
-  bool rebuild_scheduled_ = false;
   // Ground-truth injection times per cable, for recovery latency metrics.
   std::unordered_map<LinkId, TimeNs> injected_fail_at_;
   std::unordered_map<LinkId, TimeNs> injected_restore_at_;

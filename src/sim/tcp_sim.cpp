@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/event_kind.h"
+
 namespace r2c2::sim {
 
 TcpSim::TcpSim(const Topology& topo, const Router& router, TcpSimConfig config)
@@ -20,11 +22,16 @@ TcpSim::TcpSim(const Topology& topo, const Router& router, TcpSimConfig config)
     R2C2_TRACE_INSTANT(trace_, engine_.now(), at, obs::EventType::kPacketDrop,
                        static_cast<std::uint64_t>(pkt.type), pkt.wire_bytes);
   });
+  engine_.handle(kEvTcpStart, [this](const EventDesc& ev) { start_flow(arrivals_[ev.a]); });
+  engine_.handle(kEvTcpRto, [this](const EventDesc& ev) {
+    on_rto(static_cast<FlowId>(ev.a), ev.b);
+  });
 }
 
 void TcpSim::add_flows(const std::vector<FlowArrival>& flows) {
   for (const FlowArrival& f : flows) {
-    engine_.schedule_at(f.start, [this, f] { start_flow(f); });
+    engine_.schedule_at(f.start, EventDesc{kEvTcpStart, arrivals_.size(), 0});
+    arrivals_.push_back(f);
   }
 }
 
@@ -119,8 +126,7 @@ void TcpSim::arm_rto(FlowId id) {
   auto it = senders_.find(id);
   if (it == senders_.end() || it->second.done) return;
   Sender& s = it->second;
-  const std::uint64_t epoch = ++s.rto_epoch;
-  engine_.schedule_in(s.rto, [this, id, epoch] { on_rto(id, epoch); });
+  engine_.schedule_in(s.rto, EventDesc{kEvTcpRto, id, ++s.rto_epoch});
 }
 
 void TcpSim::on_rto(FlowId id, std::uint64_t epoch) {

@@ -100,6 +100,7 @@ class TcpSim {
   Network net_;
   Rng rng_;
 
+  std::vector<FlowArrival> arrivals_;  // kEvTcpStart names an index here
   std::unordered_map<FlowId, Sender> senders_;
   std::unordered_map<FlowId, Receiver> receivers_;
   std::vector<FlowRecord> records_;

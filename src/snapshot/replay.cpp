@@ -7,6 +7,7 @@
 #include "routing/routing.h"
 #include "service/service.h"
 #include "snapshot/archive.h"
+#include "snapshot/persist.h"
 
 namespace r2c2::snapshot {
 
@@ -76,19 +77,8 @@ service::ServiceConfig tenant_service_config(std::uint64_t seed) {
 
 std::uint64_t metrics_digest(const sim::RunMetrics& m) {
   Digest d;
-  d.mix(m.flows.size());
-  for (const sim::FlowRecord& f : m.flows) {
-    d.mix(f.id);
-    d.mix(f.src);
-    d.mix(f.dst);
-    d.mix(f.bytes);
-    d.mix_i64(f.arrival);
-    d.mix_i64(f.completed);
-    d.mix(f.max_reorder_pkts);
-    d.mix_f64(f.avg_assigned_rate_bps);
-    d.mix(f.aborted ? 1 : 0);
-    d.mix_i64(f.aborted_at);
-  }
+  DigestVisitor v(d);
+  v.seq(m.flows, [&v](const auto& f) { sim::FlowRecord::persist(f, v); });
   d.mix(m.max_queue_bytes.size());
   for (std::uint64_t q : m.max_queue_bytes) d.mix(q);
   d.mix(m.data_bytes_on_wire);
@@ -96,15 +86,7 @@ std::uint64_t metrics_digest(const sim::RunMetrics& m) {
   d.mix(m.drops);
   d.mix(m.events);
   d.mix_i64(m.sim_end);
-  d.mix(m.recoveries.size());
-  for (const sim::RecoveryRecord& r : m.recoveries) {
-    d.mix(r.link);
-    d.mix(r.failure ? 1 : 0);
-    d.mix_i64(r.injected_at);
-    d.mix_i64(r.detected_at);
-    d.mix_i64(r.recovered_at);
-    d.mix_i64(r.reconverged_at);
-  }
+  v.seq(m.recoveries, [&v](const auto& r) { sim::RecoveryRecord::persist(r, v); });
   d.mix(m.failures_injected);
   d.mix(m.restores_injected);
   d.mix(m.failures_detected);

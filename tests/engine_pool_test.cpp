@@ -1,8 +1,8 @@
 // Steady-state allocation checks for the event engine and the packet park
 // store, using the counting-allocator idiom (every operator new in this
-// binary bumps g_allocations). Once the heaps, inline action buffers and
-// park free-lists are warm, scheduling/running events and parking/taking
-// packets must not touch the allocator at all.
+// binary bumps g_allocations). Once the heaps, slot arenas and park
+// free-lists are warm, scheduling/running events and parking/taking packets
+// must not touch the allocator at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -71,15 +71,22 @@ namespace {
 
 constexpr int kEventsPerLane = 64;
 
-// Schedules kEventsPerLane counter bumps onto every shard lane in [from,
-// to) and runs them. Lambdas capture one pointer: well inside the Action
-// inline buffer, so a warm heap array makes the whole cycle allocation-free.
-// The counter is shared by lanes that may run on different threads.
-void run_round(Engine& e, std::atomic<std::uint64_t>* counter, TimeNs from, TimeNs to) {
+constexpr std::uint32_t kBump = 1;
+
+// Makes every kBump event add one to `counter`, which lanes that may run on
+// different threads share.
+void count_bumps(Engine& e, std::atomic<std::uint64_t>* counter) {
+  e.handle(kBump, [counter](const EventDesc&) { counter->fetch_add(1); });
+}
+
+// Schedules kEventsPerLane kBump events onto every shard lane in [from, to)
+// and runs them. An event is a plain descriptor, so a warm heap array and
+// slot arena make the whole cycle allocation-free.
+void run_round(Engine& e, TimeNs from, TimeNs to) {
   const TimeNs step = (to - from) / kEventsPerLane;
   for (int lane = 0; lane < e.shards(); ++lane) {
     for (int i = 0; i < kEventsPerLane; ++i) {
-      e.schedule_on(lane, from + i * step, EventDesc{}, [counter] { counter->fetch_add(1); });
+      e.schedule_on(lane, from + i * step, EventDesc{kBump, 0, 0});
     }
   }
   e.run(to);
@@ -91,14 +98,15 @@ TEST(EnginePool, ShardedSteadyStateIsAllocationFree) {
     Engine e;
     e.configure_shards(4, workers, /*lookahead=*/100);
     std::atomic<std::uint64_t> counter{0};
+    count_bumps(e, &counter);
     // Warm-up: start the pool and grow each lane's heap array to its
     // working size.
-    run_round(e, &counter, 0, 10'000);
-    run_round(e, &counter, 10'000, 20'000);
+    run_round(e, 0, 10'000);
+    run_round(e, 10'000, 20'000);
     ASSERT_EQ(counter.load(), 2u * 4 * kEventsPerLane) << "workers=" << workers;
 
     const std::uint64_t before = g_allocations.load();
-    run_round(e, &counter, 20'000, 30'000);
+    run_round(e, 20'000, 30'000);
     EXPECT_EQ(g_allocations.load() - before, 0u)
         << "sharded schedule/run steady state allocated, workers=" << workers;
     EXPECT_EQ(counter.load(), 3u * 4 * kEventsPerLane) << "workers=" << workers;
@@ -108,11 +116,12 @@ TEST(EnginePool, ShardedSteadyStateIsAllocationFree) {
 TEST(EnginePool, SerialSteadyStateIsAllocationFree) {
   Engine e;
   std::atomic<std::uint64_t> counter{0};
-  run_round(e, &counter, 0, 10'000);  // shards() == 1: lane 0 only
-  run_round(e, &counter, 10'000, 20'000);
+  count_bumps(e, &counter);
+  run_round(e, 0, 10'000);  // shards() == 1: lane 0 only
+  run_round(e, 10'000, 20'000);
 
   const std::uint64_t before = g_allocations.load();
-  run_round(e, &counter, 20'000, 30'000);
+  run_round(e, 20'000, 30'000);
   EXPECT_EQ(g_allocations.load() - before, 0u) << "serial schedule/run steady state allocated";
 }
 

@@ -135,10 +135,10 @@ TEST_F(GrayNetworkTest, FlapOscillatorGoesDarkPeriodically) {
   // The flap gate is sampled when serialization *starts* (try_transmit),
   // so keep the port idle between sends: packet one transmits at t=100
   // (dark: 100 % 1000 < 500), packet two at t=1600 (up: 600 >= 500).
-  e.schedule_at(100, sim::EventDesc{0, 0, 0},
-                [&] { net.forward(0, data_packet({0, 1}, 1500)); });
-  e.schedule_at(1600, sim::EventDesc{0, 0, 0},
-                [&] { net.forward(0, data_packet({0, 1}, 1500)); });
+  constexpr std::uint32_t kSend = 99;  // this test's own kind: send one packet
+  e.handle(kSend, [&](const sim::EventDesc&) { net.forward(0, data_packet({0, 1}, 1500)); });
+  e.schedule_at(100, sim::EventDesc{kSend, 0, 0});
+  e.schedule_at(1600, sim::EventDesc{kSend, 0, 0});
   e.run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net.gray_drops(), 1u);

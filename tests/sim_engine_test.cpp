@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -17,12 +16,16 @@ namespace {
 
 // --- Engine ---
 
+// The kind the tests below schedule unless they say otherwise.
+constexpr std::uint32_t kTest = 1;
+
 TEST(Engine, ProcessesInTimeOrder) {
   Engine e;
   std::vector<int> order;
-  e.schedule_at(30, [&] { order.push_back(3); });
-  e.schedule_at(10, [&] { order.push_back(1); });
-  e.schedule_at(20, [&] { order.push_back(2); });
+  e.handle(kTest, [&](const EventDesc& ev) { order.push_back(static_cast<int>(ev.a)); });
+  e.schedule_at(30, EventDesc{kTest, 3, 0});
+  e.schedule_at(10, EventDesc{kTest, 1, 0});
+  e.schedule_at(20, EventDesc{kTest, 2, 0});
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(e.now(), 30);
@@ -31,9 +34,10 @@ TEST(Engine, ProcessesInTimeOrder) {
 TEST(Engine, TiesBreakInScheduleOrder) {
   Engine e;
   std::vector<int> order;
-  e.schedule_at(5, [&] { order.push_back(1); });
-  e.schedule_at(5, [&] { order.push_back(2); });
-  e.schedule_at(5, [&] { order.push_back(3); });
+  e.handle(kTest, [&](const EventDesc& ev) { order.push_back(static_cast<int>(ev.a)); });
+  e.schedule_at(5, EventDesc{kTest, 1, 0});
+  e.schedule_at(5, EventDesc{kTest, 2, 0});
+  e.schedule_at(5, EventDesc{kTest, 3, 0});
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -50,7 +54,7 @@ std::vector<int> run_boundary_tie_order(int workers) {
   struct Mail {
     TimeNs at;
     std::uint64_t key;
-    int tag;
+    std::uint64_t tag;
   };
   // box[src][dst]: written by the src lane inside the window, drained by
   // the dst lane's owner at the barrier — the same single-writer protocol
@@ -61,26 +65,29 @@ std::vector<int> run_boundary_tie_order(int workers) {
     for (int src = 0; src < kShards; ++src) {
       auto& cell = box[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
       for (const Mail& m : cell) {
-        const int tag = m.tag;
-        e.schedule_keyed(dst, m.at, m.key, EventDesc{},
-                         [&delivered, tag] { delivered.push_back(tag); });
+        e.schedule_keyed(dst, m.at, m.key, EventDesc{kTest, m.tag, 0});
       }
       cell.clear();
     }
   });
-  auto post = [&](int dst, TimeNs at, int tag) {
+  auto post = [&](int dst, TimeNs at, std::uint64_t tag) {
     const auto src = static_cast<std::size_t>(e.current_lane());
     box[src][static_cast<std::size_t>(dst)].push_back({at, e.alloc_key(), tag});
   };
+  // kTest delivers tag a; kind 2 posts tag a to lane 0 for t = 15; kind 3
+  // does too, then schedules a kind-2 post of tag b at t = 6.
+  e.handle(kTest, [&](const EventDesc& ev) { delivered.push_back(static_cast<int>(ev.a)); });
+  e.handle(2, [&](const EventDesc& ev) { post(0, 15, ev.a); });
+  e.handle(3, [&](const EventDesc& ev) {
+    post(0, 15, ev.a);
+    e.schedule_at(6, EventDesc{2, ev.b, 0});
+  });
   // Three boundary packets from three shards, all arriving on lane 0 at
   // t = 15; lane 5 posts a second one from a later event in the same
   // window (a later per-lane sequence number, so it sorts last).
-  e.schedule_on(1, 5, EventDesc{}, [&] { post(0, 15, 101); });
-  e.schedule_on(3, 5, EventDesc{}, [&] { post(0, 15, 103); });
-  e.schedule_on(5, 5, EventDesc{}, [&] {
-    post(0, 15, 105);
-    e.schedule_at(6, [&] { post(0, 15, 205); });
-  });
+  e.schedule_on(1, 5, EventDesc{2, 101, 0});
+  e.schedule_on(3, 5, EventDesc{2, 103, 0});
+  e.schedule_on(5, 5, EventDesc{3, 105, 205});
   e.run();
   return delivered;
 }
@@ -106,10 +113,10 @@ TEST(Engine, RejectsShardCountsBeyondTheLaneTag) {
 TEST(Engine, EventsCanScheduleEvents) {
   Engine e;
   int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 5) e.schedule_in(10, chain);
-  };
-  e.schedule_at(0, chain);
+  e.handle(kTest, [&](const EventDesc&) {
+    if (++count < 5) e.schedule_in(10, EventDesc{kTest, 0, 0});
+  });
+  e.schedule_at(0, EventDesc{kTest, 0, 0});
   e.run();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(e.now(), 40);
@@ -118,8 +125,9 @@ TEST(Engine, EventsCanScheduleEvents) {
 TEST(Engine, RunUntilStopsEarly) {
   Engine e;
   int fired = 0;
-  e.schedule_at(10, [&] { ++fired; });
-  e.schedule_at(100, [&] { ++fired; });
+  e.handle(kTest, [&](const EventDesc&) { ++fired; });
+  e.schedule_at(10, EventDesc{kTest, 0, 0});
+  e.schedule_at(100, EventDesc{kTest, 0, 0});
   e.run(50);
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(e.empty());
@@ -128,9 +136,10 @@ TEST(Engine, RunUntilStopsEarly) {
 TEST(Engine, PastSchedulingClampsToNow) {
   Engine e;
   TimeNs seen = -1;
-  e.schedule_at(50, [&] {
-    e.schedule_at(10, [&] { seen = e.now(); });  // in the past
-  });
+  // kTest schedules kind 2 in the past; kind 2 notes when it ran.
+  e.handle(kTest, [&](const EventDesc&) { e.schedule_at(10, EventDesc{2, 0, 0}); });
+  e.handle(2, [&](const EventDesc&) { seen = e.now(); });
+  e.schedule_at(50, EventDesc{kTest, 0, 0});
   e.run();
   EXPECT_EQ(seen, 50);
   // Clamps are no longer silent: the per-lane counter records each one.
@@ -140,7 +149,8 @@ TEST(Engine, PastSchedulingClampsToNow) {
 
 TEST(Engine, CountsEvents) {
   Engine e;
-  for (int i = 0; i < 7; ++i) e.schedule_at(i, [] {});
+  e.handle(kTest, [](const EventDesc&) {});
+  for (int i = 0; i < 7; ++i) e.schedule_at(i, EventDesc{kTest, 0, 0});
   e.run();
   EXPECT_EQ(e.total_events(), 7u);
 }
@@ -163,23 +173,23 @@ std::uint64_t splitmix(std::uint64_t x) {
 // Hold model: every event schedules one follow-up (two for 1 in 8 ids, none
 // for another 1 in 8) until its generation reaches kGenerations. Delays are
 // multiples of 5 ns in [0, 15], so equal-time ties are common. An event is
-// fully described by its EventDesc {kind, id, generation}, so a restored
-// engine rebuilds it exactly. On a sharded engine, shard-lane events stay
-// on their lane; global-lane events (serial phases) spread their follow-ups
-// across all lanes with schedule_on.
+// its EventDesc {kind, id, generation}, and the model handles all three of
+// its kinds, so a restored engine runs it exactly as the original would.
+// On a sharded engine, shard-lane events stay on their lane; global-lane
+// events (serial phases) spread their follow-ups across all lanes with
+// schedule_on.
 class HoldModel {
  public:
   static constexpr std::uint64_t kGenerations = 40;
 
-  explicit HoldModel(Engine& e) : e_(e) {}
-
-  Action make(const EventDesc& d) {
-    return [this, d] { fire(d); };
+  explicit HoldModel(Engine& e) : e_(e) {
+    for (std::uint32_t kind = 1; kind <= 3; ++kind) {
+      e_.handle(kind, [this](const EventDesc& d) { fire(d); });
+    }
   }
 
   void schedule(int lane, TimeNs t, std::uint64_t id, std::uint64_t gen) {
-    const EventDesc d{static_cast<std::uint32_t>(1 + id % 3), id, gen};
-    e_.schedule_on(lane, t, d, make(d));
+    e_.schedule_on(lane, t, EventDesc{static_cast<std::uint32_t>(1 + id % 3), id, gen});
   }
 
   int lane_for(std::uint64_t bits) const {
@@ -203,7 +213,7 @@ class HoldModel {
   Engine& e_;
 };
 
-// An engine plus the model whose closures point at it.
+// An engine plus the model whose events it runs.
 struct HoldRig {
   HoldRig(int shards, int workers) {
     if (shards > 1) engine.configure_shards(shards, workers, /*lookahead=*/10);
@@ -235,8 +245,7 @@ std::uint64_t hold_digest(int shards, int workers, TimeNs restore_at) {
       rig->engine.save(w);
       auto fresh = std::make_unique<HoldRig>(shards, workers);
       snapshot::ArchiveReader r(w.finish());
-      HoldModel& model = fresh->model;
-      fresh->engine.load(r, [&model](const EventDesc& desc, int) { return model.make(desc); });
+      fresh->engine.load(r);
       rig = std::move(fresh);
     }
     rig->engine.run(t);
@@ -276,8 +285,7 @@ TEST(Engine, LoadRejectsMoreEventsThanTheSectionHolds) {
   w.end_section();
   snapshot::ArchiveReader r(w.finish());
   Engine e;
-  EXPECT_THROW(e.load(r, [](const EventDesc&, int) { return Action([] {}); }),
-               snapshot::SnapshotError);
+  EXPECT_THROW(e.load(r), snapshot::SnapshotError);
   EXPECT_TRUE(e.empty());
 }
 
@@ -289,13 +297,14 @@ TEST(EngineArchiveOrder, SamePendingEventsArchiveAlikeWhateverTheHeapLayout) {
     const auto archive = [shards](bool reversed, std::uint64_t& digest) {
       Engine e;
       if (shards > 1) e.configure_shards(shards, 1, /*lookahead=*/10);
+      e.handle(kTest, [](const EventDesc&) {});
       const auto lanes = static_cast<std::uint64_t>(e.num_lanes());
       constexpr std::uint64_t kEvents = 40;
       for (std::uint64_t n = 0; n < kEvents; ++n) {
         const std::uint64_t i = reversed ? kEvents - 1 - n : n;
         const auto time = static_cast<TimeNs>((i * 7) % 5) * 10;
         const std::uint64_t key = (i << Engine::kLaneBits) | ((i * 3) % lanes);
-        e.schedule_keyed(static_cast<int>(i % lanes), time, key, EventDesc{1, i, 0}, [] {});
+        e.schedule_keyed(static_cast<int>(i % lanes), time, key, EventDesc{kTest, i, 0});
       }
       snapshot::Digest d;
       e.mix_digest(d);
@@ -313,7 +322,7 @@ TEST(EngineArchiveOrder, SamePendingEventsArchiveAlikeWhateverTheHeapLayout) {
 using TimedKeys = std::vector<std::pair<TimeNs, std::uint64_t>>;
 
 // An engine section for `lanes` lanes, the first holding `events` as
-// (time, key) pairs with descriptor {1, 0, 0} and the others none.
+// (time, key) pairs with descriptor {kTest, 0, 0} and the others none.
 std::vector<std::uint8_t> engine_archive(int lanes, const TimedKeys& events) {
   snapshot::ArchiveWriter w;
   w.begin_section("engine");
@@ -329,7 +338,7 @@ std::vector<std::uint8_t> engine_archive(int lanes, const TimedKeys& events) {
     for (const auto& [time, key] : events) {
       w.i64(time);
       w.u64(key);
-      w.u32(1);
+      w.u32(kTest);
       w.u64(0);
       w.u64(0);
     }
@@ -344,18 +353,18 @@ std::vector<std::uint8_t> engine_archive(int lanes, const TimedKeys& events) {
 TEST(Engine, LoadRejectsEventsOutOfOrderRepeatedOrOfNoLane) {
   constexpr std::uint64_t k0 = std::uint64_t{0} << Engine::kLaneBits;
   constexpr std::uint64_t k1 = std::uint64_t{1} << Engine::kLaneBits;
-  const auto rebuild = [](const EventDesc&, int) { return Action([] {}); };
   for (const int shards : {1, 4}) {
     const int lanes = shards == 1 ? 1 : shards + 1;
     const auto configured = [shards] {
       auto e = std::make_unique<Engine>();
       if (shards > 1) e->configure_shards(shards, 1, /*lookahead=*/10);
+      e->handle(kTest, [](const EventDesc&) {});
       return e;
     };
     {
       auto e = configured();
       snapshot::ArchiveReader r(engine_archive(lanes, {{5, k0}, {5, k1}, {10, k0}}));
-      e->load(r, rebuild);
+      e->load(r);
       EXPECT_EQ(e->pending(), 3u) << shards << " shards";
     }
     const auto lane_tag_past_the_last = k0 | static_cast<std::uint64_t>(lanes);
@@ -364,7 +373,7 @@ TEST(Engine, LoadRejectsEventsOutOfOrderRepeatedOrOfNoLane) {
                                     TimedKeys{{5, lane_tag_past_the_last}}}) {
       auto e = configured();
       snapshot::ArchiveReader r(engine_archive(lanes, events));
-      EXPECT_THROW(e->load(r, rebuild), snapshot::SnapshotError) << shards << " shards";
+      EXPECT_THROW(e->load(r), snapshot::SnapshotError) << shards << " shards";
       EXPECT_TRUE(e->empty());
       EXPECT_EQ(e->next_seq(), 0u);
     }
@@ -379,62 +388,21 @@ TEST(EngineArchiveOrder, SaveLoadMidRunKeepsThePinnedDigest) {
   }
 }
 
-// --- Action (small-buffer-optimized callable) ---
-
-TEST(Action, LargeCapturesFallBackToHeapAndStillRun) {
-  Engine e;
-  // 256 bytes of captured state: far beyond the inline buffer.
-  std::array<std::uint64_t, 32> big{};
-  big.fill(7);
-  std::uint64_t sum = 0;
-  e.schedule_at(1, [big, &sum] {
-    for (const auto v : big) sum += v;
-  });
-  e.run();
-  EXPECT_EQ(sum, 32u * 7u);
-}
-
-TEST(Action, DestroysCaptureExactlyOnceAcrossHeapMoves) {
-  // shared_ptr use_count tracks copies; after the engine drains, only the
-  // local reference remains — the event's capture was destroyed despite
-  // all the moves the binary heap performs.
-  auto token = std::make_shared<int>(42);
-  {
+// A load accepts only events this engine can run: an event of a kind with
+// no handler, or one whose operands its kind's check refuses, is a
+// SnapshotError that leaves the engine empty.
+TEST(Engine, LoadRejectsEventsNoHandlerCanRun) {
+  const std::vector<std::uint8_t> archive = engine_archive(1, {{5, 0}});
+  for (const bool registered : {false, true}) {
     Engine e;
-    // Interleave enough events to force heap sift-up/down moves.
-    for (int i = 9; i >= 0; --i) {
-      e.schedule_at(i, [token] { ASSERT_EQ(*token, 42); });
+    if (registered) {
+      e.handle(kTest, [](const EventDesc&) {}, [](const EventDesc& ev) { return ev.a > 0; });
     }
-    EXPECT_EQ(token.use_count(), 11);
-    e.run();
-    EXPECT_EQ(token.use_count(), 1);
+    snapshot::ArchiveReader r(archive);
+    EXPECT_THROW(e.load(r), snapshot::SnapshotError) << "registered: " << registered;
+    EXPECT_TRUE(e.empty());
+    EXPECT_EQ(e.next_seq(), 0u);
   }
-  EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(Action, MoveTransfersOwnership) {
-  int fired = 0;
-  Action a([&fired] { ++fired; });
-  Action b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move): testing moved-from state
-  ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(fired, 1);
-  Action c;
-  c = std::move(b);
-  c();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Action, PendingActionsDestroyedWithEngine) {
-  auto token = std::make_shared<int>(1);
-  {
-    Engine e;
-    e.schedule_at(10, [token] {});
-    EXPECT_EQ(token.use_count(), 2);
-    // Never run: the engine's destructor must release the capture.
-  }
-  EXPECT_EQ(token.use_count(), 1);
 }
 
 // --- Network ---

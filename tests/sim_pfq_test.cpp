@@ -2,6 +2,7 @@
 
 #include "common/stats.h"
 #include "sim/pfq_sim.h"
+#include "snapshot/replay.h"
 
 namespace r2c2::sim {
 namespace {
@@ -122,6 +123,27 @@ TEST(PfqSim, WorkConservingUnderSpray) {
   const RunMetrics m = sim.run();
   ASSERT_TRUE(m.flows[0].finished());
   EXPECT_GT(m.flows[0].throughput_bps(), 11e9);  // multipath gain
+}
+
+// Pins the PFQ baseline's whole trajectory: a small sprayed Poisson
+// workload plus a four-to-one incast, so back-pressure parks ports and
+// occupancy drops wake them. Any change to what an event does, or to the
+// order events run in, moves the metrics digest or the event count.
+TEST(PfqSim, FixedWorkloadDigestAndEventsArePinned) {
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  PfqSim sim(topo, router, {});
+  WorkloadConfig wl;
+  wl.num_nodes = topo.num_nodes();
+  wl.num_flows = 40;
+  wl.mean_interarrival = 5 * kNsPerUs;
+  wl.max_bytes = 128 * 1024;
+  std::vector<FlowArrival> flows = generate_poisson_uniform(wl);
+  for (const NodeId src : {1, 2, 3, 4}) flows.push_back(single_flow(src, 5, 256 * 1024)[0]);
+  sim.add_flows(flows);
+  const RunMetrics m = sim.run();
+  EXPECT_EQ(snapshot::metrics_digest(m), 0x083b2d40ef6aff1fULL);
+  EXPECT_EQ(m.events, 4164u);
 }
 
 }  // namespace

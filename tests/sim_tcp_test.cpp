@@ -2,6 +2,7 @@
 
 #include "common/stats.h"
 #include "sim/tcp_sim.h"
+#include "snapshot/replay.h"
 
 namespace r2c2::sim {
 namespace {
@@ -143,6 +144,31 @@ TEST(TcpSim, QueuesFillUpUnlikeR2c2) {
   const RunMetrics m = sim.run();
   const auto max_q = *std::max_element(m.max_queue_bytes.begin(), m.max_queue_bytes.end());
   EXPECT_GT(max_q, 48u * 1024);
+}
+
+// Pins the TCP baseline's whole trajectory: a small Poisson workload plus a
+// four-to-one incast behind 6 KB buffers, so drops, fast retransmits and
+// timeouts (stale ones included) all fire. Any change to what an event
+// does, or to the order events run in, moves the metrics digest or the
+// event count.
+TEST(TcpSim, FixedWorkloadDigestAndEventsArePinned) {
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  TcpSimConfig cfg;
+  cfg.net.data_buffer_bytes = 6 * 1024;
+  TcpSim sim(topo, router, cfg);
+  WorkloadConfig wl;
+  wl.num_nodes = topo.num_nodes();
+  wl.num_flows = 40;
+  wl.mean_interarrival = 5 * kNsPerUs;
+  wl.max_bytes = 128 * 1024;
+  std::vector<FlowArrival> flows = generate_poisson_uniform(wl);
+  for (const NodeId src : {1, 2, 3, 4}) flows.push_back(single_flow(src, 5, 256 * 1024)[0]);
+  sim.add_flows(flows);
+  const RunMetrics m = sim.run();
+  EXPECT_GT(sim.retransmissions(), 0u);
+  EXPECT_EQ(snapshot::metrics_digest(m), 0xbf9046114b3ef190ULL);
+  EXPECT_EQ(m.events, 9847u);
 }
 
 }  // namespace

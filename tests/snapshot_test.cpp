@@ -20,6 +20,7 @@
 #include "common/checksum.h"
 #include "r2c2/stack.h"
 #include "sim/engine.h"
+#include "sim/event_kind.h"
 #include "snapshot/archive.h"
 #include "snapshot/digest.h"
 #include "snapshot/replay.h"
@@ -153,14 +154,14 @@ TEST(DigestLog, FileRoundTripAndFirstDivergence) {
 // --- Engine event-queue round trip ----------------------------------------
 
 TEST(EngineSnapshot, PendingQueueRoundTripsAndReplaysIdentically) {
-  // Two engines execute the same tagged schedule; one is serialized midway
-  // and restored into a third. The restored engine must replay the exact
+  // Two engines execute the same schedule; one is serialized midway and
+  // restored into a third. The restored engine must replay the exact
   // remaining interleaving, including (time, seq) ties.
   constexpr std::uint32_t kKind = 42;
   auto scheduled = [](Engine& e, std::vector<std::uint64_t>& log) {
+    e.handle(kKind, [&log](const EventDesc& d) { log.push_back(d.a); });
     for (std::uint64_t i = 0; i < 8; ++i) {
-      e.schedule_at(static_cast<TimeNs>(10 * (i % 3)), EventDesc{kKind, i, 0},
-                    [&log, i] { log.push_back(i); });
+      e.schedule_at(static_cast<TimeNs>(10 * (i % 3)), EventDesc{kKind, i, 0});
     }
   };
   std::vector<std::uint64_t> ref_log;
@@ -177,25 +178,15 @@ TEST(EngineSnapshot, PendingQueueRoundTripsAndReplaysIdentically) {
 
   std::vector<std::uint64_t> restored_log = src_log;
   Engine restored;
+  restored.handle(kKind, [&restored_log](const EventDesc& d) { restored_log.push_back(d.a); });
   ArchiveReader r(w.finish());
-  restored.load(r, [&restored_log](const EventDesc& d, int) -> Engine::Action {
-    if (d.kind != kKind) throw SnapshotError("unknown kind");
-    const std::uint64_t i = d.a;
-    return [&restored_log, i] { restored_log.push_back(i); };
-  });
+  restored.load(r);
   EXPECT_EQ(restored.now(), src.now());
   EXPECT_EQ(restored.pending(), src.pending());
   EXPECT_EQ(restored.next_seq(), src.next_seq());
   restored.run();
   EXPECT_EQ(restored_log, ref_log);
   EXPECT_EQ(restored.total_events(), ref.total_events());
-}
-
-TEST(EngineSnapshot, OpaqueEventsMakeTheQueueUnsaveable) {
-  Engine e;
-  e.schedule_at(5, [] {});  // untagged: kind 0
-  ArchiveWriter w;
-  EXPECT_THROW(e.save(w), SnapshotError);
 }
 
 // --- R2c2Stack state capture ----------------------------------------------
@@ -566,6 +557,89 @@ TEST(SimSnapshot, DownSetIsolatingANodeIsRejectedWithoutPartialMutation) {
     payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(down_at), down.begin(),
                    down.end());
   }));
+}
+
+// The offset of each pending event's kind in the engine section of a
+// 1-shard archive, in archive order. An event archives its time, key and
+// kind, then its two operands; a delivery and a control retransmit
+// archive their parked packet (98 bytes) in place of the first.
+std::vector<std::size_t> event_kind_offsets(const std::vector<std::uint8_t>& engine) {
+  constexpr std::size_t kPacketBytes = 98;
+  std::vector<std::size_t> offsets;
+  std::size_t at = 8 + 8 + 8;  // clock, key counter, events run
+  const std::uint64_t events = get_le(engine, at, 8);
+  at += 8;
+  for (std::uint64_t i = 0; i < events; ++i) {
+    at += 8 + 8;  // time, key
+    offsets.push_back(at);
+    const std::uint64_t kind = get_le(engine, at, 4);
+    const bool parked = kind == sim::kEvDeliver || kind == sim::kEvCtrlRetransmit;
+    at += 4 + (parked ? kPacketBytes : 8) + 8;
+  }
+  EXPECT_EQ(at, engine.size());
+  return offsets;
+}
+
+// A load accepts only events the sim could run. One pending event of a
+// golden fault snapshot, rewritten to a kind no component handles or to an
+// operand just past the end of what its kind indexes, must be rejected with
+// a SnapshotError that leaves the sim as constructed. The resealed bit-flip
+// sweep cannot show this: it also accepts a flip that loads with a changed
+// digest, which is what a loader that stopped checking would do.
+TEST(SimSnapshot, EventsThatNoHandlerCanRunAreRejected) {
+  const ReplayConfig cfg = scenario_config("fault", 1);
+  // At 100 us start-flow and fault-apply events are still pending beside
+  // the link frees. Arrivals and the fault script are both sorted by time,
+  // so the last pending event of each kind holds the last index: one more
+  // is the length of the list.
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 100 * kNsPerUs);
+  const std::vector<std::uint8_t> engine = payload_of(bytes, "engine");
+  const std::vector<std::size_t> offsets = event_kind_offsets(engine);
+  const auto last_of = [&](std::uint32_t kind) {
+    std::size_t found = 0;
+    for (const std::size_t at : offsets) {
+      if (get_le(engine, at, 4) == kind) found = at;
+    }
+    EXPECT_NE(found, 0u) << "no pending event of kind " << kind;
+    return found;
+  };
+  const Topology torus = make_torus({4, 4}, 10 * kGbps, 100);
+  const std::size_t link_free = last_of(sim::kEvLinkFree);
+  const std::size_t start_flow = last_of(sim::kEvStartFlow);
+  const std::size_t fault_apply = last_of(sim::kEvFaultApply);
+  ASSERT_TRUE(link_free != 0 && start_flow != 0 && fault_apply != 0);
+
+  struct Rewrite {
+    const char* what;
+    std::size_t at;  // the event's kind
+    std::uint32_t kind;
+    std::uint64_t a;
+  };
+  const std::uint64_t freed_link = get_le(engine, link_free + 4, 8);
+  for (const Rewrite& rw : {
+           Rewrite{"kind 0", link_free, 0, freed_link},
+           Rewrite{"a service event in a sim without a service layer", link_free,
+                   sim::kEvService, 0},
+           Rewrite{"kind 99", link_free, 99, freed_link},
+           Rewrite{"link free past the last link", link_free, sim::kEvLinkFree,
+                   torus.num_links()},
+           Rewrite{"start flow past the last arrival", start_flow, sim::kEvStartFlow,
+                   get_le(engine, start_flow + 4, 8) + 1},
+           Rewrite{"fault apply past the script's end", fault_apply, sim::kEvFaultApply,
+                   get_le(engine, fault_apply + 4, 8) + 1},
+       }) {
+    SCOPED_TRACE(rw.what);
+    expect_rejected_cleanly(cfg, rewrite_section(bytes, "engine", [&rw](auto& payload) {
+      put_le(payload, rw.at, rw.kind, 4);
+      put_le(payload, rw.at + 4, rw.a, 8);
+    }));
+  }
+  // The last link is one a link free can name.
+  Scenario fresh(cfg);
+  ArchiveReader r(rewrite_section(bytes, "engine", [&](auto& payload) {
+    put_le(payload, link_free + 4, torus.num_links() - 1, 8);
+  }));
+  EXPECT_NO_THROW(fresh.simulator().load(r));
 }
 
 // --- The headline acceptance test ------------------------------------------

@@ -20,8 +20,7 @@
 //      of each resulting assignment (the EXPERIMENTS.md trade-off table).
 //
 // Emits machine-readable JSON to BENCH_ga.json (override with
-// R2C2_BENCH_OUT), including the final digests of the small "ga" replay
-// scenario that CI pins across commits; the committed baseline lives at
+// R2C2_BENCH_OUT); the committed baseline lives at
 // bench/baselines/BENCH_ga.json and is referenced from EXPERIMENTS.md.
 // The JSON records hardware_threads so baselines from different machines
 // compare fairly.
@@ -36,7 +35,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "control/route_selection.h"
-#include "snapshot/replay.h"
 
 namespace r2c2::bench {
 namespace {
@@ -278,15 +276,6 @@ int run() {
 
   std::printf("\nresults bit-identical across thread counts: %s\n", identical ? "yes" : "NO");
 
-  // Cross-commit pin, checked in CI against `replay run --scenario ga
-  // --seed 13` at 1, 2 and 4 threads: that GA picks RPS or VLB per flow on
-  // a 4x4 torus, so a change to any route-weight value moves its digests,
-  // and no thread count may.
-  snapshot::ReplayConfig pin;
-  pin.scenario = "ga";
-  pin.threads = 4;
-  const snapshot::ReplayResult pinned = snapshot::Scenario(pin).run();
-
   const char* out_path = std::getenv("R2C2_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_ga.json";
   FILE* f = std::fopen(out_path, "w");
@@ -302,12 +291,6 @@ int run() {
   std::fprintf(f, "  \"identical_across_threads\": %s,\n", identical ? "true" : "false");
   std::fprintf(f, "  \"timing_gates\": \"%s\",\n",
                hardware < 2 ? "SKIPPED (1-core host)" : gates_ok ? "pass" : "FAIL");
-  std::fprintf(f,
-               "  \"replay_digest_pin\": {\"scenario\": \"ga\", \"threads\": %d, \"seed\": %llu, "
-               "\"state\": \"%016llx\", \"metrics\": \"%016llx\"},\n",
-               pin.threads, static_cast<unsigned long long>(pin.seed),
-               static_cast<unsigned long long>(pinned.final_digest),
-               static_cast<unsigned long long>(pinned.metrics_digest));
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ThreadResult& r = results[i];

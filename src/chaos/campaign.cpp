@@ -219,9 +219,8 @@ std::vector<std::pair<TimeNs, TimeNs>> disconnected_intervals(const Topology& to
                                                               const sim::FaultScript& script) {
   std::vector<char> down(topo.num_links(), 0);
   auto set_cable = [&](LinkId link, char v) {
-    const Link& l = topo.link(link);
     down[link] = v;
-    const LinkId rev = topo.find_link(l.to, l.from);
+    const LinkId rev = topo.reverse(link);
     if (rev != kInvalidLink) down[rev] = v;
   };
   auto connected = [&] {

@@ -292,28 +292,15 @@ void Router::rps_walk(Path& path, NodeId to, Rng& rng, const SprayBias& bias) co
       t_weight.resize(t_next.size());
       for (std::size_t i = 0; i < t_next.size(); ++i) {
         const LinkId link = topo_.find_link(at, t_next[i]);
-        double b = 0.0;
-        if (link != kInvalidLink) {
-          if (static_cast<std::size_t>(link) < bias.penalty.size()) b += bias.penalty[link];
-          if (bias.congestion_gain > 0.0 && !bias.congestion.empty()) {
-            // Map the decision-plane id into the substrate congestion span.
-            const LinkId sub =
-                (static_cast<std::size_t>(link) < bias.plane_to_substrate.size())
-                    ? bias.plane_to_substrate[link]
-                    : link;
-            if (sub != kInvalidLink && static_cast<std::size_t>(sub) < bias.congestion.size()) {
-              b += bias.congestion_gain * bias.congestion[sub];
-            }
-          }
-        }
+        const double b = link < bias.size() ? bias[link] : 0.0;
         biased = biased || b > 0.0;
         t_weight[i] = 1.0 / (1.0 + b);
         total += t_weight[i];
       }
     }
     if (!biased) {
-      // The uniform draw: bias-free hops (and whole runs with no suspects
-      // and no congestion) stay bit-identical to the base data plane.
+      // The uniform draw: bias-free hops (and whole unbiased runs) stay
+      // bit-identical to the base data plane.
       at = t_next[rng.uniform_int(t_next.size())];
     } else {
       double u = rng.uniform() * total;

@@ -21,6 +21,9 @@
 //  - kEcmp: single shortest path chosen by a hash of the flow id; used by
 //    the TCP baseline (Section 5.2).
 //
+// Spray bias: a caller steers the randomized walks with one per-link bias
+// (SprayBias); the Router knows no other rule for weighing candidates.
+//
 // Threading model: a Router is an immutable shared read structure; any
 // number of threads may pick paths and read weights at once (the GA's
 // evaluator lanes, the simulator's engine lanes, concurrent sweeps).
@@ -91,34 +94,16 @@ struct LinkFraction {
 };
 using LinkWeights = std::vector<LinkFraction>;
 
-// Per-candidate spray bias for the randomized walks (kRps, both kVlb
-// phases, and kWlb's non-grid fallback). Two additive components, owned by
-// the caller (the Router never stores the spans, which keeps it an
-// immutable shared read structure):
-//  - penalty: the detection layer's gray-link demotion, indexed by the
-//    *router's own* (decision-plane) LinkId.
-//  - congestion: the live ECN-style EWMA signal exported by the network
-//    substrate, indexed by *substrate* LinkId. When the router routes a
-//    degraded decision-plane topology whose link ids differ from the
-//    substrate's, plane_to_substrate maps the router's ids into the
-//    congestion span; empty means the ids already coincide.
-// A candidate next hop over link l is drawn with weight
-//   1 / (1 + penalty[l] + congestion_gain * congestion[sub(l)])
-// instead of uniformly: a penalized or hot link still carries traffic (it
-// is demoted, not dead), just proportionally less. Any hop where every
-// candidate's combined bias is zero consumes the same single uniform RNG
-// draw as the unbiased walk, so a run with no suspects and no congestion
-// marks is bit-identical to the base data plane.
-struct SprayBias {
-  std::span<const double> penalty{};             // by decision-plane LinkId
-  std::span<const double> congestion{};          // by substrate LinkId
-  std::span<const LinkId> plane_to_substrate{};  // empty = identity mapping
-  double congestion_gain = 0.0;
-
-  bool empty() const {
-    return penalty.empty() && (congestion.empty() || congestion_gain <= 0.0);
-  }
-};
+// Per-link spray bias for the randomized walks (kRps, both kVlb phases,
+// and kWlb's non-grid fallback), indexed by the router's own LinkId and
+// owned by the caller (the Router never stores it, which keeps it an
+// immutable shared read structure). A candidate next hop over link l is
+// drawn with weight 1 / (1 + bias[l]) instead of uniformly; a link past
+// the end of the span weighs 1. A biased link still carries traffic, just
+// proportionally less. A hop where every candidate's bias is zero makes
+// the same single uniform RNG draw as the unbiased walk, so an empty or
+// all-zero bias is bit-identical to the base data plane.
+using SprayBias = std::span<const double>;
 
 class Router {
  public:

@@ -19,9 +19,8 @@ struct HardState {
 };
 
 void mark_cable(const Topology& topo, std::vector<char>& down, LinkId link, bool is_down) {
-  const Link& l = topo.link(link);
   down[link] = is_down ? 1 : 0;
-  const LinkId reverse = topo.find_link(l.to, l.from);
+  const LinkId reverse = topo.reverse(link);
   if (reverse != kInvalidLink) down[reverse] = is_down ? 1 : 0;
 }
 
@@ -265,7 +264,7 @@ void FaultInjector::arm() {
 
 void FaultInjector::set_cable(LinkId link, bool up) {
   set_direction(link, up);
-  const LinkId reverse = reverse_of(link);
+  const LinkId reverse = topo_.reverse(link);
   if (reverse != kInvalidLink) set_direction(reverse, up);
 }
 
@@ -289,14 +288,14 @@ void FaultInjector::apply(const FaultEvent& ev) {
       break;
     case FaultEvent::Kind::kDegradeLink: {
       net_.set_link_degrade(ev.link, ev.gray);
-      const LinkId reverse = reverse_of(ev.link);
+      const LinkId reverse = topo_.reverse(ev.link);
       if (reverse != kInvalidLink) net_.set_link_degrade(reverse, ev.gray);
       ++degrades_injected_;
       break;
     }
     case FaultEvent::Kind::kClearDegrade: {
       net_.clear_link_degrade(ev.link);
-      const LinkId reverse = reverse_of(ev.link);
+      const LinkId reverse = topo_.reverse(ev.link);
       if (reverse != kInvalidLink) net_.clear_link_degrade(reverse);
       ++degrades_cleared_;
       break;

@@ -18,13 +18,27 @@ constexpr std::uint32_t kBcastWireBytes = 16;
 // completion.
 constexpr int kAckEveryPkts = 4;
 // Adaptive detection clears a suspect link only below this estimated loss
-// (hysteresis against the demotion threshold), and divides a suspect's
-// routing weight by 1 + kSuspectPenalty.
+// (hysteresis against the demotion threshold).
 constexpr double kSuspectClearThreshold = 0.005;
-constexpr double kSuspectPenalty = 8.0;
 // EWMA step of the per-link congestion marks.
 constexpr double kCongestionEwmaAlpha = 0.3;
 }  // namespace
+
+void compose_spray_bias(std::span<const LinkId> plane_to_substrate, std::span<const char> suspect,
+                        std::span<const double> marks, double gain, std::vector<double>& bias) {
+  const bool identity = plane_to_substrate.empty();
+  const bool marked = gain > 0.0 && !marks.empty();
+  bias.assign(identity ? suspect.size() : plane_to_substrate.size(), 0.0);
+  bool any = false;
+  for (std::size_t l = 0; l < bias.size(); ++l) {
+    const std::size_t s = identity ? l : plane_to_substrate[l];
+    double& b = bias[l];
+    if (suspect[s]) b += kSuspectPenalty;
+    if (marked) b += gain * marks[s];
+    any = any || b != 0.0;
+  }
+  if (!any) bias.clear();
+}
 
 R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig config)
     : topo_(topo),
@@ -353,7 +367,6 @@ FlowId R2c2Sim::start_flow(const FlowArrival& arrival) {
   rec.dst = arrival.dst;
   rec.bytes = std::max<std::uint64_t>(arrival.bytes, 1);
   rec.arrival = engine_.now();
-  record_index_[id] = records_.size();
   records_.push_back(rec);
   ++unfinished_;
   c_flows_started_.add(1);
@@ -676,7 +689,7 @@ void R2c2Sim::emit_packet(FlowId id) {
     // rng stream).
     Path& scratch = ctx_scratch();
     cur_router().pick_path_into(alg, flow.spec.src, flow.spec.dst, ctx_rng(), scratch, id,
-                                spray_bias());
+                                spray_bias_);
     pkt.route = encode_path(topo_, scratch);
   }
   flow.sent_bytes = std::max(flow.sent_bytes, offset + payload);
@@ -707,7 +720,7 @@ void R2c2Sim::finish_sending(FlowId id) {
   // Close the rate integral.
   set_rate(flow, 0.0, engine_.now());
   const BroadcastMsg msg = flow_msg(flow, PacketType::kFlowFinish);
-  records_[record_index_[id]].avg_assigned_rate_bps =
+  record(id).avg_assigned_rate_bps =
       flow.rate_integral /
       std::max(1e-9, static_cast<double>(engine_.now() - flow.started_at) / 1e9);
   // Reliable mode finishes only when fully acked, so the lingering
@@ -728,7 +741,7 @@ void R2c2Sim::abort_flow(FlowId id) {
   R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), flow.spec.src, obs::EventType::kFlowAbort,
                      static_cast<std::uint64_t>(id),
                      flow.rel ? flow.rel->retransmissions() : 0);
-  records_[record_index_[id]].avg_assigned_rate_bps =
+  record(id).avg_assigned_rate_bps =
       flow.rate_integral /
       std::max(1e-9, static_cast<double>(engine_.now() - flow.started_at) / 1e9);
   // Announce the teardown like a finish so remote views retire the flow and
@@ -771,7 +784,7 @@ void R2c2Sim::on_data_at_receiver(SimPacket&& pkt) {
   if (rit == receivers_.end()) return;  // reaped; nothing to do
   ReceiverFlow& recv = rit->second;
   recv.reorder.on_packet(pkt.seq / config_.mtu_payload);
-  FlowRecord& rec = records_[record_index_[pkt.flow]];
+  FlowRecord& rec = record(pkt.flow);
 
   bool complete = false;
   if (recv.rel) {
@@ -823,7 +836,7 @@ void R2c2Sim::send_ack(FlowId id, ReceiverFlow& recv, NodeId from, NodeId to) {
   ack.sent_at = engine_.now();
   if (recv.ack_route_epoch != router_epoch_) {
     Path& scratch = ctx_scratch();
-    cur_router().pick_path_into(RouteAlg::kRps, from, to, ctx_rng(), scratch, id, spray_bias());
+    cur_router().pick_path_into(RouteAlg::kRps, from, to, ctx_rng(), scratch, id, spray_bias_);
     recv.ack_route = encode_path(topo_, scratch);
     recv.ack_route_epoch = router_epoch_;
   }
@@ -851,13 +864,8 @@ void R2c2Sim::on_ack_at_sender(SimPacket&& pkt) {
 
 // --- Failure detection & recovery ---------------------------------------
 
-LinkId R2c2Sim::reverse_link(LinkId link) const {
-  const Link& l = topo_.link(link);
-  return topo_.find_link(l.to, l.from);
-}
-
 LinkId R2c2Sim::cable_of(LinkId link) const {
-  const LinkId rev = reverse_link(link);
+  const LinkId rev = topo_.reverse(link);
   return rev == kInvalidLink ? link : std::min(link, rev);
 }
 
@@ -919,6 +927,7 @@ void R2c2Sim::congestion_tick() {
   // Runs on the global lane (scheduled from serial phases only), so the
   // whole-rack port scan inside sample_congestion never races a window.
   net_.sample_congestion(kCongestionEwmaAlpha, config_.ecn_threshold_bytes);
+  update_spray_bias();
   // Keep sampling while there is traffic to steer or residual marks are
   // still decaying toward the exact-zero floor; a fully quiet rack stops
   // ticking so runs terminate.
@@ -962,7 +971,7 @@ void R2c2Sim::on_keepalive(SimPacket&& pkt) {
 void R2c2Sim::note_detection(LinkId directed, bool failure, TimeNs when) {
   if ((cable_down_[directed] != 0) == failure) return;  // already in this state
   const LinkId cable = cable_of(directed);
-  const LinkId rev = reverse_link(directed);
+  const LinkId rev = topo_.reverse(directed);
   const char mark = failure ? 1 : 0;
   cable_down_[directed] = mark;
   if (rev != kInvalidLink) cable_down_[rev] = mark;
@@ -1048,7 +1057,7 @@ void R2c2Sim::update_suspicion(TimeNs now) {
     }
   }
   if (changed) {
-    refresh_active_penalty();
+    update_spray_bias();
     // Re-draw pinned routes (ACK paths, deterministic-protocol caches)
     // around — or back onto — the flipped links. Deliberately NOT a
     // context rebuild: no topology swap, no re-announcements, no
@@ -1057,82 +1066,60 @@ void R2c2Sim::update_suspicion(TimeNs now) {
   }
 }
 
-void R2c2Sim::refresh_active_penalty() {
-  active_penalty_.clear();
-  plane_link_map_.clear();
-  if (cur_topo_) {
-    // The degraded decision plane renumbers links, but congestion marks are
-    // indexed by full-substrate link id: keep a plane -> substrate map in
-    // lockstep with the plane itself (empty while pristine = identity).
-    // Every decision-plane link exists verbatim in the substrate, so the
-    // lookup cannot miss; kInvalidLink is tolerated downstream regardless.
-    const Topology& plane = *cur_topo_;
-    plane_link_map_.resize(plane.num_links());
-    for (LinkId id = 0; id < static_cast<LinkId>(plane.num_links()); ++id) {
-      const Link& l = plane.link(id);
-      plane_link_map_[id] = topo_.find_link(l.from, l.to);
-    }
+void R2c2Sim::update_spray_bias() {
+  compose_spray_bias(plane_.to_substrate, link_suspect_,
+                     config_.congestion_aware ? net_.congestion() : std::span<const double>{},
+                     config_.congestion_gain, spray_bias_);
+}
+
+R2c2Sim::Plane R2c2Sim::make_plane(std::vector<LinkId> down) const {
+  Plane plane;
+  plane.down = std::move(down);
+  if (plane.down.empty()) return plane;
+  plane.topo = std::make_unique<Topology>(make_degraded(topo_, plane.down));
+  plane.router = std::make_unique<Router>(*plane.topo);
+  plane.trees = std::make_unique<BroadcastTrees>(*plane.topo, config_.broadcast_trees);
+  // Every plane link exists verbatim in the substrate.
+  plane.to_substrate.resize(plane.topo->num_links());
+  for (LinkId id = 0; id < static_cast<LinkId>(plane.topo->num_links()); ++id) {
+    const Link& l = plane.topo->link(id);
+    plane.to_substrate[id] = topo_.find_link(l.from, l.to);
   }
-  if (suspects_ == 0) return;
-  const Topology& t = cur_topo();
-  active_penalty_.assign(t.num_links(), 0.0);
-  if (!cur_topo_) {
-    for (LinkId id = 0; id < static_cast<LinkId>(topo_.num_links()); ++id) {
-      if (link_suspect_[id]) active_penalty_[id] = kSuspectPenalty;
-    }
-    return;
-  }
-  // The degraded topology renumbers links: translate each suspected full-
-  // substrate link into the current decision plane's id space (a link that
-  // the rebuild already removed has no counterpart — nothing to penalize).
-  for (LinkId id = 0; id < static_cast<LinkId>(topo_.num_links()); ++id) {
-    if (!link_suspect_[id]) continue;
-    const Link& l = topo_.link(id);
-    const LinkId cur = t.find_link(l.from, l.to);
-    if (cur != kInvalidLink) active_penalty_[cur] = kSuspectPenalty;
-  }
+  return plane;
+}
+
+void R2c2Sim::install_plane(Plane next) {
+  // A swap, not a move-assignment: the old plane leaves with `next` and is
+  // destroyed whole, its trees and router before their topology.
+  std::swap(plane_, next);
+  update_spray_bias();
 }
 
 void R2c2Sim::rebuild_context() {
   R2C2_SCOPED_SPAN(span, &h_rebuild_wall_, ctx_trace(), engine_.now(), 0,
                    obs::EventType::kFaultRebuild, cables_down_);
-  // Canonical cable set currently believed down (one direction per cable).
+  // Canonical cable set currently believed down (one direction per cable);
+  // an empty set drops back to the pristine decision plane.
   std::vector<LinkId> down;
   for (LinkId id = 0; id < static_cast<LinkId>(topo_.num_links()); ++id) {
     if (cable_down_[id] && cable_of(id) == id) down.push_back(id);
   }
-  if (down.empty()) {
-    // Everything healed: drop back to the pristine decision plane.
-    cur_trees_.reset();
-    cur_router_.reset();
-    cur_topo_.reset();
-    cur_down_.clear();
-  } else {
-    std::unique_ptr<Topology> degraded;
-    try {
-      degraded = std::make_unique<Topology>(make_degraded(topo_, down));
-    } catch (const std::logic_error&) {
-      // The believed-down set disconnects the rack — either a transient
-      // (restores will shrink it) or a false-positive pileup. Keep the old
-      // decision plane and retry after another detection window.
-      arm(kEvRebuildContext, config_.failure_timeout);
-      return;
-    }
-    // Old router/trees reference the old topology: tear down in order.
-    cur_trees_.reset();
-    cur_router_.reset();
-    cur_topo_ = std::move(degraded);
-    cur_router_ = std::make_unique<Router>(*cur_topo_);
-    cur_trees_ = std::make_unique<BroadcastTrees>(*cur_topo_, config_.broadcast_trees);
-    cur_down_ = down;
+  Plane next;
+  try {
+    next = make_plane(std::move(down));
+  } catch (const std::logic_error&) {
+    // The believed-down set disconnects the rack — either a transient
+    // (restores will shrink it) or a false-positive pileup. Keep the old
+    // decision plane and retry after another detection window.
+    arm(kEvRebuildContext, config_.failure_timeout);
+    return;
   }
+  // Suspected links that survived keep their demotion in the new plane.
+  install_plane(std::move(next));
   // Invalidate every per-flow cached route (data and ACK): the epoch
   // comparison makes each flow re-derive lazily on its next packet.
   ++router_epoch_;
   c_context_rebuilds_.add(1);
-  // The decision plane's link-id space changed: re-derive the gray-penalty
-  // table against it (suspected links that survived keep their demotion).
-  refresh_active_penalty();
   // The route universe changed: denominators and the waterfill problem are
   // stale in the old link-id space. Rebuild both against the new router.
   rebuild_link_denom();
@@ -1299,7 +1286,7 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
       const FlowId id = static_cast<FlowId>(op.a);
       if (senders_.erase(id) == 0) break;  // stale duplicate
       receivers_.erase(id);
-      FlowRecord& rec = records_[record_index_[id]];
+      FlowRecord& rec = record(id);
       // Only a flow whose receiver never completed is a true abort; a
       // sender giving up after the data arrived (lost final ACKs) just
       // tears down. finished() is stable here (no window runs): if the
@@ -1418,7 +1405,7 @@ void R2c2Sim::persist(Self& s, V& v) {
     v.fixed(s.link_denom_, [&v](auto& x) { v.f64(x); });
     v.fixed(s.last_heard_, [&v](auto& x) { v.i64(x); });
     v.fixed(s.cable_down_, [&v](auto& x) { v.flag(x); });
-    v.seq(s.cur_down_, [&](auto& link) {
+    v.seq(s.plane_.down, [&](auto& link) {
       v.u32(link);
       v.expect(link < s.topo_.num_links(), "archived down-link out of range");
     });
@@ -1473,7 +1460,11 @@ void R2c2Sim::persist(Self& s, V& v) {
       v.u32(key);
       v.u32(id);
     });
-    v.seq(s.records_, [&v](auto& rec) { FlowRecord::persist(rec, v); });
+    FlowId next_id = 1;
+    v.seq(s.records_, [&](auto& rec) {
+      FlowRecord::persist(rec, v);
+      v.expect(rec.id == next_id++, "archived flow records are not numbered 1..N in order");
+    });
     const auto& recoveries =
         v.seq(s.recoveries_, [&v](auto& rec) { RecoveryRecord::persist(rec, v); });
     v.seq(s.open_recoveries_, [&](auto& idx) {
@@ -1561,31 +1552,18 @@ void R2c2Sim::load(snapshot::ArchiveReader& r) {
   snapshot::LoadVisitor v(r);
   persist(*this, v);
   // The decision plane in force at save time, rebuilt from its archived
-  // down-set (construction is deterministic, so identical inputs yield the
-  // identical Router/BroadcastTrees).
-  std::unique_ptr<Topology> plane_topo;
-  std::unique_ptr<Router> plane_router;
-  std::unique_ptr<BroadcastTrees> plane_trees;
-  if (const std::vector<LinkId>& down = v.parsed(cur_down_); !down.empty()) {
-    try {
-      plane_topo = std::make_unique<Topology>(make_degraded(topo_, down));
-    } catch (const std::logic_error& e) {
-      throw snapshot::SnapshotError(
-          std::string("archived down-set is not a valid decision plane: ") + e.what());
-    }
-    plane_router = std::make_unique<Router>(*plane_topo);
-    plane_trees = std::make_unique<BroadcastTrees>(*plane_topo, config_.broadcast_trees);
+  // down set (construction is deterministic, so identical inputs yield the
+  // identical Router and BroadcastTrees).
+  Plane plane;
+  try {
+    plane = make_plane(v.parsed(plane_.down));
+  } catch (const std::logic_error& e) {
+    throw snapshot::SnapshotError(
+        std::string("archived down-set is not a valid decision plane: ") + e.what());
   }
   v.commit();
-
-  // Dependents first: the old router and trees reference the old topology.
-  cur_trees_ = std::move(plane_trees);
-  cur_router_ = std::move(plane_router);
-  cur_topo_ = std::move(plane_topo);
-  record_index_.clear();
-  for (std::size_t i = 0; i < records_.size(); ++i) record_index_[records_[i].id] = i;
-  // active_penalty_ is derived from the restored suspect flags, not archived.
-  refresh_active_penalty();
+  // The spray bias derives from the restored plane, suspect flags and marks.
+  install_plane(std::move(plane));
   // Caches: force a waterfill-problem rebuild on the next recomputation.
   wf_built_version_ = ~0ULL;
 }

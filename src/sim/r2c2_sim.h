@@ -21,6 +21,10 @@
 //    broadcast information about all their ongoing flows"). Per-flow
 //    leases with periodic refresh broadcasts plus stale-entry GC keep the
 //    global view correct when broadcasts themselves are lost.
+//  - One decision plane (topology, router, broadcast trees and the map of
+//    its link ids to the substrate's), built by make_plane for both the
+//    rebuild and load(), and one spray bias per plane link, composed from
+//    gray suspicion and congestion marks when either changes.
 //
 // Execution: events run on the lanes of the engine's shard plan (one lane,
 // the global lane, by default). Each rack-global mutation an event handler
@@ -41,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -178,6 +183,19 @@ struct R2c2SimConfig {
   // Sharing one registry across sims accumulates into the same counters.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+// Adaptive detection divides a suspect link's spray weight by
+// 1 + kSuspectPenalty.
+inline constexpr double kSuspectPenalty = 8.0;
+
+// The spray bias (SprayBias, routing/routing.h) of a decision plane, written
+// into `bias`, one entry per plane link l. With s the substrate link
+// plane_to_substrate[l] (s = l when the map is empty: the plane is the
+// substrate), the entry is kSuspectPenalty if suspect[s], plus
+// gain * marks[s] when marks are given and gain > 0. `bias` is left empty
+// when every entry would be zero.
+void compose_spray_bias(std::span<const LinkId> plane_to_substrate, std::span<const char> suspect,
+                        std::span<const double> marks, double gain, std::vector<double>& bias);
 
 // Seam for a closed-loop service layer (src/service) driving the sim with
 // dynamically issued flows. The sim owns the event loop and the flow
@@ -364,6 +382,9 @@ class R2c2Sim {
   static void persist(Self& s, V& v);
 
   FlowId start_flow(const FlowArrival& arrival);
+  // start_flow numbers flows 1..N in start order, so flow `id`'s record is
+  // records_[id - 1] (load() refuses archives that break this).
+  FlowRecord& record(FlowId id) { return records_[id - 1]; }
   void notify_service_done(FlowId id, TimeNs at, bool aborted);
   void recompute_tick();
   // Registers the handlers of the sim's own event kinds (the Network and
@@ -400,19 +421,35 @@ class R2c2Sim {
   void add_denom(const FlowSpec& spec, double sign);
 
   // --- Failure detection & recovery ---
-  // Decision-plane structures currently in force: the pristine ones until a
-  // failure is detected, the rebuilt degraded ones afterwards. The wire
-  // substrate (ports, link ids, route encoding) always stays the full
-  // topology — the degraded copy only informs decisions, so its paths and
-  // trees translate 1:1 onto surviving physical links.
-  const Topology& cur_topo() const { return cur_topo_ ? *cur_topo_ : topo_; }
-  const Router& cur_router() const { return cur_router_ ? *cur_router_ : router_; }
-  const BroadcastTrees& cur_trees() const { return cur_trees_ ? *cur_trees_ : trees_; }
-  // The substrate link of a decision-plane link id.
+  // The decision plane: the pristine topology, router and trees until a
+  // failure is detected, then ones rebuilt over the degraded topology. The
+  // wire substrate (ports, link ids, route encoding) always stays the full
+  // topology; a degraded plane only informs decisions, so its paths and
+  // trees translate 1:1 onto surviving physical links. Members are in
+  // dependency order, so a plane dies trees and router first, then the
+  // topology they reference.
+  struct Plane {
+    // Canonical down-cable set the plane was built from (empty = pristine).
+    // The debounced rebuild means this can lag cable_down_; archiving it
+    // lets load() rebuild the exact plane in force at save time, not the
+    // one the verdicts would imply.
+    std::vector<LinkId> down;
+    std::unique_ptr<Topology> topo;  // null while pristine
+    std::unique_ptr<Router> router;
+    std::unique_ptr<BroadcastTrees> trees;
+    std::vector<LinkId> to_substrate;  // plane link -> substrate link; empty = identity
+  };
+  // The plane for canonical down set `down`; the pristine one when empty.
+  // Throws std::logic_error when `down` disconnects the rack.
+  Plane make_plane(std::vector<LinkId> down) const;
+  // Swaps `next` in and recomposes the spray bias.
+  void install_plane(Plane next);
+  const Topology& cur_topo() const { return plane_.topo ? *plane_.topo : topo_; }
+  const Router& cur_router() const { return plane_.router ? *plane_.router : router_; }
+  const BroadcastTrees& cur_trees() const { return plane_.trees ? *plane_.trees : trees_; }
   LinkId substrate_link(LinkId plane_link) const {
-    return plane_link_map_.empty() ? plane_link : plane_link_map_[plane_link];
+    return plane_.to_substrate.empty() ? plane_link : plane_.to_substrate[plane_link];
   }
-  LinkId reverse_link(LinkId link) const;
   LinkId cable_of(LinkId link) const;  // canonical id: min of both directions
   void start_fault_ticks();
   void keepalive_tick();
@@ -422,23 +459,11 @@ class R2c2Sim {
   void gc_tick();
   void on_keepalive(SimPacket&& pkt);
   void note_detection(LinkId directed, bool failure, TimeNs when);
-  // Adaptive gray detection: per-tick suspicion update (serial phase only)
-  // and the derived routing-penalty table over the current decision plane.
+  // Adaptive gray detection: per-tick suspicion update (serial phase only).
   void update_suspicion(TimeNs now);
-  void refresh_active_penalty();
-  // The combined fault + congestion bias for randomized route draws.
-  // Spans point at active_penalty_ / the network's congestion vector /
-  // plane_link_map_, all of which are stable between serial phases.
-  SprayBias spray_bias() const {
-    SprayBias bias;
-    bias.penalty = std::span<const double>(active_penalty_);
-    if (config_.congestion_aware) {
-      bias.congestion = net_.congestion();
-      bias.plane_to_substrate = std::span<const LinkId>(plane_link_map_);
-      bias.congestion_gain = config_.congestion_gain;
-    }
-    return bias;
-  }
+  // Recomposes spray_bias_ from the plane, the suspect flags and, in
+  // congestion-aware mode, the network's marks.
+  void update_spray_bias();
   void rebuild_context();
   void rebuild_link_denom();
   // Keepalive/detection/lease ticks keep running while there is traffic to
@@ -517,15 +542,7 @@ class R2c2Sim {
   obs::Histogram& h_recompute_wall_;
   obs::Histogram& h_rebuild_wall_;
 
-  // Rebuilt decision plane after detected failures (null while healthy).
-  std::unique_ptr<Topology> cur_topo_;
-  std::unique_ptr<Router> cur_router_;
-  std::unique_ptr<BroadcastTrees> cur_trees_;
-  // Canonical down-cable set the current decision plane was built from
-  // (empty = pristine). The debounced rebuild means this can lag
-  // cable_down_; archiving it lets load() reconstruct the exact decision
-  // plane in force at save time, not the one the verdicts would imply.
-  std::vector<LinkId> cur_down_;
+  Plane plane_;  // the decision plane in force
   std::optional<FaultInjector> injector_;
   // Bumped on every decision-plane swap; per-flow route caches compare
   // their epoch against it instead of registering for invalidation.
@@ -567,8 +584,7 @@ class R2c2Sim {
   std::vector<std::uint16_t> next_fseq_;                     // per node
   std::vector<double> link_denom_;  // sum of weight*fraction of active flows
   std::vector<FlowArrival> arrivals_;  // registered workload, in add order
-  std::vector<FlowRecord> records_;
-  std::unordered_map<FlowId, std::size_t> record_index_;
+  std::vector<FlowRecord> records_;  // by flow id - 1 (see record)
   std::size_t unfinished_ = 0;
   TimeNs fault_horizon_ = -1;  // last scripted fault event + margin
   // The sim's self-rescheduling kinds, in archive order: at most one event
@@ -591,16 +607,11 @@ class R2c2Sim {
   std::vector<double> deliv_ewma_;         // delivery-indicator EWMA per tick
   std::vector<char> link_suspect_;         // demotion verdict (per direction)
   std::size_t suspects_ = 0;
-  // Derived routing-penalty table indexed by *current decision plane* link
-  // ids (the degraded topology renumbers links); empty when no suspects.
-  // Rebuilt on every suspicion flip and context swap, read by shard lanes
-  // between barriers (same publication discipline as cur_router_).
-  std::vector<double> active_penalty_;
-  // Decision-plane link id -> substrate link id, for looking congestion
-  // marks (substrate-indexed) up from degraded-plane route draws. Empty
-  // while the pristine plane is in force (ids coincide); rebuilt alongside
-  // the decision plane, same publication discipline as active_penalty_.
-  std::vector<LinkId> plane_link_map_;
+  // The spray bias of every randomized route draw, indexed by plane link
+  // (see compose_spray_bias); empty while it would be all zero. Written only
+  // in serial phases, read by shard lanes between barriers (the same
+  // publication discipline as plane_).
+  std::vector<double> spray_bias_;
   // Ground-truth injection times per cable, for recovery latency metrics.
   std::unordered_map<LinkId, TimeNs> injected_fail_at_;
   std::unordered_map<LinkId, TimeNs> injected_restore_at_;

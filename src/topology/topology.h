@@ -63,6 +63,8 @@ class Topology {
   LinkId out_link_by_port(NodeId n, int port) const { return out_links(n)[static_cast<std::size_t>(port)]; }
   // Directed link from -> to, or kInvalidLink.
   LinkId find_link(NodeId from, NodeId to) const;
+  // The other direction of `id`'s cable, or kInvalidLink for a one-way edge.
+  LinkId reverse(LinkId id) const { return find_link(links_[id].to, links_[id].from); }
   // Maximum out-degree across nodes; must be <= 8 for the 3-bit route
   // encoding (Section 4.2).
   int max_degree() const { return max_degree_; }

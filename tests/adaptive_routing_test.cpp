@@ -2,9 +2,12 @@
 //
 // Covers the two router-level contracts the adaptive data plane rests on:
 //  - SprayBias semantics on the folded-Clos path: an empty (or all-zero)
-//    bias reproduces the unbiased rng stream draw for draw; a fault
-//    penalty or congestion mark on one uplink sheds spray from exactly
-//    that directed link, proportionally, without removing it.
+//    bias reproduces the unbiased rng stream draw for draw; a bias on one
+//    uplink sheds spray from exactly that directed link, proportionally,
+//    without removing it, also when the bias is a congestion mark the
+//    simulator composed; two biased uplinks split the spray by their
+//    weights 1/(1 + bias). (gray_failure_test covers how the simulator
+//    composes the bias from gray suspicion and congestion marks.)
 //  - The tiled weight cache (kRps, kVlb, kWlb): resident bytes stay within
 //    the configured budget under LRU eviction, evicted entries re-derive to
 //    identical weights, a kVlb working set makes resident only its own
@@ -25,6 +28,7 @@
 
 #include "common/rng.h"
 #include "routing/routing.h"
+#include "sim/r2c2_sim.h"
 #include "topology/topology.h"
 
 // --- Counting allocator hook ------------------------------------------------
@@ -119,17 +123,13 @@ double edge_share(const Router& router, RouteAlg alg, NodeId src, NodeId dst, No
 TEST(ClosSprayBias, EmptyAndAllZeroBiasMatchBaseDrawForDraw) {
   const Topology topo = small_clos();
   const Router router(topo);
-  const std::vector<double> zero_penalty(topo.num_links(), 0.0);
-  const std::vector<double> zero_congestion(topo.num_links(), 0.0);
+  const std::vector<double> zeros(topo.num_links(), 0.0);
 
   for (const RouteAlg alg : {RouteAlg::kRps, RouteAlg::kVlb}) {
     Rng base_rng(7), empty_rng(7), zero_rng(7);
     Path base, via_empty, via_zero;
-    SprayBias empty_bias;
-    SprayBias zero_bias;
-    zero_bias.penalty = std::span<const double>(zero_penalty);
-    zero_bias.congestion = std::span<const double>(zero_congestion);
-    zero_bias.congestion_gain = 4.0;  // armed, but every mark is exactly 0
+    const SprayBias empty_bias;
+    const SprayBias zero_bias(zeros);
     for (int i = 0; i < 300; ++i) {
       const NodeId src = static_cast<NodeId>(i % 8);
       const NodeId dst = static_cast<NodeId>((i * 5 + 2) % 8);
@@ -137,8 +137,8 @@ TEST(ClosSprayBias, EmptyAndAllZeroBiasMatchBaseDrawForDraw) {
       router.pick_path_into(alg, src, dst, base_rng, base);
       router.pick_path_into(alg, src, dst, empty_rng, via_empty, 0, empty_bias);
       router.pick_path_into(alg, src, dst, zero_rng, via_zero, 0, zero_bias);
-      // Bit-identical rng consumption: zero-suspect / zero-congestion runs
-      // keep the exact trajectory of the unbiased data plane.
+      // Bit-identical rng consumption: unbiased runs keep the exact
+      // trajectory of the base data plane.
       EXPECT_EQ(base, via_empty) << to_string(alg) << " " << i;
       EXPECT_EQ(base, via_zero) << to_string(alg) << " " << i;
     }
@@ -150,15 +150,14 @@ TEST(ClosSprayBias, DegradedUplinkShedsSprayAsymmetrically) {
   // suspected and demoted. Spray through that directed edge must drop to
   // roughly weight/(weight + 1) of the pair, the sibling spine picks up the
   // slack, and the *reverse* direction (spine->leaf, a different directed
-  // link) stays untouched — the penalty is asymmetric by construction.
+  // link) stays untouched — the bias is asymmetric by construction.
   const Topology topo = small_clos();
   const Router router(topo);
   const NodeId leaf0 = 8, leaf1 = 9, spine0 = 12, spine1 = 13;
 
-  std::vector<double> penalty(topo.num_links(), 0.0);
-  penalty[topo.find_link(leaf0, spine0)] = 8.0;  // weight 1/9 vs 1
-  SprayBias bias;
-  bias.penalty = std::span<const double>(penalty);
+  std::vector<double> by_link(topo.num_links(), 0.0);
+  by_link[topo.find_link(leaf0, spine0)] = 8.0;  // weight 1/9 vs 1
+  const SprayBias bias(by_link);
 
   const int kTrials = 4000;
   // 0 lives under leaf0, 2 under leaf1: every path is 0,leaf0,spine,leaf1,2.
@@ -169,7 +168,7 @@ TEST(ClosSprayBias, DegradedUplinkShedsSprayAsymmetrically) {
   EXPECT_GT(up_good, 0.80);
 
   // Reverse flow 2 -> 0 climbs leaf1->spine and descends spine->leaf0; the
-  // penalized directed link (leaf0->spine0) is never on those paths, so the
+  // biased directed link (leaf0->spine0) is never on those paths, so the
   // spine choice stays an unbiased coin flip.
   const double rev_via_spine0 =
       edge_share(router, RouteAlg::kRps, 2, 0, leaf1, spine0, bias, kTrials, 5);
@@ -177,15 +176,18 @@ TEST(ClosSprayBias, DegradedUplinkShedsSprayAsymmetrically) {
 }
 
 TEST(ClosSprayBias, CongestionMarkSteersSprayOffHotUplink) {
+  // A saturated congestion mark on one uplink, composed by the simulator
+  // into the Router's bias span: the walk must shed spray from that link.
   const Topology topo = small_clos();
   const Router router(topo);
   const NodeId leaf0 = 8, spine0 = 12, spine1 = 13;
 
-  std::vector<double> congestion(topo.num_links(), 0.0);
-  congestion[topo.find_link(leaf0, spine0)] = 1.0;  // saturated EWMA mark
-  SprayBias bias;
-  bias.congestion = std::span<const double>(congestion);
-  bias.congestion_gain = 4.0;  // candidate weight 1/(1+4) vs 1
+  const std::vector<char> suspect(topo.num_links(), 0);
+  std::vector<double> marks(topo.num_links(), 0.0);
+  marks[topo.find_link(leaf0, spine0)] = 1.0;  // saturated EWMA mark
+  std::vector<double> by_link;
+  sim::compose_spray_bias({}, suspect, marks, 4.0, by_link);  // weight 1/(1+4) vs 1
+  const SprayBias bias(by_link);
 
   const int kTrials = 4000;
   const double hot = edge_share(router, RouteAlg::kRps, 0, 2, leaf0, spine0, bias, kTrials, 9);
@@ -196,53 +198,20 @@ TEST(ClosSprayBias, CongestionMarkSteersSprayOffHotUplink) {
   EXPECT_GT(cold, 0.75);
 }
 
-TEST(ClosSprayBias, PenaltyAndCongestionCompose) {
-  // Penalty on one uplink, congestion on the other: both demoted, so the
-  // spray splits per the combined weights 1/(1+p) vs 1/(1+g*c) — with
-  // p = 8 and g*c = 8, back to an even (but doubly damped) coin flip.
+TEST(ClosSprayBias, TwoBiasedUplinksSplitByTheirWeights) {
+  // Both uplinks biased, unequally: the spray splits per the weights
+  // 1/(1+8) vs 1/(1+3), so leaf0->spine0 carries 4/13 of it. Ignoring
+  // either bias would read 0.1, 0.8 or 0.5 instead.
   const Topology topo = small_clos();
   const Router router(topo);
   const NodeId leaf0 = 8, spine0 = 12, spine1 = 13;
 
-  std::vector<double> penalty(topo.num_links(), 0.0);
-  std::vector<double> congestion(topo.num_links(), 0.0);
-  penalty[topo.find_link(leaf0, spine0)] = 8.0;
-  congestion[topo.find_link(leaf0, spine1)] = 2.0;
-  SprayBias bias;
-  bias.penalty = std::span<const double>(penalty);
-  bias.congestion = std::span<const double>(congestion);
-  bias.congestion_gain = 4.0;
-
-  const double via0 = edge_share(router, RouteAlg::kRps, 0, 2, leaf0, spine0, bias, 4000, 13);
-  EXPECT_NEAR(via0, 0.5, 0.05);
-}
-
-TEST(ClosSprayBias, PlaneToSubstrateMapRedirectsCongestionLookup) {
-  // Simulates the degraded decision plane: the router's link ids differ
-  // from the substrate ids the congestion span is indexed by. Remap the
-  // leaf0->spine0 uplink to an arbitrary substrate slot and mark only that
-  // slot hot — the walk must still avoid leaf0->spine0.
-  const Topology topo = small_clos();
-  const Router router(topo);
-  const NodeId leaf0 = 8, spine0 = 12;
-  const LinkId uplink = topo.find_link(leaf0, spine0);
-
-  const LinkId fake_substrate_slot = 0;  // any slot != uplink
-  ASSERT_NE(uplink, fake_substrate_slot);
-  std::vector<LinkId> map(topo.num_links());
-  for (LinkId l = 0; l < static_cast<LinkId>(topo.num_links()); ++l) map[l] = l;
-  map[uplink] = fake_substrate_slot;
-
-  std::vector<double> congestion(topo.num_links(), 0.0);
-  congestion[fake_substrate_slot] = 1.0;
-  SprayBias bias;
-  bias.congestion = std::span<const double>(congestion);
-  bias.plane_to_substrate = std::span<const LinkId>(map);
-  bias.congestion_gain = 8.0;
-
-  const double hot = edge_share(router, RouteAlg::kRps, 0, 2, leaf0, spine0, bias, 4000, 17);
-  EXPECT_LT(hot, 0.20);  // weight 1/9 via the remapped mark
-  EXPECT_GT(hot, 0.0);
+  std::vector<double> by_link(topo.num_links(), 0.0);
+  by_link[topo.find_link(leaf0, spine0)] = 8.0;
+  by_link[topo.find_link(leaf0, spine1)] = 3.0;
+  const double via0 =
+      edge_share(router, RouteAlg::kRps, 0, 2, leaf0, spine0, SprayBias(by_link), 4000, 13);
+  EXPECT_NEAR(via0, 4.0 / 13.0, 0.05);
 }
 
 // --- Tiled weight cache ---------------------------------------------------

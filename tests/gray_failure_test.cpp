@@ -300,44 +300,117 @@ TEST(ChaosScriptGray, GrayPhaseNeverPerturbsHardPhases) {
   }
 }
 
-// --- Router penalty hook ----------------------------------------------------
+// --- Spray-bias composition -------------------------------------------------
+
+TEST(SprayBiasComposition, AllZeroInputsLeaveTheBiasEmpty) {
+  const std::vector<char> clean(6, 0);
+  const std::vector<double> no_marks(6, 0.0);
+  std::vector<double> marks(6, 0.0);
+  marks[2] = 0.5;
+  std::vector<double> bias{1.0, 2.0};  // stale contents are replaced
+  // No suspect, every mark zero: empty, so the Router makes its unbiased
+  // draws and skips the per-candidate weights.
+  sim::compose_spray_bias({}, clean, no_marks, 4.0, bias);
+  EXPECT_TRUE(bias.empty());
+  // Marks are ignored without a positive gain, or when the sim passes none.
+  for (const double gain : {0.0, -4.0}) {
+    sim::compose_spray_bias({}, clean, marks, gain, bias);
+    EXPECT_TRUE(bias.empty()) << gain;
+  }
+  sim::compose_spray_bias({}, clean, {}, 4.0, bias);
+  EXPECT_TRUE(bias.empty());
+}
+
+TEST(SprayBiasComposition, PenaltyAndMarkAddPerLink) {
+  // Identity map (the pristine plane): link 1 suspect, link 3 marked, link
+  // 4 both. Each entry is the sum the Router weighs as 1/(1 + bias).
+  std::vector<char> suspect(6, 0);
+  suspect[1] = suspect[4] = 1;
+  std::vector<double> marks(6, 0.0);
+  marks[3] = 2.0;
+  marks[4] = 0.25;
+  std::vector<double> bias;
+  sim::compose_spray_bias({}, suspect, marks, 4.0, bias);
+  ASSERT_EQ(bias.size(), 6u);
+  EXPECT_EQ(bias[0], 0.0);
+  EXPECT_EQ(bias[1], sim::kSuspectPenalty);
+  EXPECT_EQ(bias[2], 0.0);
+  EXPECT_EQ(bias[3], 8.0);
+  EXPECT_EQ(bias[4], sim::kSuspectPenalty + 1.0);
+  EXPECT_EQ(bias[5], 0.0);
+  // A zero or negative gain leaves the penalties alone.
+  for (const double gain : {0.0, -4.0}) {
+    sim::compose_spray_bias({}, suspect, marks, gain, bias);
+    EXPECT_EQ(bias, (std::vector<double>{0.0, sim::kSuspectPenalty, 0.0, 0.0,
+                                         sim::kSuspectPenalty, 0.0}))
+        << gain;
+  }
+}
+
+TEST(SprayBiasComposition, RemappedPlaneReadsSubstrateFlagsAndMarks) {
+  // A degraded plane of three links over a six-link substrate: plane link
+  // l reads the flag and mark of substrate link map[l]. Suspect substrate
+  // link 1 has no plane link and adds nothing.
+  const std::vector<LinkId> map{5, 0, 2};
+  std::vector<char> suspect(6, 0);
+  suspect[5] = suspect[1] = 1;
+  std::vector<double> marks(6, 0.0);
+  marks[2] = 1.0;
+  marks[0] = 0.5;
+  std::vector<double> bias;
+  sim::compose_spray_bias(map, suspect, marks, 8.0, bias);
+  EXPECT_EQ(bias, (std::vector<double>{sim::kSuspectPenalty, 4.0, 8.0}));
+  // Only the unmapped suspect left: every plane entry is zero.
+  suspect[5] = 0;
+  sim::compose_spray_bias(map, suspect, {}, 8.0, bias);
+  EXPECT_TRUE(bias.empty());
+}
+
+// --- The composed bias on the torus walk ------------------------------------
 
 TEST(RouterPenalty, EmptyAndZeroPenaltyMatchBaseDrawForDraw) {
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
   const Router router(topo);
   const std::vector<double> zeros(topo.num_links(), 0.0);
-  Rng base_rng(5), empty_rng(5), zero_rng(5);
-  Path base, via_empty, via_zero;
+  // A span shorter than the link table: the links past its end weigh 1.
+  const SprayBias short_zeros = SprayBias(zeros).first(topo.num_links() / 2);
+  Rng base_rng(5), empty_rng(5), zero_rng(5), short_rng(5);
+  Path base, via_empty, via_zero, via_short;
   for (int i = 0; i < 200; ++i) {
     const NodeId src = static_cast<NodeId>(i % 16);
     const NodeId dst = static_cast<NodeId>((i * 7 + 3) % 16);
     if (src == dst) continue;
     router.pick_path_into(RouteAlg::kRps, src, dst, base_rng, base);
-    router.pick_path_into(RouteAlg::kRps, src, dst, empty_rng, via_empty, 0,
-                          SprayBias{.penalty = {}});
-    router.pick_path_into(RouteAlg::kRps, src, dst, zero_rng, via_zero, 0,
-                          SprayBias{.penalty = zeros});
-    // Same RNG draw sequence in all three: bit-identical paths, so turning
-    // the penalty plumbing on with no suspects never changes a trajectory.
+    router.pick_path_into(RouteAlg::kRps, src, dst, empty_rng, via_empty, 0, SprayBias{});
+    router.pick_path_into(RouteAlg::kRps, src, dst, zero_rng, via_zero, 0, zeros);
+    router.pick_path_into(RouteAlg::kRps, src, dst, short_rng, via_short, 0, short_zeros);
+    // Same RNG draw sequence in all four: bit-identical multi-hop walks, so
+    // a bias with no suspect and no mark never changes a trajectory.
     EXPECT_EQ(base, via_empty);
     EXPECT_EQ(base, via_zero);
+    EXPECT_EQ(base, via_short);
   }
 }
 
 TEST(RouterPenalty, PenalizedLinkIsAvoidedProportionally) {
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
   const Router router(topo);
-  // Penalize 0->1 heavily; 0 and 5 are torus neighbors of the 0->1->5 and
-  // 0->4->5 two-hop square, so RPS picks between two first hops.
-  std::vector<double> penalty(topo.num_links(), 0.0);
+  // Suspect 0->1; 0 and 5 are the corners of the 0->1->5 and 0->4->5
+  // two-hop square, so RPS picks between two first hops. The simulator's
+  // composition turns the flag into the penalty the walk weighs.
+  std::vector<char> suspect(topo.num_links(), 0);
   const LinkId bad = topo.find_link(0, 1);
-  penalty[bad] = 8.0;  // weight 1/9 vs 1: ~10% of the former traffic
+  suspect[bad] = 1;
+  std::vector<double> penalty;
+  sim::compose_spray_bias({}, suspect, {}, 0.0, penalty);
+  ASSERT_EQ(penalty.size(), topo.num_links());
+  ASSERT_EQ(penalty[bad], sim::kSuspectPenalty);  // weight 1/9 vs 1: ~10% of the traffic
   Rng rng(11);
   Path path;
   int through_bad = 0;
   const int kTrials = 2000;
   for (int i = 0; i < kTrials; ++i) {
-    router.pick_path_into(RouteAlg::kRps, 0, 5, rng, path, 0, SprayBias{.penalty = penalty});
+    router.pick_path_into(RouteAlg::kRps, 0, 5, rng, path, 0, penalty);
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       if (path[h] == 0 && path[h + 1] == 1) ++through_bad;
     }

@@ -559,6 +559,35 @@ TEST(SimSnapshot, DownSetIsolatingANodeIsRejectedWithoutPartialMutation) {
   }));
 }
 
+// start_flow numbers flows 1..N in start order, and the sim finds flow
+// id's record at index id - 1. A load must refuse records numbered any
+// other way: one archived record id, rewritten to another record's id, is
+// rejected without partial mutation.
+TEST(SimSnapshot, RecordsNotNumberedOneToNAreRejected) {
+  const ReplayConfig cfg = scenario_config("tenant", 1);
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+  // sim.flows ends with the flow records (53 bytes each, the u32 id first)
+  // and then four containers, empty in a run without faults, of a u64
+  // count each: recoveries, open recoveries and the two injection maps.
+  constexpr std::size_t kRecordBytes = 53;
+  const std::vector<std::uint8_t> flows = payload_of(bytes, "sim.flows");
+  const std::size_t records_end = flows.size() - 4 * 8;
+  for (std::size_t at = records_end; at < flows.size(); at += 8) {
+    ASSERT_EQ(get_le(flows, at, 8), 0u);
+  }
+  const std::uint64_t n = get_le(flows, records_end - kRecordBytes, 4);  // the last id
+  ASSERT_GE(n, 2u);
+  const std::size_t records_at = records_end - n * kRecordBytes;
+  ASSERT_EQ(get_le(flows, records_at - 8, 8), n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(get_le(flows, records_at + i * kRecordBytes, 4), i + 1);
+  }
+  // The first record claims to be flow 2.
+  expect_rejected_cleanly(cfg, rewrite_section(bytes, "sim.flows", [&](auto& payload) {
+    put_le(payload, records_at, 2, 4);
+  }));
+}
+
 // The offset of each pending event's kind in the engine section of a
 // 1-shard archive, in archive order. An event archives its time, key and
 // kind, then its two operands; a delivery and a control retransmit

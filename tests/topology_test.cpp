@@ -41,9 +41,24 @@ TEST(Topology, DimensionOfSizeOneIgnored) {
 TEST(Topology, EveryLinkHasReverse) {
   const Topology t = make_torus({3, 3, 3}, kGbps, 100);
   for (LinkId l = 0; l < t.num_links(); ++l) {
-    const Link& link = t.link(l);
-    EXPECT_NE(t.find_link(link.to, link.from), kInvalidLink);
+    const LinkId rev = t.reverse(l);
+    ASSERT_NE(rev, kInvalidLink);
+    EXPECT_EQ(t.link(rev).from, t.link(l).to);
+    EXPECT_EQ(t.link(rev).to, t.link(l).from);
+    EXPECT_EQ(t.reverse(rev), l);
   }
+  // A one-way edge has no reverse.
+  Topology one_way;
+  const NodeId a = one_way.add_node();
+  const NodeId b = one_way.add_node();
+  const LinkId ab = one_way.add_link(a, b, kGbps, 100);
+  one_way.add_link(b, a, kGbps, 100);
+  const NodeId c = one_way.add_node();
+  const LinkId bc = one_way.add_link(b, c, kGbps, 100);
+  one_way.add_link(c, a, kGbps, 100);
+  one_way.finalize();
+  EXPECT_NE(one_way.reverse(ab), kInvalidLink);
+  EXPECT_EQ(one_way.reverse(bc), kInvalidLink);
 }
 
 TEST(Topology, CoordsRoundTrip) {

@@ -70,11 +70,9 @@ sim::R2c2SimConfig stack_config(bool adaptive) {
   cfg.max_retransmits = 32;
   cfg.retransmit_jitter = true;
   cfg.keepalive_interval = 10 * kNsPerUs;
-  cfg.rebuild_delay = 20 * kNsPerUs;
   cfg.lease_interval = 100 * kNsPerUs;
   cfg.adaptive_detection = adaptive;
   cfg.congestion_aware = adaptive;
-  cfg.congestion_interval = 20 * kNsPerUs;
   cfg.ecn_threshold_bytes = 4 * 1024;
   return cfg;
 }

@@ -68,7 +68,6 @@ sim::R2c2SimConfig gray_config(bool adaptive) {
   cfg.max_retransmits = 32;
   cfg.retransmit_jitter = true;
   cfg.keepalive_interval = 10 * kNsPerUs;
-  cfg.rebuild_delay = 20 * kNsPerUs;
   cfg.lease_interval = 100 * kNsPerUs;
   cfg.adaptive_detection = adaptive;
   return cfg;

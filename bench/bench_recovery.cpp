@@ -54,7 +54,6 @@ sim::R2c2SimConfig recovery_config() {
   sim::R2c2SimConfig cfg;
   cfg.reliable = true;  // in-flight packets die on the cut cable
   cfg.keepalive_interval = 10 * kNsPerUs;
-  cfg.rebuild_delay = 20 * kNsPerUs;
   cfg.lease_interval = 100 * kNsPerUs;
   cfg.rto = 200 * kNsPerUs;
   return cfg;

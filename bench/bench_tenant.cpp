@@ -15,11 +15,11 @@
 //      EXPERIMENTS.md (the SLO table).
 //
 //   2. Worker-count digest identity on the "tenant" snapshot scenario
-//      (4 shards): state digests, metrics digests and the per-tenant
-//      reports must be bit-identical at 1 and 4 workers while the service
-//      layer issues every flow from completion callbacks. Hard gate
-//      (non-zero exit on divergence), alongside a completion sanity gate
-//      (every tenant finishes work at every load).
+//      (4 shards): the digest trail, final state digest and metrics digest
+//      must be bit-identical at 1 and 4 workers (snapshot::divergence)
+//      while the service layer issues every flow from completion
+//      callbacks. Hard gate (non-zero exit on divergence), alongside a
+//      completion sanity gate (every tenant finishes work at every load).
 //
 // Emits JSON to BENCH_tenant.json (override with R2C2_BENCH_OUT); the
 // committed baseline lives at bench/baselines/BENCH_tenant.json.
@@ -107,28 +107,13 @@ service::SloReport run_load_point(const Topology& topo, const Router& router,
   return layer.report();
 }
 
-struct DigestResult {
-  std::uint64_t state_w1 = 0, state_w4 = 0;
-  std::uint64_t metrics_w1 = 0, metrics_w4 = 0;
-  bool identical = false;
-};
-
-DigestResult worker_digest_check() {
-  auto digest_at = [](int workers, std::uint64_t& state, std::uint64_t& metrics) {
-    snapshot::ReplayConfig rc;
-    rc.scenario = "tenant";
-    rc.engine_shards = 4;
-    rc.engine_workers = workers;
-    snapshot::Scenario sc(rc);
-    const snapshot::ReplayResult res = sc.run();
-    state = res.final_digest;
-    metrics = res.metrics_digest;
-  };
-  DigestResult res;
-  digest_at(1, res.state_w1, res.metrics_w1);
-  digest_at(4, res.state_w4, res.metrics_w4);
-  res.identical = res.state_w1 == res.state_w4 && res.metrics_w1 == res.metrics_w4;
-  return res;
+// The "tenant" snapshot scenario on 4 shards at `workers` engine workers.
+snapshot::ReplayResult run_tenant_scenario(int workers) {
+  snapshot::ReplayConfig rc;
+  rc.scenario = "tenant";
+  rc.engine_shards = 4;
+  rc.engine_workers = workers;
+  return snapshot::Scenario(rc).run();
 }
 
 int run() {
@@ -170,15 +155,19 @@ int run() {
     std::fprintf(stderr, "COMPLETION GATE FAILED: a tenant finished zero requests\n");
   }
 
-  const DigestResult dig = worker_digest_check();
+  const snapshot::ReplayResult w1 = run_tenant_scenario(1);
+  const snapshot::ReplayResult w4 = run_tenant_scenario(4);
+  const std::string diverged = snapshot::divergence(w1, w4);
+  const bool identical = diverged.empty();
   std::printf("tenant 1v4 workers: state %016llx/%016llx metrics %016llx/%016llx %s\n",
-              static_cast<unsigned long long>(dig.state_w1),
-              static_cast<unsigned long long>(dig.state_w4),
-              static_cast<unsigned long long>(dig.metrics_w1),
-              static_cast<unsigned long long>(dig.metrics_w4),
-              dig.identical ? "IDENTICAL" : "DIVERGED");
-  if (!dig.identical) {
-    std::fprintf(stderr, "WORKER DIGEST GATE FAILED: tenant scenario diverged\n");
+              static_cast<unsigned long long>(w1.final_digest),
+              static_cast<unsigned long long>(w4.final_digest),
+              static_cast<unsigned long long>(w1.metrics_digest),
+              static_cast<unsigned long long>(w4.metrics_digest),
+              identical ? "IDENTICAL" : "DIVERGED");
+  if (!identical) {
+    std::fprintf(stderr, "WORKER DIGEST GATE FAILED: tenant scenario at 4 workers: %s\n",
+                 diverged.c_str());
   }
 
   const char* out_path = std::getenv("R2C2_BENCH_OUT");
@@ -216,16 +205,16 @@ int run() {
                "  \"worker_digest_identity\": {\"scenario\": \"tenant\", \"shards\": 4, "
                "\"workers\": [1, 4], \"state_w1\": \"%016llx\", \"state_w4\": \"%016llx\", "
                "\"metrics_w1\": \"%016llx\", \"metrics_w4\": \"%016llx\", \"identical\": %s},\n",
-               static_cast<unsigned long long>(dig.state_w1),
-               static_cast<unsigned long long>(dig.state_w4),
-               static_cast<unsigned long long>(dig.metrics_w1),
-               static_cast<unsigned long long>(dig.metrics_w4),
-               dig.identical ? "true" : "false");
+               static_cast<unsigned long long>(w1.final_digest),
+               static_cast<unsigned long long>(w4.final_digest),
+               static_cast<unsigned long long>(w1.metrics_digest),
+               static_cast<unsigned long long>(w4.metrics_digest),
+               identical ? "true" : "false");
   std::fprintf(f, "  \"all_tenants_completed\": %s\n", all_completed ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
-  return (dig.identical && all_completed) ? 0 : 1;
+  return (identical && all_completed) ? 0 : 1;
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
 #include "chaos/campaign.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/rng.h"
-#include "routing/routing.h"
 #include "snapshot/archive.h"
 #include "snapshot/replay.h"
 #include "topology/topology.h"
@@ -56,7 +53,6 @@ ScenarioSpec make_gray_scenario(const CampaignConfig& config, int index) {
   sc.max_rto = 5000 * kNsPerUs;
   sc.retransmit_jitter = true;
   sc.keepalive_interval = 10 * kNsPerUs;
-  sc.rebuild_delay = 20 * kNsPerUs;
   sc.adaptive_detection = true;
   sc.lease_interval = 100 * kNsPerUs;
   sc.net.corruption_rate = 2e-4;
@@ -89,123 +85,48 @@ ScenarioSpec make_gray_scenario(const CampaignConfig& config, int index) {
   return spec;
 }
 
-RunOutcome run_scenario(const ScenarioSpec& spec, int workers, TimeNs digest_every) {
-  const Topology topo = campaign_torus();
-  const Router router(topo);
-  sim::R2c2SimConfig sc = spec.sim_config;
-  sc.engine_workers = workers;
-  sim::R2c2Sim sim(topo, router, sc);
-  sim.add_flows(spec.arrivals);
-
-  RunOutcome out;
-  TimeNs t = sim.now();
-  while (!sim.idle() && t < kScenarioRunCap) {
-    t += digest_every;
-    sim.run_until(t);
-    out.digests.record(sim.now(), sim.state_digest());
-  }
-  out.final_digest = sim.state_digest();
-  out.metrics = sim.collect_metrics();
-  out.metrics_digest = snapshot::metrics_digest(out.metrics);
-  return out;
-}
-
 namespace {
 
-// Resume leg of the resume-digest invariant: run to `snap_at` (a digest
-// boundary), archive in memory, restore into a fresh simulator built from
-// the same spec, run the tail. Digest trail covers the tail only.
-RunOutcome run_resumed(const ScenarioSpec& spec, int workers, TimeNs digest_every,
-                       TimeNs snap_at) {
-  const Topology topo = campaign_torus();
-  const Router router(topo);
+// One campaign run of `spec` on the campaign torus at `workers`, digested
+// on the absolute digest_every grid.
+snapshot::Scenario make_run(const ScenarioSpec& spec, int workers, TimeNs digest_every) {
   sim::R2c2SimConfig sc = spec.sim_config;
   sc.engine_workers = workers;
+  return snapshot::Scenario(campaign_torus(), std::move(sc), spec.arrivals, digest_every);
+}
 
-  std::vector<std::uint8_t> archived;
+// resume-digest over one spec, empty when it holds: run a head to the
+// straight run's middle digest boundary, archive it in memory, restore it
+// into a fresh run of the same spec and compare the tail.
+std::string resume_divergence(const ScenarioSpec& spec, const CampaignConfig& config,
+                              const snapshot::ReplayResult& straight) {
+  if (straight.digests.points.size() < 4) return {};  // too short to cut
+  const TimeNs snap_at = straight.digests.points[straight.digests.points.size() / 2].at;
+  snapshot::ArchiveWriter w;
   {
-    sim::R2c2Sim head(topo, router, sc);
-    head.add_flows(spec.arrivals);
-    TimeNs t = head.now();
-    while (!head.idle() && t < snap_at) {
-      t += digest_every;
-      head.run_until(t);
-    }
-    snapshot::ArchiveWriter w;
-    head.save(w);
-    archived = w.finish();
+    snapshot::Scenario head = make_run(spec, config.base_workers, config.digest_every);
+    head.run(snap_at);
+    head.simulator().save(w);
   }
-
-  sim::R2c2Sim tail(topo, router, sc);
-  tail.add_flows(spec.arrivals);
-  snapshot::ArchiveReader r{std::move(archived)};
-  tail.load(r);
-
-  RunOutcome out;
-  TimeNs t = tail.now();
-  while (!tail.idle() && t < kScenarioRunCap) {
-    t += digest_every;
-    tail.run_until(t);
-    out.digests.record(tail.now(), tail.state_digest());
-  }
-  out.final_digest = tail.state_digest();
-  out.metrics = tail.collect_metrics();
-  out.metrics_digest = snapshot::metrics_digest(out.metrics);
-  return out;
+  snapshot::Scenario tail = make_run(spec, config.base_workers, config.digest_every);
+  snapshot::ArchiveReader r{w.finish()};
+  tail.simulator().load(r);
+  const std::string why = snapshot::divergence(straight, tail.run(kScenarioRunCap), snap_at);
+  return why.empty() ? why : "resumed after snapshot at t=" + std::to_string(snap_at) + ": " + why;
 }
 
-std::string fmt_ns(TimeNs t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(t));
-  return buf;
+// worker-digest over one spec, empty when it holds: base_workers vs
+// alt_workers.
+std::string worker_divergence(const ScenarioSpec& spec, const CampaignConfig& config,
+                              const snapshot::ReplayResult& base) {
+  if (config.alt_workers <= 0 || config.alt_workers == config.base_workers) return {};
+  const std::string why = snapshot::divergence(
+      base, make_run(spec, config.alt_workers, config.digest_every).run(kScenarioRunCap));
+  return why.empty() ? why
+                     : "workers=" + std::to_string(config.base_workers) + " vs workers=" +
+                           std::to_string(config.alt_workers) + ": " + why;
 }
 
-// resume-digest over one spec: true plus detail when it FAILS.
-bool resume_violates(const ScenarioSpec& spec, const CampaignConfig& config,
-                     const RunOutcome& straight, std::string* detail) {
-  if (straight.digests.points.size() < 4) return false;  // too short to cut
-  const std::size_t mid = straight.digests.points.size() / 2;
-  const TimeNs snap_at = straight.digests.points[mid].at;
-  const RunOutcome tail =
-      run_resumed(spec, config.base_workers, config.digest_every, snap_at);
-  snapshot::DigestLog expected;
-  for (const auto& p : straight.digests.points) {
-    if (p.at > snap_at) expected.points.push_back(p);
-  }
-  const std::ptrdiff_t div = snapshot::DigestLog::first_divergence(expected, tail.digests);
-  if (div >= 0 || expected.points.size() != tail.digests.points.size()) {
-    *detail = "resumed digest trail diverges from straight run after snapshot at t=" +
-              fmt_ns(snap_at);
-    return true;
-  }
-  if (tail.final_digest != straight.final_digest ||
-      tail.metrics_digest != straight.metrics_digest) {
-    *detail = "resumed final/metrics digest differs (snapshot at t=" + fmt_ns(snap_at) + ")";
-    return true;
-  }
-  return false;
-}
-
-// worker-digest over one spec: compares base_workers vs alt_workers.
-bool workers_violate(const ScenarioSpec& spec, const CampaignConfig& config,
-                     const RunOutcome& base, std::string* detail) {
-  if (config.alt_workers <= 0 || config.alt_workers == config.base_workers) return false;
-  const RunOutcome alt = run_scenario(spec, config.alt_workers, config.digest_every);
-  const std::ptrdiff_t div = snapshot::DigestLog::first_divergence(base.digests, alt.digests);
-  if (div >= 0 || base.digests.points.size() != alt.digests.points.size() ||
-      base.final_digest != alt.final_digest || base.metrics_digest != alt.metrics_digest) {
-    std::ostringstream os;
-    os << "workers=" << config.base_workers << " vs workers=" << config.alt_workers
-       << " digests differ (first divergence index " << div << ")";
-    *detail = os.str();
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-namespace {
 
 // Ground-truth intervals during which the scripted hard-failure set
 // disconnects the rack. While disconnected, the control plane *cannot*
@@ -291,9 +212,10 @@ TimeNs disconnected_overlap(const std::vector<std::pair<TimeNs, TimeNs>>& interv
   return total;
 }
 
-}  // namespace
-
-std::vector<Violation> check_run_invariants(const ScenarioSpec& spec, const RunOutcome& out,
+// The single-run invariants (flow-resolution, byte-conservation,
+// recovery-bound) over one finished run of `spec`.
+std::vector<Violation> check_run_invariants(const ScenarioSpec& spec,
+                                            const snapshot::ReplayResult& out,
                                             TimeNs recovery_bound) {
   std::vector<Violation> v;
   const sim::RunMetrics& m = out.metrics;
@@ -335,22 +257,21 @@ std::vector<Violation> check_run_invariants(const ScenarioSpec& spec, const RunO
       const TimeNs credit = disconnected_overlap(gaps, r.detected_at, m.sim_end);
       if (r.detected_at + credit + recovery_bound < m.sim_end) {
         v.push_back({"recovery-bound", "link " + std::to_string(r.link) + " detected at t=" +
-                                           fmt_ns(r.detected_at) + " never rebuilt"});
+                                           std::to_string(r.detected_at) + " never rebuilt"});
       }
     } else {
       const TimeNs credit = disconnected_overlap(gaps, r.detected_at, r.recovered_at);
       if (r.recovered_at - r.detected_at - credit > recovery_bound) {
         v.push_back({"recovery-bound",
                      "link " + std::to_string(r.link) + " rebuild took " +
-                         fmt_ns(r.recovered_at - r.detected_at) + " ns (" + fmt_ns(credit) +
-                         " disconnected; bound " + fmt_ns(recovery_bound) + ")"});
+                         std::to_string(r.recovered_at - r.detected_at) + " ns (" +
+                         std::to_string(credit) + " disconnected; bound " +
+                         std::to_string(recovery_bound) + ")"});
       }
     }
   }
   return v;
 }
-
-namespace {
 
 // Does this event subset still violate `invariant`? The ddmin predicate.
 bool subset_violates(const ScenarioSpec& base, const CampaignConfig& config,
@@ -358,16 +279,10 @@ bool subset_violates(const ScenarioSpec& base, const CampaignConfig& config,
                      const std::vector<sim::FaultEvent>& events) {
   ScenarioSpec spec = base;
   spec.sim_config.faults.events = events;
-  std::string detail;
-  if (invariant == "worker-digest") {
-    const RunOutcome out = run_scenario(spec, config.base_workers, config.digest_every);
-    return workers_violate(spec, config, out, &detail);
-  }
-  if (invariant == "resume-digest") {
-    const RunOutcome out = run_scenario(spec, config.base_workers, config.digest_every);
-    return resume_violates(spec, config, out, &detail);
-  }
-  const RunOutcome out = run_scenario(spec, config.base_workers, config.digest_every);
+  const snapshot::ReplayResult out =
+      make_run(spec, config.base_workers, config.digest_every).run(kScenarioRunCap);
+  if (invariant == "worker-digest") return !worker_divergence(spec, config, out).empty();
+  if (invariant == "resume-digest") return !resume_divergence(spec, config, out).empty();
   for (const Violation& v : check_run_invariants(spec, out, config.recovery_bound)) {
     if (v.invariant == invariant) return true;
   }
@@ -466,21 +381,44 @@ Repro load_repro(const std::string& path) {
   if (!repro.detail.empty() && repro.detail.front() == ' ') repro.detail.erase(0, 1);
   std::size_t count = 0;
   f >> key >> count;
+  const auto malformed = [&path](const std::string& what) {
+    return std::runtime_error(path + ": " + what);
+  };
+  if (!f) throw malformed("truncated or malformed repro file");
+  if (repro.config.digest_every <= 0) {
+    throw malformed("digest-every " + std::to_string(repro.config.digest_every) +
+                    " is not positive");
+  }
+  // The file comes from outside the program: every id must name an element
+  // of the campaign torus before the sim indexes its tables with it.
+  const Topology topo = campaign_torus();
   for (std::size_t i = 0; i < count; ++i) {
     sim::FaultEvent e;
     long long at = 0, lat = 0, jit = 0, period = 0, down = 0;
     int kind = 0;
     f >> at >> kind >> e.link >> e.node >> e.gray.loss_prob >> e.gray.corrupt_prob >> lat >>
         jit >> period >> down;
+    if (!f) throw malformed("truncated or malformed repro file");
+    const std::string event = "event " + std::to_string(i) + ": ";
+    if (kind < 0 || kind > static_cast<int>(sim::FaultEvent::Kind::kRestoreLinkOneWay)) {
+      throw malformed(event + "unknown kind " + std::to_string(kind));
+    }
     e.at = at;
     e.kind = static_cast<sim::FaultEvent::Kind>(kind);
+    if (e.kind == sim::FaultEvent::Kind::kFailNode ||
+        e.kind == sim::FaultEvent::Kind::kRestoreNode) {
+      if (e.node >= topo.num_nodes()) {
+        throw malformed(event + "node " + std::to_string(e.node) + " is outside the torus");
+      }
+    } else if (e.link >= topo.num_links()) {
+      throw malformed(event + "link " + std::to_string(e.link) + " is outside the torus");
+    }
     e.gray.added_latency = lat;
     e.gray.jitter = jit;
     e.gray.flap_period = period;
     e.gray.flap_down = down;
     repro.script.events.push_back(e);
   }
-  if (!f) throw std::runtime_error(path + ": truncated or malformed repro file");
   return repro;
 }
 
@@ -498,20 +436,21 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     sc.scenario_seed = spec.sim_config.seed;
     sc.fault_events = spec.sim_config.faults.events.size();
 
-    const RunOutcome base = run_scenario(spec, config.base_workers, config.digest_every);
+    const snapshot::ReplayResult base =
+        make_run(spec, config.base_workers, config.digest_every).run(kScenarioRunCap);
     sc.final_digest = base.final_digest;
     sc.metrics_digest = base.metrics_digest;
     sc.gray_drops = base.metrics.gray_drops;
     sc.flow_aborts = base.metrics.flow_aborts;
     sc.links_demoted = base.metrics.links_demoted;
     sc.violations = check_run_invariants(spec, base, config.recovery_bound);
-
-    std::string detail;
-    if (workers_violate(spec, config, base, &detail)) {
-      sc.violations.push_back({"worker-digest", detail});
+    if (std::string why = worker_divergence(spec, config, base); !why.empty()) {
+      sc.violations.push_back({"worker-digest", std::move(why)});
     }
-    if (config.check_resume && resume_violates(spec, config, base, &detail)) {
-      sc.violations.push_back({"resume-digest", detail});
+    if (config.check_resume) {
+      if (std::string why = resume_divergence(spec, config, base); !why.empty()) {
+        sc.violations.push_back({"resume-digest", std::move(why)});
+      }
     }
 
     sc.passed = sc.violations.empty();

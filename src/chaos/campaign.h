@@ -40,9 +40,7 @@
 
 #include "common/types.h"
 #include "sim/fault.h"
-#include "sim/metrics.h"
 #include "sim/r2c2_sim.h"
-#include "snapshot/digest.h"
 #include "workload/generator.h"
 
 namespace r2c2::chaos {
@@ -80,22 +78,6 @@ struct ScenarioSpec {
 // are splitmix-derived from the campaign seed, so campaigns with the same
 // (seed, index) reproduce byte-identical runs across processes.
 ScenarioSpec make_gray_scenario(const CampaignConfig& config, int index);
-
-struct RunOutcome {
-  snapshot::DigestLog digests;
-  std::uint64_t final_digest = 0;
-  std::uint64_t metrics_digest = 0;
-  sim::RunMetrics metrics;
-};
-
-// Runs the spec to completion at the given worker count, digesting on the
-// absolute digest_every grid (same cadence discipline as snapshot::Scenario).
-RunOutcome run_scenario(const ScenarioSpec& spec, int workers, TimeNs digest_every);
-
-// The single-run invariants (flow-resolution, byte-conservation,
-// recovery-bound) over one finished run.
-std::vector<Violation> check_run_invariants(const ScenarioSpec& spec, const RunOutcome& out,
-                                            TimeNs recovery_bound);
 
 struct ScenarioOutcome {
   int index = 0;

@@ -27,10 +27,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "broadcast/broadcast.h"
@@ -204,7 +204,10 @@ class R2c2Stack {
   RateAllocation wf_alloc_;
   std::vector<FlowSpec> wf_flows_;
   std::uint64_t wf_built_version_ = ~0ULL;
-  std::unordered_map<FlowId, LocalFlow> local_;
+  // Ordered by id: tick() and rebroadcast_local_flows() draw each flow's
+  // broadcast tree from rng_ in this order, which a restored stack must
+  // reproduce.
+  std::map<FlowId, LocalFlow> local_;
   std::uint16_t next_fseq_ = 0;
   std::uint64_t broadcasts_sent_ = 0;
   // Lease-protocol clock and cadence state (driven by tick()).

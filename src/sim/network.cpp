@@ -119,7 +119,7 @@ void Network::send_on_link(LinkId link, SimPacket&& pkt) {
   port.queued_bytes += pkt.wire_bytes;
   port.max_queued_bytes = std::max(port.max_queued_bytes, port.queued_bytes);
   port.epoch_max_queued = std::max(port.epoch_max_queued, port.queued_bytes);
-  if (ctrl && config_.control_priority) {
+  if (ctrl) {
     port.ctrl_q.push_back(std::move(pkt));
   } else {
     port.data_q.push_back(std::move(pkt));

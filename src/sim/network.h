@@ -113,9 +113,6 @@ struct NetworkConfig {
   // measure occupancy with effectively unbounded buffers (queues stay tiny);
   // TCP runs use finite drop-tail buffers.
   std::uint64_t data_buffer_bytes = 0;
-  // Give 16-byte control packets strict priority over data at every port,
-  // so flow events propagate with minimal queuing. Ablatable.
-  bool control_priority = true;
   // Failure injection: probability that a transmitted packet is corrupted
   // in flight and discarded at the receiving hop (checksum detection,
   // Section 3.2). Exercises the reliability extension (Section 6).
@@ -154,7 +151,8 @@ class Network {
 
   // Enqueues `pkt` on the directed link `link`. Data packets overflowing
   // the buffer are dropped (DropFn). Control packets (anything but kData
-  // and kAck) are never dropped here when control_priority is on — their
+  // and kAck) take strict priority over data at every port, so flow events
+  // propagate with minimal queuing, and are never dropped here — their
   // queue is unbounded, mirroring reserved control buffers.
   void send_on_link(LinkId link, SimPacket&& pkt);
 

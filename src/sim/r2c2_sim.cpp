@@ -20,8 +20,15 @@ constexpr int kAckEveryPkts = 4;
 // Adaptive detection clears a suspect link only below this estimated loss
 // (hysteresis against the demotion threshold).
 constexpr double kSuspectClearThreshold = 0.005;
-// EWMA step of the per-link congestion marks.
+// Detection -> rebuild debounce, coalescing near-simultaneous per-cable
+// detections into one context rebuild.
+constexpr TimeNs kRebuildDelay = 20 * kNsPerUs;
+// Congestion-aware spraying samples every port's peak queue this often
+// into an EWMA mark per link (step kCongestionEwmaAlpha), and a full mark
+// adds kCongestionGain to its link's spray bias.
+constexpr TimeNs kCongestionInterval = 20 * kNsPerUs;
 constexpr double kCongestionEwmaAlpha = 0.3;
+constexpr double kCongestionGain = 4.0;
 }  // namespace
 
 void compose_spray_bias(std::span<const LinkId> plane_to_substrate, std::span<const char> suspect,
@@ -104,11 +111,10 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
     }
   }
   net_.set_deliver([this](NodeId at, SimPacket&& pkt) { deliver(at, std::move(pkt)); });
-  // Control packets use an unbounded priority queue by default, so they are
-  // never dropped. When control priority is disabled (ablation) they share
-  // the finite data buffers; a dropped broadcast copy is retransmitted by
-  // the node that dropped it after a short delay — the Section 3.2 "inform
-  // the sender who can then re-transmit" recovery, collapsed to its effect.
+  // Control packets use an unbounded priority queue, so buffers never drop
+  // them; a broadcast copy lost to corruption is retransmitted by the node
+  // that sent it after a short delay — the Section 3.2 "inform the sender
+  // who can then re-transmit" recovery, collapsed to its effect.
   // Keepalives are periodic probes; a lost one is simply superseded.
   net_.set_drop([this](NodeId at, const SimPacket& pkt) {
     R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), at, obs::EventType::kPacketDrop,
@@ -885,9 +891,7 @@ void R2c2Sim::start_fault_ticks() {
     arm(kEvLeaseTick, config_.lease_interval);
     arm(kEvGcTick, config_.lease_ttl);
   }
-  if (config_.congestion_aware && config_.congestion_interval > 0) {
-    arm(kEvCongestionTick, config_.congestion_interval);
-  }
+  if (config_.congestion_aware) arm(kEvCongestionTick, kCongestionInterval);
 }
 
 void R2c2Sim::keepalive_tick() {
@@ -939,7 +943,7 @@ void R2c2Sim::congestion_tick() {
     }
   }
   if (!fault_ticks_needed() && !residual) return;
-  arm(kEvCongestionTick, config_.congestion_interval);
+  arm(kEvCongestionTick, kCongestionInterval);
 }
 
 void R2c2Sim::on_keepalive(SimPacket&& pkt) {
@@ -1002,7 +1006,7 @@ void R2c2Sim::note_detection(LinkId directed, bool failure, TimeNs when) {
   recoveries_.push_back(rec);
   R2C2_TRACE_INSTANT(ctx_trace(), when, topo_.link(directed).to, obs::EventType::kFaultDetect,
                      static_cast<std::uint64_t>(cable), failure ? 1 : 0);
-  arm(kEvRebuildContext, config_.rebuild_delay);
+  arm(kEvRebuildContext, kRebuildDelay);
 }
 
 void R2c2Sim::update_suspicion(TimeNs now) {
@@ -1069,7 +1073,7 @@ void R2c2Sim::update_suspicion(TimeNs now) {
 void R2c2Sim::update_spray_bias() {
   compose_spray_bias(plane_.to_substrate, link_suspect_,
                      config_.congestion_aware ? net_.congestion() : std::span<const double>{},
-                     config_.congestion_gain, spray_bias_);
+                     kCongestionGain, spray_bias_);
 }
 
 R2c2Sim::Plane R2c2Sim::make_plane(std::vector<LinkId> down) const {
@@ -1324,7 +1328,6 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
   d.mix(static_cast<std::uint64_t>(config_.route_alg));
   d.mix(static_cast<std::uint64_t>(config_.broadcast_trees));
   d.mix(config_.net.data_buffer_bytes);
-  d.mix(config_.net.control_priority ? 1 : 0);
   d.mix_f64(config_.net.corruption_rate);
   d.mix(config_.mtu_payload);
   d.mix(config_.reliable ? 1 : 0);
@@ -1340,9 +1343,7 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
   d.mix_f64(config_.suspect_phi);
   d.mix_f64(config_.suspect_ewma_alpha);
   d.mix(config_.congestion_aware ? 1 : 0);
-  d.mix_i64(config_.congestion_interval);
   d.mix(config_.ecn_threshold_bytes);
-  d.mix_f64(config_.congestion_gain);
   d.mix(config_.faults.events.size());
   for (const FaultEvent& ev : config_.faults.events) {
     d.mix_i64(ev.at);
@@ -1358,7 +1359,6 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
   }
   d.mix_i64(config_.keepalive_interval);
   d.mix_i64(config_.failure_timeout);
-  d.mix_i64(config_.rebuild_delay);
   d.mix_i64(config_.lease_interval);
   d.mix_i64(config_.lease_ttl);
   d.mix(config_.seed);

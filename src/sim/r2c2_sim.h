@@ -116,9 +116,6 @@ struct R2c2SimConfig {
   // (default when 0: 4 * keepalive_interval). Must span several keepalive
   // periods so corruption of individual probes does not trip it.
   TimeNs failure_timeout = 0;
-  // Detection -> rebuild debounce, coalescing near-simultaneous detections
-  // into one context rebuild.
-  TimeNs rebuild_delay = 20 * kNsPerUs;
   // --- Adaptive (gray-failure) detection, phi-accrual flavored ---
   // The binary deadline above only sees dead links. With this on, each
   // directed link also accrues a *suspicion* signal from its keepalive
@@ -147,9 +144,7 @@ struct R2c2SimConfig {
   // port ever crosses the ECN threshold the mark vector stays exactly
   // zero and every draw matches the congestion-blind run.
   bool congestion_aware = false;
-  TimeNs congestion_interval = 20 * kNsPerUs;    // sampling period
-  std::uint64_t ecn_threshold_bytes = 16 * 1024; // queue depth that marks
-  double congestion_gain = 4.0;                  // bias weight of a full mark
+  std::uint64_t ecn_threshold_bytes = 16 * 1024;  // queue depth that marks
   // Lease refresh period: every sender re-advertises its live flows this
   // often (demand-update broadcasts doubling as lease refreshes). 0
   // disables the lease protocol.

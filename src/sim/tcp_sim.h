@@ -30,7 +30,7 @@ namespace r2c2::sim {
 struct TcpSimConfig {
   // Micro-servers have limited buffers (goal G3): ~21 MTUs of drop-tail
   // buffering per port.
-  NetworkConfig net{.data_buffer_bytes = 32 * 1024, .control_priority = false};
+  NetworkConfig net{.data_buffer_bytes = 32 * 1024};
   std::uint32_t mtu_payload = static_cast<std::uint32_t>(kMaxPayloadBytes);
   std::uint32_t ack_wire_bytes = 40;
   double init_cwnd_pkts = 10.0;

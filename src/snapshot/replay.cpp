@@ -1,6 +1,7 @@
 #include "snapshot/replay.h"
 
-#include <limits>
+#include <cinttypes>
+#include <cstdio>
 #include <utility>
 
 #include "control/route_selection.h"
@@ -105,6 +106,37 @@ std::uint64_t metrics_digest(const sim::RunMetrics& m) {
   return d.value();
 }
 
+std::string divergence(const ReplayResult& want, const ReplayResult& got, TimeNs after) {
+  const auto hex = [](std::uint64_t v) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+    return std::string(buf);
+  };
+  const auto point = [&hex](const DigestPoint& p) {
+    return "t=" + std::to_string(p.at) + " ns " + hex(p.digest);
+  };
+  DigestLog expected;
+  for (const DigestPoint& p : want.digests.points) {
+    if (p.at > after) expected.points.push_back(p);
+  }
+  if (const std::ptrdiff_t i = DigestLog::first_divergence(expected, got.digests); i >= 0) {
+    const auto k = static_cast<std::size_t>(i);
+    return "digest point " + std::to_string(i) + " is " + point(got.digests.points[k]) +
+           ", expected " + point(expected.points[k]);
+  }
+  if (got.digests.points.size() != expected.points.size()) {
+    return std::to_string(got.digests.points.size()) + " digest points, expected " +
+           std::to_string(expected.points.size());
+  }
+  if (got.final_digest != want.final_digest) {
+    return "final state digest " + hex(got.final_digest) + ", expected " + hex(want.final_digest);
+  }
+  if (got.metrics_digest != want.metrics_digest) {
+    return "metrics digest " + hex(got.metrics_digest) + ", expected " + hex(want.metrics_digest);
+  }
+  return {};
+}
+
 Scenario::Scenario(ReplayConfig config) : config_(std::move(config)) {
   if (config_.scenario == "adaptive" || config_.scenario == "tenant") {
     // Folded Clos so the spray has genuine path diversity to steer: 16
@@ -126,7 +158,6 @@ Scenario::Scenario(ReplayConfig config) : config_(std::move(config)) {
     // (keepalives, rebuilds, leases) and packet corruption are all on.
     sim_config_.reliable = true;
     sim_config_.keepalive_interval = 10 * kNsPerUs;
-    sim_config_.rebuild_delay = 20 * kNsPerUs;
     sim_config_.lease_interval = 100 * kNsPerUs;
     sim_config_.rto = 200 * kNsPerUs;
     sim_config_.net.corruption_rate = 5e-4;
@@ -171,13 +202,11 @@ Scenario::Scenario(ReplayConfig config) : config_(std::move(config)) {
     // the adaptive data plane end to end.
     sim_config_.reliable = true;
     sim_config_.keepalive_interval = 10 * kNsPerUs;
-    sim_config_.rebuild_delay = 20 * kNsPerUs;
     sim_config_.lease_interval = 100 * kNsPerUs;
     sim_config_.rto = 200 * kNsPerUs;
     sim_config_.adaptive_rto = true;
     sim_config_.adaptive_detection = true;
     sim_config_.congestion_aware = true;
-    sim_config_.congestion_interval = 20 * kNsPerUs;
     sim_config_.ecn_threshold_bytes = 4 * 1024;
     sim_config_.seed = config_.seed;
     sim::LinkDegrade gray;
@@ -212,7 +241,22 @@ Scenario::Scenario(ReplayConfig config) : config_(std::move(config)) {
   sim_config_.trace = config_.trace;
   sim_config_.engine_shards = config_.engine_shards;
   sim_config_.engine_workers = config_.engine_workers;
+  start();
+}
 
+Scenario::Scenario(Topology topo, sim::R2c2SimConfig sim_config, std::vector<FlowArrival> arrivals,
+                   TimeNs digest_every)
+    : topo_(std::make_unique<Topology>(std::move(topo))),
+      router_(std::make_unique<Router>(*topo_)),
+      sim_config_(std::move(sim_config)),
+      arrivals_(std::move(arrivals)) {
+  config_.scenario.clear();
+  config_.digest_every = digest_every;
+  config_.trace = sim_config_.trace;
+  start();
+}
+
+void Scenario::start() {
   sim_ = std::make_unique<sim::R2c2Sim>(*topo_, *router_, sim_config_);
   sim_->add_flows(arrivals_);
   if (config_.scenario == "tenant") {
@@ -224,14 +268,14 @@ Scenario::Scenario(ReplayConfig config) : config_(std::move(config)) {
   }
 }
 
-ReplayResult Scenario::run() {
+ReplayResult Scenario::run(TimeNs until) {
   ReplayResult out;
   sim::R2c2Sim& s = *sim_;
   // Digest boundaries are absolute multiples of digest_every, so a run
   // resumed from a snapshot taken at a boundary lands on the same grid and
   // its digest trail is comparable point for point.
   TimeNs t = s.now();
-  while (!s.idle()) {
+  while (!s.idle() && t < until) {
     t += config_.digest_every;
     s.run_until(t);
     const std::uint64_t digest = s.state_digest();

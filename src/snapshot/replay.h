@@ -1,10 +1,12 @@
-// Snapshot/resume/divergence-replay harness shared by tools/replay, the CI
-// snapshot job and tests/snapshot_test.cpp.
+// Snapshot/resume/divergence-replay harness shared by tools/replay, the
+// chaos campaign (src/chaos/), bench_tenant and the tests.
 //
 // A Scenario owns everything a deterministic R2C2 simulation run needs —
 // topology, router, config, workload — built from a (name, threads, seed)
 // triple, so two processes (or two builds) handed the same triple construct
-// bit-identical runs. Two scenarios are provided:
+// bit-identical runs, or from explicit inputs (topology, sim config,
+// arrivals, digest cadence), as the chaos campaign's generated runs are.
+// Four named scenarios are provided:
 //
 //   "fault"  chaos-mode fail/restore waves plus control/data corruption on
 //            a 4x4 torus, the self-healing control plane fully armed;
@@ -36,10 +38,12 @@
 // snapshot archive every snapshot_every nanoseconds. Because the engine is
 // advanced with run_until() from outside, the digest cadence perturbs
 // nothing: event sequence numbers, RNG draws and event order are identical
-// to an uninstrumented run.
+// to an uninstrumented run. divergence() is the one comparison of two
+// runs behind every digest-identity gate.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,7 +61,8 @@
 namespace r2c2::snapshot {
 
 struct ReplayConfig {
-  std::string scenario = "fault";  // "fault" | "ga" | "adaptive" | "tenant"
+  // "fault" | "ga" | "adaptive" | "tenant"; "" in a Scenario of explicit inputs
+  std::string scenario = "fault";
   std::string routing;             // "" = scenario default | "static" | "adaptive"
   int threads = 1;                 // GA fitness-evaluation threads ("ga" only)
   // Sharded event engine: shard count changes the trajectory (it is part
@@ -85,9 +90,20 @@ struct ReplayResult {
 // produced bit-identical results.
 std::uint64_t metrics_digest(const sim::RunMetrics& m);
 
+// Empty when `got` reproduces `want`; otherwise names the first difference,
+// checked in this order: want's digest points after `after` against got's
+// whole trail (the first differing point, else the two lengths), the final
+// state digest, the metrics digest. A run resumed from a snapshot taken at
+// `after` records only the points past it.
+std::string divergence(const ReplayResult& want, const ReplayResult& got, TimeNs after = -1);
+
 class Scenario {
  public:
   explicit Scenario(ReplayConfig config);
+  // A run of explicit inputs: `sim_config` is used as given (engine shards,
+  // workers and trace included), digested every `digest_every`.
+  Scenario(Topology topo, sim::R2c2SimConfig sim_config, std::vector<FlowArrival> arrivals,
+           TimeNs digest_every);
 
   // The configured-but-unrun simulator (load a snapshot into it to resume).
   sim::R2c2Sim& simulator() { return *sim_; }
@@ -96,10 +112,15 @@ class Scenario {
   service::ServiceLayer* service() { return service_.get(); }
 
   // Runs (or resumes, if a snapshot was loaded) until the event queue
-  // drains, recording digests and writing periodic snapshots.
-  ReplayResult run();
+  // drains or the digest grid reaches `until`, recording digests and
+  // writing periodic snapshots.
+  ReplayResult run(TimeNs until = std::numeric_limits<TimeNs>::max());
 
  private:
+  // The steps both constructors share once the inputs are built: the sim,
+  // its flows and, for the "tenant" scenario, the started service layer.
+  void start();
+
   ReplayConfig config_;
   std::unique_ptr<Topology> topo_;
   std::unique_ptr<Router> router_;

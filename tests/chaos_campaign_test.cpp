@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,63 @@ TEST(ChaosRepro, ArchiveRoundTripsEveryField) {
     EXPECT_EQ(b.gray.flap_down, a.gray.flap_down);
   }
   std::remove(file.string().c_str());
+}
+
+// Repro files come from outside the program (CI artifacts): a field the
+// campaign torus or the run loop cannot take is refused with an error that
+// names it, before anything runs.
+chaos::Repro one_event_repro() {
+  chaos::Repro repro;
+  repro.config = small_config();
+  repro.invariant = "recovery-bound";
+  repro.script.events.push_back(sim::FaultScript::fail_link(10 * kNsPerUs, 3));
+  return repro;
+}
+
+// Writes `repro` and returns load_repro's error message ("" when it loads).
+std::string load_error(const chaos::Repro& repro) {
+  const fs::path file =
+      fs::temp_directory_path() /
+      (std::string("r2c2-chaos-") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt");
+  chaos::write_repro(file.string(), repro);
+  std::string error;
+  try {
+    chaos::load_repro(file.string());
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  std::remove(file.string().c_str());
+  return error;
+}
+
+TEST(ChaosRepro, RejectsUnknownEventKind) {
+  chaos::Repro repro = one_event_repro();
+  EXPECT_EQ(load_error(repro), "");
+  repro.script.events[0].kind = static_cast<sim::FaultEvent::Kind>(42);
+  const std::string error = load_error(repro);
+  EXPECT_NE(error.find("kind 42"), std::string::npos) << error;
+}
+
+TEST(ChaosRepro, RejectsLinkOutsideTheTorus) {
+  chaos::Repro repro = one_event_repro();
+  repro.script.events[0].link = 99999;
+  const std::string error = load_error(repro);
+  EXPECT_NE(error.find("link 99999"), std::string::npos) << error;
+}
+
+TEST(ChaosRepro, RejectsNodeOutsideTheTorus) {
+  chaos::Repro repro = one_event_repro();
+  repro.script.events[0] = sim::FaultScript::fail_node(10 * kNsPerUs, 16);
+  const std::string error = load_error(repro);
+  EXPECT_NE(error.find("node 16"), std::string::npos) << error;
+}
+
+TEST(ChaosRepro, RejectsNonPositiveDigestCadence) {
+  chaos::Repro repro = one_event_repro();
+  repro.config.digest_every = 0;
+  const std::string error = load_error(repro);
+  EXPECT_NE(error.find("digest-every 0"), std::string::npos) << error;
 }
 
 TEST(ChaosShrink, ShrunkenScriptIsOneMinimal) {

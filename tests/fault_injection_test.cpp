@@ -30,7 +30,6 @@ R2c2SimConfig self_healing_config() {
   R2c2SimConfig cfg;
   cfg.reliable = true;  // in-flight packets die on a cut cable
   cfg.keepalive_interval = 10 * kNsPerUs;
-  cfg.rebuild_delay = 20 * kNsPerUs;
   cfg.lease_interval = 100 * kNsPerUs;
   cfg.rto = 200 * kNsPerUs;
   return cfg;

@@ -16,6 +16,7 @@
 #include "sim/network.h"
 #include "sim/r2c2_sim.h"
 #include "snapshot/archive.h"
+#include "snapshot/replay.h"
 #include "topology/topology.h"
 #include "workload/generator.h"
 
@@ -427,7 +428,6 @@ R2c2SimConfig adaptive_config() {
   R2c2SimConfig cfg;
   cfg.reliable = true;
   cfg.keepalive_interval = 10 * kNsPerUs;
-  cfg.rebuild_delay = 20 * kNsPerUs;
   cfg.lease_interval = 100 * kNsPerUs;
   cfg.rto = 150 * kNsPerUs;
   cfg.adaptive_rto = true;
@@ -568,7 +568,6 @@ TEST(GraySnapshot, MidWaveSnapshotResumesBitIdentically) {
   // suspicion EWMAs mid-flight) and resume in a fresh simulator: every
   // subsequent digest and the final metrics must match the straight run.
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
-  const Router router(topo);
   R2c2SimConfig cfg = adaptive_config();
   Rng chaos_rng(17);
   ChaosConfig cc;
@@ -583,58 +582,25 @@ TEST(GraySnapshot, MidWaveSnapshotResumesBitIdentically) {
   cfg.faults = sim::make_chaos_script(topo, chaos_rng, cc);
   ASSERT_FALSE(cfg.faults.empty());
   const std::vector<FlowArrival> arrivals = mesh_workload(topo, 50, 41);
-
-  // Straight run, digesting every 20 us.
-  const TimeNs step = 20 * kNsPerUs;
-  R2c2Sim straight(topo, router, cfg);
-  straight.add_flows(arrivals);
-  std::vector<std::pair<TimeNs, std::uint64_t>> trail;
-  TimeNs t = 0;
-  while (!straight.idle()) {
-    t += step;
-    straight.run_until(t);
-    trail.emplace_back(t, straight.state_digest());
-  }
+  // Runs digest every 20 us.
+  const auto run_of = [&] { return snapshot::Scenario(topo, cfg, arrivals, 20 * kNsPerUs); };
+  const snapshot::ReplayResult want = run_of().run();
 
   // Snapshot leg: pick a boundary mid-run — inside the fault activity
   // window, with degradations applied and suspicion accrued.
-  ASSERT_GE(trail.size(), 8u);
-  const TimeNs snap_at = trail[trail.size() / 2].first;
-  R2c2Sim head(topo, router, cfg);
-  head.add_flows(arrivals);
-  head.run_until(snap_at);
-  EXPECT_GT(head.collect_metrics().gray_drops, 0u);  // genuinely mid-wave
+  ASSERT_GE(want.digests.points.size(), 8u);
+  const TimeNs snap_at = want.digests.points[want.digests.points.size() / 2].at;
+  snapshot::Scenario head = run_of();
+  head.simulator().run_until(snap_at);
+  EXPECT_GT(head.simulator().collect_metrics().gray_drops, 0u);  // genuinely mid-wave
   snapshot::ArchiveWriter w;
-  head.save(w);
+  head.simulator().save(w);
 
-  R2c2Sim resumed(topo, router, cfg);
-  resumed.add_flows(arrivals);
+  snapshot::Scenario resumed = run_of();
   snapshot::ArchiveReader r{w.finish()};
-  resumed.load(r);
-  EXPECT_EQ(resumed.now(), snap_at);
-
-  t = snap_at;
-  std::size_t idx = trail.size() / 2 + 1;  // next digest point after snap_at
-  while (!resumed.idle()) {
-    t += step;
-    resumed.run_until(t);
-    ASSERT_LT(idx, trail.size());
-    EXPECT_EQ(resumed.state_digest(), trail[idx].second) << "at t=" << t;
-    ++idx;
-  }
-  EXPECT_EQ(idx, trail.size());
-  EXPECT_EQ(resumed.state_digest(), straight.state_digest());
-  const RunMetrics ma = straight.collect_metrics();
-  const RunMetrics mb = resumed.collect_metrics();
-  EXPECT_EQ(ma.gray_drops, mb.gray_drops);
-  EXPECT_EQ(ma.links_demoted, mb.links_demoted);
-  EXPECT_EQ(ma.flow_aborts, mb.flow_aborts);
-  ASSERT_EQ(ma.flows.size(), mb.flows.size());
-  for (std::size_t i = 0; i < ma.flows.size(); ++i) {
-    EXPECT_EQ(ma.flows[i].completed, mb.flows[i].completed);
-    EXPECT_EQ(ma.flows[i].aborted, mb.flows[i].aborted);
-    EXPECT_EQ(ma.flows[i].aborted_at, mb.flows[i].aborted_at);
-  }
+  resumed.simulator().load(r);
+  EXPECT_EQ(resumed.simulator().now(), snap_at);
+  EXPECT_EQ(snapshot::divergence(want, resumed.run(), snap_at), "");
 }
 
 // --- Congestion-aware (adaptive) routing ------------------------------------
@@ -642,7 +608,6 @@ TEST(GraySnapshot, MidWaveSnapshotResumesBitIdentically) {
 R2c2SimConfig congestion_aware_config() {
   R2c2SimConfig cfg = adaptive_config();
   cfg.congestion_aware = true;
-  cfg.congestion_interval = 20 * kNsPerUs;
   cfg.ecn_threshold_bytes = 4 * 1024;  // low enough that real queues mark
   return cfg;
 }
@@ -675,10 +640,9 @@ TEST(AdaptiveRouting, UnmarkedRunKeepsStaticRoutingTrajectory) {
 TEST(AdaptiveRouting, WorkerCountInvariantDigestsUnderGrayFault) {
   // The acceptance bar for the adaptive mode: with live congestion marks
   // steering the spray AND a gray fault demoting a link, the sharded run's
-  // final state digest must not depend on the worker count.
+  // digests must not depend on the worker count.
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
-  auto run_digest = [&](int workers, RunMetrics& out) {
-    const Router router(topo);
+  const auto run_at = [&topo](int workers) {
     R2c2SimConfig cfg = congestion_aware_config();
     cfg.engine_shards = 4;
     cfg.engine_workers = workers;
@@ -686,21 +650,10 @@ TEST(AdaptiveRouting, WorkerCountInvariantDigestsUnderGrayFault) {
     gray.loss_prob = 0.05;
     cfg.faults.events.push_back(
         FaultScript::degrade_link(40 * kNsPerUs, topo.find_link(0, 1), gray));
-    R2c2Sim simulator(topo, router, cfg);
-    simulator.add_flows(mesh_workload(topo, 60, 41));
-    simulator.run_until(kNsPerSec);
-    out = simulator.collect_metrics();
-    return simulator.state_digest();
+    return snapshot::Scenario(topo, cfg, mesh_workload(topo, 60, 41), 20 * kNsPerUs)
+        .run(kNsPerSec);
   };
-  RunMetrics m1;
-  RunMetrics m4;
-  const std::uint64_t d1 = run_digest(1, m1);
-  const std::uint64_t d4 = run_digest(4, m4);
-  EXPECT_EQ(d1, d4);
-  ASSERT_EQ(m1.flows.size(), m4.flows.size());
-  for (std::size_t i = 0; i < m1.flows.size(); ++i) {
-    EXPECT_EQ(m1.flows[i].completed, m4.flows[i].completed);
-  }
+  EXPECT_EQ(snapshot::divergence(run_at(1), run_at(4)), "");
 }
 
 TEST(AdaptiveRouting, SnapshotRoundTripRestoresCongestionState) {
@@ -708,51 +661,28 @@ TEST(AdaptiveRouting, SnapshotRoundTripRestoresCongestionState) {
   // the resumed run must walk the exact digest trajectory of the straight
   // run (marks, epoch peaks and the tick flag all cross the archive).
   const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
-  const Router router(topo);
   R2c2SimConfig cfg = congestion_aware_config();
   LinkDegrade gray;
   gray.loss_prob = 0.05;
   cfg.faults.events.push_back(
       FaultScript::degrade_link(40 * kNsPerUs, topo.find_link(0, 1), gray));
   const std::vector<FlowArrival> arrivals = mesh_workload(topo, 50, 43);
+  const auto run_of = [&] { return snapshot::Scenario(topo, cfg, arrivals, 50 * kNsPerUs); };
+  const snapshot::ReplayResult want = run_of().run();
+  ASSERT_GT(want.digests.points.size(), 4u);
 
-  R2c2Sim straight(topo, router, cfg);
-  straight.add_flows(arrivals);
-  const TimeNs step = 50 * kNsPerUs;
-  std::vector<std::pair<TimeNs, std::uint64_t>> trail;
-  TimeNs t = 0;
-  while (!straight.idle()) {
-    t += step;
-    straight.run_until(t);
-    trail.emplace_back(t, straight.state_digest());
-  }
-  ASSERT_GT(trail.size(), 4u);
-
-  const TimeNs snap_at = trail[trail.size() / 2].first;
-  R2c2Sim head(topo, router, cfg);
-  head.add_flows(arrivals);
-  head.run_until(snap_at);
+  const snapshot::DigestPoint mid = want.digests.points[want.digests.points.size() / 2];
+  snapshot::Scenario head = run_of();
+  head.simulator().run_until(mid.at);
   snapshot::ArchiveWriter w;
-  head.save(w);
+  head.simulator().save(w);
 
-  R2c2Sim resumed(topo, router, cfg);
-  resumed.add_flows(arrivals);
+  snapshot::Scenario resumed = run_of();
   snapshot::ArchiveReader r{w.finish()};
-  resumed.load(r);
-  EXPECT_EQ(resumed.now(), snap_at);
-  EXPECT_EQ(resumed.state_digest(), trail[trail.size() / 2].second);
-
-  t = snap_at;
-  std::size_t idx = trail.size() / 2 + 1;
-  while (!resumed.idle()) {
-    t += step;
-    resumed.run_until(t);
-    ASSERT_LT(idx, trail.size());
-    EXPECT_EQ(resumed.state_digest(), trail[idx].second) << "at t=" << t;
-    ++idx;
-  }
-  EXPECT_EQ(idx, trail.size());
-  EXPECT_EQ(resumed.state_digest(), straight.state_digest());
+  resumed.simulator().load(r);
+  EXPECT_EQ(resumed.simulator().now(), mid.at);
+  EXPECT_EQ(resumed.simulator().state_digest(), mid.digest);
+  EXPECT_EQ(snapshot::divergence(want, resumed.run(), mid.at), "");
 }
 
 }  // namespace

@@ -472,7 +472,7 @@ TEST_F(NetworkTest, QueueingDelaysBackToBackPackets) {
 
 TEST_F(NetworkTest, FiniteBufferDropsData) {
   Engine e;
-  Network net(e, topo_, {.data_buffer_bytes = 3000, .control_priority = false});
+  Network net(e, topo_, {.data_buffer_bytes = 3000});
   int delivered = 0, dropped = 0;
   net.set_deliver([&](NodeId, SimPacket&&) { ++delivered; });
   net.set_drop([&](NodeId, const SimPacket&) { ++dropped; });
@@ -487,7 +487,7 @@ TEST_F(NetworkTest, FiniteBufferDropsData) {
 
 TEST_F(NetworkTest, ControlPacketsBypassDataQueue) {
   Engine e;
-  Network net(e, topo_, {.data_buffer_bytes = 0, .control_priority = true});
+  Network net(e, topo_, {.data_buffer_bytes = 0});
   std::vector<PacketType> order;
   net.set_deliver([&](NodeId, SimPacket&& p) { order.push_back(p.type); });
   net.forward(0, data_packet({0, 1}, 1500));  // starts transmitting

@@ -151,6 +151,66 @@ TEST(DigestLog, FileRoundTripAndFirstDivergence) {
   EXPECT_EQ(DigestLog::first_divergence(log, prefix), -1);  // prefix, not divergence
 }
 
+// --- snapshot::divergence, the comparison behind every identity gate ------
+
+ReplayResult three_point_run() {
+  ReplayResult run;
+  run.digests.record(100, 0xa1);
+  run.digests.record(200, 0xb2);
+  run.digests.record(300, 0xc3);
+  run.final_digest = 0xf4;
+  run.metrics_digest = 0xe5;
+  return run;
+}
+
+TEST(ReplayDivergence, IdenticalRunsAgree) {
+  EXPECT_EQ(snapshot::divergence(three_point_run(), three_point_run()), "");
+}
+
+TEST(ReplayDivergence, NamesTheFirstDifferingPointWithItsTime) {
+  ReplayResult got = three_point_run();
+  got.digests.points[1].digest ^= 1;
+  got.digests.points[2].digest ^= 1;
+  got.final_digest ^= 1;
+  const std::string why = snapshot::divergence(three_point_run(), got);
+  EXPECT_NE(why.find("t=200"), std::string::npos) << why;
+  EXPECT_EQ(why.find("t=300"), std::string::npos) << why;
+}
+
+TEST(ReplayDivergence, ReportsAShorterTrail) {
+  ReplayResult got = three_point_run();
+  got.digests.points.pop_back();
+  const std::string why = snapshot::divergence(three_point_run(), got);
+  EXPECT_NE(why.find("2 digest points, expected 3"), std::string::npos) << why;
+}
+
+TEST(ReplayDivergence, ReportsADifferentFinalDigest) {
+  ReplayResult got = three_point_run();
+  got.final_digest ^= 1;
+  got.metrics_digest ^= 1;
+  const std::string why = snapshot::divergence(three_point_run(), got);
+  EXPECT_NE(why.find("final state digest"), std::string::npos) << why;
+}
+
+TEST(ReplayDivergence, ReportsADifferentMetricsDigest) {
+  ReplayResult got = three_point_run();
+  got.metrics_digest ^= 1;
+  const std::string why = snapshot::divergence(three_point_run(), got);
+  EXPECT_NE(why.find("metrics digest"), std::string::npos) << why;
+  EXPECT_EQ(why.find("final"), std::string::npos) << why;
+}
+
+TEST(ReplayDivergence, IgnoresDifferencesAtOrBeforeAfter) {
+  ReplayResult want = three_point_run();
+  want.digests.points[0].digest ^= 1;
+  want.digests.points[1].digest ^= 1;
+  // A run resumed from a snapshot at t=200 records t=300 only.
+  ReplayResult tail = three_point_run();
+  tail.digests.points.erase(tail.digests.points.begin(), tail.digests.points.begin() + 2);
+  EXPECT_EQ(snapshot::divergence(want, tail, 200), "");
+  EXPECT_NE(snapshot::divergence(want, tail, 100), "");
+}
+
 // --- Engine event-queue round trip ----------------------------------------
 
 TEST(EngineSnapshot, PendingQueueRoundTripsAndReplaysIdentically) {
@@ -274,6 +334,50 @@ TEST(StackSnapshot, RoundTripContinuesIdentically) {
   original.mix_digest(da2);
   restored.mix_digest(db2);
   EXPECT_EQ(da2.value(), db2.value());
+}
+
+// Lease refreshes draw one broadcast tree per local flow from the stack's
+// RNG, so a restored stack must walk its flows in the original's order:
+// after opens and closes, the original's flow order is its history's, the
+// restored one's its archive's (ascending id).
+TEST(StackSnapshot, RestoredStackRefreshesFlowsInOriginalOrder) {
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  const BroadcastTrees trees(topo, 4);
+  RackContext ctx;
+  ctx.topo = &topo;
+  ctx.router = &router;
+  ctx.trees = &trees;
+  ctx.lease_interval = 100 * kNsPerUs;
+  using Sends = std::vector<std::pair<NodeId, std::vector<std::uint8_t>>>;
+  const auto stack_into = [&ctx](Sends& sends) {
+    R2c2Stack::Callbacks cb;
+    cb.send_control = [&sends](NodeId next, std::vector<std::uint8_t> bytes) {
+      sends.emplace_back(next, std::move(bytes));
+    };
+    return std::make_unique<R2c2Stack>(0, ctx, std::move(cb));
+  };
+  Sends original_sends, restored_sends;
+  const auto original = stack_into(original_sends);
+  std::vector<FlowId> opened;
+  for (int i = 0; i < 40; ++i) opened.push_back(original->open_flow(1 + i % 15));
+  for (int i = 0; i < 40; ++i) {
+    if (i % 7 != 3) original->close_flow(opened[i]);
+  }
+  original->tick(50 * kNsPerUs);
+  ASSERT_EQ(original->own_flows(), 6u);
+
+  ArchiveWriter w;
+  original->save(w, "node0");
+  const auto restored = stack_into(restored_sends);
+  ArchiveReader r(w.finish());
+  restored->load(r, "node0");
+
+  original_sends.clear();
+  original->tick(200 * kNsPerUs);
+  restored->tick(200 * kNsPerUs);
+  EXPECT_FALSE(original_sends.empty());
+  EXPECT_EQ(restored_sends, original_sends);
 }
 
 // --- Full simulation snapshots ---------------------------------------------
@@ -724,14 +828,7 @@ TEST_P(ResumeBitIdentical, DigestsAndMetricsMatchStraightRun) {
   }
 
   const ReplayResult tail = fresh.run();
-  DigestLog expected;
-  for (const auto& p : full.digests.points) {
-    if (p.at > snap_at) expected.points.push_back(p);
-  }
-  EXPECT_EQ(DigestLog::first_divergence(expected, tail.digests), -1);
-  ASSERT_EQ(expected.points.size(), tail.digests.points.size());
-  EXPECT_EQ(tail.final_digest, full.final_digest);
-  EXPECT_EQ(tail.metrics_digest, full.metrics_digest);
+  EXPECT_EQ(snapshot::divergence(full, tail, snap_at), "");
   EXPECT_EQ(tail.metrics.sim_end, full.metrics.sim_end);
   ASSERT_EQ(tail.metrics.flows.size(), full.metrics.flows.size());
   for (std::size_t i = 0; i < full.metrics.flows.size(); ++i) {
@@ -752,10 +849,7 @@ TEST(SimSnapshot, GaScenarioIdenticalAcrossThreadCounts) {
   Scenario four(scenario_config("ga", 4));
   const ReplayResult a = one.run();
   const ReplayResult b = four.run();
-  EXPECT_EQ(DigestLog::first_divergence(a.digests, b.digests), -1);
-  EXPECT_EQ(a.digests.points.size(), b.digests.points.size());
-  EXPECT_EQ(a.final_digest, b.final_digest);
-  EXPECT_EQ(a.metrics_digest, b.metrics_digest);
+  EXPECT_EQ(snapshot::divergence(a, b), "");
 }
 
 }  // namespace

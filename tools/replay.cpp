@@ -14,10 +14,11 @@
 //                 [--threads N] [--seed S]
 //                 [--digest-every NS] [--snap-at NS] [--prefix P]
 //       The resume-from-snapshot determinism check: runs straight through,
-//       snapshots at a mid-run digest boundary, resumes that snapshot in a
-//       fresh simulator and asserts that every subsequent digest and the
-//       final run metrics are bit-identical to the uninterrupted run.
-//       Exits 1 on any divergence (CI runs this for both scenarios).
+//       runs again writing snapshots, resumes the mid-run snapshot in a
+//       fresh simulator and asserts (snapshot::divergence) that the rerun
+//       and the resumed run reproduce every digest, the final state digest
+//       and the metrics digest of the uninterrupted run. Exits 1 on any
+//       divergence (CI runs this for every scenario).
 //
 //   replay bisect --a LOG --b LOG [--prefix P --snapshot-every NS]
 //       Compares two digest logs (from `run` on two builds or two
@@ -196,17 +197,15 @@ int verify_mode(const Args& args) {
   }
 
   // Pass 2: same run again, snapshotting at snap_at (and every later
-  // multiple — the extra files are free verification material). Its digest
-  // trail must match pass 1 exactly or the scenario itself is
-  // nondeterministic, which verify must also catch.
+  // multiple — the extra files are free verification material). It must
+  // reproduce pass 1 exactly or the scenario itself is nondeterministic,
+  // which verify must also catch.
   ReplayConfig snap_cfg = args.replay;
   snap_cfg.snapshot_every = snap_at;
   Scenario snapper(snap_cfg);
   const ReplayResult snapped = snapper.run();
-  const std::ptrdiff_t rerun_div = DigestLog::first_divergence(full.digests, snapped.digests);
-  if (rerun_div >= 0 || snapped.digests.points.size() != full.digests.points.size()) {
-    std::fprintf(stderr, "DIVERGENCE: two straight-through runs disagree at index %td\n",
-                 rerun_div);
+  if (const std::string why = snapshot::divergence(full, snapped); !why.empty()) {
+    std::fprintf(stderr, "DIVERGENCE: two straight-through runs disagree: %s\n", why.c_str());
     return 1;
   }
   if (snapped.snapshots_written.empty()) {
@@ -229,31 +228,9 @@ int verify_mode(const Args& args) {
   }
   const ReplayResult tail = resumed.run();
 
-  // The resumed trail must equal the suffix of the straight-through trail.
-  DigestLog expected;
-  for (const auto& p : full.digests.points) {
-    if (p.at > snap_at) expected.points.push_back(p);
-  }
-  const std::ptrdiff_t div = DigestLog::first_divergence(expected, tail.digests);
-  if (div >= 0 || expected.points.size() != tail.digests.points.size()) {
-    if (div >= 0) {
-      std::fprintf(stderr, "DIVERGENCE: resumed run first differs at t=%lld ns (index %td)\n",
-                   static_cast<long long>(expected.points[static_cast<std::size_t>(div)].at),
-                   div);
-    } else {
-      std::fprintf(stderr, "DIVERGENCE: resumed run recorded %zu digest points, expected %zu\n",
-                   tail.digests.points.size(), expected.points.size());
-    }
-    return 1;
-  }
-  if (tail.final_digest != full.final_digest || tail.metrics_digest != full.metrics_digest) {
-    std::fprintf(stderr,
-                 "DIVERGENCE: final state/metrics differ "
-                 "(state %016llx vs %016llx, metrics %016llx vs %016llx)\n",
-                 static_cast<unsigned long long>(tail.final_digest),
-                 static_cast<unsigned long long>(full.final_digest),
-                 static_cast<unsigned long long>(tail.metrics_digest),
-                 static_cast<unsigned long long>(full.metrics_digest));
+  // The resumed run must reproduce the straight run past the snapshot.
+  if (const std::string why = snapshot::divergence(full, tail, snap_at); !why.empty()) {
+    std::fprintf(stderr, "DIVERGENCE: resumed run: %s\n", why.c_str());
     return 1;
   }
   std::printf(

@@ -5,9 +5,9 @@
 //   1. Raw primitive cost: FlightRecorder::record() and
 //      Histogram::observe() in ns/op (tight loop, median of reps).
 //   2. End-to-end overhead: identical R2C2 workloads run with and without
-//      a recorder+registry attached (runtime on/off — the compile-time
-//      -DR2C2_TRACING=OFF path removes even the "off" branch; CI builds it
-//      separately). The acceptance bar is <5% overhead with tracing ON.
+//      a recorder+registry attached (the hooks are always compiled; a
+//      detached one costs a null check). The acceptance bar is <5%
+//      overhead with both attached.
 //   3. Export cost: serializing a full ring to Chrome trace JSON.
 //
 // Emits machine-readable JSON to BENCH_obs.json (override with
@@ -162,7 +162,6 @@ int run() {
   const PrimitiveResult prim = run_primitives(reps);
   const SimOverheadResult sim = run_sim_overhead(runs);
 
-  std::printf("tracing compiled: %s\n", R2C2_TRACING_ENABLED ? "ON" : "OFF");
   std::printf("%-24s %10.2f ns/op\n", "recorder.record", prim.record_ns);
   std::printf("%-24s %10.2f ns/op\n", "histogram.observe", prim.observe_ns);
   std::printf("%-24s %10.2f ns/op\n", "counter.add", prim.counter_ns);
@@ -178,8 +177,7 @@ int run() {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"obs\",\n  \"scale\": %g,\n  \"tracing_compiled\": %s,\n",
-               scale, R2C2_TRACING_ENABLED ? "true" : "false");
+  std::fprintf(f, "{\n  \"bench\": \"obs\",\n  \"scale\": %g,\n", scale);
   std::fprintf(f,
                "  \"primitives_ns\": {\"record\": %.2f, \"observe\": %.2f, \"counter_add\": "
                "%.2f},\n",

@@ -182,10 +182,10 @@ int run() {
     std::printf("%-14s %6d %10.1f %11.1f %14.1f %12.2fx %11.1f\n", c.name.c_str(), c.nodes,
                 c.detect_us, c.rebuild_us, c.reconverge_us, c.fct_slowdown, c.flows_rebroadcast);
   }
-  std::printf("tracing %s: recovery run %0.1f us plain, %0.1f us traced "
+  std::printf("tracing: recovery run %0.1f us plain, %0.1f us traced "
               "(%+.2f%% overhead, %llu events)\n",
-              R2C2_TRACING_ENABLED ? "ON" : "OFF", trace.off_us, trace.on_us,
-              trace.overhead_pct(), static_cast<unsigned long long>(trace.events));
+              trace.off_us, trace.on_us, trace.overhead_pct(),
+              static_cast<unsigned long long>(trace.events));
 
   const char* out_path = std::getenv("R2C2_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_recovery.json";
@@ -208,10 +208,10 @@ int run() {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"tracing\": {\"compiled\": %s, \"runs\": %d, \"off_us\": %.1f, "
-               "\"on_us\": %.1f, \"overhead_pct\": %.2f, \"events\": %llu}\n}\n",
-               R2C2_TRACING_ENABLED ? "true" : "false", trace.runs, trace.off_us, trace.on_us,
-               trace.overhead_pct(), static_cast<unsigned long long>(trace.events));
+               "  \"tracing\": {\"runs\": %d, \"off_us\": %.1f, \"on_us\": %.1f, "
+               "\"overhead_pct\": %.2f, \"events\": %llu}\n}\n",
+               trace.runs, trace.off_us, trace.on_us, trace.overhead_pct(),
+               static_cast<unsigned long long>(trace.events));
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
   return 0;

@@ -1,7 +1,8 @@
 // Rate-computation fast-path benchmark: CSR/scratch waterfill vs the
 // reference implementation, across rack sizes, flow counts and priority
 // classes, plus the GA fitness loop (one multi-choice problem solved per
-// genotype vs rebuild-per-genotype).
+// genotype vs rebuild-per-genotype) and the cost of the recompute span
+// (histogram + trace events) around a steady-state solve.
 //
 // Emits machine-readable JSON to BENCH_waterfill.json (override with
 // R2C2_BENCH_OUT) alongside the human-readable table; the committed
@@ -180,10 +181,9 @@ struct TraceOverheadResult {
   double overhead_pct() const { return plain_us > 0 ? (traced_us / plain_us - 1.0) * 100.0 : 0.0; }
 };
 
-// The instrumented recompute path exactly as R2c2Sim runs it: a
-// R2C2_SCOPED_SPAN (histogram observe + Begin/End trace events) wrapping
-// the steady-state solve. Under -DR2C2_TRACING=OFF the span compiles away
-// and both loops must time identically.
+// The instrumented recompute path exactly as R2c2Sim runs it: an
+// obs::ScopedTimer (histogram observe + Begin/End trace events) wrapping
+// the steady-state solve, timed against the bare solve.
 TraceOverheadResult run_trace_overhead(const Topology& topo, const Router& router, int n_flows,
                                        int reps) {
   Rng rng(0xb0b + static_cast<std::uint64_t>(n_flows));
@@ -207,8 +207,8 @@ TraceOverheadResult run_trace_overhead(const Topology& topo, const Router& route
   obs::MetricsRegistry registry;
   obs::Histogram& hist = registry.histogram("bench.recompute_wall_ns");
   res.traced_us = time_us(reps, [&] {
-    R2C2_SCOPED_SPAN(span, &hist, &recorder, 0, 0, obs::EventType::kRateRecompute,
-                     static_cast<std::uint64_t>(n_flows));
+    obs::ScopedTimer span(&hist, &recorder, 0, 0, obs::EventType::kRateRecompute,
+                          static_cast<std::uint64_t>(n_flows));
     waterfill(problem, scratch, out);
     checksum += out.rate[0];
   });
@@ -242,9 +242,8 @@ int run() {
   std::printf("ga_fitness     %10.1f %14s %14.1f %9s %8.1fx   (%d flows, %d choices, %d evals)\n",
               ga.ref_us_per_eval, "-", ga.fast_us_per_eval, "-", ga.speedup(), ga.flows,
               ga.choices, ga.evals);
-  std::printf("tracing %s: solve %0.1f us plain, %0.1f us traced (%+.2f%% overhead, %d flows)\n",
-              R2C2_TRACING_ENABLED ? "ON" : "OFF", trace.plain_us, trace.traced_us,
-              trace.overhead_pct(), trace.flows);
+  std::printf("tracing: solve %0.1f us plain, %0.1f us traced (%+.2f%% overhead, %d flows)\n",
+              trace.plain_us, trace.traced_us, trace.overhead_pct(), trace.flows);
 
   const char* out_path = std::getenv("R2C2_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_waterfill.json";
@@ -273,10 +272,9 @@ int run() {
                ga.flows, ga.choices, ga.evals, ga.ref_us_per_eval, ga.fast_us_per_eval,
                ga.speedup());
   std::fprintf(f,
-               "  \"tracing\": {\"compiled\": %s, \"flows\": %d, \"plain_us\": %.2f, "
-               "\"traced_us\": %.2f, \"overhead_pct\": %.2f}\n",
-               R2C2_TRACING_ENABLED ? "true" : "false", trace.flows, trace.plain_us,
-               trace.traced_us, trace.overhead_pct());
+               "  \"tracing\": {\"flows\": %d, \"plain_us\": %.2f, \"traced_us\": %.2f, "
+               "\"overhead_pct\": %.2f}\n",
+               trace.flows, trace.plain_us, trace.traced_us, trace.overhead_pct());
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s (checksum %g)\n", out_path, checksum);

@@ -389,6 +389,9 @@ Repro load_repro(const std::string& path) {
     throw malformed("digest-every " + std::to_string(repro.config.digest_every) +
                     " is not positive");
   }
+  if (repro.config.flows < 1) {
+    throw malformed("flows " + std::to_string(repro.config.flows) + " is below 1");
+  }
   // The file comes from outside the program: every id must name an element
   // of the campaign torus before the sim indexes its tables with it.
   const Topology topo = campaign_torus();
@@ -412,6 +415,12 @@ Repro load_repro(const std::string& path) {
       }
     } else if (e.link >= topo.num_links()) {
       throw malformed(event + "link " + std::to_string(e.link) + " is outside the torus");
+    }
+    // A negative latency would schedule deliveries before the sender's clock.
+    const std::pair<const char*, long long> spans[] = {
+        {"latency", lat}, {"jitter", jit}, {"flap-period", period}, {"flap-down", down}};
+    for (const auto& [field, value] : spans) {
+      if (value < 0) throw malformed(event + field + " " + std::to_string(value) + " is negative");
     }
     e.gray.added_latency = lat;
     e.gray.jitter = jit;

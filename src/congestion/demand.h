@@ -33,7 +33,6 @@ class DemandEstimator {
     return ewma_.update(sample);
   }
 
-  bool has_estimate() const { return ewma_.initialized(); }
   Bps demand() const { return ewma_.value(); }
   TimeNs period() const { return period_; }
 

@@ -109,7 +109,6 @@ class WaterfillProblem {
                           const AllocationConfig& config = {});
 
   std::size_t num_flows() const { return n_flows_; }
-  std::size_t num_choices() const { return n_choices_; }
   std::size_t num_links() const { return cap_.size(); }
 
  private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "congestion/policy.h"
+
 namespace r2c2 {
 
 namespace {
@@ -49,6 +51,23 @@ void FlowTable::erase_hashed(std::unordered_map<std::uint32_t, Entry>::iterator 
   view_hash_ ^= entry_hash(it->first, it->second.spec);
   entries_.erase(it);
   ++version_;
+}
+
+BroadcastMsg FlowTable::announce(PacketType type, const FlowSpec& spec, std::uint8_t fseq) {
+  BroadcastMsg msg;
+  msg.type = type;
+  msg.src = spec.src;
+  msg.dst = spec.dst;
+  msg.fseq = fseq;
+  msg.rp = spec.alg;
+  if (type != PacketType::kFlowFinish) {
+    msg.weight = quantize_weight(spec.weight);
+    msg.priority = spec.priority;
+    msg.demand_kbps = std::isfinite(spec.demand)
+                          ? static_cast<std::uint32_t>(std::min(spec.demand / kKbps, 4e9))
+                          : 0;
+  }
+  return msg;
 }
 
 void FlowTable::apply(const BroadcastMsg& msg, TimeNs now) {

@@ -41,6 +41,12 @@ class FlowTable {
     return (static_cast<std::uint32_t>(src) << 8) | fseq;
   }
 
+  // Encodes a flow-start / flow-finish / demand-update broadcast about
+  // `spec`, whose wire key is (spec.src, fseq): the one encoder for
+  // apply(). A finish carries only the key, dst and routing strategy; a
+  // start or demand update adds the 8-bit weight (rounded), the priority
+  // and the demand in kbps (0 = network-limited).
+  static BroadcastMsg announce(PacketType type, const FlowSpec& spec, std::uint8_t fseq);
   // Applies a flow-start / flow-finish / demand-update broadcast. `now`
   // stamps the entry's lease (callers without a clock may leave it 0, which
   // effectively disables lease GC for entries they create).

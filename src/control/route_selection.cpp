@@ -196,7 +196,6 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
   }
   st.memo_hits = ms.hits;
   st.memo_evictions = ms.evictions;
-#if R2C2_TRACING_ENABLED
   if (config.metrics != nullptr) {
     obs::MetricsRegistry& m = *config.metrics;
     m.counter("ga.memo.hits").add(ms.hits);
@@ -211,7 +210,6 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
       m.gauge(lane + ".busy_ns").set(static_cast<double>(st.lane_busy_ns[l]));
     }
   }
-#endif
   return result;
 }
 

@@ -219,9 +219,8 @@ struct SelectionConfig {
   int threads = 1;
   ThreadPool* pool = nullptr;
 
-  // Optional sink for memo/evaluator counters ("ga.memo.*", "ga.eval.*").
-  // Publishing is compiled out together with the rest of the
-  // observability layer under -DR2C2_TRACING=OFF.
+  // Optional sink for memo/evaluator counters ("ga.memo.*", "ga.eval.*"),
+  // published once per search.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

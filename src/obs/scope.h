@@ -7,9 +7,8 @@
 // Begin/End trace events stamped with the caller-supplied *recording
 // clock* timestamp (simulation time), putting the span on the per-node
 // timeline; the measured wall ns ride along as the End event's arg0.
-//
-// Use through the R2C2_SCOPED_TIMER / R2C2_SCOPED_SPAN macros so the whole
-// thing compiles to nothing under -DR2C2_TRACING=OFF.
+// With neither a histogram nor a recorder attached it costs two null
+// checks.
 #pragma once
 
 #include <chrono>
@@ -48,10 +47,6 @@ class ScopedTimer {
     if (rec_ != nullptr) rec_->record(sim_ts_, node_, type_, EventPhase::kEnd, wall_ns, 0);
   }
 
-  // Lets the span's end timestamp follow the recording clock when the
-  // enclosed work advances it (defaults to the construction timestamp).
-  void set_end_ts(TimeNs sim_ts) { sim_ts_ = sim_ts; }
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -64,25 +59,3 @@ class ScopedTimer {
 };
 
 }  // namespace r2c2::obs
-
-#if R2C2_TRACING_ENABLED
-
-// Wall-clock histogram only.
-#define R2C2_SCOPED_TIMER(var, hist) ::r2c2::obs::ScopedTimer var(hist)
-// Histogram + Begin/End trace span on node `node` at sim time `ts`.
-#define R2C2_SCOPED_SPAN(var, hist, rec, ts, node, type, a0) \
-  ::r2c2::obs::ScopedTimer var((hist), (rec), (ts), (node), (type), (a0))
-
-#else
-
-#define R2C2_SCOPED_TIMER(var, hist) \
-  do {                               \
-    (void)sizeof((hist));            \
-  } while (0)
-#define R2C2_SCOPED_SPAN(var, hist, rec, ts, node, type, a0) \
-  do {                                                       \
-    (void)sizeof((hist));                                    \
-    (void)sizeof((rec));                                     \
-  } while (0)
-
-#endif  // R2C2_TRACING_ENABLED

@@ -8,9 +8,9 @@
 // on, and carry two opaque 64-bit arguments whose meaning depends on the
 // event type (see the taxonomy below and DESIGN.md). Recording is a couple
 // of stores into a pre-sized buffer — cheap enough to leave on during
-// benchmarks (<5% on full simulation runs; bench/bench_obs measures it) —
-// and compiles out entirely under -DR2C2_TRACING=OFF via the R2C2_TRACE_*
-// macros at the bottom.
+// benchmarks (<5% on full simulation runs; bench/bench_obs measures it).
+// Call sites record through obs::trace() at the bottom, which costs one
+// null check while no recorder is attached.
 //
 // A post-run exporter (obs/trace_export.h) converts the ring to Chrome
 // trace-event JSON, so a run opens directly in chrome://tracing or
@@ -22,12 +22,6 @@
 #include <vector>
 
 #include "common/types.h"
-
-// CMake defines R2C2_TRACING_ENABLED=0 when configured with
-// -DR2C2_TRACING=OFF; default to ON for non-CMake consumers.
-#ifndef R2C2_TRACING_ENABLED
-#define R2C2_TRACING_ENABLED 1
-#endif
 
 namespace r2c2::obs {
 
@@ -144,47 +138,11 @@ class FlightRecorder {
   std::uint64_t overwritten_ = 0;
 };
 
+// Records one instant event on `rec`; a null (detached) recorder records
+// nothing. Every instant hook goes through this.
+inline void trace(FlightRecorder* rec, TimeNs ts, NodeId node, EventType type, std::uint64_t a0,
+                  std::uint64_t a1) {
+  if (rec != nullptr) rec->record(ts, node, type, EventPhase::kInstant, a0, a1);
+}
+
 }  // namespace r2c2::obs
-
-// --- Instrumentation macros ------------------------------------------------
-// Every hot-path hook goes through these so that -DR2C2_TRACING=OFF
-// compiles the instrumentation out completely (the recorder type still
-// exists; only the call sites vanish). `rec` is a FlightRecorder* that may
-// be null — a null recorder is a cheap branch, an absent macro is free.
-#if R2C2_TRACING_ENABLED
-
-#define R2C2_TRACE_INSTANT(rec, ts, node, type, a0, a1)                                     \
-  do {                                                                                      \
-    if ((rec) != nullptr) {                                                                 \
-      (rec)->record((ts), (node), (type), ::r2c2::obs::EventPhase::kInstant, (a0), (a1));   \
-    }                                                                                       \
-  } while (0)
-#define R2C2_TRACE_BEGIN(rec, ts, node, type, a0, a1)                                       \
-  do {                                                                                      \
-    if ((rec) != nullptr) {                                                                 \
-      (rec)->record((ts), (node), (type), ::r2c2::obs::EventPhase::kBegin, (a0), (a1));     \
-    }                                                                                       \
-  } while (0)
-#define R2C2_TRACE_END(rec, ts, node, type, a0, a1)                                         \
-  do {                                                                                      \
-    if ((rec) != nullptr) {                                                                 \
-      (rec)->record((ts), (node), (type), ::r2c2::obs::EventPhase::kEnd, (a0), (a1));       \
-    }                                                                                       \
-  } while (0)
-
-#else  // tracing compiled out: evaluate nothing, keep the arguments "used"
-
-#define R2C2_TRACE_INSTANT(rec, ts, node, type, a0, a1) \
-  do {                                                  \
-    (void)sizeof((rec));                                \
-  } while (0)
-#define R2C2_TRACE_BEGIN(rec, ts, node, type, a0, a1) \
-  do {                                                \
-    (void)sizeof((rec));                              \
-  } while (0)
-#define R2C2_TRACE_END(rec, ts, node, type, a0, a1) \
-  do {                                              \
-    (void)sizeof((rec));                            \
-  } while (0)
-
-#endif  // R2C2_TRACING_ENABLED

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "congestion/policy.h"
 #include "obs/scope.h"
 #include "snapshot/persist.h"
 
@@ -66,21 +65,10 @@ FlowId R2c2Stack::open_flow(NodeId dst, const FlowOptions& options) {
   // The sender's own view learns the flow immediately; everyone else via
   // broadcast.
   view_.upsert(self_, fseq, flow.spec, now_);
+  broadcast_msg(FlowTable::announce(PacketType::kFlowStart, flow.spec, fseq));
   local_.emplace(id, std::move(flow));
-
-  BroadcastMsg msg;
-  msg.type = PacketType::kFlowStart;
-  msg.src = self_;
-  msg.dst = dst;
-  msg.fseq = fseq;
-  msg.weight = quantize_weight(options.weight);
-  msg.priority = options.priority;
-  msg.demand_kbps = 0;
-  msg.rp = options.alg;
-  broadcast_msg(msg);
   if (c_flows_opened_ != nullptr) c_flows_opened_->add(1);
-  R2C2_TRACE_INSTANT(trace_, now_, self_, obs::EventType::kFlowStart,
-                     static_cast<std::uint64_t>(id), dst);
+  obs::trace(trace_, now_, self_, obs::EventType::kFlowStart, static_cast<std::uint64_t>(id), dst);
 
   // Give the new flow a rate right away (Section 3.1): recompute locally.
   recompute();
@@ -94,17 +82,9 @@ void R2c2Stack::close_flow(FlowId flow) {
   local_.erase(it);
   view_.remove(self_, lf.fseq);
   if (cb_.set_rate) cb_.set_rate(flow, 0.0);
-
-  BroadcastMsg msg;
-  msg.type = PacketType::kFlowFinish;
-  msg.src = self_;
-  msg.dst = lf.spec.dst;
-  msg.fseq = lf.fseq;
-  msg.rp = lf.spec.alg;
-  broadcast_msg(msg);
+  broadcast_msg(FlowTable::announce(PacketType::kFlowFinish, lf.spec, lf.fseq));
   if (c_flows_closed_ != nullptr) c_flows_closed_->add(1);
-  R2C2_TRACE_INSTANT(trace_, now_, self_, obs::EventType::kFlowFinish,
-                     static_cast<std::uint64_t>(flow), 0);
+  obs::trace(trace_, now_, self_, obs::EventType::kFlowFinish, static_cast<std::uint64_t>(flow), 0);
 }
 
 void R2c2Stack::note_backlog(FlowId flow, std::uint64_t queued_bytes,
@@ -123,18 +103,7 @@ void R2c2Stack::note_backlog(FlowId flow, std::uint64_t queued_bytes,
   lf.demand_limited = limited;
   lf.spec.demand = limited ? estimate : kUnlimitedDemand;
   view_.upsert(self_, lf.fseq, lf.spec, now_);
-
-  BroadcastMsg msg;
-  msg.type = PacketType::kDemandUpdate;
-  msg.src = self_;
-  msg.dst = lf.spec.dst;
-  msg.fseq = lf.fseq;
-  msg.weight = quantize_weight(lf.spec.weight);
-  msg.priority = lf.spec.priority;
-  msg.demand_kbps =
-      limited ? static_cast<std::uint32_t>(std::min(estimate / kKbps, 4e9)) : 0;
-  msg.rp = lf.spec.alg;
-  broadcast_msg(msg);
+  broadcast_msg(FlowTable::announce(PacketType::kDemandUpdate, lf.spec, lf.fseq));
 }
 
 RouteCode R2c2Stack::pick_route(FlowId flow) {
@@ -158,14 +127,7 @@ void R2c2Stack::on_control_packet(std::span<const std::uint8_t> bytes) {
     const auto pkt = RouteUpdatePacket::parse(bytes);
     if (!pkt) return;  // corrupted: drop (sender-side recovery, Section 3.2)
     fan_out(pkt->origin, pkt->tree, bytes);
-    view_.apply(*pkt);
-    // Adopt new assignments for our own flows.
-    for (const RouteUpdateEntry& e : pkt->entries) {
-      if (e.flow_src != self_) continue;
-      for (auto& [id, lf] : local_) {
-        if (lf.fseq == e.fseq) lf.spec.alg = e.rp;
-      }
-    }
+    apply_route_update(*pkt);
     return;
   }
   const auto msg = BroadcastMsg::parse(bytes);
@@ -173,6 +135,17 @@ void R2c2Stack::on_control_packet(std::span<const std::uint8_t> bytes) {
   fan_out(msg->src, msg->tree, bytes);
   if (msg->src == self_) return;  // our own event echoed back
   view_.apply(*msg, now_);
+}
+
+void R2c2Stack::apply_route_update(const RouteUpdatePacket& pkt) {
+  view_.apply(pkt);
+  // Adopt new assignments for our own flows.
+  for (const RouteUpdateEntry& e : pkt.entries) {
+    if (e.flow_src != self_) continue;
+    for (auto& [id, lf] : local_) {
+      if (lf.fseq == e.fseq) lf.spec.alg = e.rp;
+    }
+  }
 }
 
 void R2c2Stack::fan_out(NodeId tree_src, std::uint8_t tree, std::span<const std::uint8_t> bytes) {
@@ -189,15 +162,15 @@ void R2c2Stack::broadcast_msg(BroadcastMsg msg) {
   std::vector<std::uint8_t> bytes(BroadcastMsg::kWireSize);
   msg.serialize(bytes);
   ++broadcasts_sent_;
-  R2C2_TRACE_INSTANT(trace_, now_, self_, obs::EventType::kBroadcastSend, broadcasts_sent_,
-                     static_cast<std::uint64_t>(msg.type));
+  obs::trace(trace_, now_, self_, obs::EventType::kBroadcastSend, broadcasts_sent_,
+             static_cast<std::uint64_t>(msg.type));
   fan_out(self_, msg.tree, bytes);
 }
 
 void R2c2Stack::recompute() {
   if (local_.empty()) return;
-  R2C2_SCOPED_SPAN(span, h_recompute_, trace_, now_, self_, obs::EventType::kRateRecompute,
-                   static_cast<std::uint64_t>(view_.size()));
+  obs::ScopedTimer span(h_recompute_, trace_, now_, self_, obs::EventType::kRateRecompute,
+                        static_cast<std::uint64_t>(view_.size()));
   if (view_.version() != wf_built_version_) {
     view_.snapshot_into(wf_flows_);
     wf_problem_.build(*ctx_.router, wf_flows_, ctx_.alloc);
@@ -219,7 +192,7 @@ void R2c2Stack::apply_rates(std::span<const FlowSpec> flows, std::span<const Bps
 
 void R2c2Stack::tick(TimeNs now) {
   now_ = std::max(now_, now);
-  R2C2_SCOPED_TIMER(span, h_tick_);
+  obs::ScopedTimer span(h_tick_);
   const TimeNs interval = ctx_.lease_interval;
   if (interval <= 0) return;
   const TimeNs ttl = ctx_.lease_ttl > 0 ? ctx_.lease_ttl : 4 * interval;
@@ -230,22 +203,11 @@ void R2c2Stack::tick(TimeNs now) {
     // lost to corruption or a failed link heals on the next refresh.
     for (auto& [id, lf] : local_) {
       view_.upsert(self_, lf.fseq, lf.spec, now_);
-      BroadcastMsg msg;
-      msg.type = PacketType::kDemandUpdate;
-      msg.src = self_;
-      msg.dst = lf.spec.dst;
-      msg.fseq = lf.fseq;
-      msg.weight = quantize_weight(lf.spec.weight);
-      msg.priority = lf.spec.priority;
-      msg.demand_kbps = std::isfinite(lf.spec.demand)
-                            ? static_cast<std::uint32_t>(std::min(lf.spec.demand / kKbps, 4e9))
-                            : 0;
-      msg.rp = lf.spec.alg;
-      broadcast_msg(msg);
+      broadcast_msg(FlowTable::announce(PacketType::kDemandUpdate, lf.spec, lf.fseq));
       ++lease_refreshes_;
     }
     if (!local_.empty()) {
-      R2C2_TRACE_INSTANT(trace_, now_, self_, obs::EventType::kLeaseRefresh, local_.size(), 0);
+      obs::trace(trace_, now_, self_, obs::EventType::kLeaseRefresh, local_.size(), 0);
     }
   }
   if (now_ - last_gc_ >= interval) {
@@ -268,24 +230,13 @@ void R2c2Stack::update_context(const RackContext& ctx) {
   // routes: force a rebuild at the next recompute().
   wf_built_version_ = ~0ULL;
   bind_obs();
-  R2C2_TRACE_INSTANT(trace_, now_, self_, obs::EventType::kFaultRebuild, 0, 0);
+  obs::trace(trace_, now_, self_, obs::EventType::kFaultRebuild, 0, 0);
 }
 
 int R2c2Stack::rebroadcast_local_flows() {
   int announced = 0;
   for (const auto& [id, lf] : local_) {
-    BroadcastMsg msg;
-    msg.type = PacketType::kFlowStart;
-    msg.src = self_;
-    msg.dst = lf.spec.dst;
-    msg.fseq = lf.fseq;
-    msg.weight = quantize_weight(lf.spec.weight);
-    msg.priority = lf.spec.priority;
-    msg.demand_kbps = std::isfinite(lf.spec.demand)
-                          ? static_cast<std::uint32_t>(std::min(lf.spec.demand / kKbps, 4e9))
-                          : 0;
-    msg.rp = lf.spec.alg;
-    broadcast_msg(msg);
+    broadcast_msg(FlowTable::announce(PacketType::kFlowStart, lf.spec, lf.fseq));
     ++announced;
   }
   return announced;
@@ -294,8 +245,8 @@ int R2c2Stack::rebroadcast_local_flows() {
 int R2c2Stack::run_route_selection(const SelectionConfig& config) {
   const std::vector<FlowSpec> flows = view_.snapshot();
   if (flows.empty()) return 0;
-  R2C2_SCOPED_SPAN(span, h_ga_, trace_, now_, self_, obs::EventType::kGaEpoch,
-                   static_cast<std::uint64_t>(flows.size()));
+  obs::ScopedTimer span(h_ga_, trace_, now_, self_, obs::EventType::kGaEpoch,
+                        static_cast<std::uint64_t>(flows.size()));
   // Route the stack's registry into the selector so its memo/evaluator
   // counters ("ga.memo.*", "ga.eval.*") land next to the stack metrics;
   // an explicitly configured sink wins.
@@ -320,13 +271,7 @@ int R2c2Stack::run_route_selection(const SelectionConfig& config) {
   }
   if (changed == 0) return 0;
   // Apply locally, then broadcast.
-  view_.apply(pkt);
-  for (const RouteUpdateEntry& e : pkt.entries) {
-    if (e.flow_src != self_) continue;
-    for (auto& [id, lf] : local_) {
-      if (lf.fseq == e.fseq) lf.spec.alg = e.rp;
-    }
-  }
+  apply_route_update(pkt);
   const std::vector<std::uint8_t> bytes = pkt.serialize();
   ++broadcasts_sent_;
   fan_out(self_, 0, bytes);

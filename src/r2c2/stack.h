@@ -183,6 +183,9 @@ class R2c2Stack {
   static void persist(Self& s, V& v, std::string_view tag);
 
   void broadcast_msg(BroadcastMsg msg);
+  // Applies a route update to the view and adopts its assignments for
+  // this node's own flows.
+  void apply_route_update(const RouteUpdatePacket& pkt);
   void fan_out(NodeId tree_src, std::uint8_t tree, std::span<const std::uint8_t> bytes);
   void apply_rates(std::span<const FlowSpec> flows, std::span<const Bps> rates);
   // (Re)binds the observability handles from ctx_ — called on construction

@@ -81,12 +81,6 @@ struct FaultEvent {
     return kind == Kind::kDegradeLink || kind == Kind::kClearDegrade ||
            kind == Kind::kDegradeLinkOneWay || kind == Kind::kClearDegradeOneWay;
   }
-  // True for the single-direction variants: only the directed `link` is
-  // touched, its reverse stays clean.
-  bool is_one_way() const {
-    return kind == Kind::kDegradeLinkOneWay || kind == Kind::kClearDegradeOneWay ||
-           kind == Kind::kFailLinkOneWay || kind == Kind::kRestoreLinkOneWay;
-  }
 };
 
 struct FaultScript {

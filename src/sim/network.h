@@ -202,9 +202,7 @@ class Network {
   }
   std::uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
   // Corruption accounting, split by class: control packets (broadcasts,
-  // keepalives, drop notices) vs data/ack packets. corrupted() keeps the
-  // combined count for existing callers.
-  std::uint64_t corrupted() const { return corrupted_data() + corrupted_control(); }
+  // keepalives, drop notices) vs data/ack packets.
   std::uint64_t corrupted_data() const { return corrupted_data_.load(std::memory_order_relaxed); }
   std::uint64_t corrupted_control() const {
     return corrupted_control_.load(std::memory_order_relaxed);

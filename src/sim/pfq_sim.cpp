@@ -58,8 +58,8 @@ void PfqSim::start_flow(const FlowArrival& arrival) {
   rec.arrival = engine_.now();
   records_.push_back(rec);
   if (c_started_ != nullptr) c_started_->add(1);
-  R2C2_TRACE_INSTANT(trace_, engine_.now(), arrival.src, obs::EventType::kFlowStart,
-                     static_cast<std::uint64_t>(id), rec.bytes);
+  obs::trace(trace_, engine_.now(), arrival.src, obs::EventType::kFlowStart,
+             static_cast<std::uint64_t>(id), rec.bytes);
 
   SenderFlow s;
   s.src = arrival.src;
@@ -190,9 +190,9 @@ void PfqSim::arrive(LinkId link, SimPacket&& pkt) {
       rec.max_reorder_pkts = r.reorder.max_depth();
       receivers_.erase(rit);
       if (c_finished_ != nullptr) c_finished_->add(1);
-      R2C2_TRACE_INSTANT(trace_, engine_.now(), at, obs::EventType::kFlowFinish,
-                         static_cast<std::uint64_t>(pkt.flow),
-                         static_cast<std::uint64_t>(rec.fct()));
+      obs::trace(trace_, engine_.now(), at, obs::EventType::kFlowFinish,
+                 static_cast<std::uint64_t>(pkt.flow),
+                 static_cast<std::uint64_t>(rec.fct()));
     }
     return;
   }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/engine_gauges.h"
 #include "obs/scope.h"
 #include "sim/event_kind.h"
 
@@ -117,8 +116,8 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
   // who can then re-transmit" recovery, collapsed to its effect.
   // Keepalives are periodic probes; a lost one is simply superseded.
   net_.set_drop([this](NodeId at, const SimPacket& pkt) {
-    R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), at, obs::EventType::kPacketDrop,
-                       static_cast<std::uint64_t>(pkt.type), pkt.wire_bytes);
+    obs::trace(ctx_trace(), engine_.now(), at, obs::EventType::kPacketDrop,
+               static_cast<std::uint64_t>(pkt.type), pkt.wire_bytes);
     if (pkt.type == PacketType::kData || pkt.type == PacketType::kAck ||
         pkt.type == PacketType::kKeepalive) {
       return;
@@ -131,14 +130,12 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
     engine_.schedule_in(5 * kNsPerUs,
                         EventDesc{kEvCtrlRetransmit, net_.park(SimPacket(pkt)), link});
   });
-#if R2C2_TRACING_ENABLED
   if (trace_ != nullptr) {
     net_.set_corrupt([this](NodeId at, const SimPacket& pkt) {
-      R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), at, obs::EventType::kPacketCorrupt,
-                         static_cast<std::uint64_t>(pkt.type), pkt.wire_bytes);
+      obs::trace(ctx_trace(), engine_.now(), at, obs::EventType::kPacketCorrupt,
+                 static_cast<std::uint64_t>(pkt.type), pkt.wire_bytes);
     });
   }
-#endif
   if (!config_.faults.empty()) {
     for (const FaultEvent& ev : config_.faults.events) {
       fault_horizon_ = std::max(
@@ -163,10 +160,9 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
       } else if (ev.node != kInvalidNode) {
         for (const LinkId id : topo_.out_links(ev.node)) note(id);
       }
-      R2C2_TRACE_INSTANT(ctx_trace(), now,
-                         ev.node != kInvalidNode ? ev.node : topo_.link(ev.link).from,
-                         obs::EventType::kFaultInject, static_cast<std::uint64_t>(ev.link),
-                         ev.is_failure() ? 1 : 0);
+      obs::trace(ctx_trace(), now, ev.node != kInvalidNode ? ev.node : topo_.link(ev.link).from,
+                 obs::EventType::kFaultInject, static_cast<std::uint64_t>(ev.link),
+                 ev.is_failure() ? 1 : 0);
     });
     injector_->arm();
   }
@@ -287,17 +283,19 @@ RunMetrics R2c2Sim::collect_metrics() {
   metrics_.gauge("detect.suspects").set(static_cast<double>(suspects_));
   metrics_.gauge("sim.events").set(static_cast<double>(m.events));
   metrics_.gauge("sim.end_ns").set(static_cast<double>(m.sim_end));
-  std::vector<obs::EngineLaneSample> lanes(static_cast<std::size_t>(engine_.num_lanes()));
+  // Engine gauges are observability-only: they never enter RunMetrics or a
+  // digest, so they cannot perturb worker-count identity.
+  metrics_.gauge("engine.windows").set(static_cast<double>(engine_.windows_run()));
+  metrics_.gauge("engine.serial_phases").set(static_cast<double>(engine_.serial_phases()));
+  metrics_.gauge("engine.clamped_schedules").set(static_cast<double>(engine_.clamped_schedules()));
   for (int i = 0; i < engine_.num_lanes(); ++i) {
     const Engine::LaneStats s = engine_.lane_stats(i);
-    auto& lane = lanes[static_cast<std::size_t>(i)];
-    lane.events = s.events;
-    lane.window_stalls = s.stalls;
-    lane.mailbox_posted = net_.mailbox_posted(i);
-    lane.mailbox_peak = net_.mailbox_peak_depth(i);
+    const std::string lane = "engine.lane" + std::to_string(i) + ".";
+    metrics_.gauge(lane + "events").set(static_cast<double>(s.events));
+    metrics_.gauge(lane + "window_stalls").set(static_cast<double>(s.stalls));
+    metrics_.gauge(lane + "mailbox_posted").set(static_cast<double>(net_.mailbox_posted(i)));
+    metrics_.gauge(lane + "mailbox_peak").set(static_cast<double>(net_.mailbox_peak_depth(i)));
   }
-  obs::publish_engine_lanes(metrics_, lanes, engine_.windows_run(), engine_.serial_phases(),
-                            engine_.clamped_schedules());
   return m;
 }
 
@@ -376,8 +374,8 @@ FlowId R2c2Sim::start_flow(const FlowArrival& arrival) {
   records_.push_back(rec);
   ++unfinished_;
   c_flows_started_.add(1);
-  R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), arrival.src, obs::EventType::kFlowStart,
-                     static_cast<std::uint64_t>(id), rec.bytes);
+  obs::trace(ctx_trace(), engine_.now(), arrival.src, obs::EventType::kFlowStart,
+             static_cast<std::uint64_t>(id), rec.bytes);
 
   SenderFlow flow;
   flow.spec = spec;
@@ -399,7 +397,7 @@ FlowId R2c2Sim::start_flow(const FlowArrival& arrival) {
   set_rate(it->second, start_rate_estimate(spec), engine_.now());
 
   // Announce the flow to the rack.
-  broadcast(flow_msg(it->second, PacketType::kFlowStart), spec.src);
+  broadcast(FlowTable::announce(PacketType::kFlowStart, spec, fseq), spec.src);
 
   schedule_emit(id);
   if (config_.recompute_interval > 0) arm(kEvRecomputeTick, config_.recompute_interval);
@@ -468,8 +466,8 @@ void R2c2Sim::broadcast(const BroadcastMsg& base, NodeId origin, bool recovery) 
       trees.trees_per_source())));  // load-balance across trees (Section 3.2)
   const std::uint64_t bcast_id = alloc_bcast_id();
   c_broadcasts_sent_.add(1);
-  R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), origin, obs::EventType::kBroadcastSend, bcast_id,
-                     static_cast<std::uint64_t>(msg.type));
+  obs::trace(ctx_trace(), engine_.now(), origin, obs::EventType::kBroadcastSend, bcast_id,
+             static_cast<std::uint64_t>(msg.type));
   // A shard-launched broadcast (a finish announcement) registers its
   // pending entry at the barrier; copies already in flight cannot complete
   // it before then, since the rack has > 1 node and any copy needs at least
@@ -514,20 +512,6 @@ void R2c2Sim::on_broadcast_copy(NodeId at, SimPacket&& pkt) {
       .at = engine_.now(), .kind = OpKind::kBcastArrived, .a = pkt.bcast_id, .node = at});
 }
 
-BroadcastMsg R2c2Sim::flow_msg(const SenderFlow& flow, PacketType type) {
-  BroadcastMsg msg;
-  msg.type = type;
-  msg.src = flow.spec.src;
-  msg.dst = flow.spec.dst;
-  msg.fseq = flow.fseq;
-  msg.rp = flow.spec.alg;
-  if (type != PacketType::kFlowFinish) {
-    msg.weight = static_cast<std::uint8_t>(std::clamp(flow.spec.weight, 1.0, 255.0));
-    msg.priority = flow.spec.priority;
-  }
-  return msg;  // demand_kbps stays 0: network-limited
-}
-
 std::size_t R2c2Sim::announce_live_flows(PacketType type, bool recovery) {
   // Sorted by flow id: broadcast() draws the tree from the RNG, so the
   // iteration order must be a function of state, not of the hash map's
@@ -538,7 +522,7 @@ std::size_t R2c2Sim::announce_live_flows(PacketType type, bool recovery) {
   std::sort(live.begin(), live.end());
   for (const FlowId id : live) {
     const SenderFlow& flow = senders_.at(id);
-    broadcast(flow_msg(flow, type), flow.spec.src, recovery);
+    broadcast(FlowTable::announce(type, flow.spec, flow.fseq), flow.spec.src, recovery);
   }
   return live.size();
 }
@@ -583,9 +567,9 @@ void R2c2Sim::recompute_tick() {
 void R2c2Sim::recompute_rates() {
   c_recomputations_.add(1);
   if (global_view_.empty()) return;
-  R2C2_SCOPED_SPAN(span, &h_recompute_wall_, ctx_trace(), engine_.now(), 0,
-                   obs::EventType::kRateRecompute,
-                   static_cast<std::uint64_t>(global_view_.size()));
+  obs::ScopedTimer span(&h_recompute_wall_, ctx_trace(), engine_.now(), 0,
+                        obs::EventType::kRateRecompute,
+                        static_cast<std::uint64_t>(global_view_.size()));
   // Rebuild the CSR problem only when a broadcast changed the view; the
   // solve itself reuses the scratch arena, so long simulations stop
   // churning the allocator (zero steady-state allocations).
@@ -725,7 +709,7 @@ void R2c2Sim::finish_sending(FlowId id) {
   flow.finish_announced = true;
   // Close the rate integral.
   set_rate(flow, 0.0, engine_.now());
-  const BroadcastMsg msg = flow_msg(flow, PacketType::kFlowFinish);
+  const BroadcastMsg msg = FlowTable::announce(PacketType::kFlowFinish, flow.spec, flow.fseq);
   record(id).avg_assigned_rate_bps =
       flow.rate_integral /
       std::max(1e-9, static_cast<double>(engine_.now() - flow.started_at) / 1e9);
@@ -744,16 +728,15 @@ void R2c2Sim::abort_flow(FlowId id) {
   if (flow.finish_announced) return;  // a finish/abort is already in flight
   flow.finish_announced = true;
   set_rate(flow, 0.0, engine_.now());
-  R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), flow.spec.src, obs::EventType::kFlowAbort,
-                     static_cast<std::uint64_t>(id),
-                     flow.rel ? flow.rel->retransmissions() : 0);
+  obs::trace(ctx_trace(), engine_.now(), flow.spec.src, obs::EventType::kFlowAbort,
+             static_cast<std::uint64_t>(id), flow.rel ? flow.rel->retransmissions() : 0);
   record(id).avg_assigned_rate_bps =
       flow.rate_integral /
       std::max(1e-9, static_cast<double>(engine_.now() - flow.started_at) / 1e9);
   // Announce the teardown like a finish so remote views retire the flow and
   // its rate share returns to the pool (the abort is local bookkeeping; on
   // the wire it is indistinguishable from a finish).
-  const BroadcastMsg msg = flow_msg(flow, PacketType::kFlowFinish);
+  const BroadcastMsg msg = FlowTable::announce(PacketType::kFlowFinish, flow.spec, flow.fseq);
   // The record verdict and unfinished_ are rack-global: on a shard lane the
   // receiver's lane may be completing the same flow this window.
   commit(DeferredOp{.at = engine_.now(), .kind = OpKind::kFlowAbort, .a = id});
@@ -811,8 +794,8 @@ void R2c2Sim::on_data_at_receiver(SimPacket&& pkt) {
     rec.completed = engine_.now();
     rec.max_reorder_pkts = recv.reorder.max_depth();
     c_flows_finished_.add(1);
-    R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), pkt.dst, obs::EventType::kFlowFinish,
-                       static_cast<std::uint64_t>(pkt.flow), static_cast<std::uint64_t>(rec.fct()));
+    obs::trace(ctx_trace(), engine_.now(), pkt.dst, obs::EventType::kFlowFinish,
+               static_cast<std::uint64_t>(pkt.flow), static_cast<std::uint64_t>(rec.fct()));
     // unfinished_ and receiver-map membership are rack-global. A reliable
     // receiver lingers (TIME_WAIT-style), re-acking stale retransmissions
     // in case the final ACK is lost; finish_sending reaps it once the
@@ -1004,8 +987,8 @@ void R2c2Sim::note_detection(LinkId directed, bool failure, TimeNs when) {
   rec.detected_at = when;
   open_recoveries_.push_back(recoveries_.size());
   recoveries_.push_back(rec);
-  R2C2_TRACE_INSTANT(ctx_trace(), when, topo_.link(directed).to, obs::EventType::kFaultDetect,
-                     static_cast<std::uint64_t>(cable), failure ? 1 : 0);
+  obs::trace(ctx_trace(), when, topo_.link(directed).to, obs::EventType::kFaultDetect,
+             static_cast<std::uint64_t>(cable), failure ? 1 : 0);
   arm(kEvRebuildContext, kRebuildDelay);
 }
 
@@ -1048,16 +1031,16 @@ void R2c2Sim::update_suspicion(TimeNs now) {
         ++suspects_;
         c_links_demoted_.add(1);
         changed = true;
-        R2C2_TRACE_INSTANT(ctx_trace(), now, topo_.link(id).to, obs::EventType::kLinkDemote,
-                           static_cast<std::uint64_t>(id), 1);
+        obs::trace(ctx_trace(), now, topo_.link(id).to, obs::EventType::kLinkDemote,
+                   static_cast<std::uint64_t>(id), 1);
       }
     } else if (loss < kSuspectClearThreshold && phi < config_.suspect_phi) {
       link_suspect_[id] = 0;
       --suspects_;
       c_links_cleared_.add(1);
       changed = true;
-      R2C2_TRACE_INSTANT(ctx_trace(), now, topo_.link(id).to, obs::EventType::kLinkDemote,
-                         static_cast<std::uint64_t>(id), 0);
+      obs::trace(ctx_trace(), now, topo_.link(id).to, obs::EventType::kLinkDemote,
+                 static_cast<std::uint64_t>(id), 0);
     }
   }
   if (changed) {
@@ -1100,8 +1083,8 @@ void R2c2Sim::install_plane(Plane next) {
 }
 
 void R2c2Sim::rebuild_context() {
-  R2C2_SCOPED_SPAN(span, &h_rebuild_wall_, ctx_trace(), engine_.now(), 0,
-                   obs::EventType::kFaultRebuild, cables_down_);
+  obs::ScopedTimer span(&h_rebuild_wall_, ctx_trace(), engine_.now(), 0,
+                        obs::EventType::kFaultRebuild, cables_down_);
   // Canonical cable set currently believed down (one direction per cable);
   // an empty set drops back to the pristine decision plane.
   std::vector<LinkId> down;
@@ -1161,8 +1144,8 @@ void R2c2Sim::lease_tick() {
   // lease refresh (and resurrects entries lost to failures).
   c_lease_refreshes_.add(announce_live_flows(PacketType::kDemandUpdate, /*recovery=*/false));
   if (!senders_.empty()) {
-    R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), 0, obs::EventType::kLeaseRefresh, senders_.size(),
-                       0);
+    obs::trace(ctx_trace(), engine_.now(), 0, obs::EventType::kLeaseRefresh, senders_.size(),
+               0);
   }
   arm(kEvLeaseTick, config_.lease_interval);
 }
@@ -1191,8 +1174,8 @@ void R2c2Sim::gc_tick() {
     }
   }
   if (!gc_scratch_.empty()) {
-    R2C2_TRACE_INSTANT(ctx_trace(), engine_.now(), 0, obs::EventType::kGhostExpired,
-                       gc_scratch_.size(), 0);
+    obs::trace(ctx_trace(), engine_.now(), 0, obs::EventType::kGhostExpired,
+               gc_scratch_.size(), 0);
   }
   if (!gc_scratch_.empty() && config_.recompute_interval == 0) recompute_rates();
   if (fault_ticks_needed() || !global_view_.empty()) arm(kEvGcTick, config_.lease_ttl);
@@ -1247,8 +1230,8 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
         const BroadcastMsg msg = it->second.msg;
         const bool recovery = it->second.recovery;
         pending_.erase(it);
-        R2C2_TRACE_INSTANT(ctx_trace(), op.at, op.node, obs::EventType::kBroadcastDeliver, op.a,
-                           static_cast<std::uint64_t>(msg.type));
+        obs::trace(ctx_trace(), op.at, op.node, obs::EventType::kBroadcastDeliver, op.a,
+                   static_cast<std::uint64_t>(msg.type));
         apply_global(msg);
         if (recovery && rebroadcast_outstanding_ > 0 && --rebroadcast_outstanding_ == 0) {
           // Every post-failure re-announcement has fully propagated: the
@@ -1257,7 +1240,7 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
             recoveries_[idx].reconverged_at = op.at;
           }
           open_recoveries_.clear();
-          R2C2_TRACE_INSTANT(ctx_trace(), op.at, op.node, obs::EventType::kFaultReconverge, 0, 0);
+          obs::trace(ctx_trace(), op.at, op.node, obs::EventType::kFaultReconverge, 0, 0);
         }
       }
       break;

@@ -293,7 +293,6 @@ class R2c2Sim {
   std::uint64_t context_rebuilds() const { return c_context_rebuilds_.value(); }
   bool link_detected_down(LinkId link) const { return cable_down_[link] != 0; }
   // Gray-failure introspection: suspicion verdicts and surfaced give-ups.
-  bool link_suspected(LinkId link) const { return link_suspect_[link] != 0; }
   std::size_t suspects() const { return suspects_; }
   std::uint64_t links_demoted() const { return c_links_demoted_.value(); }
   std::uint64_t flow_aborts() const { return c_flow_aborts_.value(); }
@@ -402,9 +401,6 @@ class R2c2Sim {
   void on_broadcast_copy(NodeId at, SimPacket&& pkt);
   void apply_global(const BroadcastMsg& msg);
   void broadcast(const BroadcastMsg& msg, NodeId origin, bool recovery = false);
-  // The broadcast that announces `flow` as `type`. A finish names the flow
-  // only; its weight and priority keep their wire defaults.
-  static BroadcastMsg flow_msg(const SenderFlow& flow, PacketType type);
   // Broadcasts `type` for every live sender flow in flow-id order; returns
   // the number of flows announced.
   std::size_t announce_live_flows(PacketType type, bool recovery);

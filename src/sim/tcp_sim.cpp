@@ -19,8 +19,8 @@ TcpSim::TcpSim(const Topology& topo, const Router& router, TcpSimConfig config)
   // Drops are recovered by TCP itself (dup-ACKs / RTO); the recorder still
   // notes them so loss shows up on the trace timeline.
   net_.set_drop([this]([[maybe_unused]] NodeId at, [[maybe_unused]] const SimPacket& pkt) {
-    R2C2_TRACE_INSTANT(trace_, engine_.now(), at, obs::EventType::kPacketDrop,
-                       static_cast<std::uint64_t>(pkt.type), pkt.wire_bytes);
+    obs::trace(trace_, engine_.now(), at, obs::EventType::kPacketDrop,
+               static_cast<std::uint64_t>(pkt.type), pkt.wire_bytes);
   });
   engine_.handle(kEvTcpStart, [this](const EventDesc& ev) { start_flow(arrivals_[ev.a]); });
   engine_.handle(kEvTcpRto, [this](const EventDesc& ev) {
@@ -65,8 +65,8 @@ void TcpSim::start_flow(const FlowArrival& arrival) {
   records_.push_back(rec);
   ++unfinished_;
   if (c_started_ != nullptr) c_started_->add(1);
-  R2C2_TRACE_INSTANT(trace_, engine_.now(), arrival.src, obs::EventType::kFlowStart,
-                     static_cast<std::uint64_t>(id), rec.bytes);
+  obs::trace(trace_, engine_.now(), arrival.src, obs::EventType::kFlowStart,
+             static_cast<std::uint64_t>(id), rec.bytes);
 
   Sender s;
   s.src = arrival.src;
@@ -192,9 +192,9 @@ void TcpSim::on_data(SimPacket&& pkt) {
       rec.max_reorder_pkts = r.reorder.max_depth();
       --unfinished_;
       if (c_finished_ != nullptr) c_finished_->add(1);
-      R2C2_TRACE_INSTANT(trace_, engine_.now(), s.dst, obs::EventType::kFlowFinish,
-                         static_cast<std::uint64_t>(pkt.flow),
-                         static_cast<std::uint64_t>(rec.fct()));
+      obs::trace(trace_, engine_.now(), s.dst, obs::EventType::kFlowFinish,
+                 static_cast<std::uint64_t>(pkt.flow),
+                 static_cast<std::uint64_t>(rec.fct()));
     }
   }
 }

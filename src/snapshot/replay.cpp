@@ -280,7 +280,7 @@ ReplayResult Scenario::run(TimeNs until) {
     s.run_until(t);
     const std::uint64_t digest = s.state_digest();
     out.digests.record(s.now(), digest);
-    R2C2_TRACE_INSTANT(config_.trace, s.now(), 0, obs::EventType::kStateDigest, digest, 0);
+    obs::trace(config_.trace, s.now(), 0, obs::EventType::kStateDigest, digest, 0);
     if (config_.snapshot_every > 0 && !config_.snapshot_prefix.empty() && !s.idle() &&
         t % config_.snapshot_every == 0) {
       const std::string path = config_.snapshot_prefix + std::to_string(t) + ".snap";

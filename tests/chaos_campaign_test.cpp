@@ -221,6 +221,39 @@ TEST(ChaosRepro, RejectsNonPositiveDigestCadence) {
   EXPECT_NE(error.find("digest-every 0"), std::string::npos) << error;
 }
 
+TEST(ChaosRepro, RejectsNegativeGrayTimes) {
+  chaos::Repro repro = one_event_repro();
+  const auto degraded = [&](auto set) {
+    sim::LinkDegrade gray;
+    gray.loss_prob = 1e-12;
+    set(gray);
+    repro.script.events[0] = sim::FaultScript::degrade_one_way(40 * kNsPerUs, 3, gray);
+    return load_error(repro);
+  };
+  EXPECT_EQ(degraded([](sim::LinkDegrade&) {}), "");
+  std::string error = degraded([](sim::LinkDegrade& g) { g.added_latency = -1000000; });
+  EXPECT_NE(error.find("latency -1000000"), std::string::npos) << error;
+  error = degraded([](sim::LinkDegrade& g) { g.jitter = -5; });
+  EXPECT_NE(error.find("jitter -5"), std::string::npos) << error;
+  error = degraded([](sim::LinkDegrade& g) { g.flap_period = -7; });
+  EXPECT_NE(error.find("flap-period -7"), std::string::npos) << error;
+  error = degraded([](sim::LinkDegrade& g) {
+    g.flap_period = 50 * kNsPerUs;
+    g.flap_down = -9;
+  });
+  EXPECT_NE(error.find("flap-down -9"), std::string::npos) << error;
+}
+
+TEST(ChaosRepro, RejectsFlowCountBelowOne) {
+  chaos::Repro repro = one_event_repro();
+  repro.config.flows = -1;
+  std::string error = load_error(repro);
+  EXPECT_NE(error.find("flows -1"), std::string::npos) << error;
+  repro.config.flows = 0;
+  error = load_error(repro);
+  EXPECT_NE(error.find("flows 0"), std::string::npos) << error;
+}
+
 TEST(ChaosShrink, ShrunkenScriptIsOneMinimal) {
   // ddmin postcondition: removing any single event from the shrunken
   // script makes the violation disappear.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,6 +38,38 @@ TEST(FlowTable, StartAddsFinishRemoves) {
 
   BroadcastMsg fin = start_msg(1, 2, 0);
   fin.type = PacketType::kFlowFinish;
+  table.apply(fin);
+  EXPECT_TRUE(table.empty());
+}
+
+TEST(FlowTable, AnnounceRoundTripsThroughApply) {
+  FlowSpec spec;
+  spec.id = (3u << 16) | 7u;
+  spec.src = 3;
+  spec.dst = 9;
+  spec.alg = RouteAlg::kVlb;
+  spec.weight = 1.6;
+  spec.priority = 2;
+  spec.demand = 2.5 * kGbps + 1234.0;
+  FlowTable table;
+  table.apply(FlowTable::announce(PacketType::kFlowStart, spec, 7));
+  const auto got = table.find(3, 7);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, spec.id);
+  EXPECT_EQ(got->dst, 9);
+  EXPECT_EQ(got->alg, RouteAlg::kVlb);
+  EXPECT_EQ(got->weight, 2.0);  // rounded to the 8-bit wire weight, not truncated
+  EXPECT_EQ(got->priority, 2);
+  EXPECT_EQ(got->demand, 2'500'001 * kKbps);  // kbps precision
+
+  spec.demand = kUnlimitedDemand;
+  table.apply(FlowTable::announce(PacketType::kDemandUpdate, spec, 7));
+  EXPECT_TRUE(std::isinf(table.find(3, 7)->demand));
+
+  const BroadcastMsg fin = FlowTable::announce(PacketType::kFlowFinish, spec, 7);
+  EXPECT_EQ(fin.weight, 1);
+  EXPECT_EQ(fin.priority, 0);
+  EXPECT_EQ(fin.demand_kbps, 0u);
   table.apply(fin);
   EXPECT_TRUE(table.empty());
 }

@@ -157,6 +157,20 @@ TEST(FlightRecorder, EventNamesAndCategoriesAreStable) {
   }
 }
 
+TEST(FlightRecorder, TraceHookRecordsOneInstantOnlyWhenAttached) {
+  trace(nullptr, 10, 1, EventType::kFlowStart, 2, 3);  // detached: a no-op
+  FlightRecorder rec(8);
+  trace(&rec, 250, 4, EventType::kLinkDemote, 17, 1);
+  const std::vector<TraceEvent> events = rec.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].ts, 250);
+  EXPECT_EQ(events[0].node, 4u);
+  EXPECT_EQ(events[0].type, EventType::kLinkDemote);
+  EXPECT_EQ(events[0].phase, EventPhase::kInstant);
+  EXPECT_EQ(events[0].arg0, 17u);
+  EXPECT_EQ(events[0].arg1, 1u);
+}
+
 // --- Metrics --------------------------------------------------------------
 
 TEST(Metrics, CounterAndGaugeBasics) {

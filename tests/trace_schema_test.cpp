@@ -1,5 +1,5 @@
-// Acceptance check for the observability tentpole: a full R2c2Sim run with
-// tracing ON (including a mid-run cable failure) must export Chrome
+// Acceptance check for the observability layer: a full R2c2Sim run with a
+// recorder attached (including a mid-run cable failure) must export Chrome
 // trace-event JSON that a trace viewer will accept — every event has a
 // valid phase, timestamps are monotone per tid (per rack node), and every
 // Begin has a matching End. A minimal purpose-built parser walks the JSON;
@@ -89,7 +89,6 @@ TEST(TraceSchema, FullSimRunExportsValidBalancedTrace) {
 
   const std::string json = to_chrome_trace_json(recorder);
 
-#if R2C2_TRACING_ENABLED
   // --- The run actually traced: every subsystem left events behind. ---
   ASSERT_FALSE(recorder.empty());
   const std::vector<ParsedEvent> events = parse_events(json);
@@ -137,12 +136,6 @@ TEST(TraceSchema, FullSimRunExportsValidBalancedTrace) {
   EXPECT_GT(registry.find_counter("r2c2.recomputations")->value(), 0u);
   ASSERT_NE(registry.find_histogram("r2c2.recompute_wall_ns"), nullptr);
   EXPECT_GT(registry.find_histogram("r2c2.recompute_wall_ns")->count(), 0u);
-#else
-  // --- Compiled out (-DR2C2_TRACING=OFF): the recorder stays untouched ---
-  // even though it was attached, and the export is a valid empty envelope.
-  EXPECT_TRUE(recorder.empty());
-  EXPECT_EQ(parse_events(json).size(), 0u);
-#endif
 
   // The envelope itself is always present (what CI uploads as an artifact).
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ns\""), std::string::npos);
@@ -183,7 +176,6 @@ TEST(TraceSchema, SmallRingStillExportsBalancedSpans) {
   simulator.add_flows(generate_poisson_uniform(wl));
   simulator.run();
 
-#if R2C2_TRACING_ENABLED
   EXPECT_EQ(recorder.size(), recorder.capacity());
   EXPECT_GT(recorder.overwritten(), 0u);
   const std::vector<ParsedEvent> events = parse_events(to_chrome_trace_json(recorder));
@@ -196,9 +188,6 @@ TEST(TraceSchema, SmallRingStillExportsBalancedSpans) {
     }
   }
   for (const auto& [tid, d] : depth) EXPECT_EQ(d, 0) << tid;
-#else
-  EXPECT_TRUE(recorder.empty());
-#endif
 }
 
 TEST(TraceSchema, ShardedRunMergesLaneTracesIdenticallyAcrossWorkerCounts) {
@@ -239,7 +228,6 @@ TEST(TraceSchema, ShardedRunMergesLaneTracesIdenticallyAcrossWorkerCounts) {
   run_traced(1, rec_w1);
   run_traced(4, rec_w4);
 
-#if R2C2_TRACING_ENABLED
   ASSERT_FALSE(rec_w4.empty());
   const std::vector<obs::TraceEvent> a = rec_w1.snapshot();
   const std::vector<obs::TraceEvent> b = rec_w4.snapshot();
@@ -285,9 +273,6 @@ TEST(TraceSchema, ShardedRunMergesLaneTracesIdenticallyAcrossWorkerCounts) {
   }
   for (const auto& [tid, d] : depth) EXPECT_EQ(d, 0) << tid;
   EXPECT_TRUE(saw_fault);
-#else
-  EXPECT_TRUE(rec_w4.empty());
-#endif
 }
 
 }  // namespace

@@ -63,7 +63,6 @@ sim::R2c2SimConfig gray_config(bool adaptive) {
   cfg.reliable = true;
   cfg.rto = 150 * kNsPerUs;
   cfg.adaptive_rto = true;
-  cfg.min_rto = 50 * kNsPerUs;
   cfg.max_rto = 5000 * kNsPerUs;
   cfg.max_retransmits = 32;
   cfg.retransmit_jitter = true;

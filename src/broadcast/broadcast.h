@@ -20,12 +20,13 @@
 #include <vector>
 
 #include "common/types.h"
+#include "packet/packet.h"
 #include "topology/topology.h"
 
 namespace r2c2 {
 
 // Size of the fixed broadcast packet on the wire (Section 3.2 / Fig. 6).
-inline constexpr std::size_t kBroadcastPacketBytes = 16;
+inline constexpr std::size_t kBroadcastPacketBytes = BroadcastMsg::kWireSize;
 
 class BroadcastTrees {
  public:

@@ -49,7 +49,6 @@ ScenarioSpec make_gray_scenario(const CampaignConfig& config, int index) {
   sc.rto = 150 * kNsPerUs;
   sc.max_retransmits = 32;
   sc.adaptive_rto = true;
-  sc.min_rto = 50 * kNsPerUs;
   sc.max_rto = 5000 * kNsPerUs;
   sc.retransmit_jitter = true;
   sc.keepalive_interval = 10 * kNsPerUs;

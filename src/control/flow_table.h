@@ -34,6 +34,11 @@
 
 namespace r2c2 {
 
+// A lease runs out after this many refresh periods without a refresh: the
+// lease TTL of both the simulator and R2c2Stack is kLeaseTtlIntervals times
+// their lease interval.
+inline constexpr int kLeaseTtlIntervals = 4;
+
 class FlowTable {
  public:
   // Wire-level flow key.

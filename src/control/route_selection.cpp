@@ -21,6 +21,15 @@ using Genotype = std::vector<std::uint8_t>;
 // Per-gene mutation probability of the GA's children (the paper's 0.01).
 constexpr double kMutationProb = 0.01;
 
+// The GA carries its kGaElite best genotypes into the next generation
+// unchanged. The memetic step of select_routes_hybrid: after each
+// generation's fitness, the top kLsElites ranked genotypes each get
+// kLsSteps first-improvement single-gene flips (memoized evaluations) and
+// the improved genotypes re-enter the next generation as its elites.
+constexpr int kGaElite = 10;
+constexpr int kLsElites = 4;
+constexpr int kLsSteps = 16;
+
 // Simulated annealing cools geometrically from kAnnealT0 to kAnnealT1 over
 // the evaluation budget. Temperatures are *relative* degradations — a move
 // that loses fraction `t` of the current utility is accepted with
@@ -285,7 +294,7 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
     }
 
     // Elite copies for the next generation (possibly improved below).
-    const int elite = std::min<int>(config.elite, static_cast<int>(population.size()));
+    const int elite = std::min<int>(kGaElite, static_cast<int>(population.size()));
     std::vector<Genotype> next;
     next.reserve(population.size());
     for (int e = 0; e < elite; ++e) next.push_back(population[rank[static_cast<std::size_t>(e)]]);
@@ -298,11 +307,11 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
       std::uint64_t fork = config.seed + 0x6d656d65ULL +
                            static_cast<std::uint64_t>(gen) * 0x9e3779b97f4a7c15ULL;
       Rng ls_rng(splitmix64(fork));
-      const int k = std::min<int>(config.ls_elites, elite);
+      const int k = std::min<int>(kLsElites, elite);
       for (int e = 0; e < k; ++e) {
         Genotype& g = next[static_cast<std::size_t>(e)];
         double gf = fit[rank[static_cast<std::size_t>(e)]];
-        for (int step = 0; step < config.ls_steps; ++step) {
+        for (int step = 0; step < kLsSteps; ++step) {
           if (config.eval_budget > 0 && eval.evaluations >= config.eval_budget) break;
           const std::size_t i = ls_rng.uniform_int(g.size());
           const std::uint8_t old = g[i];

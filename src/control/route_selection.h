@@ -187,20 +187,12 @@ struct SelectionConfig {
   int population = 100;
   int max_generations = 60;
   int stall_generations = 12;  // stop early when no improvement
-  int elite = 10;              // genotypes copied unchanged each generation
 
   // Budget for random search / hill climbing / simulated annealing, in
   // utility evaluations. The hybrid also stops once it crosses this many
   // evaluations when the value is > 0 (checked at generation boundaries,
   // so it may overshoot by at most one generation's batch).
   int eval_budget = 2000;
-
-  // Memetic step of select_routes_hybrid: after each generation's
-  // fitness, the top `ls_elites` ranked genotypes each get `ls_steps`
-  // first-improvement single-gene flips (memoized evaluations) and the
-  // improved genotypes re-enter the next generation as its elites.
-  int ls_elites = 4;
-  int ls_steps = 16;
 
   // Fitness memo entry budget (entries evicted FIFO past it; 0 =
   // unlimited); the byte budget is FitnessMemo::kDefaultMaxBytes.
@@ -268,7 +260,7 @@ SelectionResult select_routes_anneal(const Router& router, std::span<const FlowS
                                      const SelectionConfig& config);
 
 // Memetic GA: the generation loop of select_routes_ga plus a
-// first-improvement local search on the top ls_elites genotypes each
+// first-improvement local search on the top four genotypes each
 // generation (Lamarckian: improved elites re-enter the population).
 // Stops early once eval_budget (> 0) evaluations are spent.
 SelectionResult select_routes_hybrid(const Router& router, std::span<const FlowSpec> flows,

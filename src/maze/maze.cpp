@@ -15,11 +15,17 @@ constexpr TimeNs kMaxNap = 10 * kNsPerMs;
 // Back-off when a downstream data ring is full (link-level flow control:
 // the emulator never drops data packets; see header note).
 constexpr TimeNs kRingFullBackoff = 20 * kNsPerUs;
+// Every node's stack uses the default AllocationConfig, kMazeBroadcastTrees
+// trees per source and the seed kMazeSeed + node id; every incoming link's
+// data ring holds kMazeRingSlots packet slots.
+constexpr int kMazeBroadcastTrees = 2;
+constexpr std::size_t kMazeRingSlots = 512;
+constexpr std::uint64_t kMazeSeed = 11;
 }  // namespace
 
 bool MazeRack::DataRing::push(Slot&& slot) {
   std::lock_guard lock(mu);
-  if (ready.size() >= capacity_slots) return false;
+  if (ready.size() >= kMazeRingSlots) return false;
   queued_bytes += slot.bytes.size();
   max_queued_bytes = std::max(max_queued_bytes, queued_bytes);
   ready.push_back(std::move(slot));
@@ -27,19 +33,13 @@ bool MazeRack::DataRing::push(Slot&& slot) {
 }
 
 MazeRack::MazeRack(const Topology& topo, MazeConfig config)
-    : topo_(topo), config_(config), router_(topo), trees_(topo, config.broadcast_trees) {
+    : topo_(topo), config_(config), router_(topo), trees_(topo, kMazeBroadcastTrees) {
   ctx_.topo = &topo_;
   ctx_.router = &router_;
   ctx_.trees = &trees_;
-  ctx_.alloc = config.alloc;
-  ctx_.recompute_interval = config.recompute_interval;
 
   rings_.reserve(topo.num_links());
-  for (LinkId l = 0; l < topo.num_links(); ++l) {
-    auto ring = std::make_unique<DataRing>();
-    ring->capacity_slots = config.ring_slots;
-    rings_.push_back(std::move(ring));
-  }
+  for (LinkId l = 0; l < topo.num_links(); ++l) rings_.push_back(std::make_unique<DataRing>());
 
   nodes_.reserve(topo.num_nodes());
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
@@ -64,7 +64,7 @@ MazeRack::MazeRack(const Topology& topo, MazeConfig config)
       auto it = raw->app_flows.find(flow);
       if (it != raw->app_flows.end()) it->second.rate_bps = rate;
     };
-    node->stack = std::make_unique<R2c2Stack>(n, ctx_, std::move(cb), config.seed + n);
+    node->stack = std::make_unique<R2c2Stack>(n, ctx_, std::move(cb), kMazeSeed + n);
     nodes_.push_back(std::move(node));
   }
 }

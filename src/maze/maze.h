@@ -43,14 +43,11 @@
 
 namespace r2c2::maze {
 
+// Trees per source, data-ring slots and stack seeds are fixed (maze.cpp).
 struct MazeConfig {
   Bps link_bandwidth = 100 * kMbps;  // emulated rate per virtual link
   TimeNs link_latency = 20 * kNsPerUs;  // emulated propagation per hop
   TimeNs recompute_interval = 2 * kNsPerMs;
-  AllocationConfig alloc{};
-  int broadcast_trees = 2;
-  std::size_t ring_slots = 512;  // DR slots per incoming link
-  std::uint64_t seed = 11;
 };
 
 struct MazeFlowResult {
@@ -105,7 +102,6 @@ class MazeRack {
     std::deque<Slot> ready;  // FIFO of received packets
     std::uint64_t queued_bytes = 0;
     std::uint64_t max_queued_bytes = 0;
-    std::size_t capacity_slots = 0;
     bool push(Slot&& slot);  // false if the ring is full (packet dropped)
   };
 

@@ -10,6 +10,11 @@
 
 namespace r2c2 {
 
+namespace {
+// Period T of every local flow's demand estimator (Section 3.3.2).
+constexpr TimeNs kDemandPeriod = 1 * kNsPerMs;
+}  // namespace
+
 R2c2Stack::R2c2Stack(NodeId self, const RackContext& ctx, Callbacks callbacks, std::uint64_t seed)
     : self_(self), ctx_(ctx), cb_(std::move(callbacks)), rng_(seed ^ (0xace1ULL + self)) {
   if (!ctx_.topo || !ctx_.router || !ctx_.trees) {
@@ -52,7 +57,7 @@ FlowId R2c2Stack::open_flow(NodeId dst, const FlowOptions& options) {
   LocalFlow flow{.spec = {},
                  .fseq = fseq,
                  .rate = 0.0,
-                 .demand = DemandEstimator(ctx_.demand_period),
+                 .demand = DemandEstimator(kDemandPeriod),
                  .demand_limited = false};
   flow.spec.id = id;
   flow.spec.src = self_;
@@ -195,7 +200,6 @@ void R2c2Stack::tick(TimeNs now) {
   obs::ScopedTimer span(h_tick_);
   const TimeNs interval = ctx_.lease_interval;
   if (interval <= 0) return;
-  const TimeNs ttl = ctx_.lease_ttl > 0 ? ctx_.lease_ttl : 4 * interval;
   if (now_ - last_refresh_ >= interval) {
     last_refresh_ = now_;
     // Re-advertise every local flow. The demand-update message is reused
@@ -217,7 +221,7 @@ void R2c2Stack::tick(TimeNs now) {
     // immune — close_flow is what removes them. Scanned every refresh
     // interval (not every ttl) so a ghost is collected within one interval
     // of its lease running out instead of waiting for the next ttl tick.
-    view_.expire_stale(now_, ttl, self_);
+    view_.expire_stale(now_, kLeaseTtlIntervals * interval, self_);
   }
 }
 
@@ -305,7 +309,7 @@ void R2c2Stack::persist(Self& s, V& v, std::string_view tag) {
           return LocalFlow{.spec = {},
                            .fseq = 0,
                            .rate = 0.0,
-                           .demand = DemandEstimator(s.ctx_.demand_period),
+                           .demand = DemandEstimator(kDemandPeriod),
                            .demand_limited = false};
         });
   });

@@ -55,16 +55,13 @@ struct RackContext {
   const Router* router = nullptr;
   const BroadcastTrees* trees = nullptr;
   AllocationConfig alloc{};
-  TimeNs recompute_interval = 500 * kNsPerUs;
-  TimeNs demand_period = 1 * kNsPerMs;
   // Lease protocol (Section 3.1 hardening): every `lease_interval` each
   // stack re-advertises its local flows (demand-update broadcasts double
-  // as lease refreshes), and entries not refreshed within `lease_ttl` are
-  // garbage-collected. Heals views that diverged because a flow event was
-  // lost (corrupted control packet, failed link). 0 disables the protocol;
-  // lease_ttl defaults to 4 * lease_interval when left 0.
+  // as lease refreshes), and entries not refreshed within
+  // kLeaseTtlIntervals intervals are garbage-collected. Heals views that
+  // diverged because a flow event was lost (corrupted control packet,
+  // failed link). 0 disables the protocol.
   TimeNs lease_interval = 0;
-  TimeNs lease_ttl = 0;
   // --- Observability (src/obs/, optional, shared by all stacks) ---
   // Flight recorder for control-plane trace events; the stack stamps them
   // with its own node id and its tick()-driven clock. Null = no tracing.

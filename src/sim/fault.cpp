@@ -10,6 +10,20 @@ namespace r2c2::sim {
 
 namespace {
 
+// A gray episode is a flap oscillator of period kChaosGrayFlapPeriod with
+// probability kChaosGrayFlapProb, else loss drawn from
+// [0.02, kChaosGrayMaxLoss]; each of corruption in [0, kChaosGrayMaxCorrupt],
+// added latency up to kChaosGrayMaxLatency and jitter up to
+// kChaosGrayMaxJitter joins with probability 1/2. With probability
+// kChaosGrayAsymProb only one direction of the cable degrades.
+constexpr double kChaosGrayFlapProb = 0.25;
+constexpr TimeNs kChaosGrayFlapPeriod = 50 * kNsPerUs;
+constexpr double kChaosGrayMaxLoss = 0.30;
+constexpr double kChaosGrayMaxCorrupt = 0.02;
+constexpr TimeNs kChaosGrayMaxLatency = 3 * kNsPerUs;
+constexpr TimeNs kChaosGrayMaxJitter = 2 * kNsPerUs;
+constexpr double kChaosGrayAsymProb = 0.25;
+
 // Hard-fault ground truth used while *generating* chaos scripts: which
 // directed links are down and which nodes are failed, replayed with the
 // same last-write-wins semantics the injector applies at runtime.
@@ -180,7 +194,7 @@ FaultScript make_chaos_script(const Topology& topo, Rng& rng, const ChaosConfig&
   TimeNs tn = config.start;
   for (int wave = 0; wave < config.node_waves; ++wave) {
     tn += static_cast<TimeNs>(rng.exponential(static_cast<double>(config.mean_wave_gap)));
-    for (int f = 0; f < config.nodes_per_wave; ++f) {
+    for (int f = 0; f < kChaosNodesPerWave; ++f) {
       for (int attempt = 0; attempt < 64; ++attempt) {
         const NodeId cand =
             static_cast<NodeId>(rng.uniform_int(static_cast<std::uint64_t>(topo.num_nodes())));
@@ -210,25 +224,25 @@ FaultScript make_chaos_script(const Topology& topo, Rng& rng, const ChaosConfig&
     for (int g = 0; g < config.grays_per_wave; ++g) {
       const LinkId cand = random_link(topo, rng);
       LinkDegrade gray;
-      if (rng.bernoulli(config.flap_prob)) {
-        gray.flap_period = config.flap_period;
-        gray.flap_down = static_cast<TimeNs>(static_cast<double>(config.flap_period) *
+      if (rng.bernoulli(kChaosGrayFlapProb)) {
+        gray.flap_period = kChaosGrayFlapPeriod;
+        gray.flap_down = static_cast<TimeNs>(static_cast<double>(kChaosGrayFlapPeriod) *
                                              rng.uniform(0.2, 0.6));
       } else {
-        gray.loss_prob = rng.uniform(0.02, config.gray_max_loss);
+        gray.loss_prob = rng.uniform(0.02, kChaosGrayMaxLoss);
       }
       if (rng.bernoulli(0.5)) {
-        gray.corrupt_prob = rng.uniform(0.0, config.gray_max_corrupt);
+        gray.corrupt_prob = rng.uniform(0.0, kChaosGrayMaxCorrupt);
       }
       if (rng.bernoulli(0.5)) {
         gray.added_latency = static_cast<TimeNs>(
-            rng.uniform_int(static_cast<std::uint64_t>(config.gray_max_latency) + 1));
+            rng.uniform_int(static_cast<std::uint64_t>(kChaosGrayMaxLatency) + 1));
       }
       if (rng.bernoulli(0.5)) {
         gray.jitter = static_cast<TimeNs>(
-            rng.uniform_int(static_cast<std::uint64_t>(config.gray_max_jitter) + 1));
+            rng.uniform_int(static_cast<std::uint64_t>(kChaosGrayMaxJitter) + 1));
       }
-      const bool asym = rng.bernoulli(config.asym_prob);
+      const bool asym = rng.bernoulli(kChaosGrayAsymProb);
       const TimeNs clear_at =
           tg + static_cast<TimeNs>(rng.exponential(static_cast<double>(config.mean_gray_time)));
       if (asym) {

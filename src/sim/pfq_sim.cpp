@@ -7,8 +7,14 @@
 
 namespace r2c2::sim {
 
+namespace {
+constexpr std::uint32_t kMtuPayload = static_cast<std::uint32_t>(kMaxPayloadBytes);
+// Seed of the one RNG stream behind every randomized path draw.
+constexpr std::uint64_t kPfqSeed = 7;
+}  // namespace
+
 PfqSim::PfqSim(const Topology& topo, const Router& router, PfqSimConfig config)
-    : topo_(topo), router_(router), config_(config), rng_(config.seed),
+    : topo_(topo), router_(router), config_(config), rng_(kPfqSeed),
       ports_(topo.num_links()), trace_(config.trace) {
   if (config_.metrics != nullptr) {
     c_started_ = &config_.metrics->counter("pfq.flows_started");
@@ -76,7 +82,7 @@ bool PfqSim::eligible(NodeId next, const SimPacket& pkt) const {
   if (next == pkt.dst) return true;
   const auto it = occupancy_.find(nf_key(next, pkt.flow));
   const std::uint64_t occ = it == occupancy_.end() ? 0 : it->second;
-  return occ + pkt.wire_bytes <= config_.per_flow_quota_bytes;
+  return occ + pkt.wire_bytes <= kPfqFlowQuotaBytes;
 }
 
 void PfqSim::try_inject(FlowId id) {
@@ -85,11 +91,11 @@ void PfqSim::try_inject(FlowId id) {
   SenderFlow& s = it->second;
   while (s.sent_bytes < s.total_bytes) {
     const std::uint32_t payload = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(s.total_bytes - s.sent_bytes, config_.mtu_payload));
+        std::min<std::uint64_t>(s.total_bytes - s.sent_bytes, kMtuPayload));
     const std::uint32_t wire = payload + static_cast<std::uint32_t>(DataHeader::kWireSize);
     // Source back-pressure: the sender's own node is subject to the quota.
     std::uint64_t& occ = occupancy_[nf_key(s.src, id)];
-    if (occ + wire > config_.per_flow_quota_bytes) return;  // resumes on drain
+    if (occ + wire > kPfqFlowQuotaBytes) return;  // resumes on drain
     SimPacket pkt;
     pkt.type = PacketType::kData;
     pkt.flow = id;
@@ -183,7 +189,7 @@ void PfqSim::arrive(LinkId link, SimPacket&& pkt) {
     if (rit == receivers_.end()) return;
     ReceiverFlow& r = rit->second;
     r.received_bytes += pkt.payload;
-    r.reorder.on_packet(pkt.seq / config_.mtu_payload);
+    r.reorder.on_packet(pkt.seq / kMtuPayload);
     FlowRecord& rec = records_[pkt.flow - 1];
     if (r.received_bytes >= rec.bytes) {
       rec.completed = engine_.now();

@@ -28,15 +28,15 @@
 
 namespace r2c2::sim {
 
+// Per (node, flow) buffer quota. Generous by design: the paper calls out
+// PFQ's "very high buffering requirements" — the quota must cover one
+// packet in flight per first-hop link for multipath flows to aggregate
+// bandwidth (8 x MTU covers the torus' six ports with slack).
+inline constexpr std::uint64_t kPfqFlowQuotaBytes = 8 * kMtuBytes;
+
+// Packets carry kMaxPayloadBytes.
 struct PfqSimConfig {
-  std::uint32_t mtu_payload = static_cast<std::uint32_t>(kMaxPayloadBytes);
-  // Per (node, flow) buffer quota. Generous by design: the paper calls out
-  // PFQ's "very high buffering requirements" — the quota must cover one
-  // packet in flight per first-hop link for multipath flows to aggregate
-  // bandwidth (8 x MTU covers the torus' six ports with slack).
-  std::uint64_t per_flow_quota_bytes = 8 * kMtuBytes;
   RouteAlg route_alg = RouteAlg::kRps;
-  std::uint64_t seed = 7;
   // Optional observability (src/obs/): flow lifecycle trace events and
   // "pfq.*" counters. Null = disabled.
   obs::FlightRecorder* trace = nullptr;
@@ -102,7 +102,6 @@ class PfqSim {
   std::unordered_map<FlowId, ReceiverFlow> receivers_;
   std::vector<FlowRecord> records_;
   std::uint64_t data_bytes_ = 0;
-  std::uint64_t events_hint_ = 0;
   obs::FlightRecorder* trace_ = nullptr;
   obs::Counter* c_started_ = nullptr;
   obs::Counter* c_finished_ = nullptr;

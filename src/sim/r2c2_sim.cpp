@@ -12,12 +12,17 @@
 namespace r2c2::sim {
 
 namespace {
-constexpr std::uint32_t kBcastWireBytes = 16;
 // The receiver acks every kAckEveryPkts data packets, and at gaps and at
 // completion.
 constexpr int kAckEveryPkts = 4;
-// Adaptive detection clears a suspect link only below this estimated loss
-// (hysteresis against the demotion threshold).
+// Adaptive detection demotes a link whose estimated loss exceeds
+// kSuspectLossThreshold or whose silence exceeds kSuspectPhi learned
+// keepalive gaps; the loss estimate is an EWMA of the per-tick delivery
+// indicator with step kSuspectEwmaAlpha. It clears a suspect link only
+// below kSuspectClearThreshold (hysteresis against the demotion threshold).
+constexpr double kSuspectLossThreshold = 0.02;
+constexpr double kSuspectPhi = 2.5;
+constexpr double kSuspectEwmaAlpha = 0.1;
 constexpr double kSuspectClearThreshold = 0.005;
 // Detection -> rebuild debounce, coalescing near-simultaneous per-cable
 // detections into one context rebuild.
@@ -76,8 +81,6 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
       interarrival_ewma_(topo.num_links(), 0.0),
       deliv_ewma_(topo.num_links(), 1.0),
       link_suspect_(topo.num_links(), 0) {
-  if (config_.failure_timeout == 0) config_.failure_timeout = 4 * config_.keepalive_interval;
-  if (config_.lease_ttl == 0) config_.lease_ttl = 4 * config_.lease_interval;
   if (config_.engine_shards > 1 && config_.recompute_interval == 0) {
     throw std::logic_error(
         "engine_shards > 1 requires recompute_interval > 0: per-event "
@@ -122,7 +125,6 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
         pkt.type == PacketType::kKeepalive) {
       return;
     }
-    if (!config_.retransmit_dropped_control) return;
     const LinkId link = topo_.find_link(at, pkt.dst);
     if (link == kInvalidLink) return;
     // The retransmit copy is parked (not captured) so the pending event
@@ -139,7 +141,7 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
   if (!config_.faults.empty()) {
     for (const FaultEvent& ev : config_.faults.events) {
       fault_horizon_ = std::max(
-          fault_horizon_, ev.at + config_.failure_timeout + 2 * config_.keepalive_interval);
+          fault_horizon_, ev.at + failure_timeout() + 2 * config_.keepalive_interval);
     }
     injector_.emplace(engine_, net_, topo_, config_.faults);
     // Record ground-truth injection times per cable so detection latency
@@ -305,7 +307,6 @@ ReliableSender::Config R2c2Sim::rel_config(FlowId id) const {
   c.rto = config_.rto;
   c.max_retransmits = config_.max_retransmits;
   c.adaptive_rto = config_.adaptive_rto;
-  c.min_rto = config_.min_rto;
   c.max_rto = config_.max_rto;
   // Per-flow jitter key: pure function of (seed, flow id), so a restored
   // sender reconstructs the identical jitter schedule.
@@ -486,7 +487,7 @@ void R2c2Sim::broadcast(const BroadcastMsg& base, NodeId origin, bool recovery) 
     pkt.type = msg.type;
     pkt.src = msg.src;
     pkt.dst = topo_.link(link).to;
-    pkt.wire_bytes = kBcastWireBytes;
+    pkt.wire_bytes = static_cast<std::uint32_t>(kBroadcastPacketBytes);
     pkt.tree = msg.tree;
     pkt.bcast_src = origin;
     pkt.bcast_id = bcast_id;
@@ -802,9 +803,8 @@ void R2c2Sim::on_data_at_receiver(SimPacket&& pkt) {
     // sender is fully acked. On a shard lane any receiver lingers until
     // the barrier — trailing same-window packets just update state that is
     // about to be reaped.
-    commit(DeferredOp{.at = engine_.now(),
-                      .kind = recv.rel ? OpKind::kUnfinishedDec : OpKind::kReceiverDone,
-                      .a = pkt.flow});
+    commit(DeferredOp{
+        .at = engine_.now(), .kind = OpKind::kReceiverDone, .a = pkt.flow, .flag = !recv.rel});
   }
 }
 
@@ -868,11 +868,11 @@ void R2c2Sim::start_fault_ticks() {
       std::fill(last_heard_.begin(), last_heard_.end(), now);
       keepalive_tick();
     }
-    arm(kEvDetectionTick, config_.failure_timeout);
+    arm(kEvDetectionTick, failure_timeout());
   }
   if (config_.lease_interval > 0) {
     arm(kEvLeaseTick, config_.lease_interval);
-    arm(kEvGcTick, config_.lease_ttl);
+    arm(kEvGcTick, lease_ttl());
   }
   if (config_.congestion_aware) arm(kEvCongestionTick, kCongestionInterval);
 }
@@ -889,7 +889,7 @@ void R2c2Sim::keepalive_tick() {
     pkt.type = PacketType::kKeepalive;
     pkt.src = l.from;
     pkt.dst = l.to;
-    pkt.wire_bytes = kBcastWireBytes;
+    pkt.wire_bytes = static_cast<std::uint32_t>(kBroadcastPacketBytes);
     pkt.sent_at = now;
     net_.send_on_link(id, std::move(pkt));
   }
@@ -901,7 +901,7 @@ void R2c2Sim::detection_tick() {
   const TimeNs now = engine_.now();
   for (LinkId id = 0; id < static_cast<LinkId>(topo_.num_links()); ++id) {
     if (cable_down_[id]) continue;
-    if (now - last_heard_[id] > config_.failure_timeout) note_detection(id, true, now);
+    if (now - last_heard_[id] > failure_timeout()) note_detection(id, true, now);
   }
   // The gray scan runs after the binary one, in the same serial phase:
   // links the deadline just declared dead are skipped (the rebuild handles
@@ -1019,14 +1019,14 @@ void R2c2Sim::update_suspicion(TimeNs now) {
     // are merely busy, which defeats the demotion's own routing bias.
     const double heard = silence <= config_.keepalive_interval * 3 / 2 ? 1.0 : 0.0;
     double& deliv = deliv_ewma_[id];
-    deliv = (1.0 - config_.suspect_ewma_alpha) * deliv + config_.suspect_ewma_alpha * heard;
+    deliv = (1.0 - kSuspectEwmaAlpha) * deliv + kSuspectEwmaAlpha * heard;
     const double loss = 1.0 - deliv;
     const double mean_gap = interarrival_ewma_[id] > 0.0
                                 ? interarrival_ewma_[id]
                                 : static_cast<double>(config_.keepalive_interval);
     const double phi = static_cast<double>(silence) / std::max(mean_gap, 1.0);
     if (!link_suspect_[id]) {
-      if (loss > config_.suspect_loss_threshold || phi > config_.suspect_phi) {
+      if (loss > kSuspectLossThreshold || phi > kSuspectPhi) {
         link_suspect_[id] = 1;
         ++suspects_;
         c_links_demoted_.add(1);
@@ -1034,7 +1034,7 @@ void R2c2Sim::update_suspicion(TimeNs now) {
         obs::trace(ctx_trace(), now, topo_.link(id).to, obs::EventType::kLinkDemote,
                    static_cast<std::uint64_t>(id), 1);
       }
-    } else if (loss < kSuspectClearThreshold && phi < config_.suspect_phi) {
+    } else if (loss < kSuspectClearThreshold && phi < kSuspectPhi) {
       link_suspect_[id] = 0;
       --suspects_;
       c_links_cleared_.add(1);
@@ -1098,7 +1098,7 @@ void R2c2Sim::rebuild_context() {
     // The believed-down set disconnects the rack — either a transient
     // (restores will shrink it) or a false-positive pileup. Keep the old
     // decision plane and retry after another detection window.
-    arm(kEvRebuildContext, config_.failure_timeout);
+    arm(kEvRebuildContext, failure_timeout());
     return;
   }
   // Suspected links that survived keep their demotion in the new plane.
@@ -1153,7 +1153,7 @@ void R2c2Sim::lease_tick() {
 void R2c2Sim::gc_tick() {
   if (!fault_ticks_needed() && global_view_.empty()) return;
   gc_scratch_.clear();
-  global_view_.expire_stale(engine_.now(), config_.lease_ttl, kInvalidNode, &gc_scratch_);
+  global_view_.expire_stale(engine_.now(), lease_ttl(), kInvalidNode, &gc_scratch_);
   // Canonical processing order: add_denom clamps at zero, so the order in
   // which expirations are subtracted is observable in the float state.
   std::sort(gc_scratch_.begin(), gc_scratch_.end(),
@@ -1178,7 +1178,7 @@ void R2c2Sim::gc_tick() {
                gc_scratch_.size(), 0);
   }
   if (!gc_scratch_.empty() && config_.recompute_interval == 0) recompute_rates();
-  if (fault_ticks_needed() || !global_view_.empty()) arm(kEvGcTick, config_.lease_ttl);
+  if (fault_ticks_needed() || !global_view_.empty()) arm(kEvGcTick, lease_ttl());
 }
 
 // --- Rack-global state ops ------------------------------------------------
@@ -1254,16 +1254,12 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
       break;
     }
     case OpKind::kReceiverDone:
-      receivers_.erase(static_cast<FlowId>(op.a));
+      if (op.flag) receivers_.erase(static_cast<FlowId>(op.a));
       --unfinished_;
       // A serial context (op.at is now) or a barrier (all workers parked,
       // the global lane clock pinned at or before op.at): either way a
       // completion-triggered schedule_service lands deterministically in
       // op order.
-      notify_service_done(static_cast<FlowId>(op.a), op.at, /*aborted=*/false);
-      break;
-    case OpKind::kUnfinishedDec:
-      --unfinished_;
       notify_service_done(static_cast<FlowId>(op.a), op.at, /*aborted=*/false);
       break;
     case OpKind::kDetect:
@@ -1277,7 +1273,7 @@ void R2c2Sim::apply_op(const DeferredOp& op) {
       // Only a flow whose receiver never completed is a true abort; a
       // sender giving up after the data arrived (lost final ACKs) just
       // tears down. finished() is stable here (no window runs): if the
-      // receiver completed in this same window, its kUnfinishedDec op
+      // receiver completed in this same window, its kReceiverDone op
       // carries the decrement.
       if (!rec.finished()) {
         rec.aborted = true;
@@ -1315,16 +1311,11 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
   d.mix(config_.mtu_payload);
   d.mix(config_.reliable ? 1 : 0);
   d.mix_i64(config_.rto);
-  d.mix(config_.retransmit_dropped_control ? 1 : 0);
   d.mix(static_cast<std::uint64_t>(config_.max_retransmits));
   d.mix(config_.adaptive_rto ? 1 : 0);
-  d.mix_i64(config_.min_rto);
   d.mix_i64(config_.max_rto);
   d.mix(config_.retransmit_jitter ? 1 : 0);
   d.mix(config_.adaptive_detection ? 1 : 0);
-  d.mix_f64(config_.suspect_loss_threshold);
-  d.mix_f64(config_.suspect_phi);
-  d.mix_f64(config_.suspect_ewma_alpha);
   d.mix(config_.congestion_aware ? 1 : 0);
   d.mix(config_.ecn_threshold_bytes);
   d.mix(config_.faults.events.size());
@@ -1341,9 +1332,7 @@ std::uint64_t R2c2Sim::config_fingerprint() const {
     d.mix_i64(ev.gray.flap_down);
   }
   d.mix_i64(config_.keepalive_interval);
-  d.mix_i64(config_.failure_timeout);
   d.mix_i64(config_.lease_interval);
-  d.mix_i64(config_.lease_ttl);
   d.mix(config_.seed);
   // Shard count changes the trajectory (lane partitioning, id spaces, op
   // deferral); worker count deliberately does NOT enter the fingerprint —

@@ -89,49 +89,38 @@ struct R2c2SimConfig {
   // retrying forever or asserting.
   int max_retransmits = 64;
   // RTT-sampled adaptive RTO (RFC 6298-style SRTT/RTTVAR, Karn's rule),
-  // clamped to [min_rto, max_rto]. Off: the fixed `rto` base. Either way
-  // retransmissions of one segment back off exponentially (transport-level
-  // gray-failure hygiene; see ReliableSender::Config).
+  // clamped to [ReliableSender::Config::min_rto (50 us), max_rto]. Off: the
+  // fixed `rto` base. Either way retransmissions of one segment back off
+  // exponentially (transport-level gray-failure hygiene; see
+  // ReliableSender::Config).
   bool adaptive_rto = false;
-  TimeNs min_rto = 50 * kNsPerUs;
   TimeNs max_rto = 20000 * kNsPerUs;
   // Deterministic per-flow retransmit jitter (desynchronizes retry storms;
   // the jitter is a pure hash of (seed, flow, offset, attempt) — no RNG
   // stream, so sharded runs stay bit-identical at any worker count).
   bool retransmit_jitter = false;
-  // Section 3.2 "inform the sender who can then re-transmit" recovery for
-  // dropped/corrupted broadcast copies. Ablatable: with it off, a corrupted
-  // control packet is simply lost and only the lease protocol heals the
-  // resulting view divergence.
-  bool retransmit_dropped_control = true;
 
   // --- Runtime fault injection & self-healing (all off by default) ---
   // Scripted link/node fail+restore events applied while the sim runs.
   FaultScript faults;
   // Keepalive probe period per directed link; 0 disables keepalives and
   // with them failure *detection* (scripted faults then blackhole silently,
-  // which only reliable-mode retransmission can survive).
+  // which only reliable-mode retransmission can survive). A cable is
+  // declared dead after kFailureTimeoutIntervals periods of silence.
   TimeNs keepalive_interval = 0;
-  // A cable is declared dead when nothing was heard on it for this long
-  // (default when 0: 4 * keepalive_interval). Must span several keepalive
-  // periods so corruption of individual probes does not trip it.
-  TimeNs failure_timeout = 0;
   // --- Adaptive (gray-failure) detection, phi-accrual flavored ---
   // The binary deadline above only sees dead links. With this on, each
   // directed link also accrues a *suspicion* signal from its keepalive
   // stream: an EWMA of the delivery indicator per detection tick (its
   // complement estimates the loss rate, smoothing loss streaks) plus a
   // phi-style score — silence measured in units of the learned keepalive
-  // inter-arrival EWMA. A link crossing either threshold is demoted: it
+  // inter-arrival EWMA. A link crossing either threshold
+  // (kSuspectLossThreshold, kSuspectPhi in r2c2_sim.cpp) is demoted: it
   // stays in the topology (no context rebuild, no re-announcements) but
   // randomized routing walks are biased away from it via a per-link
   // penalty, and hysteresis clears the demotion once the link behaves
-  // again (below 0.5% estimated loss). Dead declaration is unchanged
-  // (silence > failure_timeout).
+  // again (below 0.5% estimated loss). Dead declaration is unchanged.
   bool adaptive_detection = false;
-  double suspect_loss_threshold = 0.02;   // demote when est. loss exceeds this
-  double suspect_phi = 2.5;               // demote when silence > phi * mean gap
-  double suspect_ewma_alpha = 0.1;        // delivery-indicator EWMA step
   // --- Congestion-aware adaptive spraying ---
   // With this on, the sim periodically samples every port's peak queue
   // depth into an ECN-style EWMA mark per directed link (see
@@ -146,12 +135,10 @@ struct R2c2SimConfig {
   bool congestion_aware = false;
   std::uint64_t ecn_threshold_bytes = 16 * 1024;  // queue depth that marks
   // Lease refresh period: every sender re-advertises its live flows this
-  // often (demand-update broadcasts doubling as lease refreshes). 0
-  // disables the lease protocol.
+  // often (demand-update broadcasts doubling as lease refreshes), and
+  // entries not refreshed for kLeaseTtlIntervals periods are
+  // garbage-collected from the global view. 0 disables the lease protocol.
   TimeNs lease_interval = 0;
-  // Entries not refreshed for this long are garbage-collected from the
-  // global view (default when 0: 4 * lease_interval).
-  TimeNs lease_ttl = 0;
   std::uint64_t seed = 7;
 
   // --- Sharded parallel engine (src/sim/engine.h) ---
@@ -178,6 +165,11 @@ struct R2c2SimConfig {
   // Sharing one registry across sims accumulates into the same counters.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+// Keepalive detection declares a cable dead after this many keepalive
+// intervals of silence: several periods, so corruption of individual probes
+// does not trip it.
+inline constexpr int kFailureTimeoutIntervals = 4;
 
 // Adaptive detection divides a suspect link's spray weight by
 // 1 + kSuspectPenalty.
@@ -354,8 +346,7 @@ class R2c2Sim {
     kBcastInsert,    // register a broadcast launched from a shard
     kBcastArrived,   // one broadcast copy consumed at a node
     kFlowDone,       // sender finished (reliable: fully acked)
-    kReceiverDone,   // unreliable receiver got the last byte
-    kUnfinishedDec,  // reliable receiver complete; state lingers for acks
+    kReceiverDone,   // receiver got the last byte
     kDetect,         // keepalive-driven restore detection
     kFlowAbort,      // reliable sender gave up; reap + account the abort
   };
@@ -364,7 +355,9 @@ class R2c2Sim {
     OpKind kind = OpKind::kBcastInsert;
     std::uint64_t a = 0;          // bcast id / flow id / directed link id
     NodeId node = kInvalidNode;   // kBcastArrived: completing node (trace)
-    bool flag = false;            // Insert: recovery; FlowDone: reap receiver; Detect: failure
+    // Insert: recovery; FlowDone and ReceiverDone: reap the receiver (a
+    // reliable one lingers for acks instead); Detect: failure.
+    bool flag = false;
     std::uint32_t remaining = 0;  // kBcastInsert: copies in flight
     BroadcastMsg msg{};           // kBcastInsert payload
   };
@@ -442,6 +435,8 @@ class R2c2Sim {
     return plane_.to_substrate.empty() ? plane_link : plane_.to_substrate[plane_link];
   }
   LinkId cable_of(LinkId link) const;  // canonical id: min of both directions
+  TimeNs failure_timeout() const { return kFailureTimeoutIntervals * config_.keepalive_interval; }
+  TimeNs lease_ttl() const { return kLeaseTtlIntervals * config_.lease_interval; }
   void start_fault_ticks();
   void keepalive_tick();
   void detection_tick();

@@ -3,17 +3,25 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/rng.h"
 #include "sim/event_kind.h"
 
 namespace r2c2::sim {
 
+namespace {
+constexpr std::uint32_t kMtuPayload = static_cast<std::uint32_t>(kMaxPayloadBytes);
+constexpr std::uint32_t kAckWireBytes = 40;
+constexpr double kInitCwndPkts = 10.0;
+constexpr TimeNs kMinRto = 100 * kNsPerUs;
+constexpr TimeNs kInitRto = 1 * kNsPerMs;
+}  // namespace
+
 TcpSim::TcpSim(const Topology& topo, const Router& router, TcpSimConfig config)
-    : topo_(topo), router_(router), config_(config), net_(engine_, topo, config.net),
-      rng_(config.seed), trace_(config.trace) {
-  if (config_.metrics != nullptr) {
-    c_started_ = &config_.metrics->counter("tcp.flows_started");
-    c_finished_ = &config_.metrics->counter("tcp.flows_finished");
-    c_retransmissions_ = &config_.metrics->counter("tcp.retransmissions");
+    : topo_(topo), router_(router), net_(engine_, topo, config.net), trace_(config.trace) {
+  if (config.metrics != nullptr) {
+    c_started_ = &config.metrics->counter("tcp.flows_started");
+    c_finished_ = &config.metrics->counter("tcp.flows_finished");
+    c_retransmissions_ = &config.metrics->counter("tcp.retransmissions");
   }
   net_.set_deliver([this](NodeId at, SimPacket&& pkt) { deliver(at, std::move(pkt)); });
   // Drops are recovered by TCP itself (dup-ACKs / RTO); the recorder still
@@ -49,9 +57,9 @@ RunMetrics TcpSim::run(TimeNs until) {
 }
 
 std::uint32_t TcpSim::payload_of(const Sender& s, std::uint32_t pkt_index) const {
-  const std::uint64_t offset = static_cast<std::uint64_t>(pkt_index) * config_.mtu_payload;
+  const std::uint64_t offset = static_cast<std::uint64_t>(pkt_index) * kMtuPayload;
   return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(config_.mtu_payload, s.total_bytes - offset));
+      std::min<std::uint64_t>(kMtuPayload, s.total_bytes - offset));
 }
 
 void TcpSim::start_flow(const FlowArrival& arrival) {
@@ -73,9 +81,9 @@ void TcpSim::start_flow(const FlowArrival& arrival) {
   s.dst = arrival.dst;
   s.total_bytes = rec.bytes;
   s.total_pkts = static_cast<std::uint32_t>(
-      (rec.bytes + config_.mtu_payload - 1) / config_.mtu_payload);
-  s.cwnd = config_.init_cwnd_pkts;
-  s.rto = config_.init_rto;
+      (rec.bytes + kMtuPayload - 1) / kMtuPayload);
+  s.cwnd = kInitCwndPkts;
+  s.rto = kInitRto;
   s.first_sent.assign(s.total_pkts, -1);
   Rng unused(0);
   s.fwd_route = encode_path(topo_, router_.pick_path(RouteAlg::kEcmp, s.src, s.dst, unused, id));
@@ -180,7 +188,7 @@ void TcpSim::on_data(SimPacket&& pkt) {
   ack.src = s.dst;
   ack.dst = s.src;
   ack.seq = r.cum_pkts;
-  ack.wire_bytes = config_.ack_wire_bytes;
+  ack.wire_bytes = kAckWireBytes;
   ack.route = s.rev_route;
   ack.sent_at = engine_.now();
   net_.forward(s.dst, std::move(ack));
@@ -220,7 +228,7 @@ void TcpSim::on_ack(SimPacket&& pkt) {
         s.rttvar = (3 * s.rttvar + err) / 4;
         s.srtt = (7 * s.srtt + rtt) / 8;
       }
-      s.rto = std::max(config_.min_rto, s.srtt + 4 * s.rttvar);
+      s.rto = std::max(kMinRto, s.srtt + 4 * s.rttvar);
     }
     s.acked = ack;
     s.dup_acks = 0;

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "routing/routing.h"
@@ -27,16 +26,12 @@
 
 namespace r2c2::sim {
 
+// Segments carry kMaxPayloadBytes; the TCP constants (initial window,
+// initial and minimum RTO, ACK size) are in tcp_sim.cpp.
 struct TcpSimConfig {
   // Micro-servers have limited buffers (goal G3): ~21 MTUs of drop-tail
   // buffering per port.
   NetworkConfig net{.data_buffer_bytes = 32 * 1024};
-  std::uint32_t mtu_payload = static_cast<std::uint32_t>(kMaxPayloadBytes);
-  std::uint32_t ack_wire_bytes = 40;
-  double init_cwnd_pkts = 10.0;
-  TimeNs min_rto = 100 * kNsPerUs;
-  TimeNs init_rto = 1 * kNsPerMs;
-  std::uint64_t seed = 7;
   // Optional observability (src/obs/): flow lifecycle + drop trace events
   // and "tcp.*" counters. Null = disabled.
   obs::FlightRecorder* trace = nullptr;
@@ -95,10 +90,8 @@ class TcpSim {
 
   const Topology& topo_;
   const Router& router_;
-  TcpSimConfig config_;
   Engine engine_;
   Network net_;
-  Rng rng_;
 
   std::vector<FlowArrival> arrivals_;  // kEvTcpStart names an index here
   std::unordered_map<FlowId, Sender> senders_;

@@ -8,6 +8,8 @@ namespace r2c2 {
 
 namespace {
 
+constexpr double kParetoShape = 1.05;
+
 void pick_endpoints(Rng& rng, std::size_t num_nodes, FlowArrival& f) {
   f.src = static_cast<NodeId>(rng.uniform_int(num_nodes));
   do {
@@ -28,12 +30,8 @@ std::vector<FlowArrival> generate_poisson_uniform(const WorkloadConfig& config) 
     t += rng.exponential(static_cast<double>(config.mean_interarrival));
     f.start = static_cast<TimeNs>(t);
     pick_endpoints(rng, config.num_nodes, f);
-    double bytes = config.mean_bytes;
-    if (config.size_dist == SizeDistribution::kPareto) {
-      bytes = rng.pareto_with_mean(config.pareto_shape, config.mean_bytes);
-    }
-    f.bytes = static_cast<std::uint64_t>(bytes);
-    f.bytes = std::max(f.bytes, config.min_bytes);
+    f.bytes = static_cast<std::uint64_t>(rng.pareto_with_mean(kParetoShape, config.mean_bytes));
+    f.bytes = std::max(f.bytes, kMinFlowBytes);
     if (config.max_bytes > 0) f.bytes = std::min(f.bytes, config.max_bytes);
     flows.push_back(f);
   }

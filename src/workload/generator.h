@@ -25,32 +25,28 @@ struct FlowArrival {
   std::int8_t alg = -1;
 };
 
-enum class SizeDistribution {
-  kPareto,  // heavy tail, shape `pareto_shape`, mean `mean_bytes`
-  kFixed,   // every flow exactly `mean_bytes`
-};
+// Flow sizes are Pareto(1.05)-distributed (heavy tail) and floored at
+// kMinFlowBytes.
+inline constexpr std::uint64_t kMinFlowBytes = 64;
 
 struct WorkloadConfig {
   std::size_t num_nodes = 0;
   std::size_t num_flows = 0;
   // Poisson arrivals: exponential inter-arrival with this mean.
   TimeNs mean_interarrival = 1 * kNsPerUs;
-  SizeDistribution size_dist = SizeDistribution::kPareto;
   // The paper's mean flow size coincides with the stack-wide short-flow
   // boundary (common/types.h): ~95% of Pareto(1.05) draws land below it.
   double mean_bytes = static_cast<double>(kShortFlowCutoffBytes);
-  double pareto_shape = 1.05;
   // The Pareto(1.05) tail is effectively unbounded; real traces top out and
   // unbounded samples make run times unpredictable, so sizes are capped
   // (default 30 MB, around the paper's "95% of bytes in flows > 35 MB"
   // regime). Set to 0 for no cap.
   std::uint64_t max_bytes = 30ull << 20;
-  std::uint64_t min_bytes = 64;
   std::uint64_t seed = 42;
 };
 
 // Flows with uniformly random (src != dst) endpoints, Poisson arrivals and
-// the configured size distribution, sorted by start time.
+// Pareto sizes, sorted by start time.
 std::vector<FlowArrival> generate_poisson_uniform(const WorkloadConfig& config);
 
 // Fig. 9's two-class workload: `small_bytes`-sized and `large_bytes`-sized

@@ -14,78 +14,20 @@
 //    tiles and the kRps tiles its phases read, steady-state reads on a warm
 //    working set perform zero heap allocations, and a 4096-node Router
 //    allocates no per-pair table and stays within its budget for every
-//    algorithm (counted by a global operator-new hook).
+//    algorithm (counted by alloc_counter.h).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/rng.h"
 #include "routing/routing.h"
 #include "sim/r2c2_sim.h"
 #include "topology/topology.h"
-
-// --- Counting allocator hook ------------------------------------------------
-// Counts every global allocation, and its bytes, while g_counting is set.
-// Deallocation is never counted: the contracts under test are "no
-// steady-state allocation" and "no large allocation", and frees of
-// previously counted blocks are fine.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<bool> g_counting{false};
-
-void count_allocation(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  }
-}
-}  // namespace
-
-// GCC's new/delete pairing heuristic misfires on these hooks: every path
-// ends in malloc/aligned_alloc, both of which std::free releases.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  count_allocation(size);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  count_allocation(size);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace r2c2 {
 namespace {
@@ -284,8 +226,7 @@ TEST(TiledWeightTable, SteadyStateReadsOnWarmWorkingSetDoNotAllocate) {
   }
   const Router::TileStats before = router.tile_stats();
 
-  g_alloc_count.store(0);
-  g_counting.store(true);
+  const test::AllocDelta allocs;
   for (int round = 0; round < 10; ++round) {
     for (const auto& [src, dst] : working_set) {
       for (const LinkFraction& lf : router.link_weights(RouteAlg::kVlb, src, dst)) {
@@ -293,9 +234,7 @@ TEST(TiledWeightTable, SteadyStateReadsOnWarmWorkingSetDoNotAllocate) {
       }
     }
   }
-  g_counting.store(false);
-
-  EXPECT_EQ(g_alloc_count.load(), 0u) << "tiled reads allocated in steady state";
+  EXPECT_EQ(allocs.calls(), 0u) << "tiled reads allocated in steady state";
   EXPECT_GT(sink, 0.0);
   const Router::TileStats after = router.tile_stats();
   EXPECT_EQ(after.misses, before.misses) << "warm working set should only hit";
@@ -334,11 +273,9 @@ TEST(TiledWeightTable, RackScaleRouterStaysWithinBudgetForEveryAlgorithm) {
   // Router's entries bit for bit.
   const Topology topo = make_torus({16, 16, 16}, 10 * kGbps, 500);
   const std::uint64_t kBudget = std::uint64_t{8} << 20;
-  g_alloc_bytes.store(0);
-  g_counting.store(true);
+  const test::AllocDelta allocs;
   auto small = std::make_unique<Router>(topo, Router::TileConfig{.max_resident_bytes = kBudget});
-  g_counting.store(false);
-  EXPECT_LT(g_alloc_bytes.load(), std::uint64_t{1} << 20);
+  EXPECT_LT(allocs.bytes(), std::uint64_t{1} << 20);
   const Router reference(topo);
 
   const auto check = [&](RouteAlg alg, NodeId src, NodeId dst, FlowId flow) {

@@ -1,50 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
-#include <new>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "broadcast/broadcast.h"
 #include "topology/topology.h"
-
-// --- Counting allocator hook ------------------------------------------------
-// Counts the bytes of every global allocation while g_counting is set.
-namespace {
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<bool> g_counting{false};
-}  // namespace
-
-// GCC's new/delete pairing heuristic misfires on these hooks: every path
-// ends in malloc, which std::free releases.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace r2c2 {
 namespace {
@@ -181,11 +148,9 @@ TEST(Broadcast, RackScaleFibTakesOneBytePerSourceAndNode) {
   // The 16x16x16 torus has degree 6, so one tree's FIB is n^2 one-byte
   // port masks (16 MiB) plus O(links) of rank tables and BFS scratch.
   const Topology topo = make_torus({16, 16, 16}, 10 * kGbps, 500);
-  g_alloc_bytes.store(0);
-  g_counting.store(true);
+  const test::AllocDelta allocs;
   auto trees = std::make_unique<BroadcastTrees>(topo, 1);
-  g_counting.store(false);
-  EXPECT_LE(g_alloc_bytes.load(), std::uint64_t{17} << 20);
+  EXPECT_LE(allocs.bytes(), std::uint64_t{17} << 20);
   EXPECT_EQ(trees->height(0, 0), 24);
 }
 

@@ -1,70 +1,16 @@
 // Steady-state allocation checks for the event engine and the packet park
-// store, using the counting-allocator idiom (every operator new in this
-// binary bumps g_allocations). Once the heaps, slot arenas and park
+// store, using the counting allocator (alloc_counter.h). Once the heaps, slot arenas and park
 // free-lists are warm, scheduling/running events and parking/taking packets
 // must not touch the allocator at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "topology/topology.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// The pairing below is exact (new = malloc, delete = free), but once a
-// caller's new/delete both inline into one frame GCC can no longer tell
-// and reports a mismatch; silence that false positive for this binary.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  const std::size_t a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  const std::size_t a = static_cast<std::size_t>(align);
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
-}
-void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, align, t);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace r2c2::sim {
 namespace {
@@ -105,9 +51,9 @@ TEST(EnginePool, ShardedSteadyStateIsAllocationFree) {
     run_round(e, 10'000, 20'000);
     ASSERT_EQ(counter.load(), 2u * 4 * kEventsPerLane) << "workers=" << workers;
 
-    const std::uint64_t before = g_allocations.load();
+    const std::uint64_t before = test::alloc_calls();
     run_round(e, 20'000, 30'000);
-    EXPECT_EQ(g_allocations.load() - before, 0u)
+    EXPECT_EQ(test::alloc_calls() - before, 0u)
         << "sharded schedule/run steady state allocated, workers=" << workers;
     EXPECT_EQ(counter.load(), 3u * 4 * kEventsPerLane) << "workers=" << workers;
   }
@@ -120,9 +66,9 @@ TEST(EnginePool, SerialSteadyStateIsAllocationFree) {
   run_round(e, 0, 10'000);  // shards() == 1: lane 0 only
   run_round(e, 10'000, 20'000);
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::alloc_calls();
   run_round(e, 20'000, 30'000);
-  EXPECT_EQ(g_allocations.load() - before, 0u) << "serial schedule/run steady state allocated";
+  EXPECT_EQ(test::alloc_calls() - before, 0u) << "serial schedule/run steady state allocated";
 }
 
 TEST(EnginePool, ParkedPacketsReuseSlots) {
@@ -143,7 +89,7 @@ TEST(EnginePool, ParkedPacketsReuseSlots) {
     for (const std::uint64_t slot : slots) (void)net.take_parked(slot);
   }
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::alloc_calls();
   for (int round = 0; round < 8; ++round) {
     for (std::uint64_t& slot : slots) {
       SimPacket pkt;
@@ -153,7 +99,7 @@ TEST(EnginePool, ParkedPacketsReuseSlots) {
     }
     for (const std::uint64_t slot : slots) (void)net.take_parked(slot);
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u) << "park/take steady state allocated";
+  EXPECT_EQ(test::alloc_calls() - before, 0u) << "park/take steady state allocated";
 }
 
 }  // namespace

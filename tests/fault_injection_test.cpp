@@ -22,6 +22,7 @@ namespace {
 
 using sim::ChaosConfig;
 using sim::FaultScript;
+using sim::LinkDegrade;
 using sim::R2c2Sim;
 using sim::R2c2SimConfig;
 using sim::RunMetrics;
@@ -278,9 +279,12 @@ TEST(CorruptionSplit, ControlCorruptionCountedSeparatelyAndHealedByLeases) {
   R2c2SimConfig cfg;
   cfg.reliable = true;
   cfg.net.corruption_rate = 2e-3;
-  // Disable the drop-notice retransmission: a corrupted broadcast copy is
-  // really lost, so only the lease protocol can heal the view.
-  cfg.retransmit_dropped_control = false;
+  // A corrupted broadcast copy is retransmitted after its drop notice, but
+  // a gray link loses copies silently: those are really lost, so only the
+  // lease protocol can heal the view.
+  LinkDegrade gray;
+  gray.loss_prob = 0.3;
+  cfg.faults.events.push_back(FaultScript::degrade_link(0, topo.find_link(0, 1), gray));
   cfg.lease_interval = 100 * kNsPerUs;
   cfg.rto = 200 * kNsPerUs;
   R2c2Sim simulator(topo, router, cfg);
@@ -311,7 +315,6 @@ struct StackRack {
     ctx.router = &router;
     ctx.trees = &trees;
     ctx.lease_interval = lease_interval;
-    ctx.lease_ttl = 4 * lease_interval;
     for (NodeId n = 0; n < topo.num_nodes(); ++n) {
       R2c2Stack::Callbacks cb;
       cb.send_control = [this](NodeId next, std::vector<std::uint8_t> bytes) {

@@ -1,78 +1,18 @@
 // Observability primitives (src/obs/): flight-recorder ring semantics,
 // metric math, registry snapshots, the scoped-timer spans, and the Chrome
 // trace exporter's balance guarantees — plus the allocation-free claim,
-// checked with the same counting-allocator technique as
-// waterfill_diff_test.cpp.
+// checked with the counting allocator (alloc_counter.h).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
-
-// --- Counting allocator ---------------------------------------------------
-// Global operator new/delete overrides local to this test binary: the
-// flight recorder and the metric update paths claim to be allocation-free
-// after construction, and the test below holds them to it.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// The pairing below is exact (new = malloc, delete = free), but once a
-// caller's new/delete both inline into one frame GCC can no longer tell
-// and reports a mismatch; silence that false positive for this binary.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  const std::size_t a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  const std::size_t a = static_cast<std::size_t>(align);
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
-}
-void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, align, t);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace r2c2::obs {
 namespace {
@@ -140,13 +80,13 @@ TEST(FlightRecorder, RecordIsAllocationFreeAfterConstruction) {
   FlightRecorder rec(1 << 10);
   // Warm-up (construction already sized the buffer; nothing else to warm).
   rec.record(0, 0, EventType::kStackTick, EventPhase::kBegin);
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::alloc_calls();
   for (int i = 0; i < 100000; ++i) {
     rec.record(i, static_cast<NodeId>(i & 15), EventType::kRateRecompute,
                (i & 1) != 0 ? EventPhase::kEnd : EventPhase::kBegin,
                static_cast<std::uint64_t>(i), static_cast<std::uint64_t>(i) * 2);
   }
-  EXPECT_EQ(g_allocations.load(), before) << "FlightRecorder::record allocated";
+  EXPECT_EQ(test::alloc_calls(), before) << "FlightRecorder::record allocated";
 }
 
 TEST(FlightRecorder, EventNamesAndCategoriesAreStable) {
@@ -217,12 +157,12 @@ TEST(Metrics, HistogramObserveIsAllocationFree) {
   Histogram h;
   h.observe(1.0);
   Counter c;
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::alloc_calls();
   for (int i = 0; i < 100000; ++i) {
     h.observe(static_cast<double>(i));
     c.add(1);
   }
-  EXPECT_EQ(g_allocations.load(), before) << "metric update allocated";
+  EXPECT_EQ(test::alloc_calls(), before) << "metric update allocated";
 }
 
 TEST(Metrics, RegistryGetOrCreateReturnsStableRefs) {

@@ -112,8 +112,6 @@ TEST(ParallelDeterminism, HybridIsBitIdenticalAcrossThreadCounts) {
   cfg.population = 24;
   cfg.max_generations = 6;
   cfg.stall_generations = 4;
-  cfg.ls_elites = 3;
-  cfg.ls_steps = 8;
   cfg.eval_budget = 400;
   cfg.seed = 33;
 

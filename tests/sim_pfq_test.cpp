@@ -81,7 +81,7 @@ TEST(PfqSim, BackpressureBoundsQueues) {
   sim.add_flows(flows);
   const RunMetrics m = sim.run();
   const auto max_q = *std::max_element(m.max_queue_bytes.begin(), m.max_queue_bytes.end());
-  EXPECT_LE(max_q, flows.size() * cfg.per_flow_quota_bytes);
+  EXPECT_LE(max_q, flows.size() * kPfqFlowQuotaBytes);
   for (const FlowRecord& f : m.flows) EXPECT_TRUE(f.finished());
 }
 

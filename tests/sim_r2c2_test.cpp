@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <utility>
 
 #include "common/stats.h"
 #include "sim/r2c2_sim.h"
@@ -244,10 +246,9 @@ TEST(R2c2Sim, HeadroomIsAKnobWithTwoSides) {
   wl.num_nodes = topo.num_nodes();
   wl.num_flows = 40;
   wl.mean_interarrival = 2 * kNsPerUs;
-  wl.size_dist = SizeDistribution::kFixed;
-  wl.mean_bytes = 2 << 20;  // all flows are "long"
   wl.seed = 5;
-  const auto arrivals = generate_poisson_uniform(wl);
+  auto arrivals = generate_poisson_uniform(wl);
+  for (FlowArrival& f : arrivals) f.bytes = 2 << 20;  // all flows are "long"
   const auto mean_long_tput = [&](double headroom) {
     R2c2SimConfig cfg;
     cfg.alloc.headroom = headroom;
@@ -289,6 +290,65 @@ TEST(R2c2Sim, VlbRoutingAlsoCompletes) {
   sim.add_flows(single_flow(0, 5, 512 * 1024));
   const RunMetrics m = sim.run();
   ASSERT_TRUE(m.flows[0].finished());
+}
+
+TEST(R2c2Sim, ConfigFingerprintCoversEveryTrajectoryField) {
+  // config_fingerprint() is a hand-written list of the config fields that
+  // shape a run: changing any one of them must move it, and changing the
+  // worker count or the observability sinks must not.
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  const auto fingerprint = [&](const R2c2SimConfig& cfg) {
+    return R2c2Sim(topo, router, cfg).config_fingerprint();
+  };
+  const std::uint64_t base = fingerprint({});
+  using Edit = std::function<void(R2c2SimConfig&)>;
+  const std::pair<const char*, Edit> shaping[] = {
+      {"alloc.headroom", [](R2c2SimConfig& c) { c.alloc.headroom = 0.1; }},
+      {"recompute_interval", [](R2c2SimConfig& c) { c.recompute_interval = 100 * kNsPerUs; }},
+      {"route_alg", [](R2c2SimConfig& c) { c.route_alg = RouteAlg::kVlb; }},
+      {"broadcast_trees", [](R2c2SimConfig& c) { c.broadcast_trees = 2; }},
+      {"net.data_buffer_bytes", [](R2c2SimConfig& c) { c.net.data_buffer_bytes = 64 * 1024; }},
+      {"net.corruption_rate", [](R2c2SimConfig& c) { c.net.corruption_rate = 1e-3; }},
+      {"mtu_payload", [](R2c2SimConfig& c) { c.mtu_payload = 1000; }},
+      {"reliable", [](R2c2SimConfig& c) { c.reliable = true; }},
+      {"rto", [](R2c2SimConfig& c) { c.rto = 100 * kNsPerUs; }},
+      {"max_retransmits", [](R2c2SimConfig& c) { c.max_retransmits = 8; }},
+      {"adaptive_rto", [](R2c2SimConfig& c) { c.adaptive_rto = true; }},
+      {"max_rto", [](R2c2SimConfig& c) { c.max_rto = 1000 * kNsPerUs; }},
+      {"retransmit_jitter", [](R2c2SimConfig& c) { c.retransmit_jitter = true; }},
+      {"faults",
+       [](R2c2SimConfig& c) { c.faults.events.push_back(FaultScript::fail_link(kNsPerUs, 0)); }},
+      {"keepalive_interval", [](R2c2SimConfig& c) { c.keepalive_interval = 10 * kNsPerUs; }},
+      {"adaptive_detection", [](R2c2SimConfig& c) { c.adaptive_detection = true; }},
+      {"congestion_aware", [](R2c2SimConfig& c) { c.congestion_aware = true; }},
+      {"ecn_threshold_bytes", [](R2c2SimConfig& c) { c.ecn_threshold_bytes = 4 * 1024; }},
+      {"lease_interval", [](R2c2SimConfig& c) { c.lease_interval = 100 * kNsPerUs; }},
+      {"seed", [](R2c2SimConfig& c) { c.seed = 8; }},
+      {"engine_shards", [](R2c2SimConfig& c) { c.engine_shards = 2; }},
+  };
+  for (const auto& [field, edit] : shaping) {
+    R2c2SimConfig cfg;
+    edit(cfg);
+    EXPECT_NE(fingerprint(cfg), base) << field;
+  }
+
+  // Checked on two shards, where a second worker has a lane to drive.
+  R2c2SimConfig sharded;
+  sharded.engine_shards = 2;
+  const std::uint64_t sharded_base = fingerprint(sharded);
+  obs::FlightRecorder recorder(64);
+  obs::MetricsRegistry registry;
+  const std::pair<const char*, Edit> neutral[] = {
+      {"engine_workers", [](R2c2SimConfig& c) { c.engine_workers = 2; }},
+      {"trace", [&](R2c2SimConfig& c) { c.trace = &recorder; }},
+      {"metrics", [&](R2c2SimConfig& c) { c.metrics = &registry; }},
+  };
+  for (const auto& [field, edit] : neutral) {
+    R2c2SimConfig cfg = sharded;
+    edit(cfg);
+    EXPECT_EQ(fingerprint(cfg), sharded_base) << field;
+  }
 }
 
 }  // namespace

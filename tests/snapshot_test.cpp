@@ -264,7 +264,6 @@ struct MiniRack {
     ctx.router = &router;
     ctx.trees = &trees;
     ctx.lease_interval = 50 * kNsPerUs;
-    ctx.lease_ttl = 200 * kNsPerUs;
     for (NodeId n = 0; n < topo.num_nodes(); ++n) {
       R2c2Stack::Callbacks cb;
       cb.send_control = [this](NodeId next, std::vector<std::uint8_t> bytes) {

@@ -16,12 +16,11 @@ namespace {
 // a data plane.
 class TestRack {
  public:
-  explicit TestRack(std::vector<int> dims, TimeNs demand_period = kNsPerMs)
+  explicit TestRack(std::vector<int> dims)
       : topo_(make_torus(dims, 10 * kGbps, 100)), router_(topo_), trees_(topo_, 2) {
     ctx_.topo = &topo_;
     ctx_.router = &router_;
     ctx_.trees = &trees_;
-    ctx_.demand_period = demand_period;
     for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
       R2c2Stack::Callbacks cb;
       cb.send_control = [this](NodeId next, std::vector<std::uint8_t> bytes) {
@@ -135,7 +134,7 @@ TEST(Stack, PriorityStarvesBackground) {
 }
 
 TEST(Stack, DemandUpdateFreesBandwidthForOthers) {
-  TestRack rack({8}, /*demand_period=*/kNsPerMs);
+  TestRack rack({8});
   const FlowId a = rack.stack(0).open_flow(2, {.alg = RouteAlg::kDor});
   const FlowId b = rack.stack(1).open_flow(3, {.alg = RouteAlg::kDor});
   rack.pump();

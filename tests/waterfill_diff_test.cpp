@@ -11,80 +11,15 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/rng.h"
 #include "congestion/waterfill.h"
 #include "control/route_selection.h"
 #include "routing/routing.h"
 #include "topology/topology.h"
-
-// --- Counting allocator ---------------------------------------------------
-// Global operator new/delete overrides local to this test binary, counting
-// allocations and the bytes they request: the steady-state test asserts
-// that repeated waterfill(problem, scratch, out) calls perform no heap
-// allocation once warmed up, and the GA lane test that extra lanes do not
-// copy the problem.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<std::uint64_t> g_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  g_bytes += size;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  g_bytes += size;
-  const std::size_t a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-// The nothrow variants must be overridden too (libstdc++'s stable_sort
-// temporary buffer uses them); otherwise the default nothrow new pairs
-// with the free()-based deletes above — an alloc-dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  g_bytes += size;
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  g_bytes += size;
-  const std::size_t a = static_cast<std::size_t>(align);
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
-}
-void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, align, t);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-// Out of line, so that GCC's -Wmismatched-new-delete pairs a counted new
-// with this delete rather than with the free() inside it.
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace r2c2 {
 namespace {
@@ -291,17 +226,17 @@ TEST(WaterfillDiff, GaLanesShareOneProblem) {
   WaterfillProblem problem;
   problem.build_with_choices(router, flows, cfg.choices, cfg.alloc);  // warms the router
   // One problem's footprint: the bytes an exact-size copy allocates.
-  const std::uint64_t before_copy = g_bytes.load();
+  const std::uint64_t before_copy = test::alloc_bytes();
   const WaterfillProblem copy = problem;
-  const std::uint64_t problem_bytes = g_bytes.load() - before_copy;
+  const std::uint64_t problem_bytes = test::alloc_bytes() - before_copy;
   ASSERT_EQ(copy.num_flows(), flows.size());
 
   const auto ga_bytes = [&](int threads) {
     cfg.threads = threads;
-    const std::uint64_t before = g_bytes.load();
+    const std::uint64_t before = test::alloc_bytes();
     const SelectionResult result = select_routes_ga(router, flows, cfg);
     EXPECT_GT(result.stats.solves, 0u);
-    return g_bytes.load() - before;
+    return test::alloc_bytes() - before;
   };
   const std::uint64_t one_lane = ga_bytes(1);
   const std::uint64_t four_lanes = ga_bytes(4);
@@ -351,19 +286,19 @@ TEST(WaterfillDiff, SteadyStateAllocatesNothing) {
   RateAllocation out;
   waterfill(problem, scratch, out);  // warm-up sizes every scratch vector
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::alloc_calls();
   for (int i = 0; i < 20; ++i) waterfill(problem, scratch, out);
-  const std::uint64_t after = g_allocations.load();
+  const std::uint64_t after = test::alloc_calls();
   EXPECT_EQ(after - before, 0u) << "waterfill allocated in steady state";
 
   // Rebuilding the same problem (the periodic-recompute path when the flow
   // set changed shape but not size) must also reuse capacity.
-  const std::uint64_t before_rebuild = g_allocations.load();
+  const std::uint64_t before_rebuild = test::alloc_calls();
   for (int i = 0; i < 5; ++i) {
     problem.build(router, flows, {.headroom = 0.05});
     waterfill(problem, scratch, out);
   }
-  const std::uint64_t after_rebuild = g_allocations.load();
+  const std::uint64_t after_rebuild = test::alloc_calls();
   EXPECT_EQ(after_rebuild - before_rebuild, 0u) << "problem rebuild allocated";
 }
 

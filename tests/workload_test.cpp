@@ -148,21 +148,10 @@ TEST(Generator, SizeCapsApply) {
   cfg.num_nodes = 16;
   cfg.num_flows = 20000;
   cfg.max_bytes = 1 << 20;
-  cfg.min_bytes = 128;
   for (const auto& f : generate_poisson_uniform(cfg)) {
-    EXPECT_GE(f.bytes, 128u);
+    EXPECT_GE(f.bytes, kMinFlowBytes);
     EXPECT_LE(f.bytes, 1u << 20);
   }
-}
-
-TEST(Generator, FixedSizeDistribution) {
-  WorkloadConfig cfg;
-  cfg.num_nodes = 16;
-  cfg.num_flows = 100;
-  cfg.size_dist = SizeDistribution::kFixed;
-  cfg.mean_bytes = 10 << 20;
-  cfg.max_bytes = 0;
-  for (const auto& f : generate_poisson_uniform(cfg)) EXPECT_EQ(f.bytes, 10u << 20);
 }
 
 TEST(Generator, UncappedParetoExceedsDefaultCap) {
@@ -175,27 +164,26 @@ TEST(Generator, UncappedParetoExceedsDefaultCap) {
   cfg.max_bytes = 0;
   std::uint64_t largest = 0;
   for (const auto& f : generate_poisson_uniform(cfg)) {
-    EXPECT_GE(f.bytes, cfg.min_bytes);
+    EXPECT_GE(f.bytes, kMinFlowBytes);
     largest = std::max(largest, f.bytes);
   }
   EXPECT_GT(largest, 30ull << 20);
 }
 
 TEST(Generator, MinAboveMeanStillHonored) {
-  // A floor above the mean is unusual but legal: every Pareto draw below
-  // it clamps up, so all sizes land in [min_bytes, max_bytes] even though
-  // min_bytes > mean_bytes.
+  // A mean below the floor is unusual but legal: every Pareto draw below
+  // the floor clamps up, so all sizes land in [kMinFlowBytes, max_bytes]
+  // even though kMinFlowBytes > mean_bytes.
   WorkloadConfig cfg;
   cfg.num_nodes = 16;
   cfg.num_flows = 5000;
-  cfg.mean_bytes = 10.0 * 1024.0;
-  cfg.min_bytes = 64 * 1024;
+  cfg.mean_bytes = 16.0;
   cfg.max_bytes = 1 << 20;
   std::size_t at_floor = 0;
   for (const auto& f : generate_poisson_uniform(cfg)) {
-    EXPECT_GE(f.bytes, cfg.min_bytes);
+    EXPECT_GE(f.bytes, kMinFlowBytes);
     EXPECT_LE(f.bytes, cfg.max_bytes);
-    at_floor += (f.bytes == cfg.min_bytes);
+    at_floor += (f.bytes == kMinFlowBytes);
   }
   // With the mean far below the floor, the overwhelming majority clamp.
   EXPECT_GT(static_cast<double>(at_floor) / 5000.0, 0.9);
